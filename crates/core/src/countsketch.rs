@@ -39,6 +39,7 @@ use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
 use sketch_sparse::{spmm, CooMatrix, CsrMatrix};
+use std::ops::Range;
 
 /// Extra read factor charged when the kernel must stream a column-major `A` row-wise
 /// (uncoalesced reads); the row-major layout recommended by Section 6.1 avoids it.
@@ -76,8 +77,8 @@ impl CountSketch {
         }
     }
 
-    /// Construct from explicit row map and signs (used by tests and the distributed
-    /// driver, which carves one big CountSketch into per-process pieces).
+    /// Construct from an explicit row map and signs (used by tests and by
+    /// [`HashCountSketch::to_explicit`]).
     pub fn from_parts(d: usize, k: usize, rows: Vec<usize>, signs: Vec<bool>) -> Self {
         assert_eq!(rows.len(), d, "need one target row per input row");
         assert_eq!(signs.len(), d, "need one sign per input row");
@@ -105,9 +106,10 @@ impl CountSketch {
     /// with `d_rows` input rows and `k` output rows to an operand with `ncols`
     /// columns.
     ///
-    /// Exposed so other drivers (e.g. `sketch-dist`, which applies row slices
-    /// of one global sketch per rank) charge exactly the same model as the
-    /// single-device kernel instead of duplicating the formula.
+    /// Exposed so the multi-device executor in `sketch-dist`, which folds row
+    /// shards of one global sketch through [`fold_rows`](Self::fold_rows),
+    /// charges each shard exactly the single-device kernel's model instead of
+    /// duplicating the formula.
     pub fn apply_cost(d_rows: usize, k: usize, ncols: usize, col_major_input: bool) -> KernelCost {
         let d = d_rows as u64;
         let n = ncols as u64;
@@ -153,26 +155,16 @@ impl CountSketch {
     /// and sum the input rows assigned to it.
     ///
     /// This trades the atomic RMW traffic for an extra index pass and a less balanced
-    /// work distribution; the `ablations` bench compares it against Algorithm 2.
+    /// work distribution; the `ablations` bench compares it against Algorithm 2.  On
+    /// the host it runs the same fold as every other apply and differs only in the
+    /// cost it records.
     pub fn apply_matrix_gather(&self, device: &Device, a: &Matrix) -> Result<Matrix, Error> {
         self.check_input_dim(a.nrows())?;
         let n = a.ncols();
         let _reservation = device.try_reserve(KernelCost::f64_bytes((self.k * n) as u64))?;
 
-        let (counts, members) = invert_row_map(self.k, &self.rows);
         let mut y = Matrix::zeros_with_layout(self.k, n, Layout::RowMajor);
-        {
-            let data = y.as_mut_slice();
-            let signs = &self.signs;
-            data.par_chunks_mut_outer(n, |m, out_row| {
-                for &j in &members[counts[m]..counts[m + 1]] {
-                    let sign = if signs[j] { 1.0 } else { -1.0 };
-                    for (c, slot) in out_row.iter_mut().enumerate() {
-                        *slot += sign * a.get(j, c);
-                    }
-                }
-            });
-        }
+        self.fold_rows(Operand::Dense(a), 0..self.d, &mut y.view_mut());
 
         let d = self.d as u64;
         let n64 = n as u64;
@@ -185,6 +177,43 @@ impl CountSketch {
             3,
         ));
         Ok(y)
+    }
+
+    /// Add `S[:, rows] · A[rows, :]` into `out` **without zeroing it** — the one host
+    /// CountSketch row fold.
+    ///
+    /// `rows` is any contiguous range of the operand `a` (dense in either layout,
+    /// CSR, or a CSR row view), indexed like the operand itself.  Each output row
+    /// gathers its members of the range in ascending input-row order, so folding
+    /// any ordered partition of `0..d` into one accumulator reproduces the serial
+    /// scatter's per-cell chain bit for bit, at any thread count.  This is how the
+    /// multi-device executor folds its row shards.
+    ///
+    /// No cost is recorded: callers charge [`apply_cost`](Self::apply_cost) /
+    /// [`apply_cost_csr`](Self::apply_cost_csr) themselves.
+    ///
+    /// # Panics
+    /// Panics if `a` does not have `d` rows, if `rows` does not fit inside
+    /// `0..d`, or if `out` is not `k x a.ncols()`.
+    pub fn fold_rows(&self, a: Operand<'_>, rows: Range<usize>, out: &mut MatrixViewMut<'_>) {
+        assert_eq!(a.nrows(), self.d, "operand must have d rows");
+        assert!(
+            rows.start <= rows.end && rows.end <= self.d,
+            "row range {}..{} out of bounds for {} rows",
+            rows.start,
+            rows.end,
+            self.d
+        );
+        assert_eq!(
+            (out.nrows(), out.ncols()),
+            (self.k, a.ncols()),
+            "output must be k x ncols"
+        );
+        let targets = &self.rows;
+        let signs = &self.signs;
+        fold_operand_rows(out, a, rows, |j| {
+            (targets[j], if signs[j] { 1.0 } else { -1.0 })
+        });
     }
 
     /// The naive baseline: materialise `S` as CSR and multiply with the generic SpMM.
@@ -206,30 +235,14 @@ impl CountSketch {
     }
 }
 
-/// Small extension trait so the gather kernel can parallelise over output rows without
-/// pulling the full rayon prelude into this module's public surface.
-trait ParChunksOuter {
-    fn par_chunks_mut_outer(&mut self, chunk: usize, body: impl Fn(usize, &mut [f64]) + Sync);
-}
-
-impl ParChunksOuter for [f64] {
-    fn par_chunks_mut_outer(&mut self, chunk: usize, body: impl Fn(usize, &mut [f64]) + Sync) {
-        use rayon::prelude::*;
-        self.par_chunks_mut(chunk.max(1))
-            .enumerate()
-            .for_each(|(i, slice)| body(i, slice));
-    }
-}
-
 /// Invert a CountSketch row map by counting sort: returns `(counts, members)`
-/// where `members[counts[r]..counts[r + 1]]` lists, **in ascending input-row
-/// order**, every `j` with `target(j) == r`.
+/// where `members[counts[r]..counts[r + 1]]` lists, **in ascending order**, every
+/// index `i` with `targets[i] == r`.
 ///
-/// The ascending order inside each bucket is load-bearing: the gather kernels
-/// below fold each output cell's contributions in exactly the order the serial
-/// scatter would, so their results are bit-for-bit identical for any thread
-/// count — the same ascending-global-row-order contract the distributed driver
-/// proves at the shard level.
+/// The ascending order inside each bucket is load-bearing: [`fold_rows_with`]
+/// folds each output cell's contributions in exactly the order the serial
+/// scatter would, so its results are bit-for-bit identical for any thread count
+/// and for any ordered partition of the input rows.
 fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let mut counts = vec![0usize; k + 1];
     for &r in targets {
@@ -247,99 +260,85 @@ fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (counts, members)
 }
 
-/// Shared Algorithm-2 scatter used by both the explicit and the hash-based operator:
-/// zero `out`, then add `sign(j) * A[j, :]` into row `row_of(j)` of `out`.
+/// The Algorithm-2 row fold shared by the explicit and the hash-based operator:
+/// with `(row, sign) = target_of(j)`, add `sign * A[j, :]` into row `row` of
+/// `out` for every `j` in `rows`.
 ///
 /// On the GPU this is the atomic scatter of Algorithm 2 (and the cost model
-/// charges it as such); on the host the row map is inverted first and every
-/// *output* row gathers its inputs in ascending `j`.  Disjoint output rows make
-/// the parallel loop scheduling-order-immune, and the ascending fold reproduces
-/// the serial scatter's per-cell accumulation order — so the result is
-/// bit-for-bit identical for 1 or N threads.
-fn scatter_rows_into(
-    d: usize,
+/// charges it as such); on the host the range's row map is inverted first and
+/// every *output* row gathers its inputs in ascending `j`.  Disjoint output rows
+/// make the parallel loop scheduling-order-immune, and the ascending fold
+/// reproduces the serial scatter's per-cell accumulation order — so the result
+/// is bit-for-bit identical for 1 or N threads.
+fn fold_operand_rows(
     out: &mut MatrixViewMut<'_>,
     a: Operand<'_>,
+    rows: Range<usize>,
     target_of: impl Fn(usize) -> (usize, f64) + Sync,
 ) {
-    let n = a.ncols();
-    let k = out.nrows();
-    out.fill(0.0);
-    if out.layout() == Layout::RowMajor {
-        let targets: Vec<usize> = (0..d).map(|j| target_of(j).0).collect();
-        let (counts, members) = invert_row_map(k, &targets);
-        let data = out.as_mut_slice();
-        match a {
-            Operand::Dense(m) if m.layout() == Layout::RowMajor => {
-                let a_data = m.as_slice();
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
-                        let (_, sign) = target_of(j);
-                        let row = &a_data[j * n..(j + 1) * n];
-                        for (slot, &v) in out_row.iter_mut().zip(row) {
-                            *slot += sign * v;
-                        }
-                    }
-                });
-            }
-            Operand::Dense(m) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
-                        let (_, sign) = target_of(j);
-                        for (c, slot) in out_row.iter_mut().enumerate() {
-                            *slot += sign * m.get(j, c);
-                        }
-                    }
-                });
-            }
-            Operand::Csr(s) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
-                        let (_, sign) = target_of(j);
-                        for (c, v) in s.row(j) {
-                            out_row[c] += sign * v;
-                        }
-                    }
-                });
-            }
-            Operand::CsrRows(v) => {
-                data.par_chunks_mut_outer(n, |r, out_row| {
-                    for &j in &members[counts[r]..counts[r + 1]] {
-                        let (_, sign) = target_of(j);
-                        for (c, val) in v.row(j) {
-                            out_row[c] += sign * val;
-                        }
-                    }
-                });
-            }
+    match a {
+        Operand::Dense(m) if m.layout() == Layout::RowMajor => {
+            let n = m.ncols();
+            let data = m.as_slice();
+            fold_rows_with(out, rows, target_of, |j, sign, out_row| {
+                for (slot, &v) in out_row.iter_mut().zip(&data[j * n..(j + 1) * n]) {
+                    *slot += sign * v;
+                }
+            });
         }
+        Operand::Dense(m) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
+            for (c, slot) in out_row.iter_mut().enumerate() {
+                *slot += sign * m.get(j, c);
+            }
+        }),
+        Operand::Csr(s) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
+            for (c, v) in s.row(j) {
+                out_row[c] += sign * v;
+            }
+        }),
+        Operand::CsrRows(v) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
+            for (c, val) in v.row(j) {
+                out_row[c] += sign * val;
+            }
+        }),
+    }
+}
+
+/// The gather behind [`fold_operand_rows`]: `add_row(j, sign, out_row)` adds
+/// `sign * A[j, :]` into one output row, and each output row receives its
+/// members of `rows` in ascending `j`.
+fn fold_rows_with(
+    out: &mut MatrixViewMut<'_>,
+    rows: Range<usize>,
+    target_of: impl Fn(usize) -> (usize, f64) + Sync,
+    add_row: impl Fn(usize, f64, &mut [f64]) + Sync,
+) {
+    let n = out.ncols();
+    let targets: Vec<usize> = rows.clone().map(|j| target_of(j).0).collect();
+    let (counts, members) = invert_row_map(out.nrows(), &targets);
+    let gather = |r: usize, out_row: &mut [f64]| {
+        for &i in &members[counts[r]..counts[r + 1]] {
+            let j = rows.start + i;
+            add_row(j, target_of(j).1, out_row);
+        }
+    };
+    if out.layout() == Layout::RowMajor {
+        use rayon::prelude::*;
+        out.as_mut_slice()
+            .par_chunks_mut(n.max(1))
+            .enumerate()
+            .for_each(|(r, out_row)| gather(r, out_row));
     } else {
-        // Column-major output: strided rows cannot be handed out as disjoint
-        // slices, so keep the serial ascending-j scatter (identical fold order).
-        match a {
-            Operand::Dense(m) => {
-                for j in 0..d {
-                    let (target, sign) = target_of(j);
-                    for c in 0..n {
-                        out.add_to(target, c, sign * m.get(j, c));
-                    }
-                }
+        // Column-major rows are strided and cannot be handed out as disjoint
+        // slices, so stage each one through a buffer (same per-cell chain).
+        let mut row = vec![0.0; n];
+        for r in 0..out.nrows() {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = out.get(r, c);
             }
-            Operand::Csr(s) => {
-                for j in 0..d {
-                    let (target, sign) = target_of(j);
-                    for (c, v) in s.row(j) {
-                        out.add_to(target, c, sign * v);
-                    }
-                }
-            }
-            Operand::CsrRows(v) => {
-                for j in 0..d {
-                    let (target, sign) = target_of(j);
-                    for (c, val) in v.row(j) {
-                        out.add_to(target, c, sign * val);
-                    }
-                }
+            gather(r, &mut row);
+            for (c, &v) in row.iter().enumerate() {
+                out.set(r, c, v);
             }
         }
     }
@@ -373,11 +372,8 @@ impl SketchOperator for CountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let rows = &self.rows;
-        let signs = &self.signs;
-        scatter_rows_into(self.d, out, a, |j| {
-            (rows[j], if signs[j] { 1.0 } else { -1.0 })
-        });
+        out.fill(0.0);
+        self.fold_rows(a, 0..self.d, out);
         match a {
             Operand::Dense(m) => {
                 self.record_apply_cost(device, m.ncols(), m.layout() == Layout::ColMajor);
@@ -496,7 +492,8 @@ impl SketchOperator for HashCountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        scatter_rows_into(self.d, out, a, |j| self.hash(j));
+        out.fill(0.0);
+        fold_operand_rows(out, a, 0..self.d, |j| self.hash(j));
         let d = self.d as u64;
         let k = self.k as u64;
         match a {

@@ -2,7 +2,7 @@
 //!
 //! Every layer built on the sketching substrate — the operators themselves, the least
 //! squares solvers (`sketch-lsq`), the low-rank pipeline (`sketch-lowrank`) and the
-//! distributed drivers (`sketch-dist`) — used to carry its own error enum with its own
+//! pipelined executor (`sketch-dist`) — used to carry its own error enum with its own
 //! copy of the dimension-mismatch variant.  They now all re-export this [`Error`]:
 //! one `?` works across the whole workspace, and a dimension mismatch always says
 //! *which* operator rejected *what* operand.

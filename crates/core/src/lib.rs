@@ -20,7 +20,7 @@
 //!   read/writes, distortion) used by the `table1` bench binary.
 //!
 //! All operators implement [`SketchOperator`] so the least squares solvers in
-//! `sketch-lsq` and the distributed driver in `sketch-dist` are generic over the sketch.
+//! `sketch-lsq` and the pipelined executor in `sketch-dist` are generic over the sketch.
 //! Sketches are normally constructed *declaratively*: a [`SketchSpec`] (or a
 //! multi-stage [`Pipeline`]) names the kind, dimensions (exact or as the paper's
 //! `2n` / `2n²` embedding rules), and Philox seed, serializes to JSON, and builds the

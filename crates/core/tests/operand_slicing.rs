@@ -8,8 +8,10 @@
 //!   produce bitwise slices of the full result (`slice ∘ apply_into ==
 //!   apply_into`), because their per-column kernels never see other columns;
 //! * row-sharded kinds (CountSketch, hash CountSketch) must reproduce the exact
-//!   single-device accumulation chain when their `slice_rows` views are folded
-//!   into one shared accumulator in shard order — the ordered ring fold.
+//!   single-device accumulation chain when their row ranges are folded into one
+//!   shared accumulator in shard order — the ordered ring fold — whether the
+//!   fold is the operator's own `CountSketch::fold_rows` or a serial reference
+//!   over `slice_rows` views.
 
 use proptest::prelude::*;
 use sketch_core::{CountSketch, EmbeddingDim, Operand, SketchKind, SketchOperator, SketchSpec};
@@ -84,9 +86,12 @@ fn check_col_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
     bits_equal(&full, &stitched)
 }
 
-/// Row recomposition: fold each `slice_rows` view into one shared accumulator
-/// in shard order — the executor's ordered ring fold — and compare against the
-/// unsliced Algorithm-2 apply.
+/// Row recomposition: fold an uneven partition of the rows into one shared
+/// accumulator in shard order — through the operator's own fold
+/// (`CountSketch::fold_rows`, the executor's shard kernel, into a row-major and
+/// a column-major accumulator) and through a hand-written serial reference over
+/// `slice_rows` views — and compare every result against the unsliced
+/// Algorithm-2 apply, of the explicit operator and of the kind's own operator.
 fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usize) -> bool {
     let dev = device();
     let sketch: CountSketch = match spec.kind {
@@ -104,11 +109,24 @@ fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
     sketch
         .apply_into(&dev, operand, &mut full.view_mut())
         .expect("full apply");
+    let mut own = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
+    spec.build(&dev)
+        .expect("spec builds")
+        .apply_into(&dev, operand, &mut own.view_mut())
+        .expect("own apply");
+
+    let ranges = balanced_ranges(operand.nrows(), pieces);
+    let mut kernel = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
+    let mut kernel_cm = Matrix::zeros_with_layout(k, n, Layout::ColMajor);
+    for range in &ranges {
+        sketch.fold_rows(operand, range.clone(), &mut kernel.view_mut());
+        sketch.fold_rows(operand, range.clone(), &mut kernel_cm.view_mut());
+    }
 
     let rows = sketch.rows();
     let signs = sketch.signs();
     let mut folded = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
-    for range in balanced_ranges(operand.nrows(), pieces) {
+    for range in ranges {
         let slice = operand.slice_rows(range.clone());
         match slice.as_operand() {
             Operand::Dense(block) => {
@@ -138,6 +156,9 @@ fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
         }
     }
     bits_equal(&full, &folded)
+        && bits_equal(&full, &kernel)
+        && bits_equal(&full, &kernel_cm)
+        && bits_equal(&full, &own)
 }
 
 /// The four sketch kinds at a given input dimension, paired with their shard
@@ -155,7 +176,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// slice ∘ apply_into == apply_into along each kind's ShardAxis, for dense
-    /// and CSR operands, with uneven splits (prime piece counts included).
+    /// (both layouts), CSR and CSR-view operands, with uneven splits (prime
+    /// piece counts included).
     #[test]
     fn prop_slices_recompose_bit_for_bit(
         d in 31usize..160,
@@ -164,9 +186,18 @@ proptest! {
         seed in 0u64..200,
     ) {
         let dense = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
+        let dense_cm = dense.to_layout(&device(), Layout::ColMajor);
         let sparse = csr_of(&dense);
+        // A CSR view: the middle d rows of a taller parent.
+        let parent = csr_of(&Matrix::random_gaussian(d + 5, n, Layout::RowMajor, seed, 2));
+        let view = parent.slice_rows(2..d + 2);
         for spec in specs(d, seed) {
-            for operand in [Operand::Dense(&dense), Operand::Csr(&sparse)] {
+            for operand in [
+                Operand::Dense(&dense),
+                Operand::Dense(&dense_cm),
+                Operand::Csr(&sparse),
+                Operand::CsrRows(view),
+            ] {
                 let ok = match spec.shard_axis() {
                     sketch_core::ShardAxis::Rows =>
                         check_row_recomposition(&spec, operand, pieces),

@@ -1,11 +1,11 @@
-//! Error handling for the distributed sketching drivers.
+//! Error handling for the pipelined executor.
 //!
-//! The drivers share the workspace-wide [`sketch_core::Error`]: a rank's local
-//! sketch application, a dense kernel failure, and a sketch/operand dimension
-//! mismatch all surface through the one type (with the operator name and operand
-//! shape attached to dimension mismatches).
+//! The executor shares the workspace-wide [`sketch_core::Error`]: a shard's
+//! sketch application, a dense kernel failure, a device death, and a
+//! sketch/operand dimension mismatch all surface through the one type (with the
+//! operator name and operand shape attached to dimension mismatches).
 
-/// The distributed-driver error type: an alias for the workspace-wide error.
+/// The executor's error type: an alias for the workspace-wide error.
 pub use sketch_core::Error as DistError;
 
 #[cfg(test)]

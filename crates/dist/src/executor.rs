@@ -100,9 +100,8 @@ pub struct Schedule {
 
 impl Schedule {
     /// Cut `extent` (rows or columns) into `num_shards` balanced contiguous ranges
-    /// — the first `extent % num_shards` shards get one extra element, matching
-    /// [`BlockRowMatrix::split`](crate::BlockRowMatrix::split) — and assign them to `num_devices` devices
-    /// round-robin.
+    /// — the first `extent % num_shards` shards get one extra element — and
+    /// assign them to `num_devices` devices round-robin.
     ///
     /// # Panics
     /// Panics if any argument is zero or if `num_shards > extent` (empty shards
@@ -318,9 +317,11 @@ impl PipelinedRun {
 /// `a` is any [`Operand`]-viewable input — `&Matrix`, `&CsrMatrix`, a
 /// [`CsrRowsView`](sketch_sparse::CsrRowsView) or an explicit [`Operand`] —
 /// so the same engine serves dense and sparse workloads.  Row-sharded stages
-/// slice CSR operands with the zero-copy [`Operand::slice_rows`] view;
-/// column-sharded stages materialise CSC-style panels via
-/// [`Operand::slice_cols`], charging the copy to the shard's device.
+/// fold each shard's row range of the operand in place through
+/// [`CountSketch::fold_rows`]; column-sharded stages materialise CSC-style
+/// panels via [`Operand::slice_cols`], charging the copy to the shard's device.
+/// An operand with zero rows or zero columns is rejected with a typed
+/// [`Error::InvalidParameter`] before any stage runs.
 ///
 /// The numerical result is **bit-for-bit identical** to
 /// `plan.build_for(device, a.ncols())?.apply_operand(device, a)` on a single
@@ -340,6 +341,12 @@ pub fn pipelined_sketch<'a>(
     opts: &ExecutorOptions,
 ) -> Result<PipelinedRun, DistError> {
     let a: Operand<'a> = a.into();
+    if a.nrows() == 0 || a.ncols() == 0 {
+        return Err(DistError::invalid_param(format!(
+            "pipelined_sketch needs a non-empty operand, got {}",
+            a.describe()
+        )));
+    }
     let resolved = plan.resolve(a.ncols())?;
     let p = pool.num_devices();
     if let Some(first) = resolved.first() {
@@ -674,16 +681,18 @@ impl ExecState {
 }
 
 /// One attempt of a row-sharded stage (CountSketch families): fold block-row
-/// slices into one shared accumulator in global row order — the exact chain of
+/// shards into one shared accumulator in global row order — the exact chain of
 /// the single-device Algorithm-2 scatter, and simultaneously the ordered ring
 /// reduction whose per-shard fold the timeline overlaps with the next shard's
 /// compute.  Because shards are contiguous ranges folded in schedule order,
 /// *any* survivor schedule replays the identical floating-point chain — this
 /// is what makes recompute-on-failure bit-exact.
 ///
-/// Shards are cut with [`Operand::slice_rows`]: dense blocks keep the operand's
-/// layout (and its read-penalty accounting), CSR shards are zero-copy
-/// `row_ptr` windows folded non-zero by non-zero.
+/// Every shard runs the operator's own kernel, [`CountSketch::fold_rows`], on
+/// the parent operand with the shard's row range, so nothing is copied; the
+/// shard is charged [`CountSketch::apply_cost`] (dense, with the operand's
+/// layout penalty) or [`CountSketch::apply_cost_csr`] (CSR, with the range's
+/// non-zeros read off `row_ptr`).
 #[allow(clippy::too_many_arguments)]
 fn row_attempt(
     pool: &DevicePool,
@@ -698,8 +707,6 @@ fn row_attempt(
     stage_idx: usize,
 ) -> Attempt {
     let survivors = alive.len();
-    let rows = sketch.rows();
-    let signs = sketch.signs();
 
     let mut out = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
     let mut ops: Vec<ShardOp> = Vec::with_capacity(schedule.num_shards());
@@ -710,38 +717,16 @@ fn row_attempt(
         let phys = alive[local];
         let device = pool.device(phys);
         let range = assignment.range.clone();
-        let slice = input.slice_rows(range.clone());
-        let cost = match slice.as_operand() {
-            Operand::Dense(block) => {
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for c in 0..n {
-                        out.add_to(target, c, sign * block.get(local_row, c));
-                    }
-                }
-                CountSketch::apply_cost(range.len(), k, n, block.layout() == Layout::ColMajor)
-            }
-            Operand::CsrRows(view) => {
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for (c, v) in view.row(local_row) {
-                        out.add_to(target, c, sign * v);
-                    }
-                }
-                CountSketch::apply_cost_csr(range.len(), k, n, view.nnz())
+        sketch.fold_rows(input, range.clone(), &mut out.view_mut());
+        let cost = match input {
+            Operand::Dense(m) => {
+                CountSketch::apply_cost(range.len(), k, n, m.layout() == Layout::ColMajor)
             }
             Operand::Csr(s) => {
-                // Whole-range slice of a CSR operand (the single-shard case).
-                for (local_row, global) in range.clone().enumerate() {
-                    let target = rows[global];
-                    let sign = if signs[global] { 1.0 } else { -1.0 };
-                    for (c, v) in s.row(local_row) {
-                        out.add_to(target, c, sign * v);
-                    }
-                }
-                CountSketch::apply_cost_csr(range.len(), k, n, s.nnz())
+                CountSketch::apply_cost_csr(range.len(), k, n, s.slice_rows(range).nnz())
+            }
+            Operand::CsrRows(v) => {
+                CountSketch::apply_cost_csr(range.len(), k, n, v.slice_rows(range).nnz())
             }
         };
         let label = format!("s{stage_idx} {kind} shard {}", assignment.index);
@@ -1400,6 +1385,37 @@ mod tests {
         let err = pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).unwrap_err();
         assert!(err.is_dimension_mismatch(), "{err}");
         assert!(err.to_string().contains("dense 100x4"));
+    }
+
+    #[test]
+    fn empty_operands_are_rejected_before_any_stage_runs() {
+        use sketch_sparse::{CooMatrix, CsrMatrix};
+
+        // Zero columns leave a column-sharded stage no panel to cut on 2+
+        // devices; zero rows leave nothing to sketch.
+        for (rows, cols) in [(64usize, 0usize), (0, 4)] {
+            let dense = Matrix::zeros_with_layout(rows, cols, Layout::RowMajor);
+            let csr = CsrMatrix::from_coo(&CooMatrix::new(rows, cols));
+            for devices in [1usize, 2] {
+                for plan in [
+                    Pipeline::single(SketchSpec::gaussian(rows, EmbeddingDim::Exact(8), 1)),
+                    Pipeline::single(SketchSpec::countsketch(rows, EmbeddingDim::Exact(8), 2)),
+                ] {
+                    for operand in [Operand::Dense(&dense), Operand::Csr(&csr)] {
+                        let pool = DevicePool::unlimited(devices);
+                        let err =
+                            pipelined_sketch(&pool, operand, &plan, &ExecutorOptions::default())
+                                .unwrap_err();
+                        assert!(
+                            matches!(err, Error::InvalidParameter { .. }),
+                            "{} on {devices} devices: {err}",
+                            operand.describe()
+                        );
+                        assert_eq!(pool.total_cost(), KernelCost::zero(), "a stage ran");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`rsvd()`] — rangefinder plus a small dense SVD (`sketch-la::svd::jacobi_svd`)
 //!   giving the truncated factorisation `A ≈ U Σ Vᵀ`,
 //! * [`StreamingSvd`] / [`streaming_svd`] — a *single-pass* variant that consumes `A`
-//!   row-block-by-row-block (the [`sketch_dist::BlockRowMatrix`] access pattern),
+//!   row-block-by-row-block (one [`RowWindows`] window at a time),
 //!   maintaining left/right sketches so `A` is read exactly once,
 //! * [`nystrom()`] — the PSD-specialised Nyström approximation via
 //!   `sketch-la::chol`,
@@ -73,4 +73,4 @@ pub use matvec::{MatVecLike, SparseOperand};
 pub use nystrom::{nystrom, NystromResult};
 pub use rangefinder::{estimate_range_error, range_finder, LowRankParams, RangeSketch};
 pub use rsvd::{deterministic_svd, rsvd, SvdResult};
-pub use streaming::{streaming_svd, CountingBlockSource, RowBlockSource, StreamingSvd};
+pub use streaming::{streaming_svd, CountingBlockSource, RowBlockSource, RowWindows, StreamingSvd};

@@ -3,10 +3,10 @@
 //! The sketch state follows Tropp et al.'s "practical sketching" scheme: a column
 //! sketch `Y = AΩ` (`Ω ∈ R^{n x ℓ}`) and a row sketch `W = ΨA` (`Ψ ∈ R^{ℓ₂ x m}`,
 //! `ℓ₂ = 2ℓ + 1`) are maintained incrementally, so each row block of `A` is touched
-//! once and never revisited — the access pattern of
-//! [`sketch_dist::BlockRowMatrix`].  At [`StreamingSvd::finalize`] the approximation
-//! `A ≈ Q (ΨQ)† W` is assembled from the sketches alone and truncated to rank `k`
-//! with the small Jacobi SVD.
+//! once and never revisited — the access pattern of [`RowWindows`], which hands
+//! out one row window of a matrix at a time.  At [`StreamingSvd::finalize`] the
+//! approximation `A ≈ Q (ΨQ)† W` is assembled from the sketches alone and
+//! truncated to rank `k` with the small Jacobi SVD.
 //!
 //! The columns of `Ψ` are regenerated deterministically from the *global* row index
 //! (one Philox stream per row), which has two useful consequences: the drawn sketch
@@ -18,11 +18,12 @@
 use crate::error::{dim_err, param_err, LowRankError};
 use crate::rangefinder::LowRankParams;
 use crate::rsvd::SvdResult;
-use sketch_dist::BlockRowMatrix;
+use sketch_core::{Operand, OperandSlice};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::qr::geqrf;
 use sketch_la::{blas3, jacobi_svd, Layout, Matrix, Op};
 use sketch_rng::fill;
+use std::ops::Range;
 
 /// Seed salt separating the row-sketch `Ψ` streams from the column-sketch `Ω`
 /// streams (which use the caller's seed unsalted).
@@ -50,21 +51,67 @@ pub trait RowBlockSource {
     fn fetch(&mut self, block: usize) -> &Matrix;
 }
 
-impl RowBlockSource for BlockRowMatrix {
+/// A [`RowBlockSource`] over a borrowed dense matrix: block `b` is one
+/// [`Operand::slice_rows`] window, cut when it is fetched and kept only until
+/// the next fetch.
+///
+/// The split is balanced: the first `nrows % blocks` windows hold one extra
+/// row.
+#[derive(Debug)]
+pub struct RowWindows<'a> {
+    a: &'a Matrix,
+    blocks: usize,
+    window: Option<OperandSlice<'a>>,
+}
+
+impl<'a> RowWindows<'a> {
+    /// Cut `a` into `blocks` contiguous row windows.
+    ///
+    /// # Panics
+    /// Panics if `blocks` is zero or exceeds the number of rows of `a`.
+    pub fn split(a: &'a Matrix, blocks: usize) -> Self {
+        assert!(blocks > 0, "need at least one block");
+        assert!(
+            blocks <= a.nrows(),
+            "cannot split {} rows into {blocks} blocks",
+            a.nrows()
+        );
+        Self {
+            a,
+            blocks,
+            window: None,
+        }
+    }
+
+    /// The row range of `a` that block `b` covers.
+    fn block_range(&self, b: usize) -> Range<usize> {
+        let base = self.a.nrows() / self.blocks;
+        let extra = self.a.nrows() % self.blocks;
+        let start = b * base + b.min(extra);
+        start..start + base + usize::from(b < extra)
+    }
+}
+
+impl RowBlockSource for RowWindows<'_> {
     fn nrows(&self) -> usize {
-        BlockRowMatrix::nrows(self)
+        self.a.nrows()
     }
 
     fn ncols(&self) -> usize {
-        BlockRowMatrix::ncols(self)
+        self.a.ncols()
     }
 
     fn num_blocks(&self) -> usize {
-        self.num_processes()
+        self.blocks
     }
 
     fn fetch(&mut self, block: usize) -> &Matrix {
-        self.block(block)
+        let range = self.block_range(block);
+        let window = self.window.insert(Operand::Dense(self.a).slice_rows(range));
+        match window.as_operand() {
+            Operand::Dense(m) => m,
+            _ => unreachable!("a dense operand slices into dense windows"),
+        }
     }
 }
 
@@ -319,10 +366,36 @@ mod tests {
     }
 
     #[test]
+    fn row_windows_tile_the_matrix_in_balanced_order() {
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            let a = Matrix::from_fn(10, 3, layout, |i, j| (i * 10 + j) as f64);
+            let mut windows = RowWindows::split(&a, 3);
+            // 10 = 4 + 3 + 3.
+            let ranges: Vec<_> = (0..3).map(|b| windows.block_range(b)).collect();
+            assert_eq!(ranges, vec![0..4, 4..7, 7..10]);
+            for (b, range) in ranges.into_iter().enumerate() {
+                let block = windows.fetch(b);
+                assert_eq!((block.nrows(), block.layout()), (range.len(), layout));
+                for (local, global) in range.enumerate() {
+                    for j in 0..3 {
+                        assert_eq!(block.get(local, j), a.get(global, j));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot split")]
+    fn more_windows_than_rows_is_rejected() {
+        RowWindows::split(&Matrix::zeros(4, 1), 5);
+    }
+
+    #[test]
     fn single_pass_recovers_exact_rank_k_matrices() {
         let d = device();
         let a = rank_k_matrix(90, 24, 5, 1);
-        let mut source = BlockRowMatrix::split(&a, 4);
+        let mut source = RowWindows::split(&a, 4);
         let params = LowRankParams::new(5).with_seed(3, 0);
         let svd = streaming_svd(&d, &mut source, &params).unwrap();
         let back = svd.reconstruct(&d).unwrap();
@@ -337,7 +410,7 @@ mod tests {
         let params = LowRankParams::new(4).with_seed(9, 4);
         let mut results = Vec::new();
         for blocks in [1, 2, 5] {
-            let mut source = BlockRowMatrix::split(&a, blocks);
+            let mut source = RowWindows::split(&a, blocks);
             results.push(streaming_svd(&d, &mut source, &params).unwrap());
         }
         for r in &results[1..] {
@@ -351,7 +424,7 @@ mod tests {
     fn counting_wrapper_proves_each_block_read_once() {
         let d = device();
         let a = rank_k_matrix(40, 12, 3, 3);
-        let mut source = CountingBlockSource::new(BlockRowMatrix::split(&a, 5));
+        let mut source = CountingBlockSource::new(RowWindows::split(&a, 5));
         let _ = streaming_svd(&d, &mut source, &LowRankParams::new(3)).unwrap();
         assert_eq!(source.counts(), &[1, 1, 1, 1, 1]);
     }
@@ -362,12 +435,13 @@ mod tests {
         let a = rank_k_matrix(30, 10, 3, 4);
         let params = LowRankParams::new(3).with_seed(5, 0);
 
-        let mut source = BlockRowMatrix::split(&a, 3);
+        let mut source = RowWindows::split(&a, 3);
         let via_driver = streaming_svd(&d, &mut source, &params).unwrap();
 
         let mut state = StreamingSvd::new(&d, 30, 10, &params).unwrap();
-        for (_, block) in BlockRowMatrix::split(&a, 3).iter() {
-            state.push_block(&d, block).unwrap();
+        let mut windows = RowWindows::split(&a, 3);
+        for b in 0..windows.num_blocks() {
+            state.push_block(&d, windows.fetch(b)).unwrap();
         }
         assert_eq!(state.rows_seen(), 30);
         let via_push = state.finalize(&d).unwrap();
@@ -398,8 +472,8 @@ mod tests {
         let d = device();
         let a = rank_k_matrix(FINALIZE_CHUNK + 37, 8, 2, 6);
         let params = LowRankParams::new(2).with_oversample(3).with_seed(1, 1);
-        let mut one = BlockRowMatrix::split(&a, 1);
-        let mut many = BlockRowMatrix::split(&a, 7);
+        let mut one = RowWindows::split(&a, 1);
+        let mut many = RowWindows::split(&a, 7);
         let r1 = streaming_svd(&d, &mut one, &params).unwrap();
         let r2 = streaming_svd(&d, &mut many, &params).unwrap();
         for (a_s, b_s) in r1.s.iter().zip(r2.s.iter()) {

@@ -113,10 +113,14 @@ impl JsonValue {
     }
 
     /// Parse a JSON document.
+    ///
+    /// Arrays and objects may nest at most 128 levels deep (serde_json's
+    /// limit); a deeper document is a [`JsonError`], never a stack overflow.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -191,9 +195,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts (serde_json's
+/// recursion limit).  The parser recurses once per level, so an unbounded
+/// depth would let a hostile document overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -238,8 +249,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
@@ -248,6 +259,23 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one nesting level down, refusing to go
+    /// deeper than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!(
+                "nesting deeper than {MAX_DEPTH} levels of arrays and objects"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -513,6 +541,26 @@ mod tests {
         let v = JsonValue::Float(0.25);
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
         assert_eq!(JsonValue::Float(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn nesting_depth_is_capped_with_a_typed_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        // A hostile document deep enough to overflow an unbounded recursion.
+        let err = JsonValue::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.message().contains("deeper than 128"), "{err}");
+        // Exactly the cap parses; one level more does not, whether the levels
+        // are arrays or objects.
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}null{}",
+            "{\"a\":".repeat(MAX_DEPTH),
+            "}".repeat(MAX_DEPTH)
+        );
+        assert!(JsonValue::parse(&objects).is_ok());
+        let deeper = format!("[{objects}]");
+        assert!(JsonValue::parse(&deeper).is_err());
     }
 
     #[test]

@@ -425,6 +425,32 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_operand_fails_the_batch_with_a_typed_error() {
+        let pool = DevicePool::unlimited(2);
+        let mut engine = ServeEngine::new(&pool, AdmissionController::new(), 4);
+        engine.submit(job("ok", 1)).unwrap();
+        let empty = JobSpec::new(
+            "empty",
+            Pipeline::single(SketchSpec::gaussian(64, EmbeddingDim::Exact(8), 2)),
+            OperandSpec::Dense {
+                rows: 64,
+                cols: 0,
+                seed: 2,
+            },
+        )
+        .with_devices(2);
+        engine.submit(empty).unwrap();
+        let err = engine.run().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServeError::Core(sketch_core::Error::InvalidParameter { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn metrics_export_is_deterministic_and_namespaced() {
         let pool = DevicePool::unlimited(2);
         let render = || {

@@ -63,7 +63,7 @@ fn main() {
     {
         let device = Device::h100();
         let params = LowRankParams::new(k).with_seed(7, 0);
-        let mut source = CountingBlockSource::new(BlockRowMatrix::split(&a, 16));
+        let mut source = CountingBlockSource::new(RowWindows::split(&a, 16));
         let svd = streaming_svd(&device, &mut source, &params).expect("stream succeeds");
         let back = svd.reconstruct(&device).expect("shapes agree");
         println!(

@@ -16,7 +16,7 @@
 //! * [`sparse`] — the sparse (SpMM) substrate,
 //! * [`gpu`] — the simulated device, cost counters and roofline model,
 //! * [`rng`] — the Philox counter-based random number generator,
-//! * [`dist`] — the block-row distributed sketching simulation,
+//! * [`dist`] — the multi-device pipelined executor (the one execution engine),
 //! * [`serve`] — the multi-tenant job engine that co-schedules sketch
 //!   pipelines on a shared [`DevicePool`](sketch_gpu_sim::DevicePool)
 //!   (admission control, fair queueing, per-tenant ledgers).
@@ -108,9 +108,8 @@ pub mod prelude {
         SketchOperator, SketchSpec, Srht,
     };
     pub use sketch_dist::{
-        distributed_countsketch, distributed_gaussian, distributed_multisketch, distributed_sketch,
-        pipelined_sketch, BlockRowMatrix, CommCost, DeviceFailure, ExecutorOptions, FaultReport,
-        PipelinedRun, Schedule,
+        pipelined_sketch, CommCost, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun,
+        Schedule,
     };
     pub use sketch_gpu_sim::{
         Device, DevicePool, DeviceSpec, FaultPlan, FaultSpec, InterconnectSpec, KernelCost, Phase,
@@ -119,7 +118,7 @@ pub mod prelude {
     pub use sketch_la::{Layout, Matrix, Op};
     pub use sketch_lowrank::{
         estimate_range_error, nystrom, range_finder, rsvd, streaming_svd, CountingBlockSource,
-        LowRankParams, MatVecLike, NystromResult, RangeSketch, SvdResult,
+        LowRankParams, MatVecLike, NystromResult, RangeSketch, RowWindows, SvdResult,
     };
     pub use sketch_lsq::{
         rand_cholqr_least_squares, sketch_and_solve, solve, LsqProblem, LsqSolution, Method,

@@ -1,6 +1,7 @@
-//! Integration tests for `sketch-dist`: a P-rank distributed CountSketch must
-//! reproduce the single-device kernel bit-for-bit from the same Philox seed,
-//! and the modelled allreduce volume must scale as `2 (P-1) · k · n` words.
+//! Integration tests for `sketch-dist`: the pipelined executor with one shard
+//! per device (a P-rank block-row split) must reproduce the single-device
+//! kernel bit-for-bit from the same Philox seed, and the modelled allreduce
+//! volume must scale as `2 (P-1) · k · n` words.
 
 use gpu_countsketch::prelude::*;
 
@@ -8,20 +9,27 @@ const D: usize = 1 << 12;
 const N: usize = 16;
 const SEED: u64 = 2025;
 
+/// Run `plan` on `p` devices with one shard per device.
+fn run_on(p: usize, a: &Matrix, plan: &Pipeline) -> PipelinedRun {
+    let pool = DevicePool::unlimited(p);
+    let opts = ExecutorOptions::default().with_shards_per_device(1);
+    pipelined_sketch(&pool, a, plan, &opts).expect("distributed")
+}
+
 #[test]
-fn distributed_countsketch_is_bit_for_bit_equal_to_single_device() {
+fn sharded_countsketch_is_bit_for_bit_equal_to_single_device() {
     let device = Device::unlimited();
     let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 0);
     // Same Philox seed => same sketch on the "single device" and on the ranks.
-    let sketch = SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED)
+    let spec = SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED);
+    let sketch = spec
         .resolve(N)
         .build_countsketch(&device)
         .expect("valid spec");
     let single = sketch.apply_matrix(&device, &a).expect("single device");
 
     for p in [1usize, 2, 3, 4, 7, 16] {
-        let dist = BlockRowMatrix::split(&a, p);
-        let run = distributed_countsketch(&device, &dist, &sketch).expect("distributed");
+        let run = run_on(p, &a, &Pipeline::single(spec.clone()));
         // Bit-for-bit: every element identical, not merely within rounding.
         assert_eq!(run.result.nrows(), single.nrows());
         assert_eq!(run.result.ncols(), single.ncols());
@@ -40,20 +48,11 @@ fn distributed_countsketch_is_bit_for_bit_equal_to_single_device() {
 
 #[test]
 fn comm_volume_scales_linearly_in_processes_minus_one() {
-    let device = Device::unlimited();
     let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 1);
     let k = 2 * N * N;
-    let sketch = SketchSpec::countsketch(D, EmbeddingDim::Exact(k), SEED)
-        .build_countsketch(&device)
-        .expect("valid spec");
+    let plan = Pipeline::single(SketchSpec::countsketch(D, EmbeddingDim::Exact(k), SEED));
 
-    let words_at = |p: usize| {
-        let dist = BlockRowMatrix::split(&a, p);
-        distributed_countsketch(&device, &dist, &sketch)
-            .expect("distributed")
-            .comm
-            .total_words()
-    };
+    let words_at = |p: usize| run_on(p, &a, &plan).comm[0].total_words();
 
     // P = 1 is a no-op allreduce.
     assert_eq!(words_at(1), 0);
@@ -65,38 +64,27 @@ fn comm_volume_scales_linearly_in_processes_minus_one() {
 }
 
 #[test]
-fn all_three_distributed_sketches_agree_with_their_single_device_versions() {
+fn all_three_sharded_sketches_agree_with_single_device_versions() {
     let device = Device::unlimited();
     let a = Matrix::random_gaussian(D, N, Layout::RowMajor, SEED, 2);
-    let dist = BlockRowMatrix::split(&a, 8);
 
-    let count = SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED)
-        .resolve(N)
-        .build_countsketch(&device)
-        .expect("valid spec");
-    let gauss = SketchSpec::gaussian(D, EmbeddingDim::Ratio(2), SEED)
-        .resolve(N)
-        .build_gaussian(&device)
-        .expect("fits");
-    let multi = Pipeline::count_gauss(D, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), SEED)
-        .build_multisketch(&device, N)
-        .expect("fits");
+    let count_plan = Pipeline::single(SketchSpec::countsketch(D, EmbeddingDim::Square(2), SEED));
+    let gauss_plan = Pipeline::single(SketchSpec::gaussian(D, EmbeddingDim::Ratio(2), SEED));
+    let multi_plan =
+        Pipeline::count_gauss(D, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), SEED);
+    let count = count_plan.build_for(&device, N).expect("valid spec");
+    let gauss = gauss_plan.build_for(&device, N).expect("fits");
+    let multi = multi_plan.build_for(&device, N).expect("fits");
 
-    let run_c = distributed_countsketch(&device, &dist, &count).expect("countsketch");
-    let run_g = distributed_gaussian(&device, &dist, &gauss).expect("gaussian");
-    let run_m = distributed_multisketch(&device, &dist, &multi).expect("multisketch");
+    let run_c = run_on(8, &a, &count_plan);
+    let run_g = run_on(8, &a, &gauss_plan);
+    let run_m = run_on(8, &a, &multi_plan);
 
     let single_c = count.apply_matrix(&device, &a).expect("single countsketch");
     let single_g = gauss.apply_matrix(&device, &a).expect("single gaussian");
     let single_m = multi.apply_matrix(&device, &a).expect("single multisketch");
 
     assert_eq!(run_c.result.max_abs_diff(&single_c).expect("shape"), 0.0);
-    // GEMM-based paths reassociate row sums across ranks: equal up to rounding.
     assert!(run_g.result.max_abs_diff(&single_g).expect("shape") < 1e-10);
     assert!(run_m.result.max_abs_diff(&single_m).expect("shape") < 1e-9);
-
-    // Section 7's headline: the multisketch reduces the same 2n x n matrix as
-    // the Gaussian, far less than the CountSketch's 2n² x n.
-    assert_eq!(run_m.comm.total_words(), run_g.comm.total_words());
-    assert!(run_c.comm.total_words() > run_m.comm.total_words());
 }

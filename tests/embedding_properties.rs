@@ -61,13 +61,12 @@ proptest! {
         let d = 512usize;
         let n = 4usize;
         let a = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
-        let cs = SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed)
-            .resolve(n)
-            .build_countsketch(&device)
-            .unwrap();
+        let spec = SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed);
+        let cs = spec.resolve(n).build_countsketch(&device).unwrap();
         let single = cs.apply_matrix(&device, &a).unwrap();
-        let dist = BlockRowMatrix::split(&a, p);
-        let reduced = distributed_countsketch(&device, &dist, &cs).unwrap();
+        let pool = DevicePool::unlimited(p);
+        let opts = ExecutorOptions::default().with_shards_per_device(1);
+        let reduced = pipelined_sketch(&pool, &a, &Pipeline::single(spec), &opts).unwrap();
         prop_assert!(reduced.result.max_abs_diff(&single).unwrap() < 1e-9);
     }
 

@@ -101,21 +101,21 @@ fn full_pipeline_is_reproducible() {
     }
 }
 
-/// The distributed drivers reproduce the single-device sketch results exactly and the
-/// reduced results feed the same downstream QR.
+/// The executor with one shard per device reproduces the single-device sketch results
+/// exactly and the reduced results feed the same downstream QR.
 #[test]
-fn distributed_multisketch_feeds_the_same_least_squares_solution() {
+fn sharded_multisketch_feeds_the_same_least_squares_solution() {
     let device = Device::unlimited();
     let d = 1 << 12;
     let n = 8;
     let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 7, 0);
-    let multi = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8)
-        .build_multisketch(&device, n)
-        .unwrap();
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8);
+    let multi = plan.build_multisketch(&device, n).unwrap();
 
     let single = multi.apply_matrix(&device, &a).unwrap();
-    let dist = BlockRowMatrix::split(&a, 4);
-    let reduced = distributed_multisketch(&device, &dist, &multi).unwrap();
+    let pool = DevicePool::unlimited(4);
+    let opts = ExecutorOptions::default().with_shards_per_device(1);
+    let reduced = pipelined_sketch(&pool, &a, &plan, &opts).unwrap();
     assert!(reduced.result.max_abs_diff(&single).unwrap() < 1e-9);
     assert!(vec_norm2(reduced.result.as_slice()) > 0.0);
 }

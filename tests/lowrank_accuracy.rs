@@ -98,7 +98,7 @@ fn streaming_svd_reads_each_block_exactly_once_and_is_accurate() {
     let d = device();
     let (m, n, k) = (180, 48, 6);
     let a = rank_k_matrix(m, n, k, 7);
-    let mut source = CountingBlockSource::new(BlockRowMatrix::split(&a, 9));
+    let mut source = CountingBlockSource::new(RowWindows::split(&a, 9));
     let params = LowRankParams::new(k).with_seed(21, 3);
     let svd = streaming_svd(&d, &mut source, &params).expect("stream succeeds");
 
@@ -197,7 +197,7 @@ fn rsvd_is_bit_for_bit_seed_deterministic_on_every_path() {
     let a2 = rank_k_matrix(96, 20, 4, 4);
     let params = LowRankParams::new(4).with_seed(77, 1);
     let run = |params: &LowRankParams| {
-        let mut source = BlockRowMatrix::split(&a2, 6);
+        let mut source = RowWindows::split(&a2, 6);
         streaming_svd(&d, &mut source, params).expect("stream succeeds")
     };
     assert_bit_identical(&run(&params), &run(&params));
