@@ -4,7 +4,7 @@
 //! `fig_walltime` tracks thread scaling of the production kernels; this binary
 //! tracks the *single-threaded* speedup of the cache-blocked kernels over the
 //! per-element reference implementations they replaced — the number that cache
-//! blocking actually bought, with no parallelism in the frame.  Two sweeps:
+//! blocking actually bought, with no parallelism in the frame.  Four sweeps:
 //!
 //! * **GEMM**: [`sketch_la::blas3::gemm_into`] (GEBP packing + register-tiled
 //!   microkernel) vs [`sketch_la::blas3::gemm_naive_into`] (one packed dot
@@ -13,6 +13,15 @@
 //! * **FWHT**: [`sketch_core::fwht::fwht_tiled_in_place`] (cache-resident final
 //!   stages) vs [`sketch_core::fwht::fwht_in_place`] (one whole-vector pass per
 //!   radix-4 stage) across SRHT power-of-two lengths.
+//! * **Householder**: the orthonormalisation path of the rangefinder on a row-major
+//!   tall input — [`sketch_la::qr::geqrf_owned`] (tile-copy layout conversion,
+//!   column-grouped reflector updates) then [`sketch_la::QrFactors::into_q_thin`]
+//!   (in-place `org2r`) — vs [`sketch_la::qr::geqrf_naive`] (per-element
+//!   conversion, per-column updates) then
+//!   [`sketch_la::QrFactors::q_thin_naive`] (every reflector on every `e_j`), at
+//!   32768x40 and 2048x40 (8192x40 and 2048x40 smoke).
+//! * **GEMV**: [`sketch_la::blas2::gemv`] vs [`sketch_la::blas2::gemv_naive`] for
+//!   `Aᵀx` on a row-major 65536x32 `A` (the normal equations' `Aᵀb`).
 //!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
 //!
@@ -21,7 +30,11 @@
 //! * tiled FWHT must be **strictly faster** than the un-tiled kernel at the
 //!   largest swept length (d = 2^20 full, 2^18 smoke);
 //! * blocked and naive GEMM values must agree within `1e-12 * max|C|` on every
-//!   swept shape (the kernels may round differently, but never drift).
+//!   swept shape (the kernels may round differently, but never drift);
+//! * every Householder and GEMV row must be **bitwise-equal** to its reference
+//!   (`max_rel_diff == 0`);
+//! * the Householder path must be **>= 1.5x** its reference at the largest swept
+//!   shape on one thread.
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH]`
 
@@ -30,7 +43,9 @@ use sketch_bench::walltime::{host_cores, time_fn, with_thread_pool, Sample};
 use sketch_core::fwht::{fwht_in_place, fwht_tiled_in_place, DEFAULT_TILE};
 use sketch_core::JsonValue;
 use sketch_gpu_sim::Device;
+use sketch_la::blas2::{gemv, gemv_naive};
 use sketch_la::blas3::{gemm_into, gemm_naive_into};
+use sketch_la::qr::{geqrf_naive, geqrf_owned};
 use sketch_la::{Layout, Matrix, Op};
 use sketch_rng::fill;
 
@@ -39,6 +54,12 @@ const GATE_GEMM: (usize, usize, usize) = (512, 512, 128);
 
 /// Required blocked-over-naive speedup at [`GATE_GEMM`] on one thread.
 const GATE_GEMM_SPEEDUP: f64 = 2.0;
+
+/// Required Householder-path speedup over the reference at the largest swept shape.
+const GATE_QR_SPEEDUP: f64 = 1.5;
+
+/// The GEMV row's shape `(m, n)`: `Aᵀx` with a row-major `m x n` `A`.
+const GEMV_SHAPE: (usize, usize) = (65536, 32);
 
 /// One naive-vs-blocked measurement.
 struct KernelRow {
@@ -53,7 +74,8 @@ struct KernelRow {
     /// Blocked-over-naive ratio of median times.
     speedup_median: f64,
     /// `max|blocked - naive| / max(1, max|naive|)` over the output (0 when the
-    /// two kernels are bitwise identical, as the FWHT pair is).
+    /// two kernels are bitwise identical, as the FWHT pair is; see
+    /// [`bitwise_rel_diff`] for the rows that must be).
     max_rel_diff: f64,
 }
 
@@ -145,6 +167,90 @@ fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
     }
 }
 
+/// `0` when `got` and `want` agree in every bit; otherwise their largest relative
+/// difference, floored at `f64::MIN_POSITIVE` so a sign-of-zero mismatch still counts.
+fn bitwise_rel_diff(got: &[f64], want: &[f64]) -> f64 {
+    if got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits())
+    {
+        return 0.0;
+    }
+    let scale = want.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+    let diff = got
+        .iter()
+        .zip(want)
+        .fold(0.0f64, |acc, (g, w)| acc.max((g - w).abs()));
+    (diff / scale).max(f64::MIN_POSITIVE)
+}
+
+/// Time `fast` against the `reference` it must reproduce, both on one thread, and
+/// compare their outputs bit for bit.
+fn bench_exact(
+    kernel: &'static str,
+    shape: String,
+    elems: usize,
+    reference: impl Fn() -> Vec<f64>,
+    fast: impl Fn() -> Vec<f64>,
+) -> KernelRow {
+    let (naive, blocked, max_rel_diff) = with_thread_pool(1, || {
+        let naive = time_fn(|| {
+            std::hint::black_box(reference());
+        });
+        let blocked = time_fn(|| {
+            std::hint::black_box(fast());
+        });
+        (naive, blocked, bitwise_rel_diff(&fast(), &reference()))
+    });
+    KernelRow {
+        kernel,
+        shape,
+        elems,
+        naive,
+        blocked,
+        speedup_min: naive.min_ns / blocked.min_ns,
+        speedup_median: naive.median_ns / blocked.median_ns,
+        max_rel_diff,
+    }
+}
+
+/// The Householder orthonormalisation of a row-major `m x n` input, as the
+/// rangefinder runs it, against the per-element references.
+fn bench_householder(m: usize, n: usize, seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = Matrix::random_gaussian(m, n, Layout::RowMajor, seed, 0);
+    bench_exact(
+        "householder",
+        format!("{m}x{n}"),
+        m * n,
+        || {
+            let f = geqrf_naive(&device, &a).expect("tall input");
+            f.q_thin_naive(&device).into_vec()
+        },
+        || {
+            let f = geqrf_owned(&device, a.clone()).expect("tall input");
+            f.into_q_thin(&device).into_vec()
+        },
+    )
+}
+
+/// `Aᵀx` on a row-major `m x n` `A`: storage-order GEMV against the per-element
+/// reference.
+fn bench_gemv(m: usize, n: usize, seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = Matrix::random_gaussian(m, n, Layout::RowMajor, seed, 0);
+    let x = fill::gaussian_vec(seed, 1, m);
+    bench_exact(
+        "gemv_t",
+        format!("{m}x{n}"),
+        n,
+        || gemv_naive(&device, 1.0, Op::Trans, &a, &x, 0.0, None).expect("gemv dims are valid"),
+        || gemv(&device, 1.0, Op::Trans, &a, &x, 0.0, None).expect("gemv dims are valid"),
+    )
+}
+
 /// Measure one FWHT length: un-tiled whole-vector stages vs the cache-tiled
 /// schedule, both on one thread, restored from a pristine copy each iteration.
 fn bench_fwht_length(d: usize, seed: u64) -> KernelRow {
@@ -210,6 +316,14 @@ fn main() {
     // FWHT sweep: SRHT power-of-two lengths; the gate rides the largest.
     let fwht_pows: &[u32] = if smoke { &[14, 16, 18] } else { &[16, 18, 20] };
 
+    // Householder sweep: the rangefinder's tall orthonormalisations; the gate rides
+    // the largest.
+    let qr_shapes: &[(usize, usize)] = if smoke {
+        &[(8192, 40), (2048, 40)]
+    } else {
+        &[(32768, 40), (2048, 40)]
+    };
+
     let mut rows: Vec<KernelRow> = Vec::new();
     for (i, &(m, k, n)) in gemm_shapes.iter().enumerate() {
         rows.push(bench_gemm_shape(m, k, n, 60 + i as u64));
@@ -217,10 +331,14 @@ fn main() {
     for &pow in fwht_pows {
         rows.push(bench_fwht_length(1usize << pow, 70 + pow as u64));
     }
+    for (i, &(m, n)) in qr_shapes.iter().enumerate() {
+        rows.push(bench_householder(m, n, 80 + i as u64));
+    }
+    rows.push(bench_gemv(GEMV_SHAPE.0, GEMV_SHAPE.1, 90));
 
     // Text report.
     let mut table = Table::new(
-        "Naive-reference vs cache-blocked kernels (1 thread)".to_string(),
+        "Naive-reference vs cache-blocked / grouped kernels (1 thread)".to_string(),
         &[
             "kernel",
             "shape",
@@ -290,6 +408,36 @@ fn main() {
         format!("FAILED (worst rel diff {worst_diff:.2e} > 1e-12)")
     };
 
+    // Gate 4: the Householder and GEMV rows are bitwise-equal to their references.
+    let inexact: Vec<String> = rows
+        .iter()
+        .filter(|r| matches!(r.kernel, "householder" | "gemv_t") && r.max_rel_diff != 0.0)
+        .map(|r| format!("{} {}", r.kernel, r.shape))
+        .collect();
+    let bitwise_status = if inexact.is_empty() {
+        "passed (householder and gemv rows bitwise-equal to their references)".to_string()
+    } else {
+        format!("FAILED (not bitwise-equal: {})", inexact.join(", "))
+    };
+
+    // Gate 5: the Householder path >= 1.5x its reference at the largest shape.
+    let qr_row = rows
+        .iter()
+        .filter(|r| r.kernel == "householder")
+        .max_by_key(|r| r.elems)
+        .expect("at least one Householder shape runs");
+    let qr_status = if qr_row.speedup_min >= GATE_QR_SPEEDUP {
+        format!(
+            "passed ({:.2}x >= {GATE_QR_SPEEDUP}x at {})",
+            qr_row.speedup_min, qr_row.shape
+        )
+    } else {
+        format!(
+            "FAILED ({:.2}x < {GATE_QR_SPEEDUP}x at {})",
+            qr_row.speedup_min, qr_row.shape
+        )
+    };
+
     let doc = JsonValue::Object(vec![
         ("experiment".into(), JsonValue::Str("fig_kernels".into())),
         (
@@ -310,6 +458,14 @@ fn main() {
         ),
         ("values_gate".into(), JsonValue::Str(values_status.clone())),
         (
+            "bitwise_gate".into(),
+            JsonValue::Str(bitwise_status.clone()),
+        ),
+        (
+            "householder_speedup_gate".into(),
+            JsonValue::Str(qr_status.clone()),
+        ),
+        (
             "rows".into(),
             JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
         ),
@@ -322,6 +478,8 @@ fn main() {
         ("gemm speedup gate", &gemm_status),
         ("fwht speedup gate", &fwht_status),
         ("values gate", &values_status),
+        ("bitwise gate", &bitwise_status),
+        ("householder speedup gate", &qr_status),
     ] {
         if status.starts_with("FAILED") {
             eprintln!("{name} {status}");

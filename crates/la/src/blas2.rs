@@ -1,7 +1,7 @@
 //! Level-2 BLAS: matrix-vector operations (GEMV, TRSV) with device cost accounting.
 
 use crate::error::{dim_err, LaError};
-use crate::matrix::{Matrix, Op};
+use crate::matrix::{Layout, Matrix, Op};
 use sketch_gpu_sim::{Device, KernelCost};
 
 /// Which triangle of a matrix a triangular routine reads.
@@ -15,7 +15,12 @@ pub enum Triangle {
 
 /// General matrix-vector product `y <- alpha * op(A) * x + beta * y`.
 ///
-/// Returns the new `y` vector.
+/// Returns the new `y` vector.  `A` is read once in storage order: when a storage run
+/// holds one output's terms (`NoTrans` row-major, `Trans` column-major) each output is
+/// one dot product; otherwise (`Trans` row-major — the `Aᵀb` of the normal equations —
+/// and `NoTrans` column-major) each run adds one term to every output's accumulator.
+/// Either way output `i` is `alpha·(0 + Σ_j op(A)[i,j]·x[j])` summed in ascending `j`,
+/// bit-identical to [`gemv_naive`].
 pub fn gemv(
     device: &Device,
     alpha: f64,
@@ -25,6 +30,68 @@ pub fn gemv(
     beta: f64,
     y: Option<&[f64]>,
 ) -> Result<Vec<f64>, LaError> {
+    let (m, k) = check_gemv(op_a, a, x, y)?;
+    let mut out = scaled_y(m, beta, y);
+    let mut acc = vec![0.0; m];
+    match (op_a, a.layout()) {
+        (Op::NoTrans, Layout::RowMajor) | (Op::Trans, Layout::ColMajor) => {
+            for (acc_i, run) in acc.iter_mut().zip(a.as_slice().chunks_exact(k.max(1))) {
+                let mut sum = 0.0;
+                for (aij, xj) in run.iter().zip(x) {
+                    sum += aij * xj;
+                }
+                *acc_i = sum;
+            }
+        }
+        (Op::Trans, Layout::RowMajor) | (Op::NoTrans, Layout::ColMajor) => {
+            for (xj, run) in x.iter().zip(a.as_slice().chunks_exact(m.max(1))) {
+                for (acc_i, aij) in acc.iter_mut().zip(run) {
+                    *acc_i += aij * xj;
+                }
+            }
+        }
+    }
+    for (o, acc_i) in out.iter_mut().zip(&acc) {
+        *o += alpha * acc_i;
+    }
+    record_gemv_cost(device, m, k, beta);
+    Ok(out)
+}
+
+/// The per-element GEMV [`gemv`] replaced: one `op(A)[i, j]` lookup per term and one
+/// serial chain per output, whatever the storage order.
+///
+/// Retained as the `fig_kernels` baseline and the oracle of the bitwise proptests;
+/// records the same modelled cost as [`gemv`].
+pub fn gemv_naive(
+    device: &Device,
+    alpha: f64,
+    op_a: Op,
+    a: &Matrix,
+    x: &[f64],
+    beta: f64,
+    y: Option<&[f64]>,
+) -> Result<Vec<f64>, LaError> {
+    let (m, k) = check_gemv(op_a, a, x, y)?;
+    let mut out = scaled_y(m, beta, y);
+    for i in 0..m {
+        let mut acc = 0.0;
+        for j in 0..k {
+            acc += op_a.get(a, i, j) * x[j];
+        }
+        out[i] += alpha * acc;
+    }
+    record_gemv_cost(device, m, k, beta);
+    Ok(out)
+}
+
+/// Validate the GEMV operand lengths, returning the shape `(m, k)` of `op(A)`.
+fn check_gemv(
+    op_a: Op,
+    a: &Matrix,
+    x: &[f64],
+    y: Option<&[f64]>,
+) -> Result<(usize, usize), LaError> {
     let m = op_a.rows(a);
     let k = op_a.cols(a);
     if x.len() != k {
@@ -41,7 +108,11 @@ pub fn gemv(
             ));
         }
     }
+    Ok((m, k))
+}
 
+/// The output before the product is added: `beta * y`, or zeros when `beta == 0`.
+fn scaled_y(m: usize, beta: f64, y: Option<&[f64]>) -> Vec<f64> {
     let mut out = vec![0.0; m];
     if beta != 0.0 {
         if let Some(y0) = y {
@@ -50,22 +121,16 @@ pub fn gemv(
             }
         }
     }
-    for i in 0..m {
-        let mut acc = 0.0;
-        for j in 0..k {
-            acc += op_a.get(a, i, j) * x[j];
-        }
-        out[i] += alpha * acc;
-    }
+    out
+}
 
-    let cost = KernelCost::new(
+fn record_gemv_cost(device: &Device, m: usize, k: usize, beta: f64) {
+    device.record(KernelCost::new(
         KernelCost::f64_bytes((m * k + k + if beta != 0.0 { m } else { 0 }) as u64),
         KernelCost::f64_bytes(m as u64),
         (2 * m * k) as u64,
         1,
-    );
-    device.record(cost);
-    Ok(out)
+    ));
 }
 
 /// Triangular solve `op(T) x = b` with a vector right-hand side (TRSV).
@@ -139,7 +204,6 @@ pub fn trsv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Layout;
 
     fn device() -> Device {
         Device::unlimited()

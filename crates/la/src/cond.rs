@@ -9,7 +9,7 @@
 use crate::blas3::gemm_op;
 use crate::error::LaError;
 use crate::matrix::{Layout, Matrix, Op};
-use crate::qr::economy_qr;
+use crate::qr::geqrf_owned;
 use sketch_gpu_sim::Device;
 
 /// A random matrix with orthonormal columns, obtained as the thin Q factor of a random
@@ -21,8 +21,7 @@ pub fn orthonormal_columns(
     seed: u64,
 ) -> Result<Matrix, LaError> {
     let g = Matrix::random_gaussian(nrows, ncols, Layout::ColMajor, seed, 0);
-    let (q, _) = economy_qr(device, &g)?;
-    Ok(q)
+    Ok(geqrf_owned(device, g)?.into_q_thin(device))
 }
 
 /// Geometrically decaying singular values from `1` down to `1/kappa`.

@@ -296,9 +296,36 @@ impl Matrix {
         (0..self.ncols).map(|j| self.get(i, j)).collect()
     }
 
+    /// The storage seen as a row-major matrix: `(nrows, ncols)` for row-major,
+    /// `(ncols, nrows)` for column-major.
+    fn storage_shape(&self) -> (usize, usize) {
+        match self.layout {
+            Layout::RowMajor => (self.nrows, self.ncols),
+            Layout::ColMajor => (self.ncols, self.nrows),
+        }
+    }
+
     /// Return a copy converted to the requested layout, recording the conversion
     /// traffic on `device` (a layout conversion reads and writes every element once).
+    ///
+    /// A change of layout is a transpose of the storage, done as one cache-blocked tile
+    /// copy.
     pub fn to_layout(&self, device: &Device, layout: Layout) -> Matrix {
+        if self.layout == layout {
+            return self.clone();
+        }
+        let mut out = Matrix::zeros_with_layout(self.nrows, self.ncols, layout);
+        let (rows, cols) = self.storage_shape();
+        transpose_tiles(&self.data, rows, cols, &mut out.data);
+        record_copy_cost(device, self.data.len());
+        out
+    }
+
+    /// The per-element `get`/`set` conversion [`to_layout`](Self::to_layout) replaced.
+    ///
+    /// Retained as the `fig_kernels` baseline and the oracle of the bitwise proptests;
+    /// records the same modelled cost.
+    pub fn to_layout_naive(&self, device: &Device, layout: Layout) -> Matrix {
         if self.layout == layout {
             return self.clone();
         }
@@ -308,8 +335,7 @@ impl Matrix {
                 out.set(i, j, self.get(i, j));
             }
         }
-        let bytes = KernelCost::f64_bytes(self.data.len() as u64);
-        device.record(KernelCost::new(bytes, bytes, 0, 1));
+        record_copy_cost(device, self.data.len());
         out
     }
 
@@ -337,11 +363,46 @@ impl Matrix {
 
     /// Write the transpose into an existing buffer (same traffic model as
     /// [`transpose`](Self::transpose), no allocation).
+    ///
+    /// Into the opposite layout the transpose is a straight copy of the storage;
+    /// into the same layout it is one cache-blocked tile copy.
     pub fn transpose_into(
         &self,
         device: &Device,
         out: &mut MatrixViewMut<'_>,
     ) -> Result<(), LaError> {
+        self.check_transpose_target(out)?;
+        if out.layout() == self.layout {
+            let (rows, cols) = self.storage_shape();
+            transpose_tiles(&self.data, rows, cols, out.as_mut_slice());
+        } else {
+            out.as_mut_slice().copy_from_slice(&self.data);
+        }
+        record_copy_cost(device, self.data.len());
+        Ok(())
+    }
+
+    /// The per-element `get`/`set` transpose [`transpose_into`](Self::transpose_into)
+    /// replaced.
+    ///
+    /// Retained as the `fig_kernels` baseline and the oracle of the bitwise proptests;
+    /// records the same modelled cost.
+    pub fn transpose_into_naive(
+        &self,
+        device: &Device,
+        out: &mut MatrixViewMut<'_>,
+    ) -> Result<(), LaError> {
+        self.check_transpose_target(out)?;
+        for i in 0..self.nrows {
+            for j in 0..self.ncols {
+                out.set(j, i, self.get(i, j));
+            }
+        }
+        record_copy_cost(device, self.data.len());
+        Ok(())
+    }
+
+    fn check_transpose_target(&self, out: &MatrixViewMut<'_>) -> Result<(), LaError> {
         if out.nrows() != self.ncols || out.ncols() != self.nrows {
             return Err(dim_err(
                 "transpose_into",
@@ -354,13 +415,6 @@ impl Matrix {
                 ),
             ));
         }
-        for i in 0..self.nrows {
-            for j in 0..self.ncols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        let bytes = KernelCost::f64_bytes(self.data.len() as u64);
-        device.record(KernelCost::new(bytes, bytes, 0, 1));
         Ok(())
     }
 
@@ -409,6 +463,33 @@ impl Matrix {
         }
         Ok(max)
     }
+}
+
+/// Rows of the source panel [`transpose_tiles`] copies through at a time: the panel's
+/// cache lines (one per row) stay in L1 while each of their eight `f64`s is read.
+const TRANSPOSE_TILE: usize = 32;
+
+/// Write the row-major `rows x cols` matrix `src` into `dst` as its row-major
+/// `cols x rows` transpose, one [`TRANSPOSE_TILE`]-row panel of `src` at a time:
+/// every write is a contiguous run, and every source line is loaded once.
+fn transpose_tiles(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), rows * cols);
+    for ib in (0..rows).step_by(TRANSPOSE_TILE) {
+        let ie = (ib + TRANSPOSE_TILE).min(rows);
+        for j in 0..cols {
+            let out = &mut dst[j * rows + ib..j * rows + ie];
+            for (o, i) in out.iter_mut().zip(ib..ie) {
+                *o = src[i * cols + j];
+            }
+        }
+    }
+}
+
+/// A layout conversion or transpose reads and writes every element once.
+fn record_copy_cost(device: &Device, elems: usize) {
+    let bytes = KernelCost::f64_bytes(elems as u64);
+    device.record(KernelCost::new(bytes, bytes, 0, 1));
 }
 
 /// A mutable view over a caller-owned dense buffer with matrix shape and layout.

@@ -1,15 +1,44 @@
-//! Householder QR factorisation (GEQRF) and reflector application (ORMQR).
+//! Householder QR factorisation (GEQRF), reflector application (ORMQR) and thin-Q
+//! formation (ORGQR).
 //!
 //! The paper's sketch-and-solve pipeline (Section 6.1) computes the QR factorisation of
 //! the *sketched* matrix with cuSOLVER's `GeQRF`, applies the reflectors to the sketched
 //! right-hand side with `OrMQR`, and finishes with a triangular solve — explicitly
 //! avoiding `GeLS`, which the authors found much slower.  This module provides the same
-//! three building blocks plus an explicit thin-Q extraction used by rand_cholQR tests.
+//! three building blocks plus the explicit thin `Q` that the randomized rangefinder
+//! (`sketch-lowrank`) returns as its orthonormal basis.
+//!
+//! # Kernels and the bit contract
+//!
+//! [`geqrf`] is LAPACK's unblocked `geqr2` and [`QrFactors::into_q_thin`] is `org2r`
+//! (Golub & Van Loan, *Matrix Computations*, §5.2).  Each reflector is formed serially;
+//! its application to the trailing columns runs `GROUP` (4) columns at a time, with one
+//! independent accumulator chain per column sharing each load of `v`, and disjoint
+//! column groups run as parallel tasks.  Every column keeps the exact operation
+//! sequence of the per-column references [`geqrf_naive`] and [`QrFactors::q_thin_naive`]:
+//!
+//! * **`geqrf`**: reflector `k` updates trailing column `t` as
+//!   `w = 0 + 1·t[k] + Σ_{i>k} v[i]·t[i]` (ascending `i`), `w *= tau`,
+//!   `t[k] -= w`, `t[i] -= w·v[i]`;
+//! * **thin `Q`**: column `j` is `H_0 ⋯ H_j e_j`, each `H_k` applied as
+//!   `w = y[k] + Σ_{i>k} v[i]·y[i]`, `w *= tau`, `y[k] -= w`, `y[i] -= w·v[i]`.
+//!
+//! No sum is split, reordered or fused, so grouping and threads only decide which
+//! columns run side by side: the bits are independent of the thread count.  The
+//! reference applies `H_{n-1} … H_{j+1}` to `e_j` first; for **finite factors** those
+//! are exact no-ops (`w` is `+0.0`), so `into_q_thin` skips them as `org2r` does and
+//! still reproduces the reference bit for bit.
+//!
+//! Callers that own their input use [`geqrf_owned`] + [`QrFactors::into_q_thin`]: the
+//! factorisation runs in the caller's buffer and `Q` overwrites the factors, so an
+//! orthonormalisation holds one `m x n` buffer (two if the input is row-major and must
+//! change layout).
 
 use crate::blas1::nrm2_unrecorded;
 use crate::blas2::{trsv, Triangle};
 use crate::error::{dim_err, LaError};
 use crate::matrix::{Layout, Matrix, Op};
+use rayon::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
 
 /// The compact Householder QR factorisation of an `m x n` matrix (`m >= n`).
@@ -28,21 +57,92 @@ pub struct QrFactors {
 /// column rather than once per column.
 const QR_MODEL_BLOCK: u64 = 32;
 
+/// Columns one reflector application updates together: their accumulator chains
+/// interleave and share each load of `v`.  A fixed constant — the bits never depend on
+/// it, only the speed does.
+const GROUP: usize = 4;
+
+/// Trailing-update size (elements touched) below which one reflector step stays on the
+/// calling thread: small factorisations (the `64 x 32` sketches of the least-squares
+/// solvers) must not pay a parallel dispatch per reflector.
+const PAR_MIN_ELEMS: usize = 1 << 15;
+
+fn check_overdetermined(a: &Matrix) -> Result<(), LaError> {
+    if a.nrows() < a.ncols() {
+        return Err(LaError::NotOverdetermined {
+            rows: a.nrows(),
+            cols: a.ncols(),
+        });
+    }
+    Ok(())
+}
+
 /// Compute the Householder QR factorisation of `a` (GEQRF).
 ///
-/// Requires `a.nrows() >= a.ncols()`.
+/// Requires `a.nrows() >= a.ncols()`.  Copies `a`; callers that own their input should
+/// use [`geqrf_owned`], which factors in place.
 pub fn geqrf(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    if m < n {
-        return Err(LaError::NotOverdetermined { rows: m, cols: n });
+    check_overdetermined(a)?;
+    geqrf_owned(device, a.to_layout(device, Layout::ColMajor))
+}
+
+/// [`geqrf`] in the caller's buffer: a column-major `a` is factored in place, a
+/// row-major one is converted once (recording the conversion, as [`geqrf`] does).
+/// Bit-identical to [`geqrf`] and to [`geqrf_naive`].
+pub fn geqrf_owned(device: &Device, a: Matrix) -> Result<QrFactors, LaError> {
+    check_overdetermined(&a)?;
+    let mut f = match a.layout() {
+        Layout::ColMajor => a,
+        Layout::RowMajor => a.to_layout(device, Layout::ColMajor),
+    };
+    let (m, n) = (f.nrows(), f.ncols());
+    let mut taus = vec![0.0; n];
+    let data = f.as_mut_slice();
+
+    for k in 0..n {
+        let (head, trailing) = data.split_at_mut((k + 1) * m);
+        let col = &mut head[k * m..];
+        // Build the Householder reflector for column k from rows k..m.
+        let norm = nrm2_unrecorded(&col[k..]);
+        if norm == 0.0 {
+            continue;
+        }
+        let a_kk = col[k];
+        let beta = if a_kk >= 0.0 { -norm } else { norm };
+        let tau = (beta - a_kk) / beta;
+        let scale = 1.0 / (a_kk - beta);
+        // Write the reflector back into the column: implicit 1 at row k, scaled tail.
+        col[k] = beta;
+        for x in &mut col[k + 1..] {
+            *x *= scale;
+        }
+        taus[k] = tau;
+
+        // Apply H = I - tau v vᵀ to the trailing columns, reading v in place.
+        let v = &col[k + 1..];
+        for_each_group(trailing, m, (m - k) * (n - k - 1), |group| {
+            reflect_group::<true>(group, m, k, v, tau)
+        });
     }
 
-    let mut f = a.to_layout(device, Layout::ColMajor);
+    record_geqrf_cost(device, m, n);
+    Ok(QrFactors { factors: f, taus })
+}
+
+/// The per-column GEQRF the grouped kernel replaced: one serial dot product and update
+/// per trailing column, with the reflector copied out to a scratch vector.
+///
+/// Retained (not routed to by anything on the hot path) as the measured baseline for
+/// the `fig_kernels` harness and the oracle of the bitwise proptests.  Records the same
+/// modelled cost as [`geqrf`].
+pub fn geqrf_naive(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
+    check_overdetermined(a)?;
+    let m = a.nrows();
+    let n = a.ncols();
+    let mut f = a.to_layout_naive(device, Layout::ColMajor);
     let mut taus = vec![0.0; n];
 
     for k in 0..n {
-        // Build the Householder reflector for column k from rows k..m.
         let col = f.col(k).expect("col-major");
         let x = &col[k..m];
         let norm = nrm2_unrecorded(x);
@@ -54,8 +154,6 @@ pub fn geqrf(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
         let beta = if a_kk >= 0.0 { -norm } else { norm };
         let tau = (beta - a_kk) / beta;
         let scale = 1.0 / (a_kk - beta);
-
-        // Write the reflector back into the column: implicit 1 at row k, scaled tail.
         {
             let col = f.col_mut(k).expect("col-major");
             col[k] = beta;
@@ -65,7 +163,6 @@ pub fn geqrf(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
         }
         taus[k] = tau;
 
-        // Apply H = I - tau v vᵀ to the trailing columns.
         let v: Vec<f64> = {
             let col = f.col(k).expect("col-major");
             let mut v = vec![0.0; m - k];
@@ -87,6 +184,11 @@ pub fn geqrf(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
         }
     }
 
+    record_geqrf_cost(device, m, n);
+    Ok(QrFactors { factors: f, taus })
+}
+
+fn record_geqrf_cost(device: &Device, m: usize, n: usize) {
     let (m64, n64) = (m as u64, n as u64);
     let flops = 2 * m64 * n64 * n64 - (2 * n64 * n64 * n64) / 3;
     let passes = n64.div_ceil(QR_MODEL_BLOCK).max(1);
@@ -96,8 +198,86 @@ pub fn geqrf(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
         flops,
         n64,
     ));
+}
 
-    Ok(QrFactors { factors: f, taus })
+fn record_q_thin_cost(device: &Device, m: usize, n: usize) {
+    let (m64, n64) = (m as u64, n as u64);
+    device.record(KernelCost::new(
+        KernelCost::f64_bytes(m64 * n64),
+        KernelCost::f64_bytes(m64 * n64),
+        4 * m64 * n64 * n64,
+        1,
+    ));
+}
+
+/// Run `body` over the [`GROUP`]-column groups of `cols` (whole columns of height
+/// `m`): as disjoint parallel tasks when the step touches at least [`PAR_MIN_ELEMS`]
+/// elements, on the calling thread otherwise.
+fn for_each_group(cols: &mut [f64], m: usize, elems: usize, body: impl Fn(&mut [f64]) + Sync) {
+    if elems < PAR_MIN_ELEMS {
+        cols.chunks_mut(GROUP * m).for_each(body);
+    } else {
+        cols.par_chunks_mut(GROUP * m).for_each(body);
+    }
+}
+
+/// Apply `H = I - tau v vᵀ`, `v = [1, v_tail]`, to rows `k..` of each column of
+/// `group` (at most [`GROUP`] whole columns of height `m`).
+///
+/// `FROM_ZERO` selects the GEQRF chain, which starts at `0.0` and adds `1·t[k]` (so a
+/// `-0.0` head becomes `+0.0`); otherwise the chain starts at `y[k]`, as the reference
+/// `apply_reflector` does when forming `Q`.
+#[inline(always)]
+fn reflect_group<const FROM_ZERO: bool>(
+    group: &mut [f64],
+    m: usize,
+    k: usize,
+    v_tail: &[f64],
+    tau: f64,
+) {
+    let start = |head: f64| if FROM_ZERO { 0.0 + head } else { head };
+    if group.len() == GROUP * m {
+        let (c0, rest) = group.split_at_mut(m);
+        let (c1, rest) = rest.split_at_mut(m);
+        let (c2, c3) = rest.split_at_mut(m);
+        let (h0, t0) = c0[k..].split_first_mut().expect("k < m");
+        let (h1, t1) = c1[k..].split_first_mut().expect("k < m");
+        let (h2, t2) = c2[k..].split_first_mut().expect("k < m");
+        let (h3, t3) = c3[k..].split_first_mut().expect("k < m");
+        let mut w = [start(*h0), start(*h1), start(*h2), start(*h3)];
+        for ((((vi, a), b), c), d) in v_tail.iter().zip(&*t0).zip(&*t1).zip(&*t2).zip(&*t3) {
+            w[0] += vi * a;
+            w[1] += vi * b;
+            w[2] += vi * c;
+            w[3] += vi * d;
+        }
+        for x in &mut w {
+            *x *= tau;
+        }
+        *h0 -= w[0];
+        *h1 -= w[1];
+        *h2 -= w[2];
+        *h3 -= w[3];
+        for ((((vi, a), b), c), d) in v_tail.iter().zip(t0).zip(t1).zip(t2).zip(t3) {
+            *a -= w[0] * vi;
+            *b -= w[1] * vi;
+            *c -= w[2] * vi;
+            *d -= w[3] * vi;
+        }
+    } else {
+        for col in group.chunks_exact_mut(m) {
+            let (head, tail) = col[k..].split_first_mut().expect("k < m");
+            let mut w = start(*head);
+            for (vi, ti) in v_tail.iter().zip(tail.iter()) {
+                w += vi * ti;
+            }
+            w *= tau;
+            *head -= w;
+            for (vi, ti) in v_tail.iter().zip(tail.iter_mut()) {
+                *ti -= w * vi;
+            }
+        }
+    }
 }
 
 impl QrFactors {
@@ -202,8 +382,55 @@ impl QrFactors {
         }
     }
 
-    /// Materialise the thin orthogonal factor `Q` (`m x n`).
+    /// Materialise the thin orthogonal factor `Q` (`m x n`) from a copy of the factors;
+    /// see [`into_q_thin`](Self::into_q_thin), which reuses their buffer.
     pub fn q_thin(&self, device: &Device) -> Matrix {
+        self.clone().into_q_thin(device)
+    }
+
+    /// Turn the factors into the thin orthogonal factor `Q` (`m x n`, column-major) in
+    /// place (ORGQR, LAPACK's `org2r` order).
+    ///
+    /// Walks `i = n-1 … 0`: applies `H_i` to the already-formed columns `i+1..` (in
+    /// parallel groups of four columns), then overwrites column `i` with `H_i e_i`.
+    /// For finite factors every column is bit-identical to
+    /// [`q_thin_naive`](Self::q_thin_naive)'s `H_0 ⋯ H_{n-1} e_j`.
+    pub fn into_q_thin(self, device: &Device) -> Matrix {
+        let QrFactors {
+            factors: mut q,
+            taus,
+        } = self;
+        let (m, n) = (q.nrows(), q.ncols());
+        let data = q.as_mut_slice();
+        for i in (0..n).rev() {
+            let tau = taus[i];
+            let (head, formed) = data.split_at_mut((i + 1) * m);
+            let col = &mut head[i * m..];
+            if tau != 0.0 {
+                let v = &col[i + 1..];
+                for_each_group(formed, m, (m - i) * (n - i - 1), |group| {
+                    reflect_group::<false>(group, m, i, v, tau)
+                });
+            }
+            // `0.0 - tau·v` rather than `-(tau·v)`: the reference subtracts from a
+            // `+0.0` entry of `e_i`, which decides the sign of zero products.  A
+            // `tau == 0` column is all zeros, so this yields `e_i` exactly.
+            col[..i].fill(0.0);
+            col[i] = 1.0 - tau;
+            for x in &mut col[i + 1..] {
+                *x = 0.0 - tau * *x;
+            }
+        }
+        record_q_thin_cost(device, m, n);
+        q
+    }
+
+    /// The per-column thin-`Q` extraction `into_q_thin` replaced: applies every
+    /// reflector `H_{n-1}, …, H_0` to a fresh `e_j` for each column `j`.
+    ///
+    /// Retained as the `fig_kernels` baseline and the oracle of the bitwise proptests.
+    /// Records the same modelled cost as [`q_thin`](Self::q_thin).
+    pub fn q_thin_naive(&self, device: &Device) -> Matrix {
         let m = self.nrows();
         let n = self.ncols();
         let mut q = Matrix::zeros(m, n);
@@ -215,13 +442,7 @@ impl QrFactors {
             }
             q.col_mut(j).expect("col-major").copy_from_slice(&e);
         }
-        let (m64, n64) = (m as u64, n as u64);
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(m64 * n64),
-            KernelCost::f64_bytes(m64 * n64),
-            4 * m64 * n64 * n64,
-            1,
-        ));
+        record_q_thin_cost(device, m, n);
         q
     }
 
@@ -239,7 +460,8 @@ impl QrFactors {
 /// Convenience: full economy QR returning `(Q, R)` explicitly.
 pub fn economy_qr(device: &Device, a: &Matrix) -> Result<(Matrix, Matrix), LaError> {
     let f = geqrf(device, a)?;
-    Ok((f.q_thin(device), f.r()))
+    let r = f.r();
+    Ok((f.into_q_thin(device), r))
 }
 
 #[cfg(test)]

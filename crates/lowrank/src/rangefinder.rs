@@ -18,7 +18,7 @@ use sketch_core::{EmbeddingDim, Operand, Pipeline, SketchSpec};
 use sketch_dist::{pipelined_sketch, ExecutorOptions};
 use sketch_gpu_sim::{Device, DevicePool, KernelCost};
 use sketch_la::norms::vec_norm2;
-use sketch_la::qr::geqrf;
+use sketch_la::qr::geqrf_owned;
 use sketch_la::{blas3, Layout, Matrix, Op};
 
 /// Seed salt for the posterior estimator's probe vectors, so that reusing the
@@ -198,8 +198,11 @@ impl LowRankParams {
 }
 
 /// Orthonormalise the columns of `y` via Householder QR, returning the thin `Q`.
-pub(crate) fn orthonormalize(device: &Device, y: &Matrix) -> Result<Matrix, LowRankError> {
-    Ok(geqrf(device, y)?.q_thin(device))
+///
+/// Takes `y` by value: the factorisation runs in its buffer and `Q` overwrites the
+/// factors, so one orthonormalisation holds a single `m x ℓ` buffer.
+pub(crate) fn orthonormalize(device: &Device, y: Matrix) -> Result<Matrix, LowRankError> {
+    Ok(geqrf_owned(device, y)?.into_q_thin(device))
 }
 
 /// Randomized rangefinder on the unified execution engine: an `m x ℓ` matrix `Q`
@@ -269,10 +272,10 @@ pub fn range_finder<M: MatVecLike + ?Sized>(
     let run = pipelined_sketch(pool, at, &Pipeline::single(spec), opts)?;
     // run.result = S Aᵀ = Ωᵀ Aᵀ = Yᵀ.
     let y = run.result.transpose(device);
-    let mut q = orthonormalize(device, &y)?;
+    let mut q = orthonormalize(device, y)?;
     for _ in 0..params.power_iters {
-        let z = orthonormalize(device, &a.mul_transpose_right(device, &q)?)?;
-        q = orthonormalize(device, &a.mul_right(device, &z)?)?;
+        let z = orthonormalize(device, a.mul_transpose_right(device, &q)?)?;
+        q = orthonormalize(device, a.mul_right(device, &z)?)?;
     }
     Ok(q)
 }
@@ -305,12 +308,12 @@ pub(crate) fn range_finder_on<M: MatVecLike + ?Sized>(
         .sketch
         .test_matrix(device, n, l, params.seed, params.stream)?;
     let y = a.mul_right(device, &omega)?;
-    let mut q = orthonormalize(device, &y)?;
+    let mut q = orthonormalize(device, y)?;
     for _ in 0..params.power_iters {
         // Subspace iteration with re-orthonormalisation after every product, the
         // numerically stable form of (A Aᵀ)^q A Ω.
-        let z = orthonormalize(device, &a.mul_transpose_right(device, &q)?)?;
-        q = orthonormalize(device, &a.mul_right(device, &z)?)?;
+        let z = orthonormalize(device, a.mul_transpose_right(device, &q)?)?;
+        q = orthonormalize(device, a.mul_right(device, &z)?)?;
     }
     Ok(q)
 }

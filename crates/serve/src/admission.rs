@@ -10,7 +10,10 @@
 //!
 //! The resource models are the job's own declarative estimates
 //! ([`JobSpec::sketch_output_bytes`], [`JobSpec::modelled_flops`]): admission
-//! is decided *before* any operand is materialised.
+//! is decided *before* any operand is materialised.  Ahead of every budget, a
+//! job whose operand or Gaussian operator could not be allocated, or whose
+//! modelled sizes overflow `u64`, is refused with
+//! [`RejectReason::SizeOverflow`] — whatever the tenant's limits.
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;
@@ -187,6 +190,7 @@ impl AdmissionController {
                 limit: limits.max_in_flight,
             }));
         }
+        job.check_sizes()?;
         let modelled_bytes = job.sketch_output_bytes()?;
         if modelled_bytes > limits.max_sketch_bytes {
             return Err(reject(RejectReason::SketchBytesExceeded {
@@ -277,6 +281,120 @@ mod tests {
                 .with_max_modelled_flops(flops),
         );
         assert!(ctl.admit(&j, 0).is_ok());
+    }
+
+    fn size_reason(result: Result<TenantLimits, ServeError>) -> RejectReason {
+        match result.unwrap_err() {
+            ServeError::Rejected { reason, .. } => reason,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_shapes_are_typed_rejections_not_wraps_or_panics() {
+        // A 4e9 x 3e9 dense operand under default (unlimited) limits: its bytes
+        // and the Gaussian stage's 2·d·k·n both overflow u64.
+        let huge = JobSpec::new(
+            "t",
+            Pipeline::single(SketchSpec::gaussian(
+                4_000_000_000,
+                EmbeddingDim::Exact(16),
+                1,
+            )),
+            OperandSpec::Dense {
+                rows: 4_000_000_000,
+                cols: 3_000_000_000,
+                seed: 1,
+            },
+        );
+        assert_eq!(
+            size_reason(AdmissionController::new().admit(&huge, 0)),
+            RejectReason::SizeOverflow {
+                quantity: "operand bytes"
+            }
+        );
+        assert!(matches!(
+            huge.modelled_flops(),
+            Err(ServeError::Rejected {
+                reason: RejectReason::SizeOverflow {
+                    quantity: "modelled flops"
+                },
+                ..
+            })
+        ));
+
+        // A 2^32 x 2^32 operand with d = 2^32: 2·d·k·n = 2^69 used to wrap to 0
+        // and pass a 1000-flop budget.
+        let wraps = JobSpec::new(
+            "t",
+            Pipeline::single(SketchSpec::gaussian(1 << 32, EmbeddingDim::Exact(16), 1)),
+            OperandSpec::Dense {
+                rows: 1 << 32,
+                cols: 1 << 32,
+                seed: 1,
+            },
+        );
+        let ctl = AdmissionController::new()
+            .with_tenant("t", TenantLimits::unlimited().with_max_modelled_flops(1000));
+        assert_eq!(size_reason(ctl.admit(&wraps, 0)).as_str(), "size_overflow");
+        assert!(wraps.modelled_flops().is_err());
+        assert_eq!(wraps.operand.modelled_nnz(), None);
+    }
+
+    #[test]
+    fn buffers_past_isize_max_are_refused_before_any_budget() {
+        // d·k·8 = 2^63 fits u64 but no Vec can hold it.
+        let operator = JobSpec::new(
+            "t",
+            Pipeline::single(SketchSpec::gaussian(1 << 60, EmbeddingDim::Exact(1), 1)),
+            OperandSpec::Dense {
+                rows: 64,
+                cols: 4,
+                seed: 1,
+            },
+        );
+        assert_eq!(
+            size_reason(AdmissionController::new().admit(&operator, 0)),
+            RejectReason::SizeOverflow {
+                quantity: "gaussian operator bytes"
+            }
+        );
+        // A sparse operand whose assembly triples overflow.
+        let sparse = JobSpec::new(
+            "t",
+            Pipeline::single(SketchSpec::countsketch(64, EmbeddingDim::Exact(8), 1)),
+            OperandSpec::Csr {
+                rows: 64,
+                cols: 4,
+                nnz_target: usize::MAX / 16,
+                seed: 1,
+            },
+        );
+        assert_eq!(
+            size_reason(AdmissionController::new().admit(&sparse, 0)),
+            RejectReason::SizeOverflow {
+                quantity: "operand bytes"
+            }
+        );
+        // An embedding rule c·n² that overflows usize.
+        let rule = JobSpec::new(
+            "t",
+            Pipeline::single(SketchSpec::countsketch(64, EmbeddingDim::Square(2), 1)),
+            OperandSpec::Csr {
+                rows: 64,
+                cols: 1 << 32,
+                nnz_target: 8,
+                seed: 1,
+            },
+        );
+        assert_eq!(
+            size_reason(AdmissionController::new().admit(&rule, 0)),
+            RejectReason::SizeOverflow {
+                quantity: "embedding dimension"
+            }
+        );
+        // Ordinary jobs pass the size check untouched.
+        assert!(job("t").check_sizes().is_ok());
     }
 
     #[test]

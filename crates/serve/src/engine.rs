@@ -451,6 +451,53 @@ mod tests {
     }
 
     #[test]
+    fn an_unallocatable_job_is_one_rejection_and_the_other_job_runs() {
+        use crate::file::JobFile;
+        use crate::queue::QueuedJob;
+
+        let file = JobFile::from_json(
+            r#"{"jobs": [
+                {"tenant": "ok",
+                 "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 1024,
+                                          "output_dim": {"exact": 64}, "seed": 3}]},
+                 "operand": {"dense": {"rows": 1024, "cols": 6, "seed": 4}}},
+                {"tenant": "huge",
+                 "pipeline": {"stages": [{"kind": "gaussian", "input_dim": 4000000000,
+                                          "output_dim": {"exact": 16}, "seed": 1}]},
+                 "operand": {"dense": {"rows": 4000000000, "cols": 3000000000, "seed": 2}}}
+            ]}"#,
+        )
+        .unwrap();
+        let pool = DevicePool::unlimited(2);
+        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+        for job in file.jobs.iter().cloned() {
+            let _ = engine.submit(job);
+        }
+        let report = engine.run().unwrap();
+        let huge = &report.tenants["huge"];
+        assert_eq!((huge.jobs_run, huge.jobs_rejected), (0, 1));
+        assert_eq!(huge.rejected_by_reason["size_overflow"], 1);
+        assert_eq!(report.jobs_run(), 1);
+
+        let solo = Scheduler::new()
+            .run(
+                &DevicePool::unlimited(1),
+                &[QueuedJob {
+                    job: file.jobs[0].clone(),
+                    seq: 0,
+                }],
+            )
+            .unwrap();
+        let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&report.service.jobs[0].run.result),
+            bits(&solo.jobs[0].run.result)
+        );
+    }
+
+    #[test]
     fn metrics_export_is_deterministic_and_namespaced() {
         let pool = DevicePool::unlimited(2);
         let render = || {

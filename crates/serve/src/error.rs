@@ -35,6 +35,13 @@ pub enum RejectReason {
         /// The tenant's flop limit.
         limit: u64,
     },
+    /// A size the job implies — its operand, a Gaussian operator, its modelled
+    /// output or flops — overflows `u64` or exceeds `isize::MAX` bytes, so it
+    /// could never be allocated or budgeted.
+    SizeOverflow {
+        /// Which quantity overflowed (e.g. `"operand bytes"`).
+        quantity: &'static str,
+    },
     /// Every execution attempt hit a dead device and the tenant's retry
     /// budget ([`TenantLimits::max_retries`](crate::TenantLimits::max_retries))
     /// is spent — or no live device is left to retry on.
@@ -52,6 +59,7 @@ impl RejectReason {
             RejectReason::TooManyInFlight { .. } => "too_many_in_flight",
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
+            RejectReason::SizeOverflow { .. } => "size_overflow",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
         }
     }
@@ -74,6 +82,9 @@ impl std::fmt::Display for RejectReason {
                 f,
                 "modelled {modelled} flops exceed the tenant limit of {limit}"
             ),
+            RejectReason::SizeOverflow { quantity } => {
+                write!(f, "the job's {quantity} overflow u64 or exceed isize::MAX")
+            }
             RejectReason::RetriesExhausted { attempts } => write!(
                 f,
                 "abandoned after {attempts} failed attempt(s) on dying devices"

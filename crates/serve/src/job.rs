@@ -17,11 +17,14 @@
 //! tenant's job is bit-identical whether it runs alone or co-scheduled — the
 //! executor's determinism does the rest.
 
-use crate::error::ServeError;
-use sketch_core::{JsonValue, Pipeline};
+use crate::error::{RejectReason, ServeError};
+use sketch_core::{EmbeddingDim, JsonValue, Pipeline, SketchKind, SketchSpec};
 use sketch_la::{Layout, Matrix};
 use sketch_rng::fill;
 use sketch_sparse::{CooMatrix, CsrMatrix};
+
+/// Largest buffer, in bytes, a job may ask for: `Vec` panics past `isize::MAX`.
+const MAX_ALLOC_BYTES: u64 = isize::MAX as u64;
 
 /// 64-bit FNV-1a hash of a tenant id: the tenant's Philox seed-namespace salt.
 ///
@@ -135,11 +138,31 @@ impl OperandSpec {
     }
 
     /// Modelled stored entries, used by the admission flop model: `rows*cols`
-    /// for dense operands, the draw target for sparse ones.
-    pub fn modelled_nnz(&self) -> u64 {
+    /// for dense operands, the draw target for sparse ones.  `None` when the
+    /// count overflows `u64`.
+    pub fn modelled_nnz(&self) -> Option<u64> {
         match self {
-            OperandSpec::Dense { rows, cols, .. } => (*rows as u64) * (*cols as u64),
-            OperandSpec::Csr { nnz_target, .. } => *nnz_target as u64,
+            OperandSpec::Dense { rows, cols, .. } => (*rows as u64).checked_mul(*cols as u64),
+            OperandSpec::Csr { nnz_target, .. } => Some(*nnz_target as u64),
+        }
+    }
+
+    /// Bytes the materialised operand holds at its peak: `rows*cols` doubles
+    /// for a dense operand; for a sparse one the `(row, col, value)` assembly
+    /// triples (24 bytes per draw) plus the row pointers.  `None` when the
+    /// count overflows `u64`.
+    pub(crate) fn modelled_bytes(&self) -> Option<u64> {
+        match *self {
+            OperandSpec::Dense { rows, cols, .. } => {
+                (rows as u64).checked_mul(cols as u64)?.checked_mul(8)
+            }
+            OperandSpec::Csr {
+                rows, nnz_target, ..
+            } => {
+                let triples = (nnz_target.max(1) as u64).checked_mul(24)?;
+                let row_ptr = (rows as u64).checked_add(1)?.checked_mul(8)?;
+                triples.checked_add(row_ptr)
+            }
         }
     }
 
@@ -309,19 +332,75 @@ impl JobSpec {
         plan
     }
 
+    /// The typed admission rejection for a size that overflows `u64` or
+    /// exceeds `isize::MAX` bytes.
+    fn size_overflow(&self, quantity: &'static str) -> ServeError {
+        ServeError::Rejected {
+            tenant: self.tenant.clone(),
+            reason: RejectReason::SizeOverflow { quantity },
+        }
+    }
+
+    /// The pipeline resolved against the operand width, refusing embedding
+    /// rules (`c·n`, `c·n²`) whose dimension overflows `usize`.
+    fn resolved_stages(&self) -> Result<Vec<SketchSpec>, ServeError> {
+        let n = self.operand.cols();
+        for stage in &self.pipeline.stages {
+            let k = match stage.output_dim {
+                EmbeddingDim::Exact(k) => Some(k),
+                EmbeddingDim::Ratio(c) => c.checked_mul(n),
+                EmbeddingDim::Square(c) => c.checked_mul(n).and_then(|cn| cn.checked_mul(n)),
+            };
+            if k.is_none() {
+                return Err(self.size_overflow("embedding dimension"));
+            }
+        }
+        Ok(self.pipeline.resolve(n)?)
+    }
+
+    /// Refuse a job whose buffers could not be allocated: the materialised
+    /// operand (`OperandSpec::modelled_bytes`) and each Gaussian stage's
+    /// dense `d × k` operator must each fit in `isize::MAX` bytes, past which
+    /// `Vec` panics.  Checked at admission, before any budget.
+    pub(crate) fn check_sizes(&self) -> Result<(), ServeError> {
+        let fits = |bytes: Option<u64>| bytes.is_some_and(|b| b <= MAX_ALLOC_BYTES);
+        if !fits(self.operand.modelled_bytes()) {
+            return Err(self.size_overflow("operand bytes"));
+        }
+        for stage in self.resolved_stages()? {
+            let k = stage.output_dim.resolve(self.operand.cols()) as u64;
+            if stage.kind == SketchKind::Gaussian
+                && !fits(
+                    (stage.input_dim as u64)
+                        .checked_mul(k)
+                        .and_then(|dk| dk.checked_mul(8)),
+                )
+            {
+                return Err(self.size_overflow("gaussian operator bytes"));
+            }
+        }
+        Ok(())
+    }
+
     /// Modelled bytes of sketch output the job produces: each resolved stage's
     /// `k × n` doubles, plus the dense operator storage of Gaussian stages
-    /// (`d × k` doubles) — the admission controller's byte model.
+    /// (`d × k` doubles) — the admission controller's byte model.  A total that
+    /// overflows `u64` is a typed [`RejectReason::SizeOverflow`] rejection.
     pub fn sketch_output_bytes(&self) -> Result<u64, ServeError> {
         let n = self.operand.cols() as u64;
-        let resolved = self.pipeline.resolve(self.operand.cols())?;
         let mut bytes = 0u64;
-        for stage in &resolved {
+        for stage in &self.resolved_stages()? {
             let k = stage.output_dim.resolve(self.operand.cols()) as u64;
-            bytes += 8 * k * n;
-            if stage.kind == sketch_core::SketchKind::Gaussian {
-                bytes += 8 * k * stage.input_dim as u64;
+            let mut stage_bytes = k.checked_mul(n).and_then(|kn| kn.checked_mul(8));
+            if stage.kind == SketchKind::Gaussian {
+                stage_bytes = stage_bytes.and_then(|b| {
+                    let operator = k.checked_mul(stage.input_dim as u64)?.checked_mul(8)?;
+                    b.checked_add(operator)
+                });
             }
+            bytes = stage_bytes
+                .and_then(|b| bytes.checked_add(b))
+                .ok_or_else(|| self.size_overflow("sketch output bytes"))?;
         }
         Ok(bytes)
     }
@@ -331,29 +410,33 @@ impl JobSpec {
     /// Gaussian GEMMs, `n·d·log2(d)` for the SRHT's FWHT — the admission
     /// controller's compute model.  The first stage sees the operand's
     /// (modelled) sparsity; later stages see a dense `k_prev × n`
-    /// intermediate.
+    /// intermediate.  A count that overflows `u64` is a typed
+    /// [`RejectReason::SizeOverflow`] rejection.
     pub fn modelled_flops(&self) -> Result<u64, ServeError> {
-        use sketch_core::SketchKind;
         let n = self.operand.cols() as u64;
-        let resolved = self.pipeline.resolve(self.operand.cols())?;
+        let overflow = || self.size_overflow("modelled flops");
         let mut flops = 0u64;
-        let mut stage_nnz = self.operand.modelled_nnz();
-        for stage in &resolved {
+        let mut stage_nnz = self.operand.modelled_nnz().ok_or_else(overflow)?;
+        for stage in &self.resolved_stages()? {
             let d = stage.input_dim as u64;
             let k = stage.output_dim.resolve(self.operand.cols()) as u64;
-            flops += match stage.kind {
-                SketchKind::CountSketch | SketchKind::HashCountSketch => 2 * stage_nnz,
-                SketchKind::Gaussian => 2 * d * k * n,
+            let gemm = || 2u64.checked_mul(d)?.checked_mul(k)?.checked_mul(n);
+            let stage_flops = match stage.kind {
+                SketchKind::CountSketch | SketchKind::HashCountSketch => stage_nnz.checked_mul(2),
+                SketchKind::Gaussian => gemm(),
                 SketchKind::Srht => {
                     let log_d = (64 - d.max(2).leading_zeros()) as u64;
-                    n * d * log_d
+                    n.checked_mul(d).and_then(|nd| nd.checked_mul(log_d))
                 }
                 // `SketchKind` is non-exhaustive: bound unknown kinds by the
                 // dense GEMM cost so admission stays conservative, not panicky.
-                _ => 2 * d * k * n,
+                _ => gemm(),
             };
+            flops = stage_flops
+                .and_then(|f| flops.checked_add(f))
+                .ok_or_else(overflow)?;
             // The intermediate handed to the next stage is dense k × n.
-            stage_nnz = k * n;
+            stage_nnz = k.checked_mul(n).ok_or_else(overflow)?;
         }
         Ok(flops)
     }
