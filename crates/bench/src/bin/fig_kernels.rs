@@ -22,6 +22,12 @@
 //!   32768x40 and 2048x40 (8192x40 and 2048x40 smoke).
 //! * **GEMV**: [`sketch_la::blas2::gemv`] vs [`sketch_la::blas2::gemv_naive`] for
 //!   `Aᵀx` on a row-major 65536x32 `A` (the normal equations' `Aᵀb`).
+//! * **Gram**: [`sketch_la::blas3::gram_gemm`] (GEBP, one parallel region, AVX2 tier
+//!   where the host has it) vs [`sketch_la::blas3::gemm_naive_into`] for `AᵀA` on a
+//!   row-major 65536x32 `A` (16384x32 smoke) — the normal equations' Gram.
+//! * **TRSM**: [`sketch_la::blas3::trsm_right`] (eight right-hand sides in lockstep)
+//!   vs [`sketch_la::blas3::trsm_right_naive`] (one at a time) for `A R⁻¹` on the same
+//!   `A` with a 32x32 upper-triangular `R` — rand_cholQR's preconditioning.
 //!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
 //!
@@ -29,12 +35,13 @@
 //!   thread (the shape `BENCH_walltime.json` has always tracked);
 //! * tiled FWHT must be **strictly faster** than the un-tiled kernel at the
 //!   largest swept length (d = 2^20 full, 2^18 smoke);
-//! * blocked and naive GEMM values must agree within `1e-12 * max|C|` on every
-//!   swept shape (the kernels may round differently, but never drift);
-//! * every Householder and GEMV row must be **bitwise-equal** to its reference
+//! * blocked and naive GEMM and Gram values must agree within `1e-12 * max|C|` on
+//!   every swept shape (the kernels may round differently, but never drift);
+//! * every Householder, GEMV and TRSM row must be **bitwise-equal** to its reference
 //!   (`max_rel_diff == 0`);
 //! * the Householder path must be **>= 1.5x** its reference at the largest swept
-//!   shape on one thread.
+//!   shape on one thread;
+//! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread.
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH]`
 
@@ -43,8 +50,8 @@ use sketch_bench::walltime::{host_cores, time_fn, with_thread_pool, Sample};
 use sketch_core::fwht::{fwht_in_place, fwht_tiled_in_place, DEFAULT_TILE};
 use sketch_core::JsonValue;
 use sketch_gpu_sim::Device;
-use sketch_la::blas2::{gemv, gemv_naive};
-use sketch_la::blas3::{gemm_into, gemm_naive_into};
+use sketch_la::blas2::{gemv, gemv_naive, Triangle};
+use sketch_la::blas3::{gemm_into, gemm_naive_into, gram_gemm, trsm_right, trsm_right_naive};
 use sketch_la::qr::{geqrf_naive, geqrf_owned};
 use sketch_la::{Layout, Matrix, Op};
 use sketch_rng::fill;
@@ -60,6 +67,9 @@ const GATE_QR_SPEEDUP: f64 = 1.5;
 
 /// The GEMV row's shape `(m, n)`: `Aᵀx` with a row-major `m x n` `A`.
 const GEMV_SHAPE: (usize, usize) = (65536, 32);
+
+/// Required lockstep-TRSM speedup over the per-vector reference on one thread.
+const GATE_TRSM_SPEEDUP: f64 = 1.5;
 
 /// One naive-vs-blocked measurement.
 struct KernelRow {
@@ -108,12 +118,17 @@ impl KernelRow {
     }
 }
 
-/// Measure one GEMM shape: naive reference vs blocked kernel, both on one thread,
-/// plus the value-agreement check.
-fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
+/// Time `blocked` against the naive GEMM of `op(A) · op(B)`, both on one thread, and
+/// compare their values (the kernels may round differently, but never drift).
+fn bench_product(
+    kernel: &'static str,
+    shape: String,
+    (op_a, a): (Op, &Matrix),
+    (op_b, b): (Op, &Matrix),
+    blocked: impl Fn(&mut Matrix),
+) -> KernelRow {
     let device = Device::unlimited();
-    let a = Matrix::random_gaussian(m, k, Layout::RowMajor, seed, 0);
-    let b = Matrix::random_gaussian(k, n, Layout::ColMajor, seed, 1);
+    let (m, n) = (op_a.rows(a), op_b.cols(b));
     let mut naive_out = Matrix::zeros(m, n);
     let mut blocked_out = Matrix::zeros(m, n);
 
@@ -122,30 +137,17 @@ fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
             gemm_naive_into(
                 &device,
                 1.0,
-                Op::NoTrans,
-                &a,
-                Op::NoTrans,
-                &b,
+                op_a,
+                a,
+                op_b,
+                b,
                 0.0,
                 None,
                 &mut naive_out.view_mut(),
             )
             .expect("naive gemm dims are valid");
         });
-        let blocked = time_fn(|| {
-            gemm_into(
-                &device,
-                1.0,
-                Op::NoTrans,
-                &a,
-                Op::NoTrans,
-                &b,
-                0.0,
-                None,
-                &mut blocked_out.view_mut(),
-            )
-            .expect("blocked gemm dims are valid");
-        });
+        let blocked = time_fn(|| blocked(&mut blocked_out));
         (naive, blocked)
     });
 
@@ -156,8 +158,8 @@ fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
     let max_rel_diff = blocked_out.max_abs_diff(&naive_out).expect("same shape") / scale;
 
     KernelRow {
-        kernel: "gemm",
-        shape: format!("{m}x{k}x{n}"),
+        kernel,
+        shape,
         elems: m * n,
         naive,
         blocked,
@@ -165,6 +167,33 @@ fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
         speedup_median: naive.median_ns / blocked.median_ns,
         max_rel_diff,
     }
+}
+
+/// Measure one GEMM shape: the blocked kernel against the naive reference.
+fn bench_gemm_shape(m: usize, k: usize, n: usize, seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = Matrix::random_gaussian(m, k, Layout::RowMajor, seed, 0);
+    let b = Matrix::random_gaussian(k, n, Layout::ColMajor, seed, 1);
+    bench_product(
+        "gemm",
+        format!("{m}x{k}x{n}"),
+        (Op::NoTrans, &a),
+        (Op::NoTrans, &b),
+        |out| {
+            gemm_into(
+                &device,
+                1.0,
+                Op::NoTrans,
+                &a,
+                Op::NoTrans,
+                &b,
+                0.0,
+                None,
+                &mut out.view_mut(),
+            )
+            .expect("blocked gemm dims are valid");
+        },
+    )
 }
 
 /// `0` when `got` and `want` agree in every bit; otherwise their largest relative
@@ -248,6 +277,44 @@ fn bench_gemv(m: usize, n: usize, seed: u64) -> KernelRow {
         n,
         || gemv_naive(&device, 1.0, Op::Trans, &a, &x, 0.0, None).expect("gemv dims are valid"),
         || gemv(&device, 1.0, Op::Trans, &a, &x, 0.0, None).expect("gemv dims are valid"),
+    )
+}
+
+/// `AᵀA` on a row-major `m x n` `A`: `gram_gemm` against the naive GEMM.
+fn bench_gram(m: usize, n: usize, seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = Matrix::random_gaussian(m, n, Layout::RowMajor, seed, 0);
+    bench_product(
+        "gram",
+        format!("{m}x{n}"),
+        (Op::Trans, &a),
+        (Op::NoTrans, &a),
+        |out| *out = gram_gemm(&device, &a).expect("Gram dims are valid"),
+    )
+}
+
+/// `A R⁻¹` on a row-major `m x n` `A` with an upper-triangular `R`: the lockstep
+/// right solve against the per-vector reference.
+fn bench_trsm_right(m: usize, n: usize, seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = Matrix::random_gaussian(m, n, Layout::RowMajor, seed, 0);
+    let g = Matrix::random_gaussian(n, n, Layout::ColMajor, seed, 1);
+    let r = Matrix::from_fn(n, n, Layout::ColMajor, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => 0.3 * g.get(i, j),
+        std::cmp::Ordering::Equal => 2.0 + g.get(i, j).abs(),
+        std::cmp::Ordering::Greater => 0.0,
+    });
+    let solve = |f: fn(&Device, Triangle, Op, &Matrix, &Matrix) -> Result<Matrix, _>| {
+        f(&device, Triangle::Upper, Op::NoTrans, &r, &a)
+            .expect("square triangle")
+            .into_vec()
+    };
+    bench_exact(
+        "trsm_right",
+        format!("{m}x{n}"),
+        m * n,
+        || solve(trsm_right_naive),
+        || solve(trsm_right),
     )
 }
 
@@ -335,6 +402,10 @@ fn main() {
         rows.push(bench_householder(m, n, 80 + i as u64));
     }
     rows.push(bench_gemv(GEMV_SHAPE.0, GEMV_SHAPE.1, 90));
+    // Gram and TRSM: the least-squares solvers' level-3 steps on a tall 32-column A.
+    let tall = if smoke { 16384 } else { GEMV_SHAPE.0 };
+    rows.push(bench_gram(tall, GEMV_SHAPE.1, 91));
+    rows.push(bench_trsm_right(tall, GEMV_SHAPE.1, 92));
 
     // Text report.
     let mut table = Table::new(
@@ -408,14 +479,17 @@ fn main() {
         format!("FAILED (worst rel diff {worst_diff:.2e} > 1e-12)")
     };
 
-    // Gate 4: the Householder and GEMV rows are bitwise-equal to their references.
+    // Gate 4: the Householder, GEMV and TRSM rows are bitwise-equal to their
+    // references.
     let inexact: Vec<String> = rows
         .iter()
-        .filter(|r| matches!(r.kernel, "householder" | "gemv_t") && r.max_rel_diff != 0.0)
+        .filter(|r| {
+            matches!(r.kernel, "householder" | "gemv_t" | "trsm_right") && r.max_rel_diff != 0.0
+        })
         .map(|r| format!("{} {}", r.kernel, r.shape))
         .collect();
     let bitwise_status = if inexact.is_empty() {
-        "passed (householder and gemv rows bitwise-equal to their references)".to_string()
+        "passed (householder, gemv and trsm rows bitwise-equal to their references)".to_string()
     } else {
         format!("FAILED (not bitwise-equal: {})", inexact.join(", "))
     };
@@ -435,6 +509,23 @@ fn main() {
         format!(
             "FAILED ({:.2}x < {GATE_QR_SPEEDUP}x at {})",
             qr_row.speedup_min, qr_row.shape
+        )
+    };
+
+    // Gate 6: the lockstep TRSM >= 1.5x the per-vector reference.
+    let trsm_row = rows
+        .iter()
+        .find(|r| r.kernel == "trsm_right")
+        .expect("the TRSM row always runs");
+    let trsm_status = if trsm_row.speedup_min >= GATE_TRSM_SPEEDUP {
+        format!(
+            "passed ({:.2}x >= {GATE_TRSM_SPEEDUP}x at {})",
+            trsm_row.speedup_min, trsm_row.shape
+        )
+    } else {
+        format!(
+            "FAILED ({:.2}x < {GATE_TRSM_SPEEDUP}x at {})",
+            trsm_row.speedup_min, trsm_row.shape
         )
     };
 
@@ -466,6 +557,10 @@ fn main() {
             JsonValue::Str(qr_status.clone()),
         ),
         (
+            "trsm_speedup_gate".into(),
+            JsonValue::Str(trsm_status.clone()),
+        ),
+        (
             "rows".into(),
             JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
         ),
@@ -480,6 +575,7 @@ fn main() {
         ("values gate", &values_status),
         ("bitwise gate", &bitwise_status),
         ("householder speedup gate", &qr_status),
+        ("trsm speedup gate", &trsm_status),
     ] {
         if status.starts_with("FAILED") {
             eprintln!("{name} {status}");

@@ -140,13 +140,25 @@ pub enum EmbeddingDim {
 }
 
 impl EmbeddingDim {
-    /// Resolve the rule against an operand with `ncols` columns.
-    pub fn resolve(&self, ncols: usize) -> usize {
-        match self {
-            EmbeddingDim::Exact(k) => *k,
-            EmbeddingDim::Ratio(c) => c * ncols,
-            EmbeddingDim::Square(c) => c * ncols * ncols,
+    /// Resolve the rule against an operand with `ncols` columns, or `None` when
+    /// `c·n` or `c·n²` overflows `usize`.
+    pub fn checked_resolve(&self, ncols: usize) -> Option<usize> {
+        match *self {
+            EmbeddingDim::Exact(k) => Some(k),
+            EmbeddingDim::Ratio(c) => c.checked_mul(ncols),
+            EmbeddingDim::Square(c) => c.checked_mul(ncols)?.checked_mul(ncols),
         }
+    }
+
+    /// Resolve the rule against an operand with `ncols` columns.
+    ///
+    /// # Panics
+    ///
+    /// If the dimension overflows `usize`; callers resolving untrusted widths use
+    /// [`checked_resolve`](Self::checked_resolve).
+    pub fn resolve(&self, ncols: usize) -> usize {
+        self.checked_resolve(ncols)
+            .unwrap_or_else(|| panic!("embedding rule {self:?} overflows usize at {ncols} columns"))
     }
 
     /// Whether the rule needs an operand width to resolve.
@@ -241,13 +253,35 @@ impl SketchSpec {
 
     /// Resolve an embedding rule against an operand width, yielding a spec with an
     /// [`EmbeddingDim::Exact`] output dimension.
+    ///
+    /// # Panics
+    ///
+    /// If the dimension overflows `usize`; see [`try_resolve`](Self::try_resolve).
     pub fn resolve(&self, ncols: usize) -> SketchSpec {
         let mut out = self.clone();
         out.output_dim = EmbeddingDim::Exact(self.output_dim.resolve(ncols));
         out
     }
 
-    fn exact_dims(&self) -> Result<(usize, usize), Error> {
+    /// [`resolve`](Self::resolve), with a dimension that overflows `usize` as a typed
+    /// [`Error::InvalidParameter`].
+    pub fn try_resolve(&self, ncols: usize) -> Result<SketchSpec, Error> {
+        let k = self.output_dim.checked_resolve(ncols).ok_or_else(|| {
+            Error::invalid_param(format!(
+                "spec for {} has embedding rule {:?}, which overflows at {ncols} columns",
+                self.kind.as_str(),
+                self.output_dim
+            ))
+        })?;
+        let mut out = self.clone();
+        out.output_dim = EmbeddingDim::Exact(k);
+        Ok(out)
+    }
+
+    /// The `(input, output)` dimensions [`build`](Self::build) constructs, or the typed
+    /// error it returns: the spec must carry an exact, non-zero output dimension and a
+    /// non-zero input dimension.
+    pub fn exact_dims(&self) -> Result<(usize, usize), Error> {
         let EmbeddingDim::Exact(k) = self.output_dim else {
             return Err(Error::invalid_param(format!(
                 "spec for {} has embedding rule {:?}; call build_for(device, ncols) or resolve(ncols) first",
@@ -289,7 +323,7 @@ impl SketchSpec {
         device: &Device,
         ncols: usize,
     ) -> Result<Box<dyn SketchOperator>, Error> {
-        self.resolve(ncols).build(device)
+        self.try_resolve(ncols)?.build(device)
     }
 
     fn check_kind(&self, expected: SketchKind) -> Result<(), Error> {
@@ -490,7 +524,7 @@ impl Pipeline {
         let mut resolved = Vec::with_capacity(self.stages.len());
         let mut prev_out: Option<usize> = None;
         for stage in &self.stages {
-            let mut stage = stage.resolve(ncols);
+            let mut stage = stage.try_resolve(ncols)?;
             match (stage.input_dim, prev_out) {
                 (0, Some(k)) => stage.input_dim = k,
                 (0, None) => {
@@ -732,6 +766,32 @@ mod tests {
         assert_eq!(EmbeddingDim::Square(2).resolve(32), 2048);
         assert!(!EmbeddingDim::Exact(1).needs_ncols());
         assert!(EmbeddingDim::Ratio(2).needs_ncols());
+    }
+
+    #[test]
+    fn embedding_rule_overflow_is_a_typed_error() {
+        assert_eq!(EmbeddingDim::Square(2).checked_resolve(32), Some(2048));
+        assert_eq!(EmbeddingDim::Ratio(2).checked_resolve(usize::MAX), None);
+        assert_eq!(EmbeddingDim::Square(1).checked_resolve(usize::MAX), None);
+        assert_eq!(
+            EmbeddingDim::Exact(usize::MAX).checked_resolve(usize::MAX),
+            Some(usize::MAX)
+        );
+        let spec = SketchSpec::countsketch(64, EmbeddingDim::Square(2), 1);
+        let invalid = |r: Result<(), Error>| matches!(r, Err(Error::InvalidParameter { .. }));
+        assert!(invalid(spec.try_resolve(usize::MAX).map(|_| ())));
+        assert!(invalid(
+            spec.build_for(&Device::unlimited(), usize::MAX).map(|_| ())
+        ));
+        assert!(invalid(
+            Pipeline::single(spec).resolve(usize::MAX).map(|_| ())
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn infallible_resolve_panics_instead_of_wrapping() {
+        let _ = EmbeddingDim::Square(2).resolve(usize::MAX);
     }
 
     #[test]

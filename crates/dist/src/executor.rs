@@ -388,8 +388,13 @@ pub fn pipelined_sketch<'a>(
             ShardAxis::Cols => input.ncols(),
         };
         let n = input.ncols();
-        let k = spec.output_dim.resolve(n);
         let kind = spec.kind.as_str();
+        let k = spec.output_dim.checked_resolve(n).ok_or_else(|| {
+            DistError::invalid_param(format!(
+                "{kind} stage's embedding rule {:?} overflows at {n} columns",
+                spec.output_dim
+            ))
+        })?;
         let build_device = pool.device(state.alive[0]);
 
         // The stage operator is built once and its generation replicated to

@@ -12,23 +12,31 @@
 //!
 //! The pre-blocking per-element kernel survives as [`gemm_naive_into`]: it is the
 //! baseline the `fig_kernels` regression harness times the blocked kernel against, and
-//! the independent oracle the blocked-vs-naive proptests compare values with.
+//! the independent oracle the blocked-vs-naive proptests compare values with.  The
+//! one-vector-at-a-time solves survive likewise as [`trsm_naive`] and
+//! [`trsm_right_naive`], the references the lockstep solves must equal bit for bit.
 
 use crate::blas1::dot_unrecorded;
 use crate::blas2::Triangle;
 use crate::error::{dim_err, LaError};
-use crate::gebp::{self, BlockSizes};
+use crate::gebp::{self, BlockSizes, Tier};
 use crate::matrix::{Layout, Matrix, MatrixViewMut, Op};
 use rayon::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
+use std::ops::Range;
 
 /// Block size (rows/columns) of the blocked triangular solves.  A fixed constant — not
 /// a tunable — so the trailing-update order stays a pure function of the problem shape.
 const TRSM_NB: usize = 64;
 
-/// Number of right-hand-side vectors one parallel TRSM task solves together (the packed
-/// triangle row is reused across the group while it is hot in cache).
-const TRSM_GROUP: usize = 4;
+/// Number of right-hand-side vectors solved together in lockstep.  The group is
+/// transposed so the vector index is innermost, and each triangle element then advances
+/// every vector's chain at once.  A cache and register constant, not a numeric one:
+/// each chain keeps its own subtraction order.
+const TRSM_GROUP: usize = 8;
+
+/// Elements of `X` one parallel TRSM task solves (at least one group).
+const TRSM_TASK_ELEMS: usize = 1 << 14;
 
 /// Pack `op(A)` so that its rows are contiguous (row-major copy of the logical operand).
 fn pack_rows(a: &Matrix, op: Op) -> Vec<f64> {
@@ -384,54 +392,283 @@ fn pack_triangle(t: &Matrix, op_t: Op) -> Vec<f64> {
     tp
 }
 
-/// Blocked triangular solve applied to every length-`n` vector stored contiguously in
-/// `chunk`, reading the packed row-major triangle `tp`.
+/// Solves every right-hand side of a triangular system with `solve_all` and records
+/// the modelled cost.
+///
+/// The left solve `op(T) X = B` solves the columns of `B` against `op(T)` into a
+/// column-major `X`.  The right solve `X op(T) = B` is `op(T)ᵀ Xᵀ = Bᵀ`, so it solves
+/// the rows of `B` against the flipped operand into a row-major `X`.  Either way the
+/// solved vectors lie contiguously in `X`, and `solve_all` receives the packed
+/// triangle, the triangle it presents (`Upper` means back substitution), `B`, whether
+/// the vectors are `B`'s rows, and `X`'s storage.
+fn triangular_solve(
+    device: &Device,
+    right: bool,
+    (triangle, op_t, t): (Triangle, Op, &Matrix),
+    b: &Matrix,
+    solve_all: fn(&[f64], usize, Triangle, &Matrix, bool, &mut [f64]),
+) -> Result<Matrix, LaError> {
+    let name = if right { "trsm_right" } else { "trsm" };
+    let n = t.nrows();
+    if t.ncols() != n {
+        return Err(dim_err(name, format!("T is {}x{}", t.nrows(), t.ncols())));
+    }
+    let (b_len, vectors) = if right {
+        (b.ncols(), b.nrows())
+    } else {
+        (b.nrows(), b.ncols())
+    };
+    if b_len != n {
+        return Err(dim_err(
+            name,
+            format!("T is {n}x{n} but B is {}x{}", b.nrows(), b.ncols()),
+        ));
+    }
+    for i in 0..n {
+        if t.get(i, i) == 0.0 {
+            return Err(LaError::SingularTriangular { index: i });
+        }
+    }
+    let op = match (right, op_t) {
+        (false, op) => op,
+        (true, Op::NoTrans) => Op::Trans,
+        (true, Op::Trans) => Op::NoTrans,
+    };
+    let effective = match (triangle, op) {
+        (Triangle::Upper, Op::NoTrans) | (Triangle::Lower, Op::Trans) => Triangle::Upper,
+        (Triangle::Lower, Op::NoTrans) | (Triangle::Upper, Op::Trans) => Triangle::Lower,
+    };
+    let mut x = if right {
+        Matrix::zeros_with_layout(vectors, n, Layout::RowMajor)
+    } else {
+        Matrix::zeros(n, vectors)
+    };
+    solve_all(
+        &pack_triangle(t, op),
+        n,
+        effective,
+        b,
+        right,
+        x.as_mut_slice(),
+    );
+
+    let (n64, r64) = (n as u64, vectors as u64);
+    device.record(KernelCost::new(
+        KernelCost::f64_bytes(n64 * (n64 + 1) / 2 + n64 * r64),
+        KernelCost::f64_bytes(n64 * r64),
+        n64 * n64 * r64,
+        1,
+    ));
+    Ok(x)
+}
+
+/// `x[i] - Σ_{j ∈ js} T[i, j] · x[j]` for every lane of a transposed group, subtracting
+/// in ascending `j`: one independent chain per lane, all advancing in lockstep.
+#[inline(always)]
+fn lane_update(xt: &[f64], i: usize, trow: &[f64], js: Range<usize>) -> [f64; TRSM_GROUP] {
+    let mut acc: [f64; TRSM_GROUP] = xt[i * TRSM_GROUP..(i + 1) * TRSM_GROUP]
+        .try_into()
+        .expect("one lane per vector");
+    let xs = xt[js.start * TRSM_GROUP..js.end * TRSM_GROUP].chunks_exact(TRSM_GROUP);
+    for (&t, xj) in trow[js].iter().zip(xs) {
+        for (a, &x) in acc.iter_mut().zip(xj) {
+            *a -= t * x;
+        }
+    }
+    acc
+}
+
+/// Blocked triangular solve of one group of [`TRSM_GROUP`] vectors, transposed so the
+/// vector index is innermost (`xt[j * TRSM_GROUP + v]` is element `j` of vector `v`).
 ///
 /// Left-looking over [`TRSM_NB`] diagonal blocks with GEMM-style trailing updates.  Per
 /// element the subtraction order is: all already-solved `j` outside the current block
 /// in ascending order (trailing blocks ascend, and their `j` ranges concatenate into
 /// one ascending run), then the in-block `j` ascending — for the `Lower` direction that
 /// is exactly the naive ascending-`j` order.  `TRSM_NB` is a constant, so the order is
-/// a pure function of `n`.
-fn solve_vectors_blocked(tp: &[f64], n: usize, effective: Triangle, chunk: &mut [f64]) {
+/// a pure function of `n`, and it is the order of [`solve_vector_naive`] lane by lane.
+#[inline(always)]
+fn solve_group_body(tp: &[f64], n: usize, effective: Triangle, xt: &mut [f64]) {
+    let row = |i: usize| &tp[i * n..(i + 1) * n];
+    let lanes = |i: usize| i * TRSM_GROUP..(i + 1) * TRSM_GROUP;
+    let nblocks = n.div_ceil(TRSM_NB);
+    for step in 0..nblocks {
+        // Back substitution solves the blocks last to first, forward first to last.
+        let bi = match effective {
+            Triangle::Upper => nblocks - 1 - step,
+            Triangle::Lower => step,
+        };
+        let i0 = bi * TRSM_NB;
+        let i1 = (i0 + TRSM_NB).min(n);
+        // Trailing update x[i0..i1] -= T[i0..i1, solved] · x[solved], blocked over j
+        // so one TRSM_NB-wide strip of T stays hot per pass.
+        let solved = match effective {
+            Triangle::Upper => i1..n,
+            Triangle::Lower => 0..i0,
+        };
+        for j0 in solved.clone().step_by(TRSM_NB) {
+            let js = j0..(j0 + TRSM_NB).min(solved.end);
+            for i in i0..i1 {
+                let acc = lane_update(xt, i, row(i), js.clone());
+                xt[lanes(i)].copy_from_slice(&acc);
+            }
+        }
+        // Diagonal block substitution.
+        let mut substitute = |i: usize, js: Range<usize>| {
+            let acc = lane_update(xt, i, row(i), js);
+            let diag = row(i)[i];
+            for (x, a) in xt[lanes(i)].iter_mut().zip(acc) {
+                *x = a / diag;
+            }
+        };
+        match effective {
+            Triangle::Upper => (i0..i1).rev().for_each(|i| substitute(i, i + 1..i1)),
+            Triangle::Lower => (i0..i1).for_each(|i| substitute(i, i0..i)),
+        }
+    }
+}
+
+/// [`solve_group_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn solve_group_avx2(tp: &[f64], n: usize, effective: Triangle, xt: &mut [f64]) {
+    solve_group_body(tp, n, effective, xt);
+}
+
+/// Solve one transposed group in the given tier.
+fn solve_group(tier: Tier, tp: &[f64], n: usize, effective: Triangle, xt: &mut [f64]) {
+    match tier {
+        Tier::Baseline => solve_group_body(tp, n, effective, xt),
+        // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { solve_group_avx2(tp, n, effective, xt) },
+    }
+}
+
+/// Solve every length-`n` vector of `x` (stored contiguously, one after another)
+/// against the packed triangle `tp`, reading the right-hand sides from `b`: its rows
+/// when `by_rows`, else its columns.
+///
+/// Each parallel task owns a run of whole groups of [`TRSM_GROUP`] vectors.  A group
+/// is gathered from `b` straight into a task-local transposed buffer in `b`'s storage
+/// order, solved in lockstep, and scattered into `x`; a ragged last group pads its
+/// missing lanes with zeros that are never read back.
+fn solve_vectors(
+    tp: &[f64],
+    n: usize,
+    effective: Triangle,
+    b: &Matrix,
+    by_rows: bool,
+    x: &mut [f64],
+) {
     if n == 0 {
         return;
     }
-    let mut vecs: Vec<&mut [f64]> = chunk.chunks_mut(n).collect();
+    let tier = Tier::detect();
+    let (rs, cs) = match b.layout() {
+        Layout::RowMajor => (b.ncols(), 1),
+        Layout::ColMajor => (1, b.nrows()),
+    };
+    // Element `j` of vector `v` is `data[v * vs + j * es]`.
+    let (vs, es) = if by_rows { (rs, cs) } else { (cs, rs) };
+    let data = b.as_slice();
+    let group = n * TRSM_GROUP;
+    let per_task = (TRSM_TASK_ELEMS / group).max(1);
+    x.par_chunks_mut(group * per_task)
+        .with_max_len(1)
+        .enumerate()
+        .for_each(|(t, chunk)| {
+            let mut xt = vec![0.0f64; group];
+            for (g, xs) in chunk.chunks_mut(group).enumerate() {
+                let v0 = (t * per_task + g) * TRSM_GROUP;
+                let count = xs.len() / n;
+                if count < TRSM_GROUP {
+                    xt.fill(0.0);
+                }
+                if es == 1 {
+                    for v in 0..count {
+                        let src = &data[(v0 + v) * vs..(v0 + v) * vs + n];
+                        for (lanes, &value) in xt.chunks_exact_mut(TRSM_GROUP).zip(src) {
+                            lanes[v] = value;
+                        }
+                    }
+                } else {
+                    // `vs == 1`: the group's lanes of each element are adjacent.
+                    for (j, lanes) in xt.chunks_exact_mut(TRSM_GROUP).enumerate() {
+                        let at = v0 + j * es;
+                        lanes[..count].copy_from_slice(&data[at..at + count]);
+                    }
+                }
+                solve_group(tier, tp, n, effective, &mut xt);
+                for (v, out) in xs.chunks_exact_mut(n).enumerate() {
+                    for (slot, lanes) in out.iter_mut().zip(xt.chunks_exact(TRSM_GROUP)) {
+                        *slot = lanes[v];
+                    }
+                }
+            }
+        });
+}
+
+/// Triangular solve with multiple right-hand sides: solves `op(T) X = B` (left side).
+pub fn trsm(
+    device: &Device,
+    triangle: Triangle,
+    op_t: Op,
+    t: &Matrix,
+    b: &Matrix,
+) -> Result<Matrix, LaError> {
+    triangular_solve(device, false, (triangle, op_t, t), b, solve_vectors)
+}
+
+/// Right-side triangular solve: solves `X op(T) = B`, i.e. `X = B op(T)^{-1}`.
+///
+/// Used by rand_cholQR to precondition `A₀ = A R₀^{-1}` (Algorithm 4, step 3).
+/// `X op(T) = B  <=>  op(T)ᵀ Xᵀ = Bᵀ`, so the rows of `X` are solved with the flipped
+/// operand — directly into the row-major result buffer, whose rows are the solved
+/// vectors; the rows of a row-major `B` are read as contiguous slices.
+pub fn trsm_right(
+    device: &Device,
+    triangle: Triangle,
+    op_t: Op,
+    t: &Matrix,
+    b: &Matrix,
+) -> Result<Matrix, LaError> {
+    triangular_solve(device, true, (triangle, op_t, t), b, solve_vectors)
+}
+
+/// The blocked solve of one vector, each element one chain of subtractions in the
+/// order [`solve_group_body`] documents: the reference every lockstep lane must equal.
+fn solve_vector_naive(tp: &[f64], n: usize, effective: Triangle, x: &mut [f64]) {
     let nblocks = n.div_ceil(TRSM_NB);
     match effective {
         Triangle::Upper => {
             for bi in (0..nblocks).rev() {
                 let i0 = bi * TRSM_NB;
                 let i1 = (i0 + TRSM_NB).min(n);
-                // Trailing update x[i0..i1] -= T[i0..i1, i1..n] · x[i1..n], blocked
-                // over j so one TRSM_NB-wide strip of T stays hot per pass.
                 let mut j0 = i1;
                 while j0 < n {
                     let j1 = (j0 + TRSM_NB).min(n);
                     for i in i0..i1 {
                         let trow = &tp[i * n..(i + 1) * n];
-                        for vec in vecs.iter_mut() {
-                            let mut acc = vec[i];
-                            for j in j0..j1 {
-                                acc -= trow[j] * vec[j];
-                            }
-                            vec[i] = acc;
+                        let mut acc = x[i];
+                        for j in j0..j1 {
+                            acc -= trow[j] * x[j];
                         }
+                        x[i] = acc;
                     }
                     j0 = j1;
                 }
-                // Diagonal block back-substitution.
                 for i in (i0..i1).rev() {
                     let trow = &tp[i * n..(i + 1) * n];
-                    let diag = trow[i];
-                    for vec in vecs.iter_mut() {
-                        let mut acc = vec[i];
-                        for j in i + 1..i1 {
-                            acc -= trow[j] * vec[j];
-                        }
-                        vec[i] = acc / diag;
+                    let mut acc = x[i];
+                    for j in i + 1..i1 {
+                        acc -= trow[j] * x[j];
                     }
+                    x[i] = acc / trow[i];
                 }
             }
         }
@@ -444,164 +681,69 @@ fn solve_vectors_blocked(tp: &[f64], n: usize, effective: Triangle, chunk: &mut 
                     let j1 = (j0 + TRSM_NB).min(i0);
                     for i in i0..i1 {
                         let trow = &tp[i * n..(i + 1) * n];
-                        for vec in vecs.iter_mut() {
-                            let mut acc = vec[i];
-                            for j in j0..j1 {
-                                acc -= trow[j] * vec[j];
-                            }
-                            vec[i] = acc;
+                        let mut acc = x[i];
+                        for j in j0..j1 {
+                            acc -= trow[j] * x[j];
                         }
+                        x[i] = acc;
                     }
                     j0 = j1;
                 }
-                // Diagonal block forward-substitution.
                 for i in i0..i1 {
                     let trow = &tp[i * n..(i + 1) * n];
-                    let diag = trow[i];
-                    for vec in vecs.iter_mut() {
-                        let mut acc = vec[i];
-                        for j in i0..i {
-                            acc -= trow[j] * vec[j];
-                        }
-                        vec[i] = acc / diag;
+                    let mut acc = x[i];
+                    for j in i0..i {
+                        acc -= trow[j] * x[j];
                     }
+                    x[i] = acc / trow[i];
                 }
             }
         }
     }
 }
 
-/// Triangular solve with multiple right-hand sides: solves `op(T) X = B` (left side).
-pub fn trsm(
-    device: &Device,
-    triangle: Triangle,
-    op_t: Op,
-    t: &Matrix,
+/// Solve every vector of `x` on its own with [`solve_vector_naive`], copying each
+/// right-hand side in from `b` element by element (its rows when `by_rows`).
+fn solve_vectors_naive(
+    tp: &[f64],
+    n: usize,
+    effective: Triangle,
     b: &Matrix,
-) -> Result<Matrix, LaError> {
-    let n = t.nrows();
-    if t.ncols() != n {
-        return Err(dim_err("trsm", format!("T is {}x{}", t.nrows(), t.ncols())));
-    }
-    if b.nrows() != n {
-        return Err(dim_err(
-            "trsm",
-            format!("T is {n}x{n} but B is {}x{}", b.nrows(), b.ncols()),
-        ));
-    }
-    let nrhs = b.ncols();
-
-    let effective = match (triangle, op_t) {
-        (Triangle::Upper, Op::NoTrans) | (Triangle::Lower, Op::Trans) => Triangle::Upper,
-        (Triangle::Lower, Op::NoTrans) | (Triangle::Upper, Op::Trans) => Triangle::Lower,
-    };
-    // Validate the diagonal once up front.
-    for i in 0..n {
-        if op_t.get(t, i, i) == 0.0 {
-            return Err(LaError::SingularTriangular { index: i });
-        }
-    }
-
-    let tp = pack_triangle(t, op_t);
-    let mut x = Matrix::zeros(n, nrhs);
-    {
-        let data = x.as_mut_slice();
-        // Column-major X: each parallel task owns TRSM_GROUP whole columns and solves
-        // them together against the packed triangle (columns are independent, so the
-        // grouping is a cache choice, not a numeric one).
-        data.par_chunks_mut((n * TRSM_GROUP).max(1))
-            .enumerate()
-            .for_each(|(gi, chunk)| {
-                let ncols = chunk.len() / n.max(1);
-                for (c, col) in chunk.chunks_mut(n.max(1)).enumerate() {
-                    let j = gi * TRSM_GROUP + c;
-                    for (i, slot) in col.iter_mut().enumerate() {
-                        *slot = b.get(i, j);
-                    }
-                }
-                debug_assert!(ncols <= TRSM_GROUP);
-                solve_vectors_blocked(&tp, n, effective, chunk);
-            });
-    }
-
-    let (n64, r64) = (n as u64, nrhs as u64);
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes(n64 * (n64 + 1) / 2 + n64 * r64),
-        KernelCost::f64_bytes(n64 * r64),
-        n64 * n64 * r64,
-        1,
-    ));
-    Ok(x)
+    by_rows: bool,
+    x: &mut [f64],
+) {
+    x.par_chunks_mut(n.max(1))
+        .enumerate()
+        .for_each(|(v, vector)| {
+            for (j, slot) in vector.iter_mut().enumerate() {
+                *slot = if by_rows { b.get(v, j) } else { b.get(j, v) };
+            }
+            solve_vector_naive(tp, n, effective, vector);
+        });
 }
 
-/// Right-side triangular solve: solves `X op(T) = B`, i.e. `X = B op(T)^{-1}`.
-///
-/// Used by rand_cholQR to precondition `A₀ = A R₀^{-1}` (Algorithm 4, step 3).
-/// `X op(T) = B  <=>  op(T)ᵀ Xᵀ = Bᵀ`, so the rows of `X` are solved with the flipped
-/// operand — directly inside the row-major result buffer, one flat allocation with
-/// `par_chunks_mut` over row groups (no per-row `Vec`s, no serial copy-out).
-pub fn trsm_right(
+/// [`trsm`] one right-hand side at a time: the reference the lockstep solve is pinned
+/// to bit for bit.  Records the same cost.
+pub fn trsm_naive(
     device: &Device,
     triangle: Triangle,
     op_t: Op,
     t: &Matrix,
     b: &Matrix,
 ) -> Result<Matrix, LaError> {
-    let n = t.nrows();
-    if t.ncols() != n {
-        return Err(dim_err(
-            "trsm_right",
-            format!("T is {}x{}", t.nrows(), t.ncols()),
-        ));
-    }
-    if b.ncols() != n {
-        return Err(dim_err(
-            "trsm_right",
-            format!("T is {n}x{n} but B is {}x{}", b.nrows(), b.ncols()),
-        ));
-    }
-    let flipped_op = match op_t {
-        Op::NoTrans => Op::Trans,
-        Op::Trans => Op::NoTrans,
-    };
-    let effective = match (triangle, flipped_op) {
-        (Triangle::Upper, Op::NoTrans) | (Triangle::Lower, Op::Trans) => Triangle::Upper,
-        (Triangle::Lower, Op::NoTrans) | (Triangle::Upper, Op::Trans) => Triangle::Lower,
-    };
-    for i in 0..n {
-        if t.get(i, i) == 0.0 {
-            return Err(LaError::SingularTriangular { index: i });
-        }
-    }
+    triangular_solve(device, false, (triangle, op_t, t), b, solve_vectors_naive)
+}
 
-    let m = b.nrows();
-    let tp = pack_triangle(t, flipped_op);
-    let mut x = Matrix::zeros_with_layout(m, n, Layout::RowMajor);
-    {
-        let data = x.as_mut_slice();
-        // Row-major X: rows are contiguous, so each parallel task owns TRSM_GROUP
-        // whole rows of the result and solves them in place.
-        data.par_chunks_mut((n * TRSM_GROUP).max(1))
-            .enumerate()
-            .for_each(|(gi, chunk)| {
-                for (c, row) in chunk.chunks_mut(n.max(1)).enumerate() {
-                    let r = gi * TRSM_GROUP + c;
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot = b.get(r, j);
-                    }
-                }
-                solve_vectors_blocked(&tp, n, effective, chunk);
-            });
-    }
-
-    let (n64, m64) = (n as u64, m as u64);
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes(n64 * (n64 + 1) / 2 + m64 * n64),
-        KernelCost::f64_bytes(m64 * n64),
-        m64 * n64 * n64,
-        1,
-    ));
-    Ok(x)
+/// [`trsm_right`] one right-hand side at a time: the reference the lockstep solve is
+/// pinned to bit for bit.  Records the same cost.
+pub fn trsm_right_naive(
+    device: &Device,
+    triangle: Triangle,
+    op_t: Op,
+    t: &Matrix,
+    b: &Matrix,
+) -> Result<Matrix, LaError> {
+    triangular_solve(device, true, (triangle, op_t, t), b, solve_vectors_naive)
 }
 
 #[cfg(test)]
@@ -998,6 +1140,64 @@ mod tests {
         let b = gemm(&d, 1.0, &x_true, &r, 0.0, None).unwrap();
         let x = trsm_right(&d, Triangle::Upper, Op::NoTrans, &r, &b).unwrap();
         assert_close(&x, &x_true, 1e-8);
+    }
+
+    /// A well-conditioned packed `n x n` triangle and a transposed group of right-hand
+    /// sides, both with exact zeros of both signs and subnormals mixed in.
+    fn hostile_group(n: usize, effective: Triangle) -> (Vec<f64>, Vec<f64>) {
+        let special = |i: usize, j: usize, x: f64| match (i * 5 + j * 3) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => x * 1e-310,
+            _ => x,
+        };
+        let g = Matrix::random_gaussian(n, n, Layout::RowMajor, n as u64, 0);
+        let mut tp = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let inside = match effective {
+                    Triangle::Upper => i < j,
+                    Triangle::Lower => i > j,
+                };
+                tp[i * n + j] = if i == j {
+                    2.0 + g.get(i, j).abs()
+                } else if inside {
+                    special(i, j, 0.3 * g.get(i, j))
+                } else {
+                    0.0
+                };
+            }
+        }
+        let rhs = Matrix::random_gaussian(n, TRSM_GROUP, Layout::RowMajor, n as u64, 1);
+        let xt = (0..n * TRSM_GROUP)
+            .map(|e| special(e / TRSM_GROUP, e % TRSM_GROUP, rhs.as_slice()[e]))
+            .collect();
+        (tp, xt)
+    }
+
+    #[test]
+    fn avx2_trsm_group_reproduces_the_baseline_bits() {
+        let tier = Tier::detect();
+        for n in [1usize, 5, 63, 64, 65, 130] {
+            for effective in [Triangle::Upper, Triangle::Lower] {
+                let (tp, xt) = hostile_group(n, effective);
+                let mut baseline = xt.clone();
+                solve_group_body(&tp, n, effective, &mut baseline);
+                // On a host without AVX2 `tier` is the baseline and this pins the
+                // fallback against itself.
+                let mut tiered = xt.clone();
+                solve_group(tier, &tp, n, effective, &mut tiered);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tiered), bits(&baseline), "n={n} {effective:?}");
+                // And every lane is the per-vector solve of its own right-hand side.
+                for v in 0..TRSM_GROUP {
+                    let mut x: Vec<f64> = (0..n).map(|j| xt[j * TRSM_GROUP + v]).collect();
+                    solve_vector_naive(&tp, n, effective, &mut x);
+                    let lane: Vec<f64> = (0..n).map(|j| tiered[j * TRSM_GROUP + v]).collect();
+                    assert_eq!(bits(&lane), bits(&x), "n={n} {effective:?} lane {v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,23 @@
 //! Bit-for-bit pins of the fast `sketch-la` kernels against the per-element
 //! references they replaced (`geqrf_naive`, `QrFactors::q_thin_naive`,
-//! `Matrix::to_layout_naive`, `Matrix::transpose_into_naive`, `gemv_naive`).
+//! `Matrix::to_layout_naive`, `Matrix::transpose_into_naive`, `gemv_naive`,
+//! `trsm_naive`, `trsm_right_naive`) and of the GEBP products against a
+//! single-chain oracle.
 //!
 //! The column-grouped Householder QR, the in-place thin `Q`, the tile-copy layout
-//! conversion and the storage-order GEMV keep every output's exact operation
-//! sequence, so each must match its reference in every bit — and record the same
-//! modelled cost — at any thread count.  Every case runs on pools of 1 and 3
-//! threads through `ThreadPoolBuilder::install`.
+//! conversion, the storage-order GEMV and the lockstep triangular solves keep every
+//! output's exact operation sequence, so each must match its reference in every bit —
+//! and record the same modelled cost — at any thread count.  The GEBP products
+//! (`gemm_into`, `gram_gemm`, `syrk_gram`) must equal one ascending-`k` chain per
+//! element in whichever instruction-set tier the host runs.  Every case runs on pools
+//! of 1 and 3 threads through `ThreadPoolBuilder::install`.
 
 use proptest::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
-use sketch_la::blas2::{gemv, gemv_naive};
+use sketch_la::blas2::{gemv, gemv_naive, Triangle};
+use sketch_la::blas3::{
+    gemm_into, gram_gemm, syrk_gram, trsm, trsm_naive, trsm_right, trsm_right_naive,
+};
 use sketch_la::qr::{geqrf, geqrf_naive, geqrf_owned, QrFactors};
 use sketch_la::{Layout, Matrix, Op};
 
@@ -87,6 +94,150 @@ fn check_qr(a: &Matrix) {
             prop_assert_eq!(bits(q_owned.as_slice()), bits(q_ref.as_slice()));
             prop_assert_eq!(cost, ref_cost);
         });
+    }
+}
+
+/// `alpha · (Σ_k op(A)[i, k] · op(B)[k, j]) + beta · C[i, j]` with the sum one chain
+/// from `0.0` in ascending `k`, and `beta · C` added only for a non-zero `beta` — the
+/// single-chain oracle every GEBP product must equal bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn single_chain(
+    alpha: f64,
+    op_a: Op,
+    a: &Matrix,
+    op_b: Op,
+    b: &Matrix,
+    beta: f64,
+    c: Option<&Matrix>,
+    layout: Layout,
+) -> Matrix {
+    Matrix::from_fn(op_a.rows(a), op_b.cols(b), layout, |i, j| {
+        let mut acc = 0.0f64;
+        for kk in 0..op_a.cols(a) {
+            acc += op_a.get(a, i, kk) * op_b.get(b, kk, j);
+        }
+        let mut value = alpha * acc;
+        if let (Some(c), true) = (c, beta != 0.0) {
+            value += beta * c.get(i, j);
+        }
+        value
+    })
+}
+
+/// `gemm_into` of both output layouts, `gram_gemm` and `syrk_gram` against the
+/// single-chain oracle, at 1 and 3 threads.
+#[allow(clippy::too_many_arguments)]
+fn check_products(
+    m: usize,
+    k: usize,
+    n: usize,
+    op_a: Op,
+    op_b: Op,
+    (la, lb): (Layout, Layout),
+    (alpha, beta): (f64, f64),
+    seed: u64,
+) {
+    let shaped = |rows: usize, cols: usize, op: Op| match op {
+        Op::NoTrans => (rows, cols),
+        Op::Trans => (cols, rows),
+    };
+    let (ar, ac) = shaped(m, k, op_a);
+    let (br, bc) = shaped(k, n, op_b);
+    let a = Matrix::random_gaussian(ar, ac, la, seed, 0);
+    let b = Matrix::random_gaussian(br, bc, lb, seed, 1);
+    let c = Matrix::random_gaussian(m, n, lb, seed, 2);
+    // The Gram operand: k x n, so the Gram is n x n over the long k axis.
+    let g = Matrix::random_gaussian(k, n, la, seed, 3);
+    let gram_oracle = single_chain(
+        1.0,
+        Op::Trans,
+        &g,
+        Op::NoTrans,
+        &g,
+        0.0,
+        None,
+        Layout::ColMajor,
+    );
+    for layout in [Layout::ColMajor, Layout::RowMajor] {
+        let oracle = single_chain(alpha, op_a, &a, op_b, &b, beta, Some(&c), layout);
+        for threads in THREADS {
+            let mut got = Matrix::from_fn(m, n, layout, |_, _| f64::NAN);
+            with_threads(threads, || {
+                gemm_into(
+                    &Device::unlimited(),
+                    alpha,
+                    op_a,
+                    &a,
+                    op_b,
+                    &b,
+                    beta,
+                    Some(&c),
+                    &mut got.view_mut(),
+                )
+                .expect("shapes match")
+            });
+            prop_assert_eq!(bits(got.as_slice()), bits(oracle.as_slice()));
+        }
+    }
+    for threads in THREADS {
+        let (gram, syrk) = with_threads(threads, || {
+            let d = Device::unlimited();
+            (
+                gram_gemm(&d, &g).expect("square product"),
+                syrk_gram(&d, &g),
+            )
+        });
+        prop_assert_eq!(bits(gram.as_slice()), bits(gram_oracle.as_slice()));
+        prop_assert_eq!(bits(syrk.as_slice()), bits(gram_oracle.as_slice()));
+    }
+}
+
+/// A well-conditioned `n x n` triangle (zeros outside it).
+fn triangle(n: usize, upper: bool, layout: Layout, seed: u64) -> Matrix {
+    let g = Matrix::random_gaussian(n, n, layout, seed, 4);
+    Matrix::from_fn(n, n, layout, |i, j| {
+        if i == j {
+            2.0 + g.get(i, j).abs()
+        } else if (i < j) == upper {
+            0.3 * g.get(i, j)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// `trsm` and `trsm_right` against the per-vector references, for both triangles and
+/// both ops, at 1 and 3 threads: same bits, same recorded cost.
+fn check_solves(n: usize, vectors: usize, (lt, lb): (Layout, Layout), seed: u64) {
+    let left_b = Matrix::random_gaussian(n, vectors, lb, seed, 5);
+    let right_b = Matrix::random_gaussian(vectors, n, lb, seed, 6);
+    for upper in [true, false] {
+        let t = triangle(n, upper, lt, seed);
+        let tri = if upper {
+            Triangle::Upper
+        } else {
+            Triangle::Lower
+        };
+        for op in [Op::NoTrans, Op::Trans] {
+            let (left_ref, left_cost) =
+                costed(|d| trsm_naive(d, tri, op, &t, &left_b).expect("square triangle"));
+            let (right_ref, right_cost) =
+                costed(|d| trsm_right_naive(d, tri, op, &t, &right_b).expect("square triangle"));
+            for threads in THREADS {
+                let (left, cost) = with_threads(threads, || {
+                    costed(|d| trsm(d, tri, op, &t, &left_b).expect("square triangle"))
+                });
+                prop_assert_eq!(left.layout(), left_ref.layout());
+                prop_assert_eq!(bits(left.as_slice()), bits(left_ref.as_slice()));
+                prop_assert_eq!(cost, left_cost);
+                let (right, cost) = with_threads(threads, || {
+                    costed(|d| trsm_right(d, tri, op, &t, &right_b).expect("square triangle"))
+                });
+                prop_assert_eq!(right.layout(), right_ref.layout());
+                prop_assert_eq!(bits(right.as_slice()), bits(right_ref.as_slice()));
+                prop_assert_eq!(cost, right_cost);
+            }
+        }
     }
 }
 
@@ -179,6 +330,78 @@ proptest! {
             prop_assert_eq!(cost, ref_cost);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Long-k products split into several row-panel tasks; every element is still
+    /// one ascending-k chain, whatever the shape, layouts, ops and tier.
+    #[test]
+    fn prop_gebp_products_are_the_single_chain(
+        m in 1usize..41,
+        n in 1usize..41,
+        k in 1usize..2500,
+        ta in 0u8..2,
+        tb in 0u8..2,
+        row_major in 0u8..2,
+        alpha_tenths in -20i32..21,
+        beta_tenths in -20i32..21,
+        seed in 0u64..10_000,
+    ) {
+        let op = |t: u8| if t == 1 { Op::Trans } else { Op::NoTrans };
+        let layouts = if row_major == 1 {
+            (Layout::RowMajor, Layout::ColMajor)
+        } else {
+            (Layout::ColMajor, Layout::RowMajor)
+        };
+        let scalars = (f64::from(alpha_tenths) / 10.0, f64::from(beta_tenths) / 10.0);
+        check_products(m, k, n, op(ta), op(tb), layouts, scalars, seed);
+    }
+
+    /// The lockstep solves cross `TRSM_NB = 64` and leave a ragged last group.
+    #[test]
+    fn prop_triangular_solves_are_bitwise_the_reference(
+        n in 1usize..141,
+        vectors in 1usize..60,
+        row_major in 0u8..2,
+        seed in 0u64..10_000,
+    ) {
+        let layouts = if row_major == 1 {
+            (Layout::RowMajor, Layout::ColMajor)
+        } else {
+            (Layout::ColMajor, Layout::RowMajor)
+        };
+        check_solves(n, vectors, layouts, seed);
+    }
+}
+
+/// Shapes big enough for many tasks: the lsq Gram's 32 columns over a long k, a
+/// ragged Gaussian-sketch shape, and a solve spread over many parallel groups.
+#[test]
+fn many_task_shapes_are_bitwise_exact() {
+    check_products(
+        32,
+        4_096,
+        32,
+        Op::Trans,
+        Op::NoTrans,
+        (Layout::RowMajor, Layout::ColMajor),
+        (1.0, 0.0),
+        1,
+    );
+    check_products(
+        37,
+        3_000,
+        9,
+        Op::NoTrans,
+        Op::NoTrans,
+        (Layout::ColMajor, Layout::RowMajor),
+        (-0.5, 1.5),
+        2,
+    );
+    check_solves(32, 2_003, (Layout::ColMajor, Layout::RowMajor), 3);
+    check_solves(70, 601, (Layout::RowMajor, Layout::ColMajor), 4);
 }
 
 /// Shapes large enough that the trailing updates and `Q` formation run as parallel

@@ -13,7 +13,9 @@
 //! is decided *before* any operand is materialised.  Ahead of every budget, a
 //! job whose operand or Gaussian operator could not be allocated, or whose
 //! modelled sizes overflow `u64`, is refused with
-//! [`RejectReason::SizeOverflow`] — whatever the tenant's limits.
+//! [`RejectReason::SizeOverflow`], and a job whose pipeline does not resolve
+//! to buildable stages (say an output dimension of 0) with
+//! [`RejectReason::InvalidSpec`] — whatever the tenant's limits.
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;

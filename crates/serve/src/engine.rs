@@ -498,6 +498,66 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_spec_is_one_rejection_and_the_other_job_runs() {
+        use crate::file::JobFile;
+        use crate::queue::QueuedJob;
+
+        let file = JobFile::from_json(
+            r#"{"jobs": [
+                {"tenant": "ok",
+                 "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 1024,
+                                          "output_dim": {"exact": 64}, "seed": 3}]},
+                 "operand": {"dense": {"rows": 1024, "cols": 6, "seed": 4}}},
+                {"tenant": "zero",
+                 "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 1024,
+                                          "output_dim": {"exact": 0}, "seed": 1}]},
+                 "operand": {"dense": {"rows": 1024, "cols": 6, "seed": 2}}}
+            ]}"#,
+        )
+        .unwrap();
+        let pool = DevicePool::unlimited(2);
+        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+        let mut refused = Vec::new();
+        for job in file.jobs.iter().cloned() {
+            if let Err(e) = engine.submit(job) {
+                refused.push(e);
+            }
+        }
+        assert!(
+            matches!(
+                &refused[..],
+                [ServeError::Rejected {
+                    reason: crate::error::RejectReason::InvalidSpec { detail },
+                    ..
+                }] if detail.contains("output dimension 0")
+            ),
+            "{refused:?}"
+        );
+        let report = engine.run().unwrap();
+        let zero = &report.tenants["zero"];
+        assert_eq!((zero.jobs_run, zero.jobs_rejected), (0, 1));
+        assert_eq!(zero.rejected_by_reason["invalid_spec"], 1);
+        assert_eq!(report.jobs_run(), 1);
+
+        let solo = Scheduler::new()
+            .run(
+                &DevicePool::unlimited(1),
+                &[QueuedJob {
+                    job: file.jobs[0].clone(),
+                    seq: 0,
+                }],
+            )
+            .unwrap();
+        let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&report.service.jobs[0].run.result),
+            bits(&solo.jobs[0].run.result)
+        );
+    }
+
+    #[test]
     fn metrics_export_is_deterministic_and_namespaced() {
         let pool = DevicePool::unlimited(2);
         let render = || {

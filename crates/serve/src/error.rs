@@ -42,6 +42,13 @@ pub enum RejectReason {
         /// Which quantity overflowed (e.g. `"operand bytes"`).
         quantity: &'static str,
     },
+    /// The job's pipeline does not resolve to buildable stages against its operand
+    /// — for example a stage whose output dimension is 0, or whose input dimension
+    /// does not match the previous stage — so it could never run.
+    InvalidSpec {
+        /// What is wrong with the pipeline.
+        detail: String,
+    },
     /// Every execution attempt hit a dead device and the tenant's retry
     /// budget ([`TenantLimits::max_retries`](crate::TenantLimits::max_retries))
     /// is spent — or no live device is left to retry on.
@@ -60,6 +67,7 @@ impl RejectReason {
             RejectReason::SketchBytesExceeded { .. } => "sketch_bytes_exceeded",
             RejectReason::FlopsExceeded { .. } => "flops_exceeded",
             RejectReason::SizeOverflow { .. } => "size_overflow",
+            RejectReason::InvalidSpec { .. } => "invalid_spec",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
         }
     }
@@ -85,6 +93,7 @@ impl std::fmt::Display for RejectReason {
             RejectReason::SizeOverflow { quantity } => {
                 write!(f, "the job's {quantity} overflow u64 or exceed isize::MAX")
             }
+            RejectReason::InvalidSpec { detail } => write!(f, "invalid pipeline: {detail}"),
             RejectReason::RetriesExhausted { attempts } => write!(
                 f,
                 "abandoned after {attempts} failed attempt(s) on dying devices"
@@ -173,6 +182,15 @@ mod tests {
             reason: r,
         };
         assert!(e.to_string().contains("acme"));
+    }
+
+    #[test]
+    fn invalid_spec_renders_and_tags() {
+        let r = RejectReason::InvalidSpec {
+            detail: "spec for count-sketch resolves to output dimension 0".into(),
+        };
+        assert_eq!(r.as_str(), "invalid_spec");
+        assert!(r.to_string().contains("output dimension 0"));
     }
 
     #[test]

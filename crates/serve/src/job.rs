@@ -18,7 +18,7 @@
 //! executor's determinism does the rest.
 
 use crate::error::{RejectReason, ServeError};
-use sketch_core::{EmbeddingDim, JsonValue, Pipeline, SketchKind, SketchSpec};
+use sketch_core::{JsonValue, Pipeline, SketchKind, SketchSpec};
 use sketch_la::{Layout, Matrix};
 use sketch_rng::fill;
 use sketch_sparse::{CooMatrix, CsrMatrix};
@@ -341,21 +341,28 @@ impl JobSpec {
         }
     }
 
-    /// The pipeline resolved against the operand width, refusing embedding
-    /// rules (`c·n`, `c·n²`) whose dimension overflows `usize`.
+    /// The pipeline resolved against the operand width.  An embedding rule
+    /// (`c·n`, `c·n²`) whose dimension overflows `usize` is a typed
+    /// [`RejectReason::SizeOverflow`]; a pipeline that does not resolve, or a
+    /// stage that [`SketchSpec::build`] would refuse, is a typed
+    /// [`RejectReason::InvalidSpec`].
     fn resolved_stages(&self) -> Result<Vec<SketchSpec>, ServeError> {
         let n = self.operand.cols();
-        for stage in &self.pipeline.stages {
-            let k = match stage.output_dim {
-                EmbeddingDim::Exact(k) => Some(k),
-                EmbeddingDim::Ratio(c) => c.checked_mul(n),
-                EmbeddingDim::Square(c) => c.checked_mul(n).and_then(|cn| cn.checked_mul(n)),
-            };
-            if k.is_none() {
-                return Err(self.size_overflow("embedding dimension"));
-            }
+        let overflows = |stage: &SketchSpec| stage.output_dim.checked_resolve(n).is_none();
+        if self.pipeline.stages.iter().any(overflows) {
+            return Err(self.size_overflow("embedding dimension"));
         }
-        Ok(self.pipeline.resolve(n)?)
+        let invalid = |e: sketch_core::Error| ServeError::Rejected {
+            tenant: self.tenant.clone(),
+            reason: RejectReason::InvalidSpec {
+                detail: e.to_string(),
+            },
+        };
+        let stages = self.pipeline.resolve(n).map_err(invalid)?;
+        for stage in &stages {
+            stage.exact_dims().map_err(invalid)?;
+        }
+        Ok(stages)
     }
 
     /// Refuse a job whose buffers could not be allocated: the materialised

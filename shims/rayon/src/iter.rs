@@ -229,6 +229,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         ParChunksMut {
             slice: self,
             chunk_size,
+            max_len: usize::MAX,
         }
     }
 }
@@ -288,14 +289,28 @@ impl<T: Send> ParIterMutEnumerate<'_, T> {
 pub struct ParChunksMut<'a, T: Send> {
     slice: &'a mut [T],
     chunk_size: usize,
+    max_len: usize,
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
+    /// Put at most `max` chunks in one task (rayon's `with_max_len`).
+    ///
+    /// By default small chunks are grouped until a task owns
+    /// `MIN_TASK_ELEMS` elements; a caller whose chunks are heavy (each
+    /// drives far more work than its length) lifts that grouping here.  The
+    /// cap is the caller's constant, so task boundaries stay a pure function
+    /// of the input length.
+    pub fn with_max_len(mut self, max: usize) -> Self {
+        self.max_len = max.max(1);
+        self
+    }
+
     /// Pair every chunk with its index.
     pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
         ParChunksMutEnumerate {
             slice: self.slice,
             chunk_size: self.chunk_size,
+            max_len: self.max_len,
         }
     }
 
@@ -312,6 +327,7 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
 pub struct ParChunksMutEnumerate<'a, T: Send> {
     slice: &'a mut [T],
     chunk_size: usize,
+    max_len: usize,
 }
 
 impl<T: Send> ParChunksMutEnumerate<'_, T> {
@@ -326,7 +342,7 @@ impl<T: Send> ParChunksMutEnumerate<'_, T> {
         }
         let chunk_size = self.chunk_size;
         let n_chunks = len.div_ceil(chunk_size);
-        let per = units_per_task(n_chunks, chunk_size);
+        let per = units_per_task(n_chunks, chunk_size).min(self.max_len);
         let base = SendPtr(self.slice.as_mut_ptr());
         run_tasks(n_chunks.div_ceil(per), &|t| {
             let first = t * per;
@@ -474,6 +490,20 @@ mod tests {
         });
         for (i, x) in data.iter().enumerate() {
             assert_eq!(*x as usize, i / 64, "element {i}");
+        }
+    }
+
+    #[test]
+    fn with_max_len_splits_small_chunks_into_their_own_tasks() {
+        // Four 250-element chunks group into one task by default.
+        assert!(units_per_task(4, 250) >= 4);
+        let mut data = vec![0u32; 1001];
+        data.par_chunks_mut(250)
+            .with_max_len(1)
+            .enumerate()
+            .for_each(|(c, chunk)| chunk.fill(c as u32));
+        for (i, x) in data.iter().enumerate() {
+            assert_eq!(*x as usize, i / 250, "element {i}");
         }
     }
 
