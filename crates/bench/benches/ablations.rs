@@ -16,10 +16,11 @@ fn bench_ablations(c: &mut Criterion) {
         .resolve(n)
         .build_countsketch(&device)
         .unwrap();
-    let multi = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 2)
-        .build_multisketch(&device, n)
-        .unwrap();
-    let multi_naive = multi.clone().with_naive_layout_handling();
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 2);
+    let multi = plan.build_for(&device, n).unwrap();
+    let stages = plan.resolve(n).unwrap();
+    let multi_count = stages[0].build_countsketch(&device).unwrap();
+    let multi_gauss = stages[1].build_gaussian(&device).unwrap();
 
     let mut group = c.benchmark_group("ablations_d16k_n16");
     group.sample_size(10);
@@ -32,11 +33,15 @@ fn bench_ablations(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("countsketch", "gather"), |b| {
         b.iter(|| count.apply_matrix_gather(&device, &a_rm).unwrap())
     });
-    group.bench_function(BenchmarkId::new("multisketch", "transpose_trick"), |b| {
+    group.bench_function(BenchmarkId::new("multisketch", "row_major_gemm"), |b| {
         b.iter(|| multi.apply_matrix(&device, &a_rm).unwrap())
     });
     group.bench_function(BenchmarkId::new("multisketch", "naive_layout"), |b| {
-        b.iter(|| multi_naive.apply_matrix(&device, &a_rm).unwrap())
+        b.iter(|| {
+            let y = multi_count.apply_matrix(&device, &a_rm).unwrap();
+            let y_cm = y.to_layout(&device, Layout::ColMajor);
+            multi_gauss.apply_matrix(&device, &y_cm).unwrap()
+        })
     });
     group.finish();
 }

@@ -21,7 +21,7 @@ fn bench_sketch_apply(c: &mut Criterion) {
         .build_gaussian(&device)
         .unwrap();
     let multi = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 3)
-        .build_multisketch(&device, n)
+        .build_for(&device, n)
         .unwrap();
     let srht = SketchSpec::srht(d, EmbeddingDim::Ratio(2), 4)
         .resolve(n)

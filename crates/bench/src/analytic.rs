@@ -9,6 +9,7 @@
 use sketch_core::fwht::global_passes;
 use sketch_core::fwht::DEFAULT_TILE;
 use sketch_gpu_sim::{KernelCost, Phase};
+use sketch_lsq::Method;
 
 /// Bytes of `n` doubles.
 const fn f64b(n: u64) -> u64 {
@@ -81,12 +82,67 @@ impl SketchMethod {
         }
     }
 
+    /// The four sketches of the paper's Table 1, in the order it lists them.
+    pub const TABLE1: [SketchMethod; 4] = [
+        SketchMethod::Gaussian,
+        SketchMethod::Srht,
+        SketchMethod::CountAlg2,
+        SketchMethod::MultiSketch,
+    ];
+
     /// Output dimension used by the paper's experiments for a width-`n` operand.
     pub fn embedding_dim(&self, n: usize) -> usize {
         match self {
             SketchMethod::Gram => n,
             SketchMethod::Gaussian | SketchMethod::MultiSketch | SketchMethod::Srht => 2 * n,
             SketchMethod::CountAlg2 | SketchMethod::CountSpmm => 2 * n * n,
+        }
+    }
+
+    /// Table 1's "Embed Dim." column: the asymptotically optimal embedding dimension
+    /// for an `n`-dimensional subspace at distortion `eps`.  The multisketch row takes
+    /// both stage distortions equal to `eps`; the Gram matrix is exact and `n x n`.
+    pub fn asymptotic_embedding_dim(&self, n: usize, eps: f64) -> f64 {
+        let n = n as f64;
+        let inv_eps2 = eps.powi(-2);
+        match self {
+            SketchMethod::Gram => n,
+            SketchMethod::Gaussian | SketchMethod::MultiSketch => inv_eps2 * n,
+            SketchMethod::Srht => inv_eps2 * n * n.max(2.0).log2(),
+            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => inv_eps2 * n * n,
+        }
+    }
+
+    /// Table 1's "Arithmetic" column for a dense `d x n` operand.
+    pub fn arithmetic(&self, d: usize, n: usize) -> f64 {
+        let (d, n) = (d as f64, n as f64);
+        match self {
+            SketchMethod::Gram | SketchMethod::Gaussian => d * n * n,
+            SketchMethod::Srht => d * n * n.max(2.0).log2(),
+            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => d * n,
+            SketchMethod::MultiSketch => d * n + n.powi(4),
+        }
+    }
+
+    /// Table 1's "Read/Writes" column for a dense `d x n` operand, in matrix elements.
+    pub fn read_writes(&self, d: usize, n: usize) -> f64 {
+        let (d, n) = (d as f64, n as f64);
+        match self {
+            SketchMethod::Gram
+            | SketchMethod::Gaussian
+            | SketchMethod::CountAlg2
+            | SketchMethod::CountSpmm => d * n,
+            SketchMethod::Srht => d * n * n.max(2.0).log2(),
+            SketchMethod::MultiSketch => d * n + n.powi(4),
+        }
+    }
+
+    /// Table 1's "Max Distortion" column (the Gram matrix distorts nothing).
+    pub fn max_distortion(&self, eps: f64) -> f64 {
+        match self {
+            SketchMethod::Gram => 1.0,
+            SketchMethod::MultiSketch => (1.0 + eps) * (1.0 + eps),
+            _ => 1.0 + eps,
         }
     }
 
@@ -158,10 +214,9 @@ impl SketchMethod {
             SketchMethod::MultiSketch => {
                 let k1 = 2 * n64 * n64;
                 let k2 = 2 * n64;
-                // CountSketch stage + (Zᵀ = Yᵀ Gᵀ) GEMM + transpose of the small result.
-                countsketch_apply_cost(d64, n64, k1)
-                    + gemm_cost(n64, k1, k2, false)
-                    + KernelCost::new(f64b(k2 * n64), f64b(k2 * n64), 0, 1)
+                // CountSketch stage writing row-major Y, then the Gaussian GEMM reading
+                // Y in place.
+                countsketch_apply_cost(d64, n64, k1) + gemm_cost(k2, k1, n64, false)
             }
             SketchMethod::Srht => {
                 let k = 2 * n64;
@@ -277,94 +332,65 @@ pub fn layout_conversion_cost(rows: u64, cols: u64) -> KernelCost {
     KernelCost::new(f64b(rows * cols), f64b(rows * cols), 0, 1)
 }
 
-/// The least squares methods of Figure 5, with their per-phase analytic costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LsqMethod {
-    /// Normal equations.
-    NormalEq,
-    /// Sketch-and-solve with the given sketch.
-    SketchAndSolve(SketchMethod),
-    /// rand_cholQR least squares driven by the multisketch.
-    RandCholQr,
+/// The sketch a sketch-and-solve [`Method`] applies; `None` for the other solvers.
+pub(crate) fn solver_sketch(method: Method) -> Option<SketchMethod> {
+    match method {
+        Method::Gaussian => Some(SketchMethod::Gaussian),
+        Method::CountSketch => Some(SketchMethod::CountAlg2),
+        Method::MultiSketch => Some(SketchMethod::MultiSketch),
+        Method::Srht => Some(SketchMethod::Srht),
+        _ => None,
+    }
 }
 
-impl LsqMethod {
-    /// The six methods of Figure 5, in plot order.
-    pub const FIGURE5: [LsqMethod; 6] = [
-        LsqMethod::NormalEq,
-        LsqMethod::SketchAndSolve(SketchMethod::Gaussian),
-        LsqMethod::SketchAndSolve(SketchMethod::CountAlg2),
-        LsqMethod::SketchAndSolve(SketchMethod::MultiSketch),
-        LsqMethod::SketchAndSolve(SketchMethod::Srht),
-        LsqMethod::RandCholQr,
-    ];
-
-    /// Label matching the paper's Figure 5 x-axis.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LsqMethod::NormalEq => "Normal Eq",
-            LsqMethod::SketchAndSolve(SketchMethod::Gaussian) => "Gauss",
-            LsqMethod::SketchAndSolve(SketchMethod::CountAlg2) => "Count",
-            LsqMethod::SketchAndSolve(SketchMethod::MultiSketch) => "Multi",
-            LsqMethod::SketchAndSolve(SketchMethod::Srht) => "SRHT",
-            LsqMethod::SketchAndSolve(_) => "Sketch",
-            LsqMethod::RandCholQr => "rand_cholQR",
-        }
+/// Per-phase analytic costs of solving a `d x n` least squares problem with `method`,
+/// in the order the solver charges them; `None` for the methods Figure 5 leaves out
+/// (QR).
+pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, KernelCost)>> {
+    let d64 = d as u64;
+    let n64 = n as u64;
+    if let Some(sketch) = solver_sketch(method) {
+        let k = sketch.embedding_dim(n) as u64;
+        return Some(vec![
+            (Phase::SketchGen, sketch.generation_cost(d, n)),
+            (Phase::MatrixSketch, sketch.apply_cost(d, n)),
+            (Phase::VectorSketch, sketch_vector_cost(sketch, d64, n64)),
+            (
+                Phase::Geqrf,
+                layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
+            ),
+            (Phase::Ormqr, ormqr_cost(k, n64)),
+            (Phase::Trsv, trsv_cost(n64)),
+        ]);
     }
-
-    /// Per-phase analytic costs of solving a `d x n` least squares problem.
-    pub fn phase_costs(&self, d: usize, n: usize) -> Vec<(Phase, KernelCost)> {
-        let d64 = d as u64;
-        let n64 = n as u64;
-        match self {
-            LsqMethod::NormalEq => vec![
+    match method {
+        Method::NormalEquations => Some(vec![
+            (Phase::GramMatrix, gemm_cost(n64, d64, n64, false)),
+            (Phase::ATransposeB, gemv_cost(n64, d64)),
+            (Phase::Potrf, potrf_cost(n64)),
+            (Phase::Trsv, trsv_cost(n64)),
+            (Phase::Trsv, trsv_cost(n64)),
+        ]),
+        Method::RandCholQr => {
+            let sketch = SketchMethod::MultiSketch;
+            let k = sketch.embedding_dim(n) as u64;
+            Some(vec![
+                (Phase::SketchGen, sketch.generation_cost(d, n)),
+                (Phase::MatrixSketch, sketch.apply_cost(d, n)),
+                (
+                    Phase::Geqrf,
+                    layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
+                ),
+                (Phase::Trsm, trsm_right_cost(d64, n64)),
                 (Phase::GramMatrix, gemm_cost(n64, d64, n64, false)),
                 (Phase::ATransposeB, gemv_cost(n64, d64)),
                 (Phase::Potrf, potrf_cost(n64)),
                 (Phase::Trsv, trsv_cost(n64)),
                 (Phase::Trsv, trsv_cost(n64)),
-            ],
-            LsqMethod::SketchAndSolve(sketch) => {
-                let k = sketch.embedding_dim(n) as u64;
-                vec![
-                    (Phase::SketchGen, sketch.generation_cost(d, n)),
-                    (Phase::MatrixSketch, sketch.apply_cost(d, n)),
-                    (Phase::VectorSketch, sketch_vector_cost(*sketch, d64, n64)),
-                    (
-                        Phase::Geqrf,
-                        layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
-                    ),
-                    (Phase::Ormqr, ormqr_cost(k, n64)),
-                    (Phase::Trsv, trsv_cost(n64)),
-                ]
-            }
-            LsqMethod::RandCholQr => {
-                let sketch = SketchMethod::MultiSketch;
-                let k = sketch.embedding_dim(n) as u64;
-                vec![
-                    (Phase::SketchGen, sketch.generation_cost(d, n)),
-                    (Phase::MatrixSketch, sketch.apply_cost(d, n)),
-                    (
-                        Phase::Geqrf,
-                        layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
-                    ),
-                    (Phase::Trsm, trsm_right_cost(d64, n64)),
-                    (Phase::GramMatrix, gemm_cost(n64, d64, n64, false)),
-                    (Phase::ATransposeB, gemv_cost(n64, d64)),
-                    (Phase::Potrf, potrf_cost(n64)),
-                    (Phase::Trsv, trsv_cost(n64)),
-                    (Phase::Trsv, trsv_cost(n64)),
-                    (Phase::Trsv, trsv_cost(n64)),
-                ]
-            }
+                (Phase::Trsv, trsv_cost(n64)),
+            ])
         }
-    }
-
-    /// Total analytic cost across phases.
-    pub fn total_cost(&self, d: usize, n: usize) -> KernelCost {
-        self.phase_costs(d, n)
-            .into_iter()
-            .fold(KernelCost::zero(), |acc, (_, c)| acc + c)
+        _ => None,
     }
 }
 
@@ -527,17 +553,20 @@ mod tests {
 
     #[test]
     fn figure5_labels_and_phase_sets_are_sensible() {
-        assert_eq!(LsqMethod::FIGURE5.len(), 6);
-        for m in LsqMethod::FIGURE5 {
-            let phases = m.phase_costs(1 << 16, 64);
+        assert_eq!(Method::FIGURE5.len(), 6);
+        for m in Method::FIGURE5 {
+            let phases = phase_costs(m, 1 << 16, 64).unwrap();
             assert!(!phases.is_empty());
-            let total = m.total_cost(1 << 16, 64);
+            let total = phases
+                .iter()
+                .fold(KernelCost::zero(), |acc, (_, c)| acc + *c);
             assert!(total.flops > 0);
             assert!(!m.label().is_empty());
         }
-        // The normal equations have no sketch phases.
-        let ne_phases = LsqMethod::NormalEq.phase_costs(1024, 8);
+        // The normal equations have no sketch phases, and QR is not in Figure 5.
+        let ne_phases = phase_costs(Method::NormalEquations, 1024, 8).unwrap();
         assert!(ne_phases.iter().all(|(p, _)| *p != Phase::MatrixSketch));
+        assert!(phase_costs(Method::Qr, 1024, 8).is_none());
     }
 
     #[test]
@@ -547,16 +576,15 @@ mod tests {
         let device = Device::h100();
         let d = 1 << 22;
         let n = 256;
-        let ne: f64 = LsqMethod::NormalEq
-            .phase_costs(d, n)
-            .iter()
-            .map(|(_, c)| device.model_time(c))
-            .sum();
-        let multi: f64 = LsqMethod::SketchAndSolve(SketchMethod::MultiSketch)
-            .phase_costs(d, n)
-            .iter()
-            .map(|(_, c)| device.model_time(c))
-            .sum();
+        let modelled = |method: Method| -> f64 {
+            phase_costs(method, d, n)
+                .unwrap()
+                .iter()
+                .map(|(_, c)| device.model_time(c))
+                .sum()
+        };
+        let ne = modelled(Method::NormalEquations);
+        let multi = modelled(Method::MultiSketch);
         assert!(
             multi < ne,
             "multi {multi} should beat normal equations {ne}"
@@ -567,5 +595,59 @@ mod tests {
             "expected a substantial speedup, got {:.1}%",
             100.0 * speedup
         );
+    }
+
+    #[test]
+    fn table1_lists_its_four_sketches_in_order() {
+        let labels: Vec<&str> = SketchMethod::TABLE1.iter().map(|m| m.label()).collect();
+        assert_eq!(labels, vec!["Gauss", "SRHT", "Count (Alg 2)", "Multi"]);
+    }
+
+    #[test]
+    fn countsketch_needs_quadratic_embedding_dimension() {
+        let n = 64;
+        let eps = 0.5;
+        let cs = SketchMethod::CountAlg2.asymptotic_embedding_dim(n, eps);
+        let gauss = SketchMethod::Gaussian.asymptotic_embedding_dim(n, eps);
+        assert!((cs / gauss - n as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn multisketch_matches_gaussian_embedding_dim_but_countsketch_arithmetic() {
+        let (d, n, eps) = (1 << 21, 128, 0.5);
+        assert_eq!(
+            SketchMethod::MultiSketch.asymptotic_embedding_dim(n, eps),
+            SketchMethod::Gaussian.asymptotic_embedding_dim(n, eps)
+        );
+        // dn + n⁴ is far below dn² for these sizes.
+        assert!(
+            SketchMethod::MultiSketch.arithmetic(d, n) < SketchMethod::Gaussian.arithmetic(d, n)
+        );
+        assert!(
+            SketchMethod::MultiSketch.arithmetic(d, n) >= SketchMethod::CountAlg2.arithmetic(d, n)
+        );
+    }
+
+    #[test]
+    fn srht_costs_carry_the_log_factor() {
+        let (d, n) = (1 << 20, 64);
+        let ratio =
+            SketchMethod::Srht.read_writes(d, n) / SketchMethod::CountAlg2.read_writes(d, n);
+        assert!((ratio - 6.0).abs() < 1e-9); // log2(64) = 6
+    }
+
+    #[test]
+    fn distortion_compounds_for_multisketch() {
+        assert!((SketchMethod::Gaussian.max_distortion(0.1) - 1.1).abs() < 1e-12);
+        assert!((SketchMethod::MultiSketch.max_distortion(0.1) - 1.21).abs() < 1e-12);
+    }
+
+    #[test]
+    fn experimental_dimensions_match_section6() {
+        let n = 128;
+        assert_eq!(SketchMethod::Gaussian.embedding_dim(n), 256);
+        assert_eq!(SketchMethod::Srht.embedding_dim(n), 256);
+        assert_eq!(SketchMethod::MultiSketch.embedding_dim(n), 256);
+        assert_eq!(SketchMethod::CountAlg2.embedding_dim(n), 2 * 128 * 128);
     }
 }

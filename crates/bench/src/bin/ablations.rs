@@ -1,6 +1,12 @@
 //! Design-choice ablations called out in DESIGN.md:
 //! atomic vs gather CountSketch kernel, row- vs column-major operand, the multisketch
-//! transpose trick, radix-2 vs radix-4 FWHT, and SyRK vs GeMM for the Gram matrix.
+//! layout (Section 6.1), radix-2 vs radix-4 FWHT, and SyRK vs GeMM for the Gram matrix.
+//!
+//! Run with: `cargo run --release -p sketch-bench --bin ablations [-- --smoke]`
+//!
+//! Exits 1 unless the Count→Gauss pipeline, whose Gaussian GEMM reads the row-major
+//! CountSketch output in place, is bit-equal to the naive convert-then-GEMM sequence
+//! and models strictly faster than it.  `--smoke` runs the same gates at a smaller d.
 
 use sketch_bench::report::{ms, Table};
 use sketch_core::fwht::{fwht_in_place, fwht_radix2_in_place};
@@ -17,14 +23,15 @@ fn time_wall<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 fn main() {
-    let d = 1 << 16;
-    let n = 32;
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let (log_d, n, log_fwht) = if smoke { (12, 8, 14) } else { (16, 32, 20) };
+    let d = 1 << log_d;
     let device = Device::h100();
     let a_rm = Matrix::random_gaussian(d, n, Layout::RowMajor, 42, 0);
     let a_cm = a_rm.to_layout(&device, Layout::ColMajor);
 
     let mut table = Table::new(
-        format!("Ablations at d = 2^16, n = {n} (modelled H100 ms | measured wall ms)"),
+        format!("Ablations at d = 2^{log_d}, n = {n} (modelled H100 ms | measured wall ms)"),
         &["experiment", "variant", "model ms", "wall ms"],
     );
 
@@ -66,19 +73,29 @@ fn main() {
         ]);
     }
 
-    // 3. Multisketch transpose trick vs naive conversion.
-    let multi = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 9)
-        .build_multisketch(&device, n)
+    // 3. Multisketch layout: the pipeline's Gaussian GEMM reads the row-major k₁ x n
+    //    CountSketch output in place; the naive sequence converts it first.
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 9);
+    let multi = plan.build_for(&device, n).expect("fits on the device");
+    let stages = plan.resolve(n).expect("valid plan");
+    let count = stages[0].build_countsketch(&device).expect("valid spec");
+    let gauss = stages[1]
+        .build_gaussian(&device)
         .expect("fits on the device");
-    for (label, naive) in [("transpose trick", false), ("naive conversion", true)] {
-        let dev = Device::h100();
-        let op = if naive {
-            multi.clone().with_naive_layout_handling()
-        } else {
-            multi.clone()
-        };
-        let (_, wall) = time_wall(|| op.apply_matrix(&dev, &a_rm).unwrap());
-        let model = dev.model_time(&dev.tracker().snapshot()) * 1e3;
+    let dev = Device::h100();
+    let (z_pipeline, wall) = time_wall(|| multi.apply_matrix(&dev, &a_rm).unwrap());
+    let pipeline_model = dev.model_time(&dev.tracker().snapshot()) * 1e3;
+    let dev = Device::h100();
+    let (z_naive, naive_wall) = time_wall(|| {
+        let y = count.apply_matrix(&dev, &a_rm).unwrap();
+        let y_cm = y.to_layout(&dev, Layout::ColMajor);
+        gauss.apply_matrix(&dev, &y_cm).unwrap()
+    });
+    let naive_model = dev.model_time(&dev.tracker().snapshot()) * 1e3;
+    for (label, model, wall) in [
+        ("GEMM reads row-major Y", pipeline_model, wall),
+        ("naive conversion", naive_model, naive_wall),
+    ] {
         table.push_row(vec![
             "multisketch layout".into(),
             label.into(),
@@ -86,9 +103,22 @@ fn main() {
             ms(wall),
         ]);
     }
+    let mut violations = 0;
+    let same_bits = (0..z_naive.nrows())
+        .all(|i| (0..n).all(|j| z_pipeline.get(i, j).to_bits() == z_naive.get(i, j).to_bits()));
+    if !same_bits {
+        eprintln!("the Count→Gauss pipeline differs from the naive conversion");
+        violations += 1;
+    }
+    if pipeline_model >= naive_model {
+        eprintln!(
+            "the Count→Gauss pipeline models {pipeline_model} ms, not below the naive {naive_model} ms"
+        );
+        violations += 1;
+    }
 
     // 4. Radix-4 vs radix-2 FWHT (wall clock only; same modelled traffic).
-    let mut v4 = sketch_rng::fill::gaussian_vec(1, 0, 1 << 20);
+    let mut v4 = sketch_rng::fill::gaussian_vec(1, 0, 1 << log_fwht);
     let mut v2 = v4.clone();
     let (_, wall4) = time_wall(|| fwht_in_place(&mut v4));
     let (_, wall2) = time_wall(|| fwht_radix2_in_place(&mut v2));
@@ -125,4 +155,11 @@ fn main() {
     }
 
     table.print();
+    if violations > 0 {
+        eprintln!("{violations} check(s) failed");
+        std::process::exit(1);
+    }
+    println!(
+        "Multisketch layout gate passed: pipeline bit-equal to the naive conversion and faster"
+    );
 }

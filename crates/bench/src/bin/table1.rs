@@ -3,7 +3,6 @@
 
 use sketch_bench::analytic::SketchMethod;
 use sketch_bench::report::{sci, Table};
-use sketch_core::complexity::SketchKind;
 
 fn main() {
     let (d, n, eps) = (1usize << 21, 128usize, 0.5f64);
@@ -17,13 +16,13 @@ fn main() {
             "Max distortion",
         ],
     );
-    for kind in SketchKind::ALL {
+    for method in SketchMethod::TABLE1 {
         symbolic.push_row(vec![
-            kind.label().to_string(),
-            sci(kind.embedding_dim(n, eps)),
-            sci(kind.arithmetic(d, n)),
-            sci(kind.read_writes(d, n)),
-            format!("{:.2}", kind.max_distortion(eps)),
+            method.label().to_string(),
+            sci(method.asymptotic_embedding_dim(n, eps)),
+            sci(method.arithmetic(d, n)),
+            sci(method.read_writes(d, n)),
+            format!("{:.2}", method.max_distortion(eps)),
         ]);
     }
     symbolic.print();

@@ -12,7 +12,7 @@
 //!   `d ∈ {2²¹, 2²², 2²³}`, `n ∈ {32 … 256}` and pushed through the H100 roofline model.
 //!   A unit test (`analytic::tests`) checks the analytic formulas against the costs the
 //!   real kernels record, so the projection cannot silently drift from the
-//!   implementation.
+//!   implementation.  The same module holds Table 1's symbolic formulas.
 //!
 //! Binaries (run with `cargo run -p sketch-bench --release --bin <name>`):
 //!
@@ -27,7 +27,7 @@
 //! | `fig7_residual_hard` | Figure 7 (relative residuals, hard problem) |
 //! | `fig8_stability` | Figure 8 (residual vs condition number) |
 //! | `dist_comm` | Section 7 communication-volume comparison |
-//! | `ablations` | design-choice ablations (atomic vs gather, layouts, radix, SyRK) |
+//! | `ablations` | design-choice ablations (atomic vs gather, layouts, radix, SyRK); `--smoke` gates the multisketch layout |
 //! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled) |
 //! | `fig_walltime` | measured wall-clock across thread counts + bitwise gate |
 //! | `all_experiments` | everything above in sequence |

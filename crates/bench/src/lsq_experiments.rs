@@ -1,6 +1,6 @@
 //! Figure 5–8 experiments: least squares runtimes, residuals and stability.
 
-use crate::analytic::LsqMethod;
+use crate::analytic::{phase_costs, solver_sketch};
 use crate::config::{ExperimentScale, SweepPoint};
 use sketch_gpu_sim::{Device, DevicePool, Phase};
 use sketch_lsq::{solve, LsqProblem, Method};
@@ -43,15 +43,12 @@ pub fn lsq_breakdown_paper_rows() -> Vec<LsqBreakdownRow> {
     let device = Device::h100();
     let mut rows = Vec::new();
     for point in ExperimentScale::PaperModel.sweep() {
-        for method in LsqMethod::FIGURE5 {
-            let oom = match method {
-                LsqMethod::SketchAndSolve(s) => {
-                    crate::analytic::exceeds_suite_memory(s, point.d, point.n, device.spec())
-                }
-                _ => false,
-            };
-            let phase_ms: Vec<(Phase, f64)> = method
-                .phase_costs(point.d, point.n)
+        for method in Method::FIGURE5 {
+            let oom = solver_sketch(method).is_some_and(|s| {
+                crate::analytic::exceeds_suite_memory(s, point.d, point.n, device.spec())
+            });
+            let phase_ms: Vec<(Phase, f64)> = phase_costs(method, point.d, point.n)
+                .expect("every Figure-5 method has an analytic model")
                 .into_iter()
                 .map(|(p, c)| (p, device.model_time(&c) * 1e3))
                 .collect();

@@ -115,7 +115,7 @@ fn measured_row(point: SweepPoint, method: SketchMethod, seed: u64) -> SketchTim
         }
         SketchMethod::MultiSketch => {
             let s = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), seed)
-                .build_multisketch(&device, n)
+                .build_for(&device, n)
                 .unwrap();
             let gen = device.tracker().snapshot();
             device.tracker().reset();

@@ -100,8 +100,8 @@ mod tests {
     use super::*;
     use crate::countsketch::CountSketch;
     use crate::gaussian::GaussianSketch;
-    use crate::multisketch::MultiSketch;
     use crate::srht::Srht;
+    use crate::{EmbeddingDim, Pipeline};
     use sketch_la::cond::orthonormal_columns;
     use sketch_la::Layout;
 
@@ -148,8 +148,10 @@ mod tests {
         let dim = 4096;
         let n = 4;
         let basis = orthonormal_columns(&d, dim, n, 7).unwrap();
-        let ms = MultiSketch::generate(&d, dim, 16 * n * n, 16 * n, 8).unwrap();
-        let eps = subspace_embedding_distortion(&d, &ms, &basis).unwrap();
+        let ms = Pipeline::count_gauss(dim, EmbeddingDim::Square(16), EmbeddingDim::Ratio(16), 8)
+            .build_for(&d, n)
+            .unwrap();
+        let eps = subspace_embedding_distortion(&d, ms.as_ref(), &basis).unwrap();
         assert!(eps < 0.8, "distortion {eps}");
     }
 

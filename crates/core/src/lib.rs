@@ -12,12 +12,12 @@
 //! * [`Srht`] — the subsampled randomized Hadamard transform of **Section 5**, built on
 //!   the radix-4 fast Walsh–Hadamard transform of **Algorithm 3** with a shared-memory
 //!   tile model,
-//! * [`MultiSketch`] — the Count-Gauss multisketch (CountSketch down to `k₁ = 2n²`,
-//!   Gaussian down to `k₂ = 2n`), including the transpose trick of Section 6.1,
+//! * the Count-Gauss multisketch (CountSketch down to `k₁ = 2n²`, Gaussian down to
+//!   `k₂ = 2n`) — the two-stage [`Pipeline::count_gauss`], built as a
+//!   [`ComposedSketch`] whose Gaussian GEMM reads the row-major CountSketch output in
+//!   place (the layout point of Section 6.1),
 //! * [`embedding`] — empirical subspace-embedding distortion checks (Definitions
-//!   1.1–1.2),
-//! * [`complexity`] — the symbolic Table 1 (embedding dimensions, arithmetic,
-//!   read/writes, distortion) used by the `table1` bench binary.
+//!   1.1–1.2).
 //!
 //! All operators implement [`SketchOperator`] so the least squares solvers in
 //! `sketch-lsq` and the pipelined executor in `sketch-dist` are generic over the sketch.
@@ -44,13 +44,11 @@
 //! assert_eq!(y.ncols(), n);
 //! ```
 
-pub mod complexity;
 pub mod countsketch;
 pub mod embedding;
 pub mod error;
 pub mod fwht;
 pub mod gaussian;
-pub mod multisketch;
 pub mod operand;
 pub mod spec;
 pub mod srht;
@@ -60,7 +58,6 @@ pub mod traits;
 pub use countsketch::{CountSketch, HashCountSketch};
 pub use error::{Error, SketchError};
 pub use gaussian::GaussianSketch;
-pub use multisketch::MultiSketch;
 pub use operand::{Operand, OperandSlice};
 pub use spec::{
     json::JsonValue, ComposedSketch, EmbeddingDim, Pipeline, ShardAxis, SketchKind, SketchSpec,

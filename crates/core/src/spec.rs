@@ -15,9 +15,10 @@
 //!
 //! [`Pipeline`] expresses sketch *composition* the same way: the Count-Gauss
 //! multisketch is simply the two-stage pipeline
-//! `[CountSketch → 2n², Gaussian → 2n]`, and [`Pipeline::build_for`] recognises that
-//! shape and instantiates the fused [`MultiSketch`] operator (transpose trick and
-//! all); any other chain builds a generic composed operator.
+//! `[CountSketch → 2n², Gaussian → 2n]`, and every multi-stage chain builds one
+//! [`ComposedSketch`].  For Count→Gauss that is the Section 6.1 layout for free: the
+//! CountSketch writes its `k₁ x n` intermediate row-major and the Gaussian's GEMM
+//! reads it in place, so no layout conversion of the large intermediate is needed.
 //!
 //! Specs serialize to JSON through the built-in [`json`] module (the offline serde
 //! shim carries no data format), and rebuilding from the serialized form is
@@ -38,7 +39,6 @@
 use crate::countsketch::{CountSketch, HashCountSketch};
 use crate::error::Error;
 use crate::gaussian::GaussianSketch;
-use crate::multisketch::{MultiSketch, GAUSS_STAGE_SEED_SALT};
 use crate::operand::Operand;
 use crate::srht::Srht;
 use crate::traits::SketchOperator;
@@ -49,6 +49,11 @@ use sketch_la::{Layout, MatrixViewMut};
 pub mod json;
 
 use json::JsonValue;
+
+/// Seed salt applied to the Gaussian stage of [`Pipeline::count_gauss`], so the two
+/// stages of a multisketch generated from one seed draw from independent Philox
+/// streams.
+pub(crate) const GAUSS_STAGE_SEED_SALT: u64 = 0xA5A5_5A5A_DEAD_BEEF;
 
 /// Which sketch family a [`SketchSpec`] describes.
 #[non_exhaustive]
@@ -472,10 +477,9 @@ impl EmbeddingDim {
 
 /// A chain of [`SketchSpec`] stages applied left to right: `S = S_p ⋯ S_2 S_1`.
 ///
-/// A one-stage pipeline is just that sketch; the two-stage
-/// `[CountSketch, Gaussian]` chain builds the fused [`MultiSketch`] operator
-/// (Section 6.1 transpose trick included); any other chain builds a generic
-/// composed operator that applies the stages sequentially.
+/// A one-stage pipeline is just that sketch; any longer chain (the two-stage
+/// `[CountSketch, Gaussian]` multisketch included) builds a [`ComposedSketch`] that
+/// applies the stages sequentially.
 #[must_use = "a Pipeline describes a sketch chain; call build/build_for to construct it"]
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Pipeline {
@@ -503,8 +507,7 @@ impl Pipeline {
 
     /// The paper's Count-Gauss multisketch as a pipeline: CountSketch `d → k₁`
     /// followed by a Gaussian `k₁ → k₂`, with the Gaussian stage's seed salted from
-    /// `seed` exactly like [`MultiSketch::generate`] — so building this pipeline is
-    /// bit-identical to the fused constructor.
+    /// `seed` so the two stages draw independent Philox streams.
     pub fn count_gauss(input_dim: usize, k1: EmbeddingDim, k2: EmbeddingDim, seed: u64) -> Self {
         Self {
             stages: vec![
@@ -576,9 +579,6 @@ impl Pipeline {
         if resolved.len() == 1 {
             return resolved[0].build(device);
         }
-        if self.is_count_gauss() {
-            return Ok(Box::new(self.build_multisketch(device, ncols)?));
-        }
         let mut stages = Vec::with_capacity(resolved.len());
         for spec in &resolved {
             stages.push(spec.build(device)?);
@@ -600,19 +600,6 @@ impl Pipeline {
         }
         // Any ncols resolves Exact rules to themselves.
         self.build_for(device, 0)
-    }
-
-    /// Build the fused [`MultiSketch`] from a `[CountSketch, Gaussian]` pipeline.
-    pub fn build_multisketch(&self, device: &Device, ncols: usize) -> Result<MultiSketch, Error> {
-        if !self.is_count_gauss() {
-            return Err(Error::invalid_param(
-                "only a [count-sketch, gaussian] pipeline builds a MultiSketch",
-            ));
-        }
-        let resolved = self.resolve(ncols)?;
-        let count = resolved[0].build_countsketch(device)?;
-        let gauss = resolved[1].build_gaussian(device)?;
-        MultiSketch::new(count, gauss)
     }
 
     /// Serialize to a [`JsonValue`].
@@ -648,8 +635,8 @@ impl Pipeline {
     }
 }
 
-/// A generic sequential composition of sketch operators (the fallback for pipelines
-/// that are not the fused Count-Gauss shape).
+/// A sequential composition of sketch operators: what every multi-stage [`Pipeline`]
+/// builds, the Count-Gauss multisketch included.
 pub struct ComposedSketch {
     stages: Vec<Box<dyn SketchOperator>>,
 }
@@ -729,8 +716,9 @@ impl SketchOperator for ComposedSketch {
 
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
         self.check_input_dim(x.len())?;
-        let mut current = x.to_vec();
-        for stage in &self.stages {
+        let (first, rest) = self.stages.split_first().expect("non-empty");
+        let mut current = first.apply_vector(device, x)?;
+        for stage in rest {
             current = stage.apply_vector(device, &current)?;
         }
         Ok(current)
@@ -846,56 +834,100 @@ mod tests {
     }
 
     #[test]
-    fn count_gauss_pipeline_is_bit_identical_to_multisketch_generate() {
+    fn count_gauss_pipeline_salts_the_gaussian_stage_seed() {
         let d = device();
         let plan = Pipeline::count_gauss(512, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 7);
         assert!(plan.is_count_gauss());
-        let ms_plan = plan.build_multisketch(&d, 6).unwrap();
-        let ms_direct = MultiSketch::generate(&d, 512, 72, 12, 7).unwrap();
-        assert_eq!(ms_plan.count_stage().rows(), ms_direct.count_stage().rows());
+        let resolved = plan.resolve(6).unwrap();
+        let count = resolved[0].build_countsketch(&d).unwrap();
+        let gauss = resolved[1].build_gaussian(&d).unwrap();
+        assert_eq!(count.rows(), CountSketch::generate(&d, 512, 72, 7).rows());
+        // The salt's value is part of the bit contract, so it is pinned here.
         assert_eq!(
-            ms_plan.gauss_stage().matrix(),
-            ms_direct.gauss_stage().matrix()
+            gauss.matrix(),
+            GaussianSketch::generate(&d, 72, 12, 7 ^ 0xA5A5_5A5A_DEAD_BEEF)
+                .unwrap()
+                .matrix()
         );
 
-        // build_for dispatches the same fused operator.
         let op = plan.build_for(&d, 6).unwrap();
-        assert_eq!(op.name(), "MultiSketch (Count-Gauss)");
+        assert_eq!(op.name(), "Pipeline");
         assert_eq!(op.output_dim(), 12);
     }
 
     #[test]
     fn generic_pipelines_compose_sequentially() {
         let d = device();
-        // SRHT down to 64, then a CountSketch down to 16: not the fused shape.
-        let plan = Pipeline::single(SketchSpec::srht(256, EmbeddingDim::Exact(64), 1))
-            .then(SketchSpec::countsketch(0, EmbeddingDim::Exact(16), 2));
-        let op = plan.build_for(&d, 3).unwrap();
-        assert_eq!(op.name(), "Pipeline");
-        assert_eq!((op.input_dim(), op.output_dim()), (256, 16));
+        for (plan, dim, n) in [
+            // SRHT down to 64, then a CountSketch down to 16.
+            (
+                Pipeline::single(SketchSpec::srht(256, EmbeddingDim::Exact(64), 1))
+                    .then(SketchSpec::countsketch(0, EmbeddingDim::Exact(16), 2)),
+                256,
+                3,
+            ),
+            // The multisketch: CountSketch to 2n², then a Gaussian to 2n.
+            (
+                Pipeline::count_gauss(4096, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 11),
+                4096,
+                8,
+            ),
+        ] {
+            let op = plan.build_for(&d, n).unwrap();
+            let stages: Vec<_> = plan
+                .resolve(n)
+                .unwrap()
+                .iter()
+                .map(|spec| spec.build(&d).unwrap())
+                .collect();
+            let k = stages[1].output_dim();
+            assert_eq!(op.name(), "Pipeline");
+            assert_eq!((op.input_dim(), op.output_dim()), (dim, k));
 
-        let a = Matrix::random_gaussian(256, 3, Layout::RowMajor, 4, 0);
-        let y = op.apply_matrix(&d, &a).unwrap();
-        assert_eq!((y.nrows(), y.ncols()), (16, 3));
+            let a = Matrix::random_gaussian(dim, n, Layout::RowMajor, 4, 0);
+            let y = op.apply_matrix(&d, &a).unwrap();
+            assert_eq!((y.nrows(), y.ncols()), (k, n));
 
-        // Matches applying the stages by hand.
-        let srht = SketchSpec::srht(256, EmbeddingDim::Exact(64), 1)
-            .build_srht(&d)
-            .unwrap();
-        let cs = SketchSpec::countsketch(64, EmbeddingDim::Exact(16), 2)
-            .build_countsketch(&d)
-            .unwrap();
-        let manual = cs
-            .apply_matrix(&d, &srht.apply_matrix(&d, &a).unwrap())
-            .unwrap();
-        assert!(y.max_abs_diff(&manual).unwrap() < 1e-12);
+            // Matches applying the stages by hand.
+            let manual = stages[1]
+                .apply_matrix(&d, &stages[0].apply_matrix(&d, &a).unwrap())
+                .unwrap();
+            assert!(y.max_abs_diff(&manual).unwrap() < 1e-12);
 
-        // And the vector path chains too.
-        let x: Vec<f64> = (0..256).map(|i| (i as f64 * 0.01).sin()).collect();
-        let yv = op.apply_vector(&d, &x).unwrap();
-        assert_eq!(yv.len(), 16);
-        assert!(op.generation_cost().total_bytes() > 0);
-        assert!(op.algorithmic_cost(3).flops > 0);
+            // The vector path chains too, and agrees with the matrix path.
+            let x = sketch_rng::fill::gaussian_vec(21, 0, dim);
+            let yv = op.apply_vector(&d, &x).unwrap();
+            assert_eq!(yv.len(), k);
+            let ym = op
+                .apply_matrix(&d, &Matrix::from_fn(dim, 1, Layout::RowMajor, |i, _| x[i]))
+                .unwrap();
+            for (i, v) in yv.iter().enumerate() {
+                assert!((v - ym.get(i, 0)).abs() < 1e-10);
+            }
+
+            // Generation and the Table-1 cost cover every stage.
+            assert_eq!(
+                op.generation_cost(),
+                stages[0].generation_cost() + stages[1].generation_cost()
+            );
+            let first = stages[0].algorithmic_cost(n);
+            let both = op.algorithmic_cost(n);
+            assert!(both.flops > first.flops);
+            assert!(both.total_bytes() > first.total_bytes());
+
+            if plan.is_count_gauss() {
+                // The multisketch roughly preserves norms...
+                let ratio = sketch_la::norms::vec_norm2(&yv) / sketch_la::norms::vec_norm2(&x);
+                assert!((ratio - 1.0).abs() < 0.6, "ratio {ratio}");
+                // ...and draws 4n³ Gaussians against 2n·d for a full Gaussian sketch.
+                let full = SketchSpec::gaussian(dim, EmbeddingDim::Ratio(2), 2)
+                    .build_for(&d, n)
+                    .unwrap();
+                assert!(
+                    op.generation_cost().bytes_written * 4 < full.generation_cost().bytes_written
+                );
+            }
+        }
     }
 
     #[test]
@@ -928,6 +960,21 @@ mod tests {
             SketchSpec::gaussian(31, EmbeddingDim::Exact(8), 2),
         ]);
         assert!(bad_chain.build_for(&d, 4).is_err());
+        // Stage operators whose dimensions do not chain.
+        let count: Box<dyn SketchOperator> = Box::new(CountSketch::generate(&d, 100, 32, 1));
+        let gauss: Box<dyn SketchOperator> =
+            Box::new(GaussianSketch::generate(&d, 64, 8, 1).unwrap());
+        assert!(matches!(
+            ComposedSketch::new(vec![count, gauss]),
+            Err(Error::InvalidParameter { .. })
+        ));
+        // An operand or a vector of the wrong length.
+        let multi = Pipeline::count_gauss(100, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 1)
+            .build_for(&d, 4)
+            .unwrap();
+        let short = Matrix::zeros_with_layout(90, 4, Layout::RowMajor);
+        assert!(multi.apply_matrix(&d, &short).is_err());
+        assert!(multi.apply_vector(&d, &[0.0; 99]).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the operand-generic, buffer-reusing apply path.
 //!
-//! For all four operators (CountSketch, Gaussian, SRHT, MultiSketch):
+//! For all four operators (CountSketch, Gaussian, SRHT, the Count→Gauss pipeline):
 //! `apply_into` into a *reused, dirty* buffer must be bit-for-bit identical to the
 //! allocating `apply_matrix` / `apply_operand` wrappers, on both dense and CSR
 //! operands — and the CountSketch/Gaussian hot paths must perform zero device

@@ -35,7 +35,9 @@
 
 use crate::comm::CommCost;
 use crate::error::DistError;
-use sketch_core::{CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator};
+use sketch_core::{
+    CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator, SketchSpec,
+};
 use sketch_gpu_sim::{DevicePool, KernelCost, StreamKind, StreamSet, Timeline};
 use sketch_la::{Layout, Matrix};
 use std::ops::Range;
@@ -311,6 +313,41 @@ impl PipelinedRun {
     }
 }
 
+/// The checks [`pipelined_sketch`] makes before it builds or runs anything: the
+/// `rows x cols` operand (named by `describe` in errors) is non-empty, the first
+/// stage's input dimension equals `rows`, and `plan` resolves against `cols` to
+/// stages [`SketchSpec::build`](sketch_core::SketchSpec::build) accepts.  Returns
+/// the resolved stages.  The serve layer runs the same checks at admission,
+/// before it materialises the operand.
+pub fn preflight(
+    plan: &Pipeline,
+    rows: usize,
+    cols: usize,
+    describe: impl Fn() -> String,
+) -> Result<Vec<SketchSpec>, DistError> {
+    if rows == 0 || cols == 0 {
+        return Err(DistError::invalid_param(format!(
+            "pipelined_sketch needs a non-empty operand, got {}",
+            describe()
+        )));
+    }
+    let resolved = plan.resolve(cols)?;
+    if let Some(first) = resolved.first() {
+        if first.input_dim != rows {
+            return Err(Error::dimension_mismatch(
+                "pipelined_sketch",
+                first.input_dim,
+                rows,
+                describe(),
+            ));
+        }
+    }
+    for stage in &resolved {
+        stage.exact_dims()?;
+    }
+    Ok(resolved)
+}
+
 /// Execute `plan` on `a` across the pool, sharding each stage along its
 /// [`ShardAxis`] and overlapping collectives with compute.
 ///
@@ -320,8 +357,8 @@ impl PipelinedRun {
 /// fold each shard's row range of the operand in place through
 /// [`CountSketch::fold_rows`]; column-sharded stages materialise CSC-style
 /// panels via [`Operand::slice_cols`], charging the copy to the shard's device.
-/// An operand with zero rows or zero columns is rejected with a typed
-/// [`Error::InvalidParameter`] before any stage runs.
+/// An operand with zero rows or zero columns, or one the plan does not fit, is
+/// rejected by [`preflight`] with a typed error before any stage runs.
 ///
 /// The numerical result is **bit-for-bit identical** to
 /// `plan.build_for(device, a.ncols())?.apply_operand(device, a)` on a single
@@ -341,24 +378,8 @@ pub fn pipelined_sketch<'a>(
     opts: &ExecutorOptions,
 ) -> Result<PipelinedRun, DistError> {
     let a: Operand<'a> = a.into();
-    if a.nrows() == 0 || a.ncols() == 0 {
-        return Err(DistError::invalid_param(format!(
-            "pipelined_sketch needs a non-empty operand, got {}",
-            a.describe()
-        )));
-    }
-    let resolved = plan.resolve(a.ncols())?;
+    let resolved = preflight(plan, a.nrows(), a.ncols(), || a.describe())?;
     let p = pool.num_devices();
-    if let Some(first) = resolved.first() {
-        if first.input_dim != a.nrows() {
-            return Err(Error::dimension_mismatch(
-                "pipelined_sketch",
-                first.input_dim,
-                a.nrows(),
-                a.describe(),
-            ));
-        }
-    }
 
     // Devices already observed dead (a sticky flag from a previous run on the
     // same shared pool) never re-join: death is permanent until the fault
@@ -389,12 +410,7 @@ pub fn pipelined_sketch<'a>(
         };
         let n = input.ncols();
         let kind = spec.kind.as_str();
-        let k = spec.output_dim.checked_resolve(n).ok_or_else(|| {
-            DistError::invalid_param(format!(
-                "{kind} stage's embedding rule {:?} overflows at {n} columns",
-                spec.output_dim
-            ))
-        })?;
+        let (_, k) = spec.exact_dims()?;
         let build_device = pool.device(state.alive[0]);
 
         // The stage operator is built once and its generation replicated to
@@ -1295,6 +1311,47 @@ mod tests {
             let pool_cost = pool.total_cost();
             let bare_total = bare.tracker().snapshot();
             assert_eq!(pool_cost, bare_total, "{} cost drifted", spec.kind.as_str());
+        }
+    }
+
+    #[test]
+    fn pool_of_one_count_gauss_charges_what_the_bare_device_charges() {
+        use sketch_gpu_sim::DeviceSpec;
+        use sketch_sparse::{CooMatrix, CsrMatrix};
+
+        // The single-device Count→Gauss operator and a pool of one run the same two
+        // launches (the CountSketch, then the Gaussian GEMM reading its row-major
+        // output in place) after the same generation, dense or CSR.
+        let d = 640;
+        let n = 7;
+        let dense = input(d, n);
+        let mut coo = CooMatrix::new(d, n);
+        for i in 0..d {
+            coo.push(i, i % n, dense.get(i, i % n));
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 4);
+        for operand in [Operand::Dense(&dense), Operand::Csr(&csr)] {
+            let bare = Device::h100();
+            let single = plan
+                .build_for(&bare, n)
+                .unwrap()
+                .apply_operand(&bare, operand)
+                .unwrap();
+
+            let pool = DevicePool::single(DeviceSpec::h100());
+            let run = pipelined_sketch(&pool, operand, &plan, &ExecutorOptions::default()).unwrap();
+            assert!(bits_equal(&run.result, &single));
+            assert_eq!(run.comm_seconds, 0.0);
+            assert_eq!(run.pipelined_seconds, run.serial_seconds);
+            // One kernel per stage, and the same generation + apply cost.
+            assert_eq!(run.timeline.entries().len(), 2);
+            assert_eq!(
+                pool.total_cost(),
+                bare.tracker().snapshot(),
+                "{} cost drifted",
+                operand.describe()
+            );
         }
     }
 

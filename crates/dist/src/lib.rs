@@ -11,6 +11,8 @@
 //!   families run the operator's own kernel,
 //!   [`CountSketch::fold_rows`](sketch_core::CountSketch::fold_rows), on the
 //!   parent operand; column panels of Gaussian/SRHT run the full operator;
+//! * [`preflight`] — the operand and plan checks the executor makes before it
+//!   builds anything, shared with the serve layer's admission;
 //! * [`PipelinedRun`] — the result, the modelled timeline, the per-stage
 //!   [`CommCost`] of the collectives, and the [`FaultReport`] of any device
 //!   deaths the run recovered from;
@@ -78,6 +80,6 @@ pub mod executor;
 pub use comm::{CommCost, CommPattern};
 pub use error::DistError;
 pub use executor::{
-    pipelined_sketch, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun, Schedule,
-    ShardAssignment,
+    pipelined_sketch, preflight, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun,
+    Schedule, ShardAssignment,
 };

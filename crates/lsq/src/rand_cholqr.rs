@@ -140,9 +140,9 @@ mod tests {
     }
 
     /// The Count→Gauss pipeline with the `8n²`/`8n` oversized test dimensions.
-    fn multisketch_of(dev: &Device, d: usize, n: usize, seed: u64) -> sketch_core::MultiSketch {
+    fn multisketch_of(dev: &Device, d: usize, n: usize, seed: u64) -> Box<dyn SketchOperator> {
         Pipeline::count_gauss(d, EmbeddingDim::Square(8), EmbeddingDim::Ratio(8), seed)
-            .build_multisketch(dev, n)
+            .build_for(dev, n)
             .unwrap()
     }
 
@@ -151,7 +151,7 @@ mod tests {
         let dev = device();
         let a = Matrix::random_gaussian(1024, 6, Layout::RowMajor, 1, 0);
         let ms = multisketch_of(&dev, 1024, 6, 2);
-        let f = rand_cholqr(&dev, &a, &ms).unwrap();
+        let f = rand_cholqr(&dev, &a, ms.as_ref()).unwrap();
 
         let qtq = gemm_op(&dev, 1.0, Op::Trans, &f.q, Op::NoTrans, &f.q, 0.0, None).unwrap();
         assert!(qtq.max_abs_diff(&Matrix::identity(6)).unwrap() < 1e-8);

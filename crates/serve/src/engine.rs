@@ -425,32 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_operand_fails_the_batch_with_a_typed_error() {
-        let pool = DevicePool::unlimited(2);
-        let mut engine = ServeEngine::new(&pool, AdmissionController::new(), 4);
-        engine.submit(job("ok", 1)).unwrap();
-        let empty = JobSpec::new(
-            "empty",
-            Pipeline::single(SketchSpec::gaussian(64, EmbeddingDim::Exact(8), 2)),
-            OperandSpec::Dense {
-                rows: 64,
-                cols: 0,
-                seed: 2,
-            },
-        )
-        .with_devices(2);
-        engine.submit(empty).unwrap();
-        let err = engine.run().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ServeError::Core(sketch_core::Error::InvalidParameter { .. })
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn an_unallocatable_job_is_one_rejection_and_the_other_job_runs() {
         use crate::file::JobFile;
         use crate::queue::QueuedJob;
@@ -502,8 +476,15 @@ mod tests {
         use crate::file::JobFile;
         use crate::queue::QueuedJob;
 
-        let file = JobFile::from_json(
-            r#"{"jobs": [
+        // Each bad job rides along with a valid 4096 x 8 job from another tenant.
+        const OK: &str = r#"{"tenant": "ok",
+             "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
+                                      "output_dim": {"exact": 64}, "seed": 3}]},
+             "operand": {"dense": {"rows": 4096, "cols": 8, "seed": 4}}}"#;
+        let with_ok = |bad: &str| [r#"{"jobs": ["#, OK, ",", bad, "]}"].concat();
+        let cases = [
+            (
+                r#"{"jobs": [
                 {"tenant": "ok",
                  "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 1024,
                                           "output_dim": {"exact": 64}, "seed": 3}]},
@@ -512,49 +493,95 @@ mod tests {
                  "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 1024,
                                           "output_dim": {"exact": 0}, "seed": 1}]},
                  "operand": {"dense": {"rows": 1024, "cols": 6, "seed": 2}}}
-            ]}"#,
-        )
-        .unwrap();
-        let pool = DevicePool::unlimited(2);
-        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
-        let mut refused = Vec::new();
-        for job in file.jobs.iter().cloned() {
-            if let Err(e) = engine.submit(job) {
-                refused.push(e);
-            }
-        }
-        assert!(
-            matches!(
-                &refused[..],
-                [ServeError::Rejected {
-                    reason: crate::error::RejectReason::InvalidSpec { detail },
-                    ..
-                }] if detail.contains("output dimension 0")
+            ]}"#
+                .to_string(),
+                "output dimension 0",
             ),
-            "{refused:?}"
-        );
-        let report = engine.run().unwrap();
-        let zero = &report.tenants["zero"];
-        assert_eq!((zero.jobs_run, zero.jobs_rejected), (0, 1));
-        assert_eq!(zero.rejected_by_reason["invalid_spec"], 1);
-        assert_eq!(report.jobs_run(), 1);
+            // A dense operand with no columns.
+            (
+                with_ok(
+                    r#"{"tenant": "cols0",
+                     "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
+                                              "output_dim": {"exact": 16}, "seed": 1}]},
+                     "operand": {"dense": {"rows": 4096, "cols": 0, "seed": 2}}}"#,
+                ),
+                "non-empty operand, got dense 4096x0",
+            ),
+            // The same operand as CSR, which has no column to draw entries from.
+            (
+                with_ok(
+                    r#"{"tenant": "csr0",
+                     "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
+                                              "output_dim": {"exact": 16}, "seed": 1}]},
+                     "operand": {"csr": {"rows": 4096, "cols": 0, "nnz_target": 0, "seed": 2}}}"#,
+                ),
+                "non-empty operand, got CSR 4096x0",
+            ),
+            // An operand whose rows are not the first stage's input dimension.
+            (
+                with_ok(
+                    r#"{"tenant": "short",
+                     "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
+                                              "output_dim": {"exact": 16}, "seed": 1}]},
+                     "operand": {"dense": {"rows": 100, "cols": 4, "seed": 2}}}"#,
+                ),
+                "dense 100x4",
+            ),
+            // No columns to cut into panels on two devices.
+            (
+                with_ok(
+                    r#"{"tenant": "empty", "devices": 2,
+                     "pipeline": {"stages": [{"kind": "gaussian", "input_dim": 64,
+                                              "output_dim": {"exact": 8}, "seed": 2}]},
+                     "operand": {"dense": {"rows": 64, "cols": 0, "seed": 2}}}"#,
+                ),
+                "non-empty operand, got dense 64x0",
+            ),
+        ];
+        for (text, expected) in cases {
+            let file = JobFile::from_json(&text).unwrap();
+            let bad = file.jobs[1].tenant.clone();
+            let pool = DevicePool::unlimited(2);
+            let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+            let mut refused = Vec::new();
+            for job in file.jobs.iter().cloned() {
+                if let Err(e) = engine.submit(job) {
+                    refused.push(e);
+                }
+            }
+            assert!(
+                matches!(
+                    &refused[..],
+                    [ServeError::Rejected {
+                        reason: crate::error::RejectReason::InvalidSpec { detail },
+                        ..
+                    }] if detail.contains(expected)
+                ),
+                "{bad}: {refused:?}"
+            );
+            let report = engine.run().unwrap();
+            let ledger = &report.tenants[&bad];
+            assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
+            assert_eq!(ledger.rejected_by_reason["invalid_spec"], 1);
+            assert_eq!(report.jobs_run(), 1);
 
-        let solo = Scheduler::new()
-            .run(
-                &DevicePool::unlimited(1),
-                &[QueuedJob {
-                    job: file.jobs[0].clone(),
-                    seq: 0,
-                }],
-            )
-            .unwrap();
-        let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
-            m.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(
-            bits(&report.service.jobs[0].run.result),
-            bits(&solo.jobs[0].run.result)
-        );
+            let solo = Scheduler::new()
+                .run(
+                    &DevicePool::unlimited(1),
+                    &[QueuedJob {
+                        job: file.jobs[0].clone(),
+                        seq: 0,
+                    }],
+                )
+                .unwrap();
+            let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
+                m.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&report.service.jobs[0].run.result),
+                bits(&solo.jobs[0].run.result)
+            );
+        }
     }
 
     #[test]

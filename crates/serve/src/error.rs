@@ -42,9 +42,10 @@ pub enum RejectReason {
         /// Which quantity overflowed (e.g. `"operand bytes"`).
         quantity: &'static str,
     },
-    /// The job's pipeline does not resolve to buildable stages against its operand
-    /// — for example a stage whose output dimension is 0, or whose input dimension
-    /// does not match the previous stage — so it could never run.
+    /// The job's pipeline does not fit its operand — an operand with no rows or
+    /// columns, a first stage whose input dimension is not the operand's rows, a
+    /// stage whose output dimension is 0 or whose input dimension does not match
+    /// the previous stage — so it could never run.
     InvalidSpec {
         /// What is wrong with the pipeline.
         detail: String,

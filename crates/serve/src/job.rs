@@ -343,39 +343,47 @@ impl JobSpec {
 
     /// The pipeline resolved against the operand width.  An embedding rule
     /// (`c·n`, `c·n²`) whose dimension overflows `usize` is a typed
-    /// [`RejectReason::SizeOverflow`]; a pipeline that does not resolve, or a
-    /// stage that [`SketchSpec::build`] would refuse, is a typed
-    /// [`RejectReason::InvalidSpec`].
+    /// [`RejectReason::SizeOverflow`]; whatever the executor's own
+    /// [`preflight`](sketch_dist::preflight) refuses (an empty operand, a first
+    /// stage whose input dimension is not the operand's rows, a pipeline that does
+    /// not resolve to buildable stages) is a typed [`RejectReason::InvalidSpec`].
     fn resolved_stages(&self) -> Result<Vec<SketchSpec>, ServeError> {
-        let n = self.operand.cols();
-        let overflows = |stage: &SketchSpec| stage.output_dim.checked_resolve(n).is_none();
+        let (rows, cols) = (self.operand.rows(), self.operand.cols());
+        let overflows = |stage: &SketchSpec| stage.output_dim.checked_resolve(cols).is_none();
         if self.pipeline.stages.iter().any(overflows) {
             return Err(self.size_overflow("embedding dimension"));
         }
-        let invalid = |e: sketch_core::Error| ServeError::Rejected {
-            tenant: self.tenant.clone(),
-            reason: RejectReason::InvalidSpec {
-                detail: e.to_string(),
-            },
+        let describe = || match self.operand {
+            OperandSpec::Dense { .. } => format!("dense {rows}x{cols}"),
+            OperandSpec::Csr { nnz_target, .. } => {
+                format!("CSR {rows}x{cols} nnz_target={nnz_target}")
+            }
         };
-        let stages = self.pipeline.resolve(n).map_err(invalid)?;
-        for stage in &stages {
-            stage.exact_dims().map_err(invalid)?;
-        }
-        Ok(stages)
+        sketch_dist::preflight(&self.pipeline, rows, cols, describe).map_err(|e| {
+            ServeError::Rejected {
+                tenant: self.tenant.clone(),
+                reason: RejectReason::InvalidSpec {
+                    detail: e.to_string(),
+                },
+            }
+        })
     }
 
     /// Refuse a job whose buffers could not be allocated: the materialised
     /// operand (`OperandSpec::modelled_bytes`) and each Gaussian stage's
     /// dense `d × k` operator must each fit in `isize::MAX` bytes, past which
-    /// `Vec` panics.  Checked at admission, before any budget.
+    /// `Vec` panics.  Then refuse a job whose pipeline does not fit its operand
+    /// (see `resolved_stages`).  Checked at admission, before any budget.
     pub(crate) fn check_sizes(&self) -> Result<(), ServeError> {
         let fits = |bytes: Option<u64>| bytes.is_some_and(|b| b <= MAX_ALLOC_BYTES);
         if !fits(self.operand.modelled_bytes()) {
             return Err(self.size_overflow("operand bytes"));
         }
-        for stage in self.resolved_stages()? {
-            let k = stage.output_dim.resolve(self.operand.cols()) as u64;
+        // Gaussian operators are sized from the plan alone, whatever operand they
+        // meet; a plan that does not resolve is refused by `resolved_stages`.
+        let cols = self.operand.cols();
+        for stage in self.pipeline.resolve(cols).unwrap_or_default() {
+            let k = stage.output_dim.resolve(cols) as u64;
             if stage.kind == SketchKind::Gaussian
                 && !fits(
                     (stage.input_dim as u64)
@@ -386,7 +394,7 @@ impl JobSpec {
                 return Err(self.size_overflow("gaussian operator bytes"));
             }
         }
-        Ok(())
+        self.resolved_stages().map(|_| ())
     }
 
     /// Modelled bytes of sketch output the job produces: each resolved stage's

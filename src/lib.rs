@@ -104,8 +104,8 @@ pub use sketch_sparse as sparse;
 pub mod prelude {
     pub use sketch_core::{
         CountSketch, EmbeddingDim, Error, FrequencyCountSketch, GaussianSketch, HashCountSketch,
-        JsonValue, MultiSketch, Operand, Pipeline, ShardAxis, SketchError, SketchKind,
-        SketchOperator, SketchSpec, Srht,
+        JsonValue, Operand, Pipeline, ShardAxis, SketchError, SketchKind, SketchOperator,
+        SketchSpec, Srht,
     };
     pub use sketch_dist::{
         pipelined_sketch, CommCost, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun,

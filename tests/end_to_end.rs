@@ -110,7 +110,7 @@ fn sharded_multisketch_feeds_the_same_least_squares_solution() {
     let n = 8;
     let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 7, 0);
     let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8);
-    let multi = plan.build_multisketch(&device, n).unwrap();
+    let multi = plan.build_for(&device, n).unwrap();
 
     let single = multi.apply_matrix(&device, &a).unwrap();
     let pool = DevicePool::unlimited(4);
