@@ -28,6 +28,10 @@
 //! * **TRSM**: [`sketch_la::blas3::trsm_right`] (eight right-hand sides in lockstep)
 //!   vs [`sketch_la::blas3::trsm_right_naive`] (one at a time) for `A R⁻¹` on the same
 //!   `A` with a 32x32 upper-triangular `R` — rand_cholQR's preconditioning.
+//! * **Gaussian fill**: [`sketch_rng::fill::gaussian_fill`] (batched Philox, libm-free
+//!   branch-free Box–Muller, AVX2 tier where the host has it) vs the textbook
+//!   Box–Muller on the host's libm over the same Philox words, written in this bin, at
+//!   2^20 draws (2^18 smoke).  Its `max_rel_diff` is the two fills' rounding gap.
 //!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
 //!
@@ -41,7 +45,9 @@
 //!   (`max_rel_diff == 0`);
 //! * the Householder path must be **>= 1.5x** its reference at the largest swept
 //!   shape on one thread;
-//! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread.
+//! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread;
+//! * the Gaussian fill must be within **1e-14** (absolute) of the libm reference at
+//!   every draw and **>= 1.5x** its speed on one thread.
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH]`
 
@@ -54,7 +60,8 @@ use sketch_la::blas2::{gemv, gemv_naive, Triangle};
 use sketch_la::blas3::{gemm_into, gemm_naive_into, gram_gemm, trsm_right, trsm_right_naive};
 use sketch_la::qr::{geqrf_naive, geqrf_owned};
 use sketch_la::{Layout, Matrix, Op};
-use sketch_rng::fill;
+use sketch_rng::fill::{self, BLOCKS_PER_ELEMENT, CHUNK};
+use sketch_rng::StreamFactory;
 
 /// The GEMM gate shape (m, k, n): the row `BENCH_walltime.json` has always tracked.
 const GATE_GEMM: (usize, usize, usize) = (512, 512, 128);
@@ -70,6 +77,12 @@ const GEMV_SHAPE: (usize, usize) = (65536, 32);
 
 /// Required lockstep-TRSM speedup over the per-vector reference on one thread.
 const GATE_TRSM_SPEEDUP: f64 = 1.5;
+
+/// Required Gaussian-fill speedup over the libm reference on one thread.
+const GATE_GAUSSIAN_SPEEDUP: f64 = 1.5;
+
+/// Largest absolute difference the Gaussian fill may have from the libm reference.
+const GATE_GAUSSIAN_ABS_DIFF: f64 = 1e-14;
 
 /// One naive-vs-blocked measurement.
 struct KernelRow {
@@ -318,6 +331,54 @@ fn bench_trsm_right(m: usize, n: usize, seed: u64) -> KernelRow {
     )
 }
 
+/// The textbook Box–Muller on the host's libm over the Gaussian fill's counter map:
+/// pair `p` of chunk `c` reads block `c·CHUNK·BLOCKS_PER_ELEMENT + p`, and
+/// `ρ·(cos θ, sin θ)` with `ρ = √(−2 ln u1)`, `θ = 2πu2`.
+fn libm_gaussian_fill(seed: u64, stream: u64, out: &mut [f64]) {
+    let factory = StreamFactory::new(seed);
+    for (ci, chunk) in out.chunks_mut(CHUNK).enumerate() {
+        let mut rng = factory.stream_at(stream, ci as u64 * CHUNK as u64 * BLOCKS_PER_ELEMENT);
+        for pair in chunk.chunks_mut(2) {
+            let u1 = rng.next_f64_open();
+            let u2 = rng.next_f64();
+            let radius = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            pair[0] = radius * theta.cos();
+            if let Some(z1) = pair.get_mut(1) {
+                *z1 = radius * theta.sin();
+            }
+        }
+    }
+}
+
+/// `len` standard normal draws: the Gaussian fill against the libm reference, both on
+/// one thread.  Returns the row and the largest absolute difference of any draw.
+fn bench_gaussian_fill(len: usize, seed: u64) -> (KernelRow, f64) {
+    let mut reference = vec![0.0; len];
+    let mut fast = vec![0.0; len];
+    let (naive, blocked) = with_thread_pool(1, || {
+        let naive = time_fn(|| libm_gaussian_fill(seed, 0, &mut reference));
+        let blocked = time_fn(|| fill::gaussian_fill(seed, 0, &mut fast));
+        (naive, blocked)
+    });
+    let max_abs_diff = fast
+        .iter()
+        .zip(&reference)
+        .fold(0.0f64, |acc, (f, r)| acc.max((f - r).abs()));
+    let scale = reference.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+    let row = KernelRow {
+        kernel: "gaussian_fill",
+        shape: format!("2^{}", len.trailing_zeros()),
+        elems: len,
+        naive,
+        blocked,
+        speedup_min: naive.min_ns / blocked.min_ns,
+        speedup_median: naive.median_ns / blocked.median_ns,
+        max_rel_diff: max_abs_diff / scale,
+    };
+    (row, max_abs_diff)
+}
+
 /// Measure one FWHT length: un-tiled whole-vector stages vs the cache-tiled
 /// schedule, both on one thread, restored from a pristine copy each iteration.
 fn bench_fwht_length(d: usize, seed: u64) -> KernelRow {
@@ -406,6 +467,9 @@ fn main() {
     let tall = if smoke { 16384 } else { GEMV_SHAPE.0 };
     rows.push(bench_gram(tall, GEMV_SHAPE.1, 91));
     rows.push(bench_trsm_right(tall, GEMV_SHAPE.1, 92));
+    let (gaussian_row, gaussian_abs_diff) =
+        bench_gaussian_fill(if smoke { 1 << 18 } else { 1 << 20 }, 93);
+    rows.push(gaussian_row);
 
     // Text report.
     let mut table = Table::new(
@@ -529,6 +593,34 @@ fn main() {
         )
     };
 
+    // Gate 7: the Gaussian fill stays within 1e-14 of libm and >= 1.5x its speed.
+    let gaussian_row = rows
+        .iter()
+        .find(|r| r.kernel == "gaussian_fill")
+        .expect("the Gaussian row always runs");
+    let gaussian_accuracy_status = if gaussian_abs_diff <= GATE_GAUSSIAN_ABS_DIFF {
+        format!(
+            "passed (max |fill - libm| {gaussian_abs_diff:.2e} <= {GATE_GAUSSIAN_ABS_DIFF:.0e} at {})",
+            gaussian_row.shape
+        )
+    } else {
+        format!(
+            "FAILED (max |fill - libm| {gaussian_abs_diff:.2e} > {GATE_GAUSSIAN_ABS_DIFF:.0e} at {})",
+            gaussian_row.shape
+        )
+    };
+    let gaussian_speed_status = if gaussian_row.speedup_min >= GATE_GAUSSIAN_SPEEDUP {
+        format!(
+            "passed ({:.2}x >= {GATE_GAUSSIAN_SPEEDUP}x at {})",
+            gaussian_row.speedup_min, gaussian_row.shape
+        )
+    } else {
+        format!(
+            "FAILED ({:.2}x < {GATE_GAUSSIAN_SPEEDUP}x at {})",
+            gaussian_row.speedup_min, gaussian_row.shape
+        )
+    };
+
     let doc = JsonValue::Object(vec![
         ("experiment".into(), JsonValue::Str("fig_kernels".into())),
         (
@@ -561,6 +653,14 @@ fn main() {
             JsonValue::Str(trsm_status.clone()),
         ),
         (
+            "gaussian_accuracy_gate".into(),
+            JsonValue::Str(gaussian_accuracy_status.clone()),
+        ),
+        (
+            "gaussian_speedup_gate".into(),
+            JsonValue::Str(gaussian_speed_status.clone()),
+        ),
+        (
             "rows".into(),
             JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
         ),
@@ -576,6 +676,8 @@ fn main() {
         ("bitwise gate", &bitwise_status),
         ("householder speedup gate", &qr_status),
         ("trsm speedup gate", &trsm_status),
+        ("gaussian accuracy gate", &gaussian_accuracy_status),
+        ("gaussian speedup gate", &gaussian_speed_status),
     ] {
         if status.starts_with("FAILED") {
             eprintln!("{name} {status}");

@@ -19,10 +19,11 @@
 use crate::blas1::dot_unrecorded;
 use crate::blas2::Triangle;
 use crate::error::{dim_err, LaError};
-use crate::gebp::{self, BlockSizes, Tier};
+use crate::gebp::{self, BlockSizes};
 use crate::matrix::{Layout, Matrix, MatrixViewMut, Op};
 use rayon::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
+use sketch_rng::Tier;
 use std::ops::Range;
 
 /// Block size (rows/columns) of the blocked triangular solves.  A fixed constant — not

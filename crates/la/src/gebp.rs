@@ -43,6 +43,7 @@
 
 use crate::matrix::{Layout, Matrix, Op};
 use rayon::prelude::*;
+use sketch_rng::Tier;
 
 /// Microkernel tile height (rows of C per register tile).
 pub const MR: usize = 8;
@@ -92,32 +93,6 @@ impl BlockSizes {
             kc: self.kc.max(1),
             nc: self.nc.next_multiple_of(NR).max(NR),
         }
-    }
-}
-
-/// Instruction-set tier of the compute loops, detected once per call.
-///
-/// Every tier compiles the same `#[inline(always)]` loop bodies; a wider tier only
-/// lets the compiler use wider registers.  Products and sums stay separate
-/// instructions (rustc never contracts them into an FMA), so every tier computes the
-/// baseline's bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// Baseline code generation for the target: every host.
-    Baseline,
-    /// The same bodies compiled with AVX2 enabled, on hosts that support it.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Tier {
-    /// The widest tier this host supports.
-    pub(crate) fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Tier::Avx2;
-        }
-        Tier::Baseline
     }
 }
 

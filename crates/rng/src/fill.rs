@@ -5,21 +5,34 @@
 //! time" stacks of Figures 2 and 5).  On the GPU every thread generates its own values
 //! from `(seed, counter)`; here every rayon chunk does the same, so the result is
 //! bit-identical regardless of thread count or chunk scheduling.
+//!
+//! The Gaussian fill is the hot one: each chunk generates a batch of Philox blocks at
+//! once ([`Philox4x32::blocks`]) and turns the batch into Box–Muller pairs in one
+//! branch-free, libm-free loop, compiled in every [`Tier`]; the integer fills draw
+//! through [`PhiloxRng`](crate::PhiloxRng) one word at a time.
 
-use crate::distributions::{BoxMuller, Rademacher, UniformIndex};
+use crate::distributions::{box_muller, Rademacher, UniformIndex};
+use crate::philox::Philox4x32;
 use crate::stream::StreamFactory;
+use crate::tier::Tier;
 use rayon::prelude::*;
 
 /// Number of elements generated per independent chunk.
 ///
 /// Each chunk starts at its own Philox block so chunks never share counter ranges;
 /// 8192 elements keeps scheduling overhead negligible while staying cache friendly.
-const CHUNK: usize = 8192;
+/// Element `e` of a fill belongs to chunk `e / CHUNK`, which starts at block
+/// `(e / CHUNK) · CHUNK · BLOCKS_PER_ELEMENT` of the fill's stream.
+pub const CHUNK: usize = 8192;
 
 /// Worst-case Philox blocks consumed per generated element, used to space the chunk
 /// starting blocks far enough apart that chunks can never overlap.
 /// (A Gaussian pair consumes 4 words = 1 block; a rejection-sampled index may retry.)
-const BLOCKS_PER_ELEMENT: u64 = 4;
+pub const BLOCKS_PER_ELEMENT: u64 = 4;
+
+/// Philox blocks the Gaussian fill generates per batch (`2 · BATCH` draws), sized so
+/// the batch's words and draws stay in L1.
+const BATCH: usize = 64;
 
 /// Fill a new vector with standard normal variates, in parallel, deterministically.
 pub fn gaussian_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
@@ -29,25 +42,79 @@ pub fn gaussian_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
 }
 
 /// Fill an existing slice with standard normal variates (parallel, deterministic).
+///
+/// Pair `p` of chunk `c` (elements `c·CHUNK + 2p` and `c·CHUNK + 2p + 1`) is the
+/// [`BoxMuller`](crate::BoxMuller) pair of block `c·CHUNK·BLOCKS_PER_ELEMENT + p`, so
+/// every draw is a pure function of `(seed, stream, index)` and a shorter fill is a
+/// prefix of a longer one.  Each chunk generates a batch of Philox blocks, then
+/// transforms the batch in one branch-free loop, in the widest [`Tier`] the host has;
+/// every tier computes the same bits.
 pub fn gaussian_fill(seed: u64, stream: u64, out: &mut [f64]) {
-    let factory = StreamFactory::new(seed);
-    out.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            let mut rng = factory.stream_at(stream, block);
-            let mut bm = BoxMuller::new();
-            for x in chunk.iter_mut() {
-                *x = bm.sample(&mut rng);
-            }
-        });
+    scaled_gaussian_fill(seed, stream, out, 1.0);
 }
 
 /// Fill a new vector with scaled normal variates `N(0, scale^2)`.
 pub fn scaled_gaussian_vec(seed: u64, stream: u64, len: usize, scale: f64) -> Vec<f64> {
-    let mut out = gaussian_vec(seed, stream, len);
-    out.par_iter_mut().for_each(|x| *x *= scale);
+    let mut out = vec![0.0; len];
+    scaled_gaussian_fill(seed, stream, &mut out, scale);
     out
+}
+
+/// [`gaussian_fill`] times `scale`, multiplied inside the transform loop.  Each
+/// element is the fill's draw times `scale`, rounded once: the bits of scaling after
+/// the fill, without a second pass (and `scale = 1` changes no bit).
+fn scaled_gaussian_fill(seed: u64, stream: u64, out: &mut [f64], scale: f64) {
+    let philox = Philox4x32::new_stream(seed, stream);
+    let tier = Tier::detect();
+    out.par_chunks_mut(CHUNK)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let first = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
+            gaussian_chunk(tier, &philox, first, scale, chunk);
+        });
+}
+
+/// One chunk of the Gaussian fill, whose first pair reads block `first`.
+fn gaussian_chunk(tier: Tier, philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
+    match tier {
+        Tier::Baseline => gaussian_chunk_body(philox, first, scale, out),
+        // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { gaussian_chunk_avx2(philox, first, scale, out) },
+    }
+}
+
+/// [`gaussian_chunk_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gaussian_chunk_avx2(philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
+    gaussian_chunk_body(philox, first, scale, out);
+}
+
+/// Batches of [`BATCH`] Philox blocks, each transformed in one loop.  A ragged last
+/// batch generates whole blocks and writes only what fits.
+#[inline(always)]
+fn gaussian_chunk_body(philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
+    let mut words = [[0u32; BATCH]; 4];
+    let mut pairs = [[0.0f64; 2]; BATCH];
+    for (bi, run) in out.chunks_mut(2 * BATCH).enumerate() {
+        philox.blocks(first + (bi * BATCH) as u64, &mut words);
+        transform_batch(&words, scale, &mut pairs);
+        run.copy_from_slice(&pairs.as_flattened()[..run.len()]);
+    }
+}
+
+/// The Box–Muller pair of every block of a batch, times `scale`.
+#[inline(always)]
+fn transform_batch(words: &[[u32; BATCH]; 4], scale: f64, pairs: &mut [[f64; 2]; BATCH]) {
+    for (p, pair) in pairs.iter_mut().enumerate() {
+        let (z0, z1) = box_muller([words[0][p], words[1][p], words[2][p], words[3][p]]);
+        *pair = [z0 * scale, z1 * scale];
+    }
 }
 
 /// Fill a new vector with Rademacher signs stored as `+1.0` / `-1.0`.
@@ -78,9 +145,19 @@ pub fn rademacher_bool_vec(seed: u64, stream: u64, len: usize) -> Vec<bool> {
 /// Fill a new vector with uniform indices in `{0, …, bound-1}` — the CountSketch row
 /// map and the SRHT row sample both use this.
 pub fn uniform_index_vec(seed: u64, stream: u64, len: usize, bound: usize) -> Vec<usize> {
+    let mut out = vec![0usize; len];
+    uniform_index_fill(seed, stream, bound, &mut out);
+    out
+}
+
+/// Fill an existing slice with uniform indices in `{0, …, bound-1}`: the values of
+/// [`uniform_index_vec`] of the same length.
+///
+/// # Panics
+/// Panics if `bound` is 0 or exceeds `u32::MAX` (see [`UniformIndex::new`]).
+pub fn uniform_index_fill(seed: u64, stream: u64, bound: usize, out: &mut [usize]) {
     let factory = StreamFactory::new(seed);
     let sampler = UniformIndex::new(bound);
-    let mut out = vec![0usize; len];
     out.par_chunks_mut(CHUNK)
         .enumerate()
         .for_each(|(ci, chunk)| {
@@ -90,7 +167,6 @@ pub fn uniform_index_vec(seed: u64, stream: u64, len: usize, bound: usize) -> Ve
                 *r = sampler.sample(&mut rng);
             }
         });
-    out
 }
 
 /// Fill a new vector with uniform doubles in `[0, 1)`.
@@ -184,6 +260,192 @@ mod tests {
     fn uniform_vec_in_unit_interval() {
         let v = uniform_vec(6, 2, 10_000);
         assert!(v.iter().all(|&x| (0.0..1.0).contains(&x)));
+    }
+
+    #[test]
+    fn gaussian_fill_known_answers() {
+        // Draws 0–3 and draw CHUNK (the second chunk's first) of two streams, as bit
+        // patterns, plus an FNV-1a digest of the bytes of their first 2^16 draws: any
+        // drift of the transform (even a sub-ulp one), the counter map, the ISA tier or
+        // the thread count fails here.
+        let cases: [((u64, u64), [u64; 5], u64); 2] = [
+            (
+                (0, 0),
+                [
+                    0xBFBF_1BCD_5498_37C3,
+                    0xBFF5_99BB_D8A9_EDA7,
+                    0xBFB4_F5B5_4DF9_7F00,
+                    0xBFCC_81BA_FE55_415C,
+                    0xBFF4_E64F_36B1_517B,
+                ],
+                0xE492_7E0A_EBCF_DBFF,
+            ),
+            (
+                (42, 7),
+                [
+                    0xBFF3_1186_3FAF_E123,
+                    0x3FE3_CAD9_F70E_CBCF,
+                    0xBFDB_7E52_E9E1_99E5,
+                    0xBFC6_77CB_5D40_7A50,
+                    0xBFC0_912F_0533_A3C3,
+                ],
+                0xDC75_60CE_5383_1DD4,
+            ),
+        ];
+        for ((seed, stream), want, want_digest) in cases {
+            let v = gaussian_vec(seed, stream, 1 << 16);
+            let got = [0, 1, 2, 3, CHUNK].map(|i| v[i].to_bits());
+            assert_eq!(got, want, "gaussian_vec({seed}, {stream}, ..)");
+            let digest = v
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(
+                digest, want_digest,
+                "digest of gaussian_vec({seed}, {stream}, 2^16)"
+            );
+        }
+    }
+
+    #[test]
+    fn box_muller_sample_pair_matches_the_fill() {
+        let (seed, stream) = (11, 3);
+        let len = 2 * CHUNK + 5;
+        let fill = gaussian_vec(seed, stream, len);
+        let factory = StreamFactory::new(seed);
+        for (ci, chunk) in fill.chunks(CHUNK).enumerate() {
+            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
+            let mut rng = factory.stream_at(stream, block);
+            for pair in chunk.chunks(2) {
+                let (z0, z1) = crate::BoxMuller::sample_pair(&mut rng);
+                assert_eq!(pair[0].to_bits(), z0.to_bits());
+                if let Some(x) = pair.get(1) {
+                    assert_eq!(x.to_bits(), z1.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_fill_has_the_bits_of_scaling_after_the_fill() {
+        for (len, scale) in [
+            (3 * CHUNK + 17, 1.0 / 24.0f64.sqrt()),
+            (2 * BATCH + 3, -3.5),
+            (1, 1e-300),
+            (CHUNK, 1.0),
+        ] {
+            let two_pass: Vec<u64> = gaussian_vec(8, 2, len)
+                .iter()
+                .map(|x| (x * scale).to_bits())
+                .collect();
+            let one_pass: Vec<u64> = scaled_gaussian_vec(8, 2, len, scale)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(one_pass, two_pass, "len {len}, scale {scale}");
+        }
+    }
+
+    /// [`transform_batch`] in `tier`.
+    fn transform_in(tier: Tier, words: &[[u32; BATCH]; 4]) -> Vec<u64> {
+        /// [`transform_batch`] compiled with AVX2 enabled.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn transform_avx2(words: &[[u32; BATCH]; 4], pairs: &mut [[f64; 2]; BATCH]) {
+            transform_batch(words, 1.0, pairs);
+        }
+        let mut pairs = [[0.0; 2]; BATCH];
+        match tier {
+            Tier::Baseline => transform_batch(words, 1.0, &mut pairs),
+            // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => unsafe { transform_avx2(words, &mut pairs) },
+        }
+        pairs.as_flattened().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn avx2_gaussian_fill_reproduces_the_baseline_bits() {
+        // On a host without AVX2 `tier` is the baseline and this pins the fallback
+        // against itself.
+        let tier = Tier::detect();
+        let philox = Philox4x32::new_stream(5, 9);
+        let len = 1 << 20;
+        let (mut wide, mut base) = (vec![0.0; len], vec![0.0; len]);
+        for (ci, (w, b)) in wide
+            .chunks_mut(CHUNK)
+            .zip(base.chunks_mut(CHUNK))
+            .enumerate()
+        {
+            let first = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
+            gaussian_chunk(tier, &philox, first, 1.0, w);
+            gaussian_chunk(Tier::Baseline, &philox, first, 1.0, b);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wide), bits(&base));
+        assert_eq!(bits(&base), bits(&gaussian_vec(5, 9, len)));
+    }
+
+    #[test]
+    fn edge_uniforms_agree_across_tiers_and_quarter_turns_are_exact() {
+        // `u` as the two words whose top 53 bits are `m`, for `u = m · 2^-53`.
+        let words_of = |m: u64| [(m >> 21) as u32, (m << 11) as u32];
+        let u1s = [0u64, 1, 2]; // 0 → EPSILON, 2^-53, EPSILON
+        let u2s = [
+            0u64,
+            1 << 50,       // 1/8
+            1 << 51,       // 1/4
+            1 << 52,       // 1/2
+            3 << 51,       // 3/4
+            (1 << 53) - 1, // 1 − 2^-53
+        ];
+        let mut words = [[0u32; BATCH]; 4];
+        let mut lanes = 0;
+        for &m1 in &u1s {
+            for &m2 in &u2s {
+                let ([w0, w1], [w2, w3]) = (words_of(m1), words_of(m2));
+                [
+                    words[0][lanes],
+                    words[1][lanes],
+                    words[2][lanes],
+                    words[3][lanes],
+                ] = [w0, w1, w2, w3];
+                lanes += 1;
+            }
+        }
+        let base = transform_in(Tier::Baseline, &words);
+        assert_eq!(transform_in(Tier::detect(), &words), base);
+
+        // u1 = 0 and u1 = EPSILON are the same draw.
+        let radius = f64::from_bits(base[0]);
+        assert_eq!(base[..2 * u2s.len()], base[4 * u2s.len()..6 * u2s.len()]);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-15 * b.abs().max(1.0);
+        assert!(close(radius, (2.0 * 52.0 * std::f64::consts::LN_2).sqrt()));
+        // Whole quarter turns: (cos, sin) is exactly (1, +0), (-0, 1), (-1, -0), (+0, -1).
+        let pair = |u2: usize| {
+            let (c, s) = (
+                f64::from_bits(base[2 * u2]),
+                f64::from_bits(base[2 * u2 + 1]),
+            );
+            ((c / radius).to_bits(), (s / radius).to_bits())
+        };
+        assert_eq!(pair(0), (1.0f64.to_bits(), 0.0f64.to_bits()));
+        assert_eq!(pair(2), ((-0.0f64).to_bits(), 1.0f64.to_bits()));
+        assert_eq!(pair(3), ((-1.0f64).to_bits(), (-0.0f64).to_bits()));
+        assert_eq!(pair(4), (0.0f64.to_bits(), (-1.0f64).to_bits()));
+        // An eighth turn and the last representable turn stay on the unit circle.
+        let (c, s) = pair(1);
+        let half_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+        assert!(close(f64::from_bits(c), half_sqrt2) && close(f64::from_bits(s), half_sqrt2));
+        let (c, s) = pair(5);
+        assert_eq!(f64::from_bits(c), 1.0);
+        assert!(f64::from_bits(s) < 0.0 && f64::from_bits(s) > -1e-15);
     }
 
     #[test]

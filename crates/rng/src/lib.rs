@@ -8,13 +8,22 @@
 //! implements **Philox4x32-10 from scratch** and layers the distributions the paper
 //! needs on top of it:
 //!
-//! * [`Philox4x32`] — the raw counter-based block generator,
+//! * [`Philox4x32`] — the raw counter-based block generator, one block or a
+//!   structure-of-arrays batch of them at a time,
 //! * [`PhiloxRng`] — a buffered [`rand::RngCore`] adaptor with O(1) `jump-ahead`,
 //! * [`distributions`] — uniform doubles, Box–Muller Gaussians, Rademacher signs and
 //!   bounded uniform integers,
 //! * [`fill`] — deterministic *parallel* fills of large slices, mirroring how a GPU
 //!   generates one value per thread from `(seed, counter)` without any sequential
-//!   dependency.
+//!   dependency,
+//! * [`Tier`] — the instruction-set tier every SIMD loop of the workspace selects once
+//!   per call.
+//!
+//! Every value is a pure function of `(seed, stream, index)`, the same at any thread
+//! count and in every tier.  Gaussians are also the same on every IEEE-754 host: the
+//! Box–Muller transform builds its logarithm, sine and cosine from `+ − × ÷`, `sqrt`
+//! and integer bit operations instead of calling libm, and never fuses a multiply into
+//! an add.
 //!
 //! Counter-based generation is what makes the "sketch generation time" lines of the
 //! paper's Figure 2 and Figure 5 meaningful: generating the `2n·d` Gaussians of a
@@ -40,10 +49,12 @@ pub mod distributions;
 pub mod fill;
 pub mod philox;
 pub mod stream;
+pub mod tier;
 
 pub use distributions::{BoxMuller, Rademacher, UniformIndex};
 pub use philox::{Philox4x32, PhiloxRng, PHILOX_ROUNDS};
 pub use stream::StreamFactory;
+pub use tier::Tier;
 
 /// Convenience re-export of the `rand` traits used throughout the workspace.
 pub use rand::{Rng, RngCore, SeedableRng};

@@ -298,8 +298,8 @@ impl<'p> ServeEngine<'p> {
             ledger.rejected_by_reason = by_reason;
         }
         // Jobs the scheduler abandoned mid-run (retry budget spent on dying
-        // devices) are rejections too — merged, not assigned, so they coexist
-        // with submit-time tallies.
+        // devices, or an operand the host could not allocate) are rejections
+        // too — merged, not assigned, so they coexist with submit-time tallies.
         for job in &service.abandoned {
             let ledger = tenants.entry(job.tenant.clone()).or_default();
             ledger.jobs_rejected += 1;
@@ -582,6 +582,60 @@ mod tests {
                 bits(&solo.jobs[0].run.result)
             );
         }
+    }
+
+    #[test]
+    fn an_operand_the_host_cannot_map_is_one_ledger_entry_and_the_other_job_runs() {
+        use crate::file::JobFile;
+        use crate::queue::QueuedJob;
+
+        // 2^59 x 1 doubles is 2^62 bytes: within isize::MAX, so admission lets it
+        // through, but past the address space of every 64-bit host.
+        let file = JobFile::from_json(
+            r#"{"jobs": [
+                {"tenant": "ok",
+                 "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
+                                          "output_dim": {"exact": 64}, "seed": 3}]},
+                 "operand": {"dense": {"rows": 4096, "cols": 8, "seed": 4}}},
+                {"tenant": "unmappable",
+                 "pipeline": {"stages": [{"kind": "count-sketch",
+                                          "input_dim": 576460752303423488,
+                                          "output_dim": {"exact": 16}, "seed": 1}]},
+                 "operand": {"dense": {"rows": 576460752303423488, "cols": 1, "seed": 2}}}
+            ]}"#,
+        )
+        .unwrap();
+        let pool = DevicePool::unlimited(2);
+        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+        for job in file.jobs.iter().cloned() {
+            engine.submit(job).expect("both jobs pass admission");
+        }
+        let report = engine.run().expect("the batch settles a report");
+        let ledger = &report.tenants["unmappable"];
+        assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
+        assert_eq!(ledger.rejected_by_reason["operand_allocation_failed"], 1);
+        assert_eq!(
+            report.service.abandoned[0].reason,
+            crate::error::RejectReason::OperandAllocationFailed { bytes: 1 << 62 }
+        );
+        assert_eq!(report.jobs_run(), 1);
+
+        let solo = Scheduler::new()
+            .run(
+                &DevicePool::unlimited(1),
+                &[QueuedJob {
+                    job: file.jobs[0].clone(),
+                    seq: 0,
+                }],
+            )
+            .unwrap();
+        let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&report.service.jobs[0].run.result),
+            bits(&solo.jobs[0].run.result)
+        );
     }
 
     #[test]

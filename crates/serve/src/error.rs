@@ -57,6 +57,13 @@ pub enum RejectReason {
         /// Execution attempts that failed before the job was abandoned.
         attempts: usize,
     },
+    /// The host refused to allocate the job's operand when the scheduler
+    /// materialised it (see
+    /// [`OperandSpec::try_materialize`](crate::OperandSpec::try_materialize)).
+    OperandAllocationFailed {
+        /// Bytes the materialised operand holds at its peak.
+        bytes: u64,
+    },
 }
 
 impl RejectReason {
@@ -70,6 +77,7 @@ impl RejectReason {
             RejectReason::SizeOverflow { .. } => "size_overflow",
             RejectReason::InvalidSpec { .. } => "invalid_spec",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
+            RejectReason::OperandAllocationFailed { .. } => "operand_allocation_failed",
         }
     }
 }
@@ -98,6 +106,10 @@ impl std::fmt::Display for RejectReason {
             RejectReason::RetriesExhausted { attempts } => write!(
                 f,
                 "abandoned after {attempts} failed attempt(s) on dying devices"
+            ),
+            RejectReason::OperandAllocationFailed { bytes } => write!(
+                f,
+                "the host refused to allocate the job's {bytes}-byte operand"
             ),
         }
     }

@@ -22,9 +22,18 @@ use sketch_core::{JsonValue, Pipeline, SketchKind, SketchSpec};
 use sketch_la::{Layout, Matrix};
 use sketch_rng::fill;
 use sketch_sparse::{CooMatrix, CsrMatrix};
+use std::collections::TryReserveError;
 
 /// Largest buffer, in bytes, a job may ask for: `Vec` panics past `isize::MAX`.
 const MAX_ALLOC_BYTES: u64 = isize::MAX as u64;
+
+/// A vector of `len` zeros, or the host's refusal to allocate it.
+fn try_zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    v.resize(len, T::default());
+    Ok(v)
+}
 
 /// 64-bit FNV-1a hash of a tenant id: the tenant's Philox seed-namespace salt.
 ///
@@ -167,30 +176,72 @@ impl OperandSpec {
     }
 
     /// Materialise the operand from its recipe (deterministic per spec).
+    ///
+    /// # Panics
+    /// Panics where [`OperandSpec::try_materialize`] returns an error.
     pub fn materialize(&self) -> OperandData {
+        self.try_materialize()
+            .unwrap_or_else(|reason| panic!("cannot materialise {self:?}: {reason}"))
+    }
+
+    /// Materialise the operand, reserving every spec-sized buffer with
+    /// `try_reserve_exact` and then filling it in place, so an allocation the
+    /// host refuses is a typed [`RejectReason::OperandAllocationFailed`]
+    /// instead of an abort.  A dense operand is
+    /// `Matrix::random_gaussian(rows, cols, RowMajor, seed, 0)`; a CSR operand
+    /// sums the `(row, col, value)` draws of streams 10, 11 and 12.
+    ///
+    /// A size past `isize::MAX` bytes is a [`RejectReason::SizeOverflow`], and a
+    /// CSR operand with no rows or columns, or more than `u32::MAX` of either
+    /// (whose coordinates a uniform index cannot draw), a
+    /// [`RejectReason::InvalidSpec`].
+    pub fn try_materialize(&self) -> Result<OperandData, RejectReason> {
+        let bytes = self
+            .modelled_bytes()
+            .filter(|&b| b <= MAX_ALLOC_BYTES)
+            .ok_or(RejectReason::SizeOverflow {
+                quantity: "operand bytes",
+            })?;
+        let refused = |_| RejectReason::OperandAllocationFailed { bytes };
         match *self {
-            OperandSpec::Dense { rows, cols, seed } => OperandData::Dense(Matrix::random_gaussian(
-                rows,
-                cols,
-                Layout::RowMajor,
-                seed,
-                0,
-            )),
+            OperandSpec::Dense { rows, cols, seed } => {
+                let mut data = try_zeroed(rows * cols).map_err(refused)?;
+                fill::gaussian_fill(seed, 0, &mut data);
+                Ok(OperandData::Dense(Matrix::from_vec(
+                    rows,
+                    cols,
+                    Layout::RowMajor,
+                    data,
+                )))
+            }
             OperandSpec::Csr {
                 rows,
                 cols,
                 nnz_target,
                 seed,
             } => {
+                let drawable = 1..=u32::MAX as usize;
+                if !drawable.contains(&rows) || !drawable.contains(&cols) {
+                    return Err(RejectReason::InvalidSpec {
+                        detail: format!(
+                            "a CSR operand draws coordinates in [0, 2^32), got {rows}x{cols}"
+                        ),
+                    });
+                }
                 let draws = nnz_target.max(1);
-                let rr = fill::uniform_index_vec(seed, 10, draws, rows);
-                let cc = fill::uniform_index_vec(seed, 11, draws, cols);
-                let vv = fill::gaussian_vec(seed, 12, draws);
-                let mut coo = CooMatrix::with_capacity(rows, cols, draws);
+                let mut rr = try_zeroed(draws).map_err(refused)?;
+                let mut cc = try_zeroed(draws).map_err(refused)?;
+                let mut vv = try_zeroed(draws).map_err(refused)?;
+                fill::uniform_index_fill(seed, 10, rows, &mut rr);
+                fill::uniform_index_fill(seed, 11, cols, &mut cc);
+                fill::gaussian_fill(seed, 12, &mut vv);
+                let mut coo = CooMatrix::try_with_capacity(rows, cols, draws).map_err(refused)?;
                 for i in 0..draws {
                     coo.push(rr[i], cc[i], vv[i]);
                 }
-                OperandData::Csr(CsrMatrix::from_coo(&coo))
+                Ok(OperandData::Csr(
+                    CsrMatrix::try_from_coo(&coo).map_err(refused)?,
+                ))
             }
         }
     }
@@ -673,6 +724,74 @@ mod tests {
                 assert_eq!(a.max_abs_diff(&b).unwrap(), 0.0);
             }
             _ => panic!("dense spec materialises dense"),
+        }
+    }
+
+    #[test]
+    fn fallible_materialisation_fills_the_recipe_in_place() {
+        // The in-place fills give the bits of the allocate-and-return recipe.
+        let dense = OperandSpec::Dense {
+            rows: 300,
+            cols: 7,
+            seed: 5,
+        };
+        match dense.try_materialize().unwrap() {
+            OperandData::Dense(m) => {
+                assert_eq!(m, Matrix::random_gaussian(300, 7, Layout::RowMajor, 5, 0));
+            }
+            _ => panic!("dense spec materialises dense"),
+        }
+        let (rows, cols, draws, seed) = (500, 9, 3000, 13);
+        let csr = OperandSpec::Csr {
+            rows,
+            cols,
+            nnz_target: draws,
+            seed,
+        };
+        let rr = fill::uniform_index_vec(seed, 10, draws, rows);
+        let cc = fill::uniform_index_vec(seed, 11, draws, cols);
+        let vv = fill::gaussian_vec(seed, 12, draws);
+        let mut coo = CooMatrix::new(rows, cols);
+        for i in 0..draws {
+            coo.push(rr[i], cc[i], vv[i]);
+        }
+        match csr.try_materialize().unwrap() {
+            OperandData::Csr(c) => assert_eq!(c, CsrMatrix::from_coo(&coo)),
+            _ => panic!("csr spec materialises csr"),
+        }
+    }
+
+    #[test]
+    fn unallocatable_or_undrawable_operands_are_typed_refusals() {
+        let refusal = |spec: OperandSpec| spec.try_materialize().unwrap_err();
+        assert_eq!(
+            refusal(OperandSpec::Dense {
+                rows: 1 << 59,
+                cols: 1,
+                seed: 0
+            }),
+            RejectReason::OperandAllocationFailed { bytes: 1 << 62 }
+        );
+        assert_eq!(
+            refusal(OperandSpec::Dense {
+                rows: 1 << 60,
+                cols: 1,
+                seed: 0
+            }),
+            RejectReason::SizeOverflow {
+                quantity: "operand bytes"
+            }
+        );
+        for (rows, cols) in [(1usize << 33, 4usize), (8, 0)] {
+            assert!(matches!(
+                refusal(OperandSpec::Csr {
+                    rows,
+                    cols,
+                    nnz_target: 1,
+                    seed: 0
+                }),
+                RejectReason::InvalidSpec { .. }
+            ));
         }
     }
 

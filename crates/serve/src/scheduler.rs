@@ -61,9 +61,10 @@ pub struct AbandonedJob {
     pub tenant: String,
     /// Queue sequence number of the job.
     pub seq: u64,
-    /// The typed reason — always
-    /// [`RejectReason::RetriesExhausted`] today, kept open for future
-    /// scheduler-side refusals.
+    /// The typed reason: [`RejectReason::RetriesExhausted`] when every
+    /// attempt hit a dead device, or the refusal
+    /// [`OperandSpec::try_materialize`](crate::OperandSpec::try_materialize)
+    /// returned (e.g. [`RejectReason::OperandAllocationFailed`]).
     pub reason: RejectReason,
     /// Execution attempts that failed before the job was abandoned.
     pub attempts: usize,
@@ -75,7 +76,8 @@ pub struct AbandonedJob {
 pub struct ServiceRun {
     /// Jobs in execution (queue) order.
     pub jobs: Vec<ScheduledJob>,
-    /// Jobs abandoned after exhausting their retry budget on dying devices.
+    /// Jobs abandoned after exhausting their retry budget on dying devices, or
+    /// whose operand could not be materialised.
     pub abandoned: Vec<AbandonedJob>,
     /// Execution attempts re-run because an earlier attempt hit a dead device.
     pub retries: u64,
@@ -156,10 +158,19 @@ impl Scheduler {
     }
 
     /// Materialise and execute one job on `pool` with its tenant-salted
-    /// pipeline.
+    /// pipeline.  An operand that cannot be materialised is a
+    /// [`ServeError::Rejected`] for the job.
     fn execute(&self, pool: &DevicePool, job: &QueuedJob) -> Result<PipelinedRun, ServeError> {
         let plan = job.job.salted_pipeline();
-        let run = match job.job.operand.materialize() {
+        let operand = job
+            .job
+            .operand
+            .try_materialize()
+            .map_err(|reason| ServeError::Rejected {
+                tenant: job.job.tenant.clone(),
+                reason,
+            })?;
+        let run = match operand {
             OperandData::Dense(m) => pipelined_sketch(pool, &m, &plan, &self.opts)?,
             OperandData::Csr(c) => pipelined_sketch(pool, Operand::Csr(&c), &plan, &self.opts)?,
         };
@@ -183,7 +194,9 @@ impl Scheduler {
     /// still-live devices, up to the tenant's
     /// [`max_retries`](crate::TenantLimits::max_retries) budget; past the
     /// budget — or with no live device left — the job is *abandoned* with a
-    /// typed [`RejectReason::RetriesExhausted`], never a hard error.
+    /// typed [`RejectReason::RetriesExhausted`], never a hard error.  A job
+    /// whose operand cannot be materialised (the host refuses the allocation)
+    /// is abandoned with that typed reason, and the other jobs run on.
     ///
     /// Stragglers feed the claim decision: an
     /// [interactive](DeadlineClass::Interactive) job whose earliest-free claim
@@ -285,6 +298,15 @@ impl Scheduler {
                             break;
                         }
                         retries += 1;
+                    }
+                    Err(ServeError::Rejected { reason, .. }) => {
+                        abandoned.push(AbandonedJob {
+                            tenant: qj.job.tenant.clone(),
+                            seq: qj.seq,
+                            reason,
+                            attempts: attempts + 1,
+                        });
+                        break;
                     }
                     Err(other) => return Err(other),
                 }

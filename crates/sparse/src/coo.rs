@@ -1,5 +1,7 @@
 //! Coordinate (triplet) sparse format, used for assembly.
 
+use std::collections::TryReserveError;
+
 /// A sparse matrix in coordinate format: a list of `(row, col, value)` triplets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix {
@@ -25,6 +27,22 @@ impl CooMatrix {
             ncols,
             entries: Vec::with_capacity(nnz),
         }
+    }
+
+    /// [`CooMatrix::with_capacity`], returning an allocation the host refuses as an
+    /// error instead of aborting.
+    pub fn try_with_capacity(
+        nrows: usize,
+        ncols: usize,
+        nnz: usize,
+    ) -> Result<Self, TryReserveError> {
+        let mut entries = Vec::new();
+        entries.try_reserve_exact(nnz)?;
+        Ok(Self {
+            nrows,
+            ncols,
+            entries,
+        })
     }
 
     /// Add an entry.  Duplicate coordinates are allowed and are summed on conversion to

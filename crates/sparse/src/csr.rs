@@ -1,6 +1,14 @@
 //! Compressed sparse row storage.
 
 use crate::coo::CooMatrix;
+use std::collections::TryReserveError;
+
+/// An empty `Vec` with room for exactly `len` elements.
+fn reserved<T>(len: usize) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    Ok(v)
+}
 
 /// A sparse matrix in CSR format: `row_ptr` (length `nrows + 1`), `col_idx` and `values`
 /// (length `nnz`).
@@ -58,16 +66,28 @@ impl CsrMatrix {
     }
 
     /// Convert from COO, summing duplicate coordinates.
+    ///
+    /// # Panics
+    /// Panics if the host refuses an allocation; [`CsrMatrix::try_from_coo`] returns
+    /// that as an error.
     pub fn from_coo(coo: &CooMatrix) -> Self {
+        Self::try_from_coo(coo).expect("the CSR buffers fit in memory")
+    }
+
+    /// [`CsrMatrix::from_coo`], reserving every buffer with `try_reserve_exact` so an
+    /// allocation the host refuses is an error instead of an abort.
+    pub fn try_from_coo(coo: &CooMatrix) -> Result<Self, TryReserveError> {
         let nrows = coo.nrows();
         let ncols = coo.ncols();
         // Sort triplets by (row, col); duplicates become adjacent and are merged.
-        let mut entries: Vec<(usize, usize, f64)> = coo.entries().to_vec();
+        let mut entries = reserved(coo.nnz())?;
+        entries.extend_from_slice(coo.entries());
         entries.sort_unstable_by_key(|&(i, j, _)| (i, j));
 
-        let mut row_ptr = vec![0usize; nrows + 1];
-        let mut col_idx = Vec::with_capacity(entries.len());
-        let mut values = Vec::with_capacity(entries.len());
+        let mut row_ptr = reserved(nrows.saturating_add(1))?;
+        row_ptr.resize(nrows + 1, 0usize);
+        let mut col_idx = reserved(entries.len())?;
+        let mut values = reserved(entries.len())?;
         let mut prev: Option<(usize, usize)> = None;
         for &(i, j, v) in &entries {
             if prev == Some((i, j)) {
@@ -83,13 +103,13 @@ impl CsrMatrix {
         for i in 0..nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        Self {
+        Ok(Self {
             nrows,
             ncols,
             row_ptr,
             col_idx,
             values,
-        }
+        })
     }
 
     /// Number of rows.
