@@ -25,12 +25,14 @@
 //!    critical path, overlap efficiency and per-device utilization.
 //!
 //! The executor also absorbs injected device deaths
-//! ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)): a mirror of the
-//! stream-simulator clocks runs alongside the numerics, so the exact simulated
-//! instant a death fires is known mid-stage; the stage is then rescheduled over
-//! the survivors and re-run from its Philox-seeded operators — bit-for-bit
-//! identical output, because every stage is schedule-independent by
-//! construction.  The aborted attempt's truncated operations stay on the
+//! ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)).  Its one modelled
+//! clock is a [`StreamSet`] driven while the shards execute: each shard's
+//! kernel and collective are enqueued as the shard runs, and an operation that
+//! would end after its device's death instant is cut there, so the exact
+//! simulated instant a death fires is known mid-stage.  The stage is then
+//! rescheduled over the survivors and re-run from its Philox-seeded operators —
+//! bit-for-bit identical output, because every stage is schedule-independent
+//! by construction.  The aborted attempt's cut operations stay on the
 //! timeline, and the price paid is itemised in [`FaultReport`].
 
 use crate::comm::CommCost;
@@ -38,7 +40,9 @@ use crate::error::DistError;
 use sketch_core::{
     CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator, SketchSpec,
 };
-use sketch_gpu_sim::{DevicePool, KernelCost, StreamKind, StreamSet, Timeline};
+use sketch_gpu_sim::{
+    Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
+};
 use sketch_la::{Layout, Matrix};
 use std::ops::Range;
 
@@ -150,7 +154,7 @@ impl Schedule {
     }
 }
 
-/// Modelled work of one shard, fed to the stream simulator.
+/// Modelled work of one shard: its kernel, then its collective.
 #[derive(Debug, Clone)]
 struct ShardOp {
     device: usize,
@@ -369,8 +373,7 @@ pub fn preflight(
 ///
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
-/// [`Device`](sketch_gpu_sim::Device) launches — "serial" is just the
-/// degenerate pool.
+/// [`Device`] launches — "serial" is just the degenerate pool.
 pub fn pipelined_sketch<'a>(
     pool: &DevicePool,
     a: impl Into<Operand<'a>>,
@@ -465,125 +468,224 @@ pub fn pipelined_sketch<'a>(
     }
 
     let result = current.ok_or_else(|| DistError::invalid_param("pipeline has no stages"))?;
-
-    // Only the real (with-comm) replay feeds the pool's attached recorder; the
-    // compute-only replay is an internal what-if and must not pollute traces.
-    let pipelined = simulate(p, &state.episodes, true, pool.recorder());
-    let compute_only = simulate(p, &state.episodes, false, None);
+    let ExecState {
+        alive,
+        clock,
+        episodes,
+        failures,
+        shards_recomputed,
+        lost_seconds,
+    } = state;
+    let timeline = clock.set.finish();
+    let compute_only_seconds = replay(p, episodes.iter().map(|(ops, _)| ops), false);
 
     // The recovery price: how much the full makespan (aborted attempts
     // included) exceeds the successful episodes replayed alone.  Exactly 0.0
-    // on a clean run — the replays are then identical.
-    let recovery_overhead_seconds = if state.failures.is_empty() {
+    // on a clean run.
+    let recovery_overhead_seconds = if failures.is_empty() {
         0.0
     } else {
-        let clean_episodes: Vec<Vec<ShardOp>> = state
-            .episodes
-            .iter()
-            .zip(&state.clean)
-            .filter(|(_, &clean)| clean)
-            .map(|(ops, _)| ops.clone())
-            .collect();
-        (pipelined.makespan() - simulate(p, &clean_episodes, true, None).makespan()).max(0.0)
+        let clean = episodes.iter().filter(|(_, clean)| *clean);
+        (timeline.makespan() - replay(p, clean.map(|(ops, _)| ops), true)).max(0.0)
     };
 
-    // Fault markers land on a dedicated trace track: a zero-width death point
-    // plus the recovery span on the dead device's row.
-    if !state.failures.is_empty() {
-        if let Some(recorder) = pool.recorder() {
-            for f in &state.failures {
-                recorder.record(sketch_obs::TraceEvent {
-                    name: format!("device {} died (stage s{})", f.device, f.stage),
-                    device: f.device,
-                    track: sketch_obs::Track::Fault,
-                    sim: Some((f.detected_at_seconds, f.detected_at_seconds)),
-                    wall_ns: 0,
-                    cost: sketch_obs::CostBreakdown::default(),
-                });
-                recorder.record(sketch_obs::TraceEvent {
-                    name: format!("recovery: stage s{} rescheduled on survivors", f.stage),
-                    device: f.device,
-                    track: sketch_obs::Track::Fault,
-                    sim: Some((f.detected_at_seconds, f.recovered_at_seconds)),
-                    wall_ns: 0,
-                    cost: sketch_obs::CostBreakdown::default(),
-                });
-            }
+    // The recorder sees every timeline operation on its device×stream sim
+    // track, then the fault markers on a dedicated track: a zero-width death
+    // point plus the recovery span on the dead device's row.
+    if let Some(recorder) = pool.recorder() {
+        for entry in timeline.entries() {
+            recorder.record(entry.trace_event());
+        }
+        for f in &failures {
+            recorder.record(sketch_obs::TraceEvent {
+                name: format!("device {} died (stage s{})", f.device, f.stage),
+                device: f.device,
+                track: sketch_obs::Track::Fault,
+                sim: Some((f.detected_at_seconds, f.detected_at_seconds)),
+                wall_ns: 0,
+                cost: sketch_obs::CostBreakdown::default(),
+            });
+            recorder.record(sketch_obs::TraceEvent {
+                name: format!("recovery: stage s{} rescheduled on survivors", f.stage),
+                device: f.device,
+                track: sketch_obs::Track::Fault,
+                sim: Some((f.detected_at_seconds, f.recovered_at_seconds)),
+                wall_ns: 0,
+                cost: sketch_obs::CostBreakdown::default(),
+            });
         }
     }
-
-    let fault = FaultReport {
-        survivors: state.alive.len(),
-        failures: state.failures,
-        shards_recomputed: state.shards_recomputed,
-        lost_seconds: state.lost_seconds,
-        recovery_overhead_seconds,
-    };
 
     Ok(PipelinedRun {
         result,
         // The sum of every operation's duration is schedule-independent, so the
         // fully-serialized makespan needs no replay of its own.
-        serial_seconds: pipelined.serial_seconds(),
-        pipelined_seconds: pipelined.makespan(),
-        compute_only_seconds: compute_only.makespan(),
-        comm_seconds: pipelined.seconds_of(StreamKind::Comm),
-        timeline: pipelined,
+        serial_seconds: timeline.serial_seconds(),
+        pipelined_seconds: timeline.makespan(),
+        compute_only_seconds,
+        comm_seconds: timeline.seconds_of(StreamKind::Comm),
+        timeline,
         comm: comms,
         schedules,
-        fault,
+        fault: FaultReport {
+            survivors: alive.len(),
+            failures,
+            shards_recomputed,
+            lost_seconds,
+            recovery_overhead_seconds,
+        },
     })
 }
 
-/// Mirror of the stream-simulator clocks, advanced *during* numeric execution
-/// so device deaths are detected at the exact instant the timeline replay
-/// would reach.
-///
-/// Correctness of the mirror: `simulate` computes every start time as a fold
-/// of `f64::max` over the stream cursor and the wait events, episode
-/// boundaries wait on every last event of the previous episode, and `max`
-/// over non-negative values is order-independent bit-for-bit — so tracking
-/// per-device cursors plus the episode barrier reproduces the replay's
-/// timestamps exactly.
-struct SimClock {
-    /// Max over every last event of all previous episodes (the stage/retry
-    /// boundary every next compute waits on).
-    barrier: f64,
-    /// Per pool position: end of the device's last compute op.
-    compute: Vec<f64>,
-    /// Per pool position: end of the device's last collective.
-    comm: Vec<f64>,
+/// The executor's modelled clock: one [`StreamSet`] (a compute and a comm
+/// stream per device) driven while the shards execute.  Each episode — one
+/// attempt of a stage — is a barrier: its kernels wait on every last event of
+/// the previous episode.
+struct Clock {
+    set: StreamSet,
+    /// Whether collectives take time (false: the compute critical path).
+    with_comm: bool,
+    /// Last event of every operation of the previous episode.
+    barrier: Vec<Event>,
+    /// Last event of every operation of the current episode.
+    done: Vec<Event>,
+    /// The current episode's latest ordered-fold collective.
+    fold: Option<Event>,
+    /// The current episode's operations, as run.
+    ops: Vec<ShardOp>,
 }
 
-impl SimClock {
-    fn new(p: usize) -> Self {
+impl Clock {
+    fn new(devices: usize, with_comm: bool) -> Self {
         Self {
-            barrier: 0.0,
-            compute: vec![0.0; p],
-            comm: vec![0.0; p],
+            set: StreamSet::new(devices),
+            with_comm,
+            barrier: Vec::new(),
+            done: Vec::new(),
+            fold: None,
+            ops: Vec::new(),
         }
+    }
+
+    /// Run `op`: its kernel on its device's compute stream after the barrier,
+    /// then its collective on the comm stream after the kernel and, for a
+    /// chained op, after the previous fold.  Given the live `device`, the
+    /// first operation that would end after the device's death is cut at the
+    /// death instant (a collective cut to nothing is dropped), and the failure
+    /// and that instant are returned.
+    fn run(&mut self, mut op: ShardOp, device: Option<&Device>) -> Option<(DeviceFailed, f64)> {
+        let (compute_s, mut death) = self.cut(
+            op.device,
+            StreamKind::Compute,
+            &self.barrier,
+            op.compute_s,
+            device,
+        );
+        op.compute_s = compute_s;
+        let mut last = self.set.enqueue_costed(
+            op.device,
+            StreamKind::Compute,
+            op.label.clone(),
+            &self.barrier,
+            compute_s,
+            op.cost.into(),
+        );
+        if death.is_some() {
+            op.comm_s = 0.0;
+        } else if self.with_comm && op.comm_s > 0.0 {
+            let mut waits = vec![last];
+            if op.chained {
+                waits.extend(self.fold);
+            }
+            (op.comm_s, death) = self.cut(op.device, StreamKind::Comm, &waits, op.comm_s, device);
+            if op.comm_s > 0.0 {
+                last = self.set.enqueue_costed(
+                    op.device,
+                    StreamKind::Comm,
+                    format!("{} fold", op.label),
+                    &waits,
+                    op.comm_s,
+                    sketch_obs::CostBreakdown {
+                        comm_bytes: op.comm_bytes,
+                        ..Default::default()
+                    },
+                );
+                if op.chained {
+                    self.fold = Some(last);
+                }
+            }
+        }
+        self.done.push(last);
+        self.ops.push(op);
+        death
+    }
+
+    /// The duration of an operation of `duration` seconds on `pos`'s `kind`
+    /// stream after `waits`: whole, or — when the live `device` would not
+    /// survive its end — cut at the death instant, with the failure and that
+    /// instant.
+    fn cut(
+        &self,
+        pos: usize,
+        kind: StreamKind,
+        waits: &[Event],
+        duration: f64,
+        device: Option<&Device>,
+    ) -> (f64, Option<(DeviceFailed, f64)>) {
+        let Some(device) = device else {
+            return (duration, None);
+        };
+        let start = self.set.stream(pos, kind).start(waits);
+        match device.check_alive(start + duration) {
+            Ok(()) => (duration, None),
+            Err(failure) => {
+                let at = start.max(failure.after_sim_seconds);
+                (at - start, Some((failure, at)))
+            }
+        }
+    }
+
+    /// Close the current episode: its last events become the next episode's
+    /// barrier.  Returns the episode's operations and its end.
+    fn end_episode(&mut self) -> (Vec<ShardOp>, f64) {
+        let end = self.done.iter().fold(0.0f64, |acc, e| acc.max(e.at));
+        self.barrier = std::mem::take(&mut self.done);
+        self.fold = None;
+        (std::mem::take(&mut self.ops), end)
     }
 }
 
-/// What one execution attempt of a stage produced.
+/// The makespan of recorded `episodes` replayed on a fresh [`Clock`], with or
+/// without their collectives.
+fn replay<'e>(
+    devices: usize,
+    episodes: impl Iterator<Item = &'e Vec<ShardOp>>,
+    with_comm: bool,
+) -> f64 {
+    let mut clock = Clock::new(devices, with_comm);
+    for ops in episodes {
+        for op in ops {
+            clock.run(op.clone(), None);
+        }
+        clock.end_episode();
+    }
+    clock.set.finish().makespan()
+}
+
+/// How one execution attempt of a stage ended.  Either way its operations are
+/// on the clock: an aborted attempt's completed survivor shards and its dying
+/// operation, cut at the death instant, stay on the timeline (in-flight work
+/// drains, then the stage restarts at the barrier).
 enum Attempt {
     /// Every shard ran to completion on the attempt's schedule.
-    Success {
-        out: Matrix,
-        ops: Vec<ShardOp>,
-        episode_end: f64,
-    },
-    /// A device died mid-attempt.  `ops` holds the completed survivor shards
-    /// plus the dying operation truncated at the death instant — the aborted
-    /// episode stays on the timeline (in-flight work drains, then the stage
-    /// restarts at the barrier).
+    Success(Matrix),
+    /// A device died mid-attempt.
     Died {
-        ops: Vec<ShardOp>,
-        failure: sketch_gpu_sim::DeviceFailed,
+        failure: DeviceFailed,
         /// Index into the attempt's `alive` slice of the dead device.
         local: usize,
+        /// The instant the dying operation was cut.
         detected_at: f64,
-        episode_end: f64,
     },
 }
 
@@ -591,12 +693,10 @@ enum Attempt {
 struct ExecState {
     /// Pool positions still alive, in pool order.
     alive: Vec<usize>,
-    clock: SimClock,
-    /// Every episode (successful or aborted attempt) in replay order; the
-    /// stream simulator puts a barrier between consecutive episodes.
-    episodes: Vec<Vec<ShardOp>>,
-    /// Whether the episode at the same index was a successful attempt.
-    clean: Vec<bool>,
+    clock: Clock,
+    /// Every episode (successful or aborted attempt) in clock order, with
+    /// whether it succeeded.
+    episodes: Vec<(Vec<ShardOp>, bool)>,
     failures: Vec<DeviceFailure>,
     shards_recomputed: usize,
     lost_seconds: f64,
@@ -606,9 +706,8 @@ impl ExecState {
     fn new(p: usize, alive: Vec<usize>) -> Self {
         Self {
             alive,
-            clock: SimClock::new(p),
+            clock: Clock::new(p, true),
             episodes: Vec::new(),
-            clean: Vec::new(),
             failures: Vec::new(),
             shards_recomputed: 0,
             lost_seconds: 0.0,
@@ -632,7 +731,7 @@ impl ExecState {
         mut attempt: F,
     ) -> Result<(Matrix, Schedule), DistError>
     where
-        F: FnMut(&Schedule, &[usize], &mut SimClock) -> Result<Attempt, DistError>,
+        F: FnMut(&Schedule, &[usize], &mut Clock) -> Result<Attempt, DistError>,
     {
         let mut attempt_no = 0usize;
         let stage_first_failure = self.failures.len();
@@ -646,18 +745,14 @@ impl ExecState {
                 (opts.shards_per_device.max(1) * survivors).clamp(1, extent)
             };
             let schedule = Schedule::block_cyclic(axis, extent, num_shards, survivors);
-            match attempt(&schedule, &self.alive, &mut self.clock)? {
-                Attempt::Success {
-                    out,
-                    ops,
-                    episode_end,
-                } => {
-                    if attempt_no > 0 {
-                        self.shards_recomputed += ops.len();
-                    }
-                    self.clock.barrier = episode_end;
-                    self.episodes.push(ops);
-                    self.clean.push(true);
+            let attempt = attempt(&schedule, &self.alive, &mut self.clock)?;
+            let (ops, episode_end) = self.clock.end_episode();
+            if attempt_no > 0 {
+                self.shards_recomputed += ops.len();
+            }
+            match attempt {
+                Attempt::Success(out) => {
+                    self.episodes.push((ops, true));
                     // Recovery on the trace runs from each detection to the
                     // stage's eventual success.
                     for f in &mut self.failures[stage_first_failure..] {
@@ -670,19 +765,12 @@ impl ExecState {
                     return Ok((out, reported));
                 }
                 Attempt::Died {
-                    ops,
                     failure,
                     local,
                     detected_at,
-                    episode_end,
                 } => {
-                    if attempt_no > 0 {
-                        self.shards_recomputed += ops.len();
-                    }
                     self.lost_seconds += ops.iter().map(|o| o.compute_s + o.comm_s).sum::<f64>();
-                    self.clock.barrier = episode_end;
-                    self.episodes.push(ops);
-                    self.clean.push(false);
+                    self.episodes.push((ops, false));
                     self.failures.push(DeviceFailure {
                         device: failure.ordinal,
                         stage: stage_idx,
@@ -724,18 +812,14 @@ fn row_attempt(
     n: usize,
     schedule: &Schedule,
     alive: &[usize],
-    clock: &mut SimClock,
+    clock: &mut Clock,
     stage_idx: usize,
 ) -> Attempt {
     let survivors = alive.len();
 
     let mut out = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
-    let mut ops: Vec<ShardOp> = Vec::with_capacity(schedule.num_shards());
-    let mut prev_fold: Option<f64> = None;
-    let mut episode_end = 0.0f64;
     for assignment in &schedule.assignments {
-        let local = assignment.device;
-        let phys = alive[local];
+        let phys = alive[assignment.device];
         let device = pool.device(phys);
         let range = assignment.range.clone();
         sketch.fold_rows(input, range.clone(), &mut out.view_mut());
@@ -753,94 +837,32 @@ fn row_attempt(
         let label = format!("s{stage_idx} {kind} shard {}", assignment.index);
         device.launch(&label, cost);
 
-        let compute_s = device.scaled_time(&cost);
-        let cs = clock.compute[phys].max(clock.barrier);
-        let ce = cs + compute_s;
-        if let Err(failure) = device.check_alive(ce) {
-            let truncated = cs.max(failure.after_sim_seconds);
-            clock.compute[phys] = truncated;
-            episode_end = episode_end.max(truncated);
-            ops.push(ShardOp {
-                device: phys,
-                label,
-                compute_s: truncated - cs,
-                comm_s: 0.0,
-                chained: true,
-                cost,
-                comm_bytes: 0,
-            });
-            return Attempt::Died {
-                ops,
-                failure,
-                local,
-                detected_at: truncated,
-                episode_end,
-            };
-        }
-        clock.compute[phys] = ce;
-
-        let comm_s = if survivors > 1 {
-            ring_fold_time(pool, k, n) * device.link_scale()
+        let (comm_s, comm_bytes) = if survivors > 1 {
+            (
+                ring_fold_time(pool, k, n) * device.link_scale(),
+                KernelCost::f64_bytes((k * n) as u64),
+            )
         } else {
-            0.0
+            (0.0, 0)
         };
-        let comm_bytes = if survivors > 1 {
-            KernelCost::f64_bytes((k * n) as u64)
-        } else {
-            0
-        };
-        if comm_s > 0.0 {
-            let mut fold_start = clock.comm[phys].max(ce);
-            if let Some(prev) = prev_fold {
-                fold_start = fold_start.max(prev);
-            }
-            let fold_end = fold_start + comm_s;
-            if let Err(failure) = device.check_alive(fold_end) {
-                let truncated = fold_start.max(failure.after_sim_seconds);
-                let truncated_comm = truncated - fold_start;
-                if truncated_comm > 0.0 {
-                    clock.comm[phys] = truncated;
-                }
-                let detected_at = truncated;
-                episode_end = episode_end.max(detected_at);
-                ops.push(ShardOp {
-                    device: phys,
-                    label,
-                    compute_s,
-                    comm_s: truncated_comm,
-                    chained: true,
-                    cost,
-                    comm_bytes: if truncated_comm > 0.0 { comm_bytes } else { 0 },
-                });
-                return Attempt::Died {
-                    ops,
-                    failure,
-                    local,
-                    detected_at,
-                    episode_end,
-                };
-            }
-            clock.comm[phys] = fold_end;
-            prev_fold = Some(fold_end);
-            episode_end = episode_end.max(fold_end);
-        } else {
-            episode_end = episode_end.max(ce);
-        }
-        ops.push(ShardOp {
+        let op = ShardOp {
             device: phys,
             label,
-            compute_s,
+            compute_s: device.scaled_time(&cost),
             comm_s,
             chained: true,
             cost,
             comm_bytes,
-        });
+        };
+        if let Some((failure, detected_at)) = clock.run(op, Some(device)) {
+            return Attempt::Died {
+                failure,
+                local: assignment.device,
+                detected_at,
+            };
+        }
     }
-    Attempt::Success {
-        out,
-        ops,
-        episode_end,
-    }
+    Attempt::Success(out)
 }
 
 /// One attempt of a column-sharded stage (Gaussian, SRHT): every device
@@ -864,7 +886,7 @@ fn col_attempt(
     k: usize,
     schedule: &Schedule,
     alive: &[usize],
-    clock: &mut SimClock,
+    clock: &mut Clock,
     stage_idx: usize,
 ) -> Result<Attempt, DistError> {
     let survivors = alive.len();
@@ -874,11 +896,8 @@ fn col_attempt(
     let csr_panels = cut_csr_panels(pool, alive, input, schedule);
 
     let mut out = Matrix::zeros_with_layout(k, n, op.output_layout());
-    let mut ops: Vec<ShardOp> = Vec::with_capacity(schedule.num_shards());
-    let mut episode_end = 0.0f64;
     for (shard, assignment) in schedule.assignments.iter().enumerate() {
-        let local = assignment.device;
-        let phys = alive[local];
+        let phys = alive[assignment.device];
         let device = pool.device(phys);
         let range = assignment.range.clone();
         let mut panel_out = Matrix::zeros_with_layout(k, range.len(), op.output_layout());
@@ -901,90 +920,33 @@ fn col_attempt(
         }
         let label = format!("s{stage_idx} {kind} panel {}", assignment.index);
 
-        let compute_s = device.scaled_time(&cost);
-        let cs = clock.compute[phys].max(clock.barrier);
-        let ce = cs + compute_s;
-        if let Err(failure) = device.check_alive(ce) {
-            let truncated = cs.max(failure.after_sim_seconds);
-            clock.compute[phys] = truncated;
-            episode_end = episode_end.max(truncated);
-            ops.push(ShardOp {
-                device: phys,
-                label,
-                compute_s: truncated - cs,
-                comm_s: 0.0,
-                chained: false,
-                cost,
-                comm_bytes: 0,
-            });
-            return Ok(Attempt::Died {
-                ops,
-                failure,
-                local,
-                detected_at: truncated,
-                episode_end,
-            });
-        }
-        clock.compute[phys] = ce;
-
-        let panel_bytes = if survivors > 1 {
-            KernelCost::f64_bytes((k * range.len()) as u64)
+        let (comm_s, comm_bytes) = if survivors > 1 {
+            let bytes = KernelCost::f64_bytes((k * range.len()) as u64);
+            (
+                pool.interconnect().transfer_time(bytes) * device.link_scale(),
+                bytes,
+            )
         } else {
-            0
+            (0.0, 0)
         };
-        let comm_s = if survivors > 1 {
-            pool.interconnect().transfer_time(panel_bytes) * device.link_scale()
-        } else {
-            0.0
-        };
-        if comm_s > 0.0 {
-            let gather_start = clock.comm[phys].max(ce);
-            let gather_end = gather_start + comm_s;
-            if let Err(failure) = device.check_alive(gather_end) {
-                let truncated = gather_start.max(failure.after_sim_seconds);
-                let truncated_comm = truncated - gather_start;
-                if truncated_comm > 0.0 {
-                    clock.comm[phys] = truncated;
-                }
-                let detected_at = truncated;
-                episode_end = episode_end.max(detected_at);
-                ops.push(ShardOp {
-                    device: phys,
-                    label,
-                    compute_s,
-                    comm_s: truncated_comm,
-                    chained: false,
-                    cost,
-                    comm_bytes: if truncated_comm > 0.0 { panel_bytes } else { 0 },
-                });
-                return Ok(Attempt::Died {
-                    ops,
-                    failure,
-                    local,
-                    detected_at,
-                    episode_end,
-                });
-            }
-            clock.comm[phys] = gather_end;
-            episode_end = episode_end.max(gather_end);
-        } else {
-            episode_end = episode_end.max(ce);
-        }
-        ops.push(ShardOp {
+        let shard_op = ShardOp {
             device: phys,
             label,
-            compute_s,
+            compute_s: device.scaled_time(&cost),
             comm_s,
             chained: false,
             cost,
-            comm_bytes: panel_bytes,
-        });
+            comm_bytes,
+        };
+        if let Some((failure, detected_at)) = clock.run(shard_op, Some(device)) {
+            return Ok(Attempt::Died {
+                failure,
+                local: assignment.device,
+                detected_at,
+            });
+        }
     }
-    Ok(Attempt::Success {
-        out,
-        ops,
-        episode_end,
-    })
+    Ok(Attempt::Success(out))
 }
 
 /// Carve every column panel of a CSR-like operand for one stage attempt, in
@@ -1046,72 +1008,6 @@ fn replicate_generation(pool: &DevicePool, alive: &[usize], cost: KernelCost) {
     for &d in &alive[1..] {
         pool.device(d).launch("sketch gen (replica)", cost);
     }
-}
-
-/// Replay the shard ops on simulated streams: each device's compute stream runs
-/// its shards in order; a shard's collective goes to the device's comm stream,
-/// waiting on the shard's kernel and (for chained stages) the previous shard's
-/// collective.  Stage boundaries are barriers: a stage's kernels wait on every
-/// completion event of the previous stage.
-///
-/// With `with_comm = false` the collectives cost nothing, yielding the compute
-/// critical path.
-///
-/// When a `recorder` is supplied, the replay emits one costed
-/// [`sketch_obs::TraceEvent`] per operation on the matching device×stream sim
-/// track — this is where a trace's compute/comm tracks come from.
-fn simulate(
-    devices: usize,
-    stage_ops: &[Vec<ShardOp>],
-    with_comm: bool,
-    recorder: Option<std::sync::Arc<dyn sketch_obs::Recorder>>,
-) -> Timeline {
-    let mut set = StreamSet::new(devices).with_recorder(recorder);
-    let mut stage_done = Vec::new();
-    for ops in stage_ops {
-        let mut done = Vec::with_capacity(ops.len());
-        let mut prev_comm: Option<sketch_gpu_sim::Event> = None;
-        for op in ops {
-            let compute_ev = set.enqueue_costed(
-                op.device,
-                StreamKind::Compute,
-                op.label.clone(),
-                &stage_done,
-                op.compute_s,
-                op.cost.into(),
-            );
-            let last_ev = if with_comm && op.comm_s > 0.0 {
-                // The kernel gates the collective; a chained (ordered-fold)
-                // collective additionally waits for the previous shard's fold.
-                let mut waits = vec![compute_ev];
-                if op.chained {
-                    if let Some(prev) = prev_comm {
-                        waits.push(prev);
-                    }
-                }
-                let comm_ev = set.enqueue_costed(
-                    op.device,
-                    StreamKind::Comm,
-                    format!("{} fold", op.label),
-                    &waits,
-                    op.comm_s,
-                    sketch_obs::CostBreakdown {
-                        comm_bytes: op.comm_bytes,
-                        ..Default::default()
-                    },
-                );
-                if op.chained {
-                    prev_comm = Some(comm_ev);
-                }
-                comm_ev
-            } else {
-                compute_ev
-            };
-            done.push(last_ev);
-        }
-        stage_done = done;
-    }
-    set.finish()
 }
 
 #[cfg(test)]

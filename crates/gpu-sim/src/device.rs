@@ -326,31 +326,12 @@ impl Device {
         Ok(())
     }
 
-    /// Whether a [`Device::check_alive`] (or [`Device::try_launch`]) has
-    /// already observed this device's death.  Death is permanent for the
-    /// lifetime of the injected fault: the flag clears only when the fault is
-    /// replaced via [`Device::set_fault`].
+    /// Whether a [`Device::check_alive`] has already observed this device's
+    /// death.  Death is permanent for the lifetime of the injected fault: the
+    /// flag clears only when the fault is replaced via [`Device::set_fault`].
     #[inline]
     pub fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
-    }
-
-    /// Fallible launch: record `cost` (the work really was attempted — the
-    /// bytes moved and flops burned land on the tracker like a real kernel
-    /// that dies mid-flight), then fail with [`DeviceFailed`] if the kernel's
-    /// modelled end time falls after the device's injected death instant.
-    ///
-    /// Returns the kernel's modelled end time (straggler-scaled) on success.
-    pub fn try_launch(
-        &self,
-        label: &str,
-        cost: KernelCost,
-        start_s: f64,
-    ) -> Result<f64, DeviceFailed> {
-        self.launch(label, cost);
-        let end = start_s + self.scaled_time(&cost);
-        self.check_alive(end)?;
-        Ok(end)
     }
 
     /// Reserve `bytes` of modelled device memory, failing like `cudaMalloc` would.
@@ -500,25 +481,6 @@ mod tests {
         assert!(!d.is_failed());
         d.set_fault(None);
         assert!(d.check_alive(f64::MAX).is_ok());
-    }
-
-    #[test]
-    fn try_launch_records_attempted_work_then_fails() {
-        let d = Device::h100();
-        let cost = KernelCost::new(1 << 20, 1 << 20, 1 << 10, 1);
-        let t = d.model_time(&cost);
-        // Healthy: returns start + modelled time.
-        let end = d.try_launch("k", cost, 1.0).unwrap();
-        assert_eq!(end, 1.0 + t);
-        assert_eq!(d.tracker().snapshot().launches, 1);
-        // Dying mid-kernel: the cost still lands (the kernel really ran until
-        // the device stopped), but the launch reports the typed failure.
-        d.set_fault(Some(FaultSpec::Dies {
-            after_sim_seconds: t / 2.0,
-        }));
-        assert!(d.try_launch("k", cost, 0.0).is_err());
-        assert_eq!(d.tracker().snapshot().launches, 2);
-        assert!(d.is_failed());
     }
 
     #[test]

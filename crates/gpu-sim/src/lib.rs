@@ -29,8 +29,9 @@
 //!   utilization and how much communication was hidden behind compute;
 //! * [`fault`] — declarative fault injection: a [`FaultPlan`] names which devices die
 //!   mid-run ([`FaultSpec::Dies`]), run slow ([`FaultSpec::Straggler`]) or sit on a
-//!   degraded link ([`FaultSpec::LinkDegraded`]), and the device clocks consult it so
-//!   failures surface as the typed [`DeviceFailed`] error at launch time.
+//!   degraded link ([`FaultSpec::LinkDegraded`]), and [`Device::check_alive`] asks it
+//!   whether a device survives to a simulated instant, so a death surfaces as the
+//!   typed [`DeviceFailed`] error at the first operation that outlives it.
 //!
 //! ## Example: cost tracking and the roofline clock
 //!
@@ -91,5 +92,5 @@ pub use roofline::RooflineModel;
 pub use stream::{Event, SimStream, StreamKind, StreamSet, Timeline, TimelineEntry};
 
 // The observability layer this crate's instrumentation emits into (see
-// `Device::launch`, `DevicePool::attach_recorder`, `StreamSet::enqueue_costed`).
+// `Device::launch`, `DevicePool::attach_recorder`, `TimelineEntry::trace_event`).
 pub use sketch_obs as obs;

@@ -70,14 +70,21 @@ impl SimStream {
         self.cursor
     }
 
-    /// Enqueue an operation that waits for `waits` (cross-stream events) and for every
-    /// earlier operation on this stream, then runs for `duration` seconds.
+    /// When an operation waiting for `waits` (cross-stream events) and for every
+    /// earlier operation on this stream would start: the latest of the cursor and
+    /// the events.  A pure query; [`SimStream::enqueue`] starts its operation here.
+    pub fn start(&self, waits: &[Event]) -> f64 {
+        waits
+            .iter()
+            .fold(self.cursor, |acc, event| acc.max(event.at))
+    }
+
+    /// Enqueue an operation that starts at [`SimStream::start`] of `waits` and
+    /// runs for `duration` seconds.
     ///
     /// Returns `(start, end)`; the stream cursor advances to `end`.
     pub fn enqueue(&mut self, waits: &[Event], duration: f64) -> (f64, f64) {
-        let start = waits
-            .iter()
-            .fold(self.cursor, |acc, event| acc.max(event.at));
+        let start = self.start(waits);
         let end = start + duration.max(0.0);
         self.cursor = end;
         (start, end)
@@ -97,12 +104,30 @@ pub struct TimelineEntry {
     pub start: f64,
     /// Simulated completion time in seconds.
     pub end: f64,
+    /// What the operation read, wrote, computed and moved over the interconnect.
+    pub cost: sketch_obs::CostBreakdown,
 }
 
 impl TimelineEntry {
     /// Duration of the operation in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
+    }
+
+    /// The operation as a costed [`sketch_obs::TraceEvent`] on its
+    /// device×stream sim track.
+    pub fn trace_event(&self) -> sketch_obs::TraceEvent {
+        sketch_obs::TraceEvent {
+            name: self.label.clone(),
+            device: self.device,
+            track: match self.stream {
+                StreamKind::Compute => sketch_obs::Track::Compute,
+                StreamKind::Comm => sketch_obs::Track::Comm,
+            },
+            sim: Some((self.start, self.end)),
+            wall_ns: 0,
+            cost: self.cost,
+        }
     }
 }
 
@@ -125,18 +150,26 @@ impl Timeline {
     }
 
     /// Merge another timeline into this one, shifting every entry forward by
-    /// `offset_s` seconds and remapping its device positions through
+    /// `offset_s` seconds, remapping its device positions through
     /// `device_map` (`device_map[i]` is the position in *this* timeline of the
-    /// other timeline's device `i`).
+    /// other timeline's device `i`) and prefixing its labels with
+    /// `label_prefix`.
     ///
     /// This is the modelled cluster clock: a job scheduled at `offset_s` on a
     /// device subset contributes its per-job timeline to the service-level
-    /// view, on the physical device rows it actually occupied.
+    /// view, on the physical device rows it actually occupied, under the
+    /// job's name.
     ///
     /// # Panics
     /// Panics if `device_map` is shorter than the other timeline's device
     /// count, or maps to a position outside this timeline.
-    pub fn merge_shifted(&mut self, other: &Timeline, offset_s: f64, device_map: &[usize]) {
+    pub fn merge_shifted(
+        &mut self,
+        other: &Timeline,
+        offset_s: f64,
+        device_map: &[usize],
+        label_prefix: &str,
+    ) {
         assert!(
             device_map.len() >= other.num_devices(),
             "device_map covers every device of the merged timeline"
@@ -150,9 +183,10 @@ impl Timeline {
             self.entries.push(TimelineEntry {
                 device,
                 stream: entry.stream,
-                label: entry.label.clone(),
+                label: format!("{label_prefix}{}", entry.label),
                 start: entry.start + offset_s,
                 end: entry.end + offset_s,
+                cost: entry.cost,
             });
         }
     }
@@ -231,17 +265,11 @@ impl Timeline {
 }
 
 /// One compute stream and one comm stream per device, plus the shared timeline.
-///
-/// With a recorder attached ([`StreamSet::attach_recorder`]), every enqueued
-/// operation also emits a [`sketch_obs::TraceEvent`] on the matching
-/// device×stream sim track; [`StreamSet::enqueue_costed`] additionally carries
-/// the operation's cost counters into the event.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSet {
     compute: Vec<SimStream>,
     comm: Vec<SimStream>,
     timeline: Timeline,
-    recorder: Option<std::sync::Arc<dyn sketch_obs::Recorder>>,
 }
 
 impl StreamSet {
@@ -254,25 +282,7 @@ impl StreamSet {
                 entries: Vec::new(),
                 devices,
             },
-            recorder: None,
         }
-    }
-
-    /// Attach a recorder; subsequent enqueues emit trace events.  A disabled
-    /// recorder (e.g. [`sketch_obs::NoopRecorder`]) is dropped here, so the
-    /// enqueue path stays event-free.
-    #[must_use]
-    pub fn with_recorder(
-        mut self,
-        recorder: Option<std::sync::Arc<dyn sketch_obs::Recorder>>,
-    ) -> Self {
-        self.recorder = recorder.filter(|r| r.enabled());
-        self
-    }
-
-    /// Attach a recorder in place (see [`StreamSet::with_recorder`]).
-    pub fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn sketch_obs::Recorder>) {
-        self.recorder = Some(recorder).filter(|r| r.enabled());
     }
 
     /// Number of devices this set schedules for.
@@ -304,9 +314,8 @@ impl StreamSet {
         )
     }
 
-    /// [`StreamSet::enqueue`] carrying the operation's cost counters, so the
-    /// emitted trace event (when a recorder is attached) reports what the
-    /// region read, wrote, computed, and moved over the interconnect.
+    /// [`StreamSet::enqueue`] carrying the operation's cost counters into its
+    /// [`TimelineEntry`] (and so into its [`TimelineEntry::trace_event`]).
     pub fn enqueue_costed(
         &mut self,
         device: usize,
@@ -321,28 +330,27 @@ impl StreamSet {
             StreamKind::Comm => &mut self.comm[device],
         };
         let (start, end) = stream.enqueue(waits, duration);
-        let label = label.into();
-        if let Some(recorder) = &self.recorder {
-            recorder.record(sketch_obs::TraceEvent {
-                name: label.clone(),
-                device,
-                track: match kind {
-                    StreamKind::Compute => sketch_obs::Track::Compute,
-                    StreamKind::Comm => sketch_obs::Track::Comm,
-                },
-                sim: Some((start, end)),
-                wall_ns: 0,
-                cost,
-            });
-        }
         self.timeline.entries.push(TimelineEntry {
             device,
             stream: kind,
-            label,
+            label: label.into(),
             start,
             end,
+            cost,
         });
         Event { at: end }
+    }
+
+    /// `device`'s `kind` stream, to ask when an operation would start
+    /// ([`SimStream::start`]) before enqueueing it.
+    ///
+    /// # Panics
+    /// Panics if `device` is out of range.
+    pub fn stream(&self, device: usize, kind: StreamKind) -> &SimStream {
+        match kind {
+            StreamKind::Compute => &self.compute[device],
+            StreamKind::Comm => &self.comm[device],
+        }
     }
 
     /// Consume the set and return the recorded timeline.
@@ -478,10 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn attached_recorder_sees_every_enqueue_with_costs() {
-        let collector = sketch_obs::TraceCollector::shared();
+    fn trace_events_carry_each_entry_with_its_costs() {
         let mut set = StreamSet::new(2);
-        set.attach_recorder(collector.clone());
         let c0 = set.enqueue_costed(
             0,
             StreamKind::Compute,
@@ -508,9 +514,11 @@ mod tests {
             },
         );
         set.enqueue(0, StreamKind::Compute, "k1", &[], 1.0);
-        let events = collector.snapshot();
+        let t = set.finish();
+        let events: Vec<_> = t.entries().iter().map(TimelineEntry::trace_event).collect();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].sim, Some((0.0, 2.0)));
+        assert_eq!(events[0].track, sketch_obs::Track::Compute);
         assert_eq!(events[0].cost.bytes_read, 64);
         assert_eq!(events[1].device, 1);
         assert_eq!(events[1].track, sketch_obs::Track::Comm);
@@ -518,19 +526,11 @@ mod tests {
         assert_eq!(events[1].cost.comm_bytes, 64);
         assert_eq!(events[2].cost, sketch_obs::CostBreakdown::default());
         // Events mirror the timeline exactly.
-        let t = set.finish();
         for (event, entry) in events.iter().zip(t.entries()) {
             assert_eq!(event.name, entry.label);
             assert_eq!(event.sim, Some((entry.start, entry.end)));
+            assert_eq!(event.cost, entry.cost);
         }
-    }
-
-    #[test]
-    fn disabled_recorders_are_dropped_at_attach_time() {
-        let set =
-            StreamSet::new(1).with_recorder(Some(std::sync::Arc::new(sketch_obs::NoopRecorder)));
-        // The noop recorder is filtered out, so the clone cost stays zero.
-        assert!(format!("{set:?}").contains("recorder: None"));
     }
 
     #[test]
@@ -547,14 +547,16 @@ mod tests {
         // Cluster of 4 devices: A on physical device 3 at t=1, B on physical
         // devices 0 and 2 at t=2.
         let mut service = Timeline::with_devices(4);
-        service.merge_shifted(&a, 1.0, &[3]);
-        service.merge_shifted(&b, 2.0, &[0, 2]);
+        service.merge_shifted(&a, 1.0, &[3], "");
+        service.merge_shifted(&b, 2.0, &[0, 2], "job-b ");
         assert_eq!(service.num_devices(), 4);
         assert_eq!(service.entries().len(), 3);
         assert_eq!(service.makespan(), 3.5); // B's comm: 2.0 + 1.0 + 0.5
         assert_eq!(service.serial_seconds(), 3.5);
         let a_entry = &service.entries()[0];
         assert_eq!((a_entry.device, a_entry.start, a_entry.end), (3, 1.0, 3.0));
+        assert_eq!(a_entry.label, "a-k");
+        assert_eq!(service.entries()[1].label, "job-b b-k");
         let m_entry = &service.entries()[2];
         assert_eq!(m_entry.device, 2);
         assert_eq!(m_entry.stream, StreamKind::Comm);
@@ -570,7 +572,7 @@ mod tests {
         inner.enqueue(0, StreamKind::Compute, "k", &[], 1.0);
         let inner = inner.finish();
         let mut service = Timeline::with_devices(4);
-        service.merge_shifted(&inner, 0.0, &[1]);
+        service.merge_shifted(&inner, 0.0, &[1], "");
     }
 
     #[test]
@@ -580,7 +582,7 @@ mod tests {
         inner.enqueue(0, StreamKind::Compute, "k", &[], 1.0);
         let inner = inner.finish();
         let mut service = Timeline::with_devices(2);
-        service.merge_shifted(&inner, 0.0, &[5]);
+        service.merge_shifted(&inner, 0.0, &[5], "");
     }
 
     #[test]

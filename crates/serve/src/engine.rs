@@ -219,7 +219,6 @@ pub struct ServeEngine<'p> {
     pool: &'p DevicePool,
     queue: JobQueue,
     admission: AdmissionController,
-    scheduler: Scheduler,
     /// Rejection tags per tenant, recorded at submit time.
     rejections: BTreeMap<String, BTreeMap<String, u64>>,
 }
@@ -235,16 +234,8 @@ impl<'p> ServeEngine<'p> {
             pool,
             queue: JobQueue::new(queue_capacity),
             admission,
-            scheduler: Scheduler::new(),
             rejections: BTreeMap::new(),
         }
-    }
-
-    /// Replace the scheduler (e.g. to change [`sketch_dist::ExecutorOptions`]).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Jobs currently queued.
@@ -281,9 +272,7 @@ impl<'p> ServeEngine<'p> {
     /// the ledgers and cleared, so consecutive batches don't double-count.
     pub fn run(&mut self) -> Result<ServiceReport, ServeError> {
         let jobs = self.queue.drain();
-        let service = self
-            .scheduler
-            .run_with_admission(self.pool, &jobs, &self.admission)?;
+        let service = Scheduler::new().run_with_admission(self.pool, &jobs, &self.admission)?;
         let mut tenants: BTreeMap<String, TenantLedger> = BTreeMap::new();
         for job in &service.jobs {
             let ledger = tenants.entry(job.tenant.clone()).or_default();
@@ -536,6 +525,17 @@ mod tests {
                      "operand": {"dense": {"rows": 64, "cols": 0, "seed": 2}}}"#,
                 ),
                 "non-empty operand, got dense 64x0",
+            ),
+            // A CSR operand with more rows than a uniform index can draw.
+            (
+                with_ok(
+                    r#"{"tenant": "tall",
+                     "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4294967297,
+                                              "output_dim": {"exact": 16}, "seed": 1}]},
+                     "operand": {"csr": {"rows": 4294967297, "cols": 4, "nnz_target": 8,
+                                         "seed": 2}}}"#,
+                ),
+                "got 4294967297x4",
             ),
         ];
         for (text, expected) in cases {

@@ -175,6 +175,26 @@ impl OperandSpec {
         }
     }
 
+    /// Refuse a CSR operand with no rows or columns, or more than `u32::MAX` of
+    /// either, whose coordinates a uniform index cannot draw, as a
+    /// [`RejectReason::InvalidSpec`].  Checked at admission and again by
+    /// [`OperandSpec::try_materialize`].
+    pub(crate) fn check_drawable(&self) -> Result<(), RejectReason> {
+        let drawable = 1..=u32::MAX as usize;
+        match *self {
+            OperandSpec::Csr { rows, cols, .. }
+                if !drawable.contains(&rows) || !drawable.contains(&cols) =>
+            {
+                Err(RejectReason::InvalidSpec {
+                    detail: format!(
+                        "a CSR operand draws coordinates in [0, 2^32), got {rows}x{cols}"
+                    ),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Materialise the operand from its recipe (deterministic per spec).
     ///
     /// # Panics
@@ -202,6 +222,7 @@ impl OperandSpec {
             .ok_or(RejectReason::SizeOverflow {
                 quantity: "operand bytes",
             })?;
+        self.check_drawable()?;
         let refused = |_| RejectReason::OperandAllocationFailed { bytes };
         match *self {
             OperandSpec::Dense { rows, cols, seed } => {
@@ -220,14 +241,6 @@ impl OperandSpec {
                 nnz_target,
                 seed,
             } => {
-                let drawable = 1..=u32::MAX as usize;
-                if !drawable.contains(&rows) || !drawable.contains(&cols) {
-                    return Err(RejectReason::InvalidSpec {
-                        detail: format!(
-                            "a CSR operand draws coordinates in [0, 2^32), got {rows}x{cols}"
-                        ),
-                    });
-                }
                 let draws = nnz_target.max(1);
                 let mut rr = try_zeroed(draws).map_err(refused)?;
                 let mut cc = try_zeroed(draws).map_err(refused)?;
@@ -424,7 +437,9 @@ impl JobSpec {
     /// operand (`OperandSpec::modelled_bytes`) and each Gaussian stage's
     /// dense `d × k` operator must each fit in `isize::MAX` bytes, past which
     /// `Vec` panics.  Then refuse a job whose pipeline does not fit its operand
-    /// (see `resolved_stages`).  Checked at admission, before any budget.
+    /// (see `resolved_stages`), and a CSR operand whose coordinates cannot be
+    /// drawn (see `OperandSpec::check_drawable`).  Checked at admission, before
+    /// any budget.
     pub(crate) fn check_sizes(&self) -> Result<(), ServeError> {
         let fits = |bytes: Option<u64>| bytes.is_some_and(|b| b <= MAX_ALLOC_BYTES);
         if !fits(self.operand.modelled_bytes()) {
@@ -445,7 +460,13 @@ impl JobSpec {
                 return Err(self.size_overflow("gaussian operator bytes"));
             }
         }
-        self.resolved_stages().map(|_| ())
+        self.resolved_stages()?;
+        self.operand
+            .check_drawable()
+            .map_err(|reason| ServeError::Rejected {
+                tenant: self.tenant.clone(),
+                reason,
+            })
     }
 
     /// Modelled bytes of sketch output the job produces: each resolved stage's

@@ -6,8 +6,9 @@
 //! co-scheduling beats FIFO one-job-at-a-time.  Each claim becomes a
 //! [`DevicePool::subpool`] view, the job runs through the ordinary
 //! `pipelined_sketch` engine on it, and the per-job timeline is merged (with
-//! the job's start offset and its physical device ordinals) into one
-//! service-level [`Timeline`] — the modelled cluster clock.
+//! the job's start offset, its physical device ordinals and its `tenant#seq`
+//! name) into one service-level [`Timeline`] — the modelled cluster clock,
+//! and the service's trace.
 //!
 //! Determinism: claims are resolved by `(free-up time, lowest ordinal)`, jobs
 //! execute with their tenant-salted pipelines, and the executor itself is
@@ -24,8 +25,8 @@ use crate::job::{DeadlineClass, OperandData};
 use crate::queue::QueuedJob;
 use sketch_core::Operand;
 use sketch_dist::{pipelined_sketch, ExecutorOptions, PipelinedRun};
-use sketch_gpu_sim::{DevicePool, StreamKind, Timeline};
-use sketch_obs::{CostBreakdown, TraceEvent, Track};
+use sketch_gpu_sim::{DevicePool, Timeline, TimelineEntry};
+use sketch_obs::TraceEvent;
 
 /// One job as actually scheduled: when, where, and what came out.
 #[derive(Debug, Clone)]
@@ -84,7 +85,8 @@ pub struct ServiceRun {
     /// Straggler devices displaced from interactive jobs' claims (the
     /// deadline-aware eviction decision).
     pub evictions: u64,
-    /// The merged cluster timeline (device rows are physical ordinals).
+    /// The merged cluster timeline: device rows are physical ordinals, and
+    /// each job's labels carry its `tenant#seq ` prefix.
     pub timeline: Timeline,
     /// Devices in the pool the run was packed onto.
     pub devices: usize,
@@ -102,59 +104,30 @@ impl ServiceRun {
     }
 
     /// Export the whole service run as costed trace events on the physical
-    /// device tracks, jobs laid out at their scheduled offsets.
+    /// device tracks: the merged timeline's entries, in merge order.
     ///
-    /// Events are emitted job-by-job in start order; since a device's jobs
-    /// never overlap and each job's per-stream entries are monotone, every
-    /// `(device, stream)` sim track stays monotone and non-overlapping — the
-    /// invariant the workspace trace validator enforces.
+    /// Jobs are merged in execution order, and each starts on a device only
+    /// once the device's previous job has ended; since each job's per-stream
+    /// entries are monotone, every `(device, stream)` sim track stays
+    /// monotone and non-overlapping — the invariant the workspace trace
+    /// validator enforces.
     pub fn to_trace_events(&self) -> Vec<TraceEvent> {
-        let mut order: Vec<usize> = (0..self.jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ja, jb) = (&self.jobs[a], &self.jobs[b]);
-            ja.start
-                .partial_cmp(&jb.start)
-                .expect("finite start times")
-                .then(ja.seq.cmp(&jb.seq))
-        });
-        let mut events = Vec::new();
-        for idx in order {
-            let job = &self.jobs[idx];
-            for entry in job.run.timeline.entries() {
-                events.push(TraceEvent {
-                    name: format!("{}#{} {}", job.tenant, job.seq, entry.label),
-                    device: job.device_ordinals[entry.device],
-                    track: match entry.stream {
-                        StreamKind::Compute => Track::Compute,
-                        StreamKind::Comm => Track::Comm,
-                    },
-                    sim: Some((entry.start + job.start, entry.end + job.start)),
-                    wall_ns: 0,
-                    cost: CostBreakdown::default(),
-                });
-            }
-        }
-        events
+        self.timeline
+            .entries()
+            .iter()
+            .map(TimelineEntry::trace_event)
+            .collect()
     }
 }
 
 /// Greedy device-packing scheduler over a shared pool.
 #[derive(Debug, Clone, Default)]
-pub struct Scheduler {
-    opts: ExecutorOptions,
-}
+pub struct Scheduler;
 
 impl Scheduler {
-    /// A scheduler running jobs with default [`ExecutorOptions`].
+    /// A scheduler running every job with default [`ExecutorOptions`].
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Override the executor options every job runs with.
-    #[must_use]
-    pub fn with_options(mut self, opts: ExecutorOptions) -> Self {
-        self.opts = opts;
-        self
+        Self
     }
 
     /// Materialise and execute one job on `pool` with its tenant-salted
@@ -170,9 +143,10 @@ impl Scheduler {
                 tenant: job.job.tenant.clone(),
                 reason,
             })?;
+        let opts = ExecutorOptions::default();
         let run = match operand {
-            OperandData::Dense(m) => pipelined_sketch(pool, &m, &plan, &self.opts)?,
-            OperandData::Csr(c) => pipelined_sketch(pool, Operand::Csr(&c), &plan, &self.opts)?,
+            OperandData::Dense(m) => pipelined_sketch(pool, &m, &plan, &opts)?,
+            OperandData::Csr(c) => pipelined_sketch(pool, Operand::Csr(&c), &plan, &opts)?,
         };
         Ok(run)
     }
@@ -274,7 +248,8 @@ impl Scheduler {
                         for &d in &claimed {
                             free_at[d] = end;
                         }
-                        timeline.merge_shifted(&run.timeline, start, &claimed);
+                        let name = format!("{}#{} ", qj.job.tenant, qj.seq);
+                        timeline.merge_shifted(&run.timeline, start, &claimed, &name);
                         scheduled.push(ScheduledJob {
                             tenant: qj.job.tenant.clone(),
                             seq: qj.seq,
@@ -349,6 +324,7 @@ mod tests {
     use crate::job::{JobSpec, OperandSpec};
     use crate::queue::JobQueue;
     use sketch_core::{EmbeddingDim, Pipeline, SketchSpec};
+    use sketch_obs::Track;
     use std::collections::BTreeMap;
 
     fn one_device_job(tenant: &str, seed: u64) -> JobSpec {
@@ -610,7 +586,7 @@ mod tests {
             let (start, end) = e.sim.expect("service traces are sim events");
             let cursor = cursors.entry((e.device, e.track)).or_insert(0.0);
             assert!(
-                start + 1e-9 >= *cursor,
+                start >= *cursor,
                 "track ({}, {:?}) rewound: {} < {}",
                 e.device,
                 e.track,
@@ -618,6 +594,40 @@ mod tests {
                 cursor
             );
             *cursor = end;
+        }
+    }
+
+    #[test]
+    fn trace_events_carry_each_ops_costs() {
+        let pool = DevicePool::unlimited(2);
+        let jobs = queued(vec![
+            one_device_job("a", 1),
+            one_device_job("b", 2).with_devices(2),
+            one_device_job("c", 3),
+        ]);
+        let run = Scheduler::new().run(&pool, &jobs).unwrap();
+        let events = run.to_trace_events();
+        let ops: Vec<_> = run
+            .jobs
+            .iter()
+            .flat_map(|j| j.run.timeline.entries().iter().map(move |e| (j, e)))
+            .collect();
+        assert_eq!(events.len(), ops.len());
+        for (event, (job, entry)) in events.iter().zip(ops) {
+            assert_eq!(
+                event.name,
+                format!("{}#{} {}", job.tenant, job.seq, entry.label)
+            );
+            assert_eq!(event.device, job.device_ordinals[entry.device]);
+            assert_eq!(
+                event.sim,
+                Some((entry.start + job.start, entry.end + job.start))
+            );
+            assert_eq!(event.cost, entry.cost, "{}", event.name);
+            match event.track {
+                Track::Compute => assert!(event.cost.launches > 0, "{}", event.name),
+                _ => assert!(event.cost.comm_bytes > 0, "{}", event.name),
+            }
         }
     }
 }
