@@ -12,11 +12,13 @@
 //! ```
 //!
 //! The *cost model* charges exactly that atomic kernel.  The host *execution*,
-//! however, inverts the row map and gathers over output rows (`invert_row_map`),
-//! because atomic f64 adds have a scheduling-dependent fold order under the real
-//! thread pool and would break the workspace's bit-exactness contract.  The gather
-//! folds each output cell's contributions in ascending input-row order — the serial
-//! scatter's order — so results are bit-identical for any `RAYON_NUM_THREADS`.
+//! however, gathers over output rows, because atomic f64 adds have a
+//! scheduling-dependent fold order under the real thread pool and would break the
+//! workspace's bit-exactness contract.  The gather reads the row map inverted once,
+//! when the sketch is generated or assembled (`Buckets`: bucket offsets plus each
+//! bucket's input rows in ascending order), and folds each output cell's
+//! contributions in ascending input-row order — the serial scatter's order — so
+//! results are bit-identical for any `RAYON_NUM_THREADS`.
 //!
 //! Three ways of applying the same operator are provided:
 //!
@@ -45,13 +47,20 @@ use std::ops::Range;
 /// (uncoalesced reads); the row-major layout recommended by Section 6.1 avoids it.
 const COL_MAJOR_READ_PENALTY: u64 = 2;
 
-/// The explicit CountSketch: a stored row map `r` and sign vector `s`.
+/// How many members ahead of the row it folds the row-major gather prefetches.
+/// The gather reads rows of `A` in random order, so without a hint each row's
+/// cache misses are only taken when the row is reached.
+const PREFETCH_AHEAD: usize = 4;
+
+/// The explicit CountSketch: a stored row map `r` and sign vector `s`, plus the
+/// row map inverted into per-output-row buckets.
 #[derive(Debug, Clone)]
 pub struct CountSketch {
     d: usize,
     k: usize,
     rows: Vec<usize>,
     signs: Vec<bool>,
+    buckets: Buckets,
     generation_cost: KernelCost,
 }
 
@@ -71,6 +80,7 @@ impl CountSketch {
         Self {
             d,
             k,
+            buckets: Buckets::new(k, &rows),
             rows,
             signs,
             generation_cost,
@@ -86,6 +96,7 @@ impl CountSketch {
         Self {
             d,
             k,
+            buckets: Buckets::new(k, &rows),
             rows,
             signs,
             generation_cost: KernelCost::zero(),
@@ -151,8 +162,8 @@ impl CountSketch {
         device.record(Self::apply_cost(self.d, self.k, ncols, col_major_input));
     }
 
-    /// Atomics-free ablation: invert the row map once, then let each *output* row gather
-    /// and sum the input rows assigned to it.
+    /// Atomics-free ablation: let each *output* row gather and sum the input rows
+    /// assigned to it through the inverted row map.
     ///
     /// This trades the atomic RMW traffic for an extra index pass and a less balanced
     /// work distribution; the `ablations` bench compares it against Algorithm 2.  On
@@ -186,8 +197,10 @@ impl CountSketch {
     /// CSR, or a CSR row view), indexed like the operand itself.  Each output row
     /// gathers its members of the range in ascending input-row order, so folding
     /// any ordered partition of `0..d` into one accumulator reproduces the serial
-    /// scatter's per-cell chain bit for bit, at any thread count.  This is how the
-    /// multi-device executor folds its row shards.
+    /// scatter's per-cell chain bit for bit, at any thread count.  Each bucket's
+    /// members inside the range are found by binary search in the stored inverted
+    /// row map, so nothing is sorted here.  This is how the multi-device executor
+    /// folds its row shards.
     ///
     /// No cost is recorded: callers charge [`apply_cost`](Self::apply_cost) /
     /// [`apply_cost_csr`](Self::apply_cost_csr) themselves.
@@ -209,10 +222,13 @@ impl CountSketch {
             (self.k, a.ncols()),
             "output must be k x ncols"
         );
-        let targets = &self.rows;
         let signs = &self.signs;
-        fold_operand_rows(out, a, rows, |j| {
-            (targets[j], if signs[j] { 1.0 } else { -1.0 })
+        fold_operand_rows(out, a, &self.buckets, rows, |j| {
+            if signs[j] {
+                1.0
+            } else {
+                -1.0
+            }
         });
     }
 
@@ -235,91 +251,148 @@ impl CountSketch {
     }
 }
 
-/// Invert a CountSketch row map by counting sort: returns `(counts, members)`
-/// where `members[counts[r]..counts[r + 1]]` lists, **in ascending order**, every
-/// index `i` with `targets[i] == r`.
+/// A CountSketch row map inverted by counting sort: bucket `r` lists, **in
+/// ascending order**, every input row `j` with `r_j = r`.
 ///
 /// The ascending order inside each bucket is load-bearing: [`fold_rows_with`]
 /// folds each output cell's contributions in exactly the order the serial
 /// scatter would, so its results are bit-for-bit identical for any thread count
 /// and for any ordered partition of the input rows.
-fn invert_row_map(k: usize, targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut counts = vec![0usize; k + 1];
-    for &r in targets {
-        counts[r + 1] += 1;
+#[derive(Debug, Clone)]
+struct Buckets {
+    /// `members[offsets[r]..offsets[r + 1]]` is bucket `r`.
+    offsets: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl Buckets {
+    fn new(k: usize, targets: &[usize]) -> Self {
+        let mut offsets = vec![0usize; k + 1];
+        for &r in targets {
+            offsets[r + 1] += 1;
+        }
+        for i in 0..k {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut members = vec![0usize; targets.len()];
+        let mut cursor = offsets.clone();
+        for (j, &r) in targets.iter().enumerate() {
+            members[cursor[r]] = j;
+            cursor[r] += 1;
+        }
+        Self { offsets, members }
     }
-    for i in 0..k {
-        counts[i + 1] += counts[i];
+
+    /// Bucket `r`: every input row mapped to output row `r`, ascending.
+    fn bucket(&self, r: usize) -> &[usize] {
+        &self.members[self.offsets[r]..self.offsets[r + 1]]
     }
-    let mut members = vec![0usize; targets.len()];
-    let mut cursor = counts.clone();
-    for (j, &r) in targets.iter().enumerate() {
-        members[cursor[r]] = j;
-        cursor[r] += 1;
+
+    /// Bucket `r`'s members inside `rows`, ascending: two binary searches.
+    fn members_in(&self, r: usize, rows: &Range<usize>) -> &[usize] {
+        let bucket = self.bucket(r);
+        let lo = bucket.partition_point(|&j| j < rows.start);
+        let hi = bucket.partition_point(|&j| j < rows.end);
+        &bucket[lo..hi]
     }
-    (counts, members)
 }
 
 /// The Algorithm-2 row fold shared by the explicit and the hash-based operator:
-/// with `(row, sign) = target_of(j)`, add `sign * A[j, :]` into row `row` of
-/// `out` for every `j` in `rows`.
+/// add `sign_of(j) * A[j, :]` into row `r_j` of `out` for every `j` in `rows`,
+/// where `buckets` is the operator's inverted row map.
 ///
 /// On the GPU this is the atomic scatter of Algorithm 2 (and the cost model
-/// charges it as such); on the host the range's row map is inverted first and
-/// every *output* row gathers its inputs in ascending `j`.  Disjoint output rows
-/// make the parallel loop scheduling-order-immune, and the ascending fold
-/// reproduces the serial scatter's per-cell accumulation order — so the result
-/// is bit-for-bit identical for 1 or N threads.
+/// charges it as such); on the host every *output* row gathers its inputs in
+/// ascending `j`.  Disjoint output rows make the parallel loop
+/// scheduling-order-immune, and the ascending fold reproduces the serial
+/// scatter's per-cell accumulation order — so the result is bit-for-bit
+/// identical for 1 or N threads.
 fn fold_operand_rows(
     out: &mut MatrixViewMut<'_>,
     a: Operand<'_>,
+    buckets: &Buckets,
     rows: Range<usize>,
-    target_of: impl Fn(usize) -> (usize, f64) + Sync,
+    sign_of: impl Fn(usize) -> f64 + Sync,
 ) {
     match a {
         Operand::Dense(m) if m.layout() == Layout::RowMajor => {
             let n = m.ncols();
             let data = m.as_slice();
-            fold_rows_with(out, rows, target_of, |j, sign, out_row| {
-                for (slot, &v) in out_row.iter_mut().zip(&data[j * n..(j + 1) * n]) {
-                    *slot += sign * v;
-                }
-            });
+            fold_rows_with(
+                out,
+                buckets,
+                rows,
+                sign_of,
+                Some((data, n)),
+                |j, sign, out_row| {
+                    for (slot, &v) in out_row.iter_mut().zip(&data[j * n..(j + 1) * n]) {
+                        *slot += sign * v;
+                    }
+                },
+            );
         }
-        Operand::Dense(m) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
-            for (c, slot) in out_row.iter_mut().enumerate() {
-                *slot += sign * m.get(j, c);
-            }
-        }),
-        Operand::Csr(s) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
+        Operand::Dense(m) => {
+            fold_rows_with(out, buckets, rows, sign_of, None, |j, sign, out_row| {
+                for (c, slot) in out_row.iter_mut().enumerate() {
+                    *slot += sign * m.get(j, c);
+                }
+            })
+        }
+        Operand::Csr(s) => fold_rows_with(out, buckets, rows, sign_of, None, |j, sign, out_row| {
             for (c, v) in s.row(j) {
                 out_row[c] += sign * v;
             }
         }),
-        Operand::CsrRows(v) => fold_rows_with(out, rows, target_of, |j, sign, out_row| {
-            for (c, val) in v.row(j) {
-                out_row[c] += sign * val;
-            }
-        }),
+        Operand::CsrRows(v) => {
+            fold_rows_with(out, buckets, rows, sign_of, None, |j, sign, out_row| {
+                for (c, val) in v.row(j) {
+                    out_row[c] += sign * val;
+                }
+            })
+        }
     }
+}
+
+/// Ask the cache for `row` ahead of its use: one hint per 64-byte line.  A hint
+/// reads nothing, so no value changes.
+#[inline(always)]
+fn prefetch(row: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in row.chunks(8) {
+        // SAFETY: `_mm_prefetch` needs SSE, which every x86_64 target has, and a
+        // prefetch never faults or writes; the pointer points into `row`.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                line.as_ptr().cast(),
+            );
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// The gather behind [`fold_operand_rows`]: `add_row(j, sign, out_row)` adds
 /// `sign * A[j, :]` into one output row, and each output row receives its
-/// members of `rows` in ascending `j`.
+/// members of `rows` in ascending `j`.  Given a row-major operand's
+/// `(data, ncols)`, the member [`PREFETCH_AHEAD`] places on is prefetched.
 fn fold_rows_with(
     out: &mut MatrixViewMut<'_>,
+    buckets: &Buckets,
     rows: Range<usize>,
-    target_of: impl Fn(usize) -> (usize, f64) + Sync,
+    sign_of: impl Fn(usize) -> f64 + Sync,
+    row_major: Option<(&[f64], usize)>,
     add_row: impl Fn(usize, f64, &mut [f64]) + Sync,
 ) {
     let n = out.ncols();
-    let targets: Vec<usize> = rows.clone().map(|j| target_of(j).0).collect();
-    let (counts, members) = invert_row_map(out.nrows(), &targets);
     let gather = |r: usize, out_row: &mut [f64]| {
-        for &i in &members[counts[r]..counts[r + 1]] {
-            let j = rows.start + i;
-            add_row(j, target_of(j).1, out_row);
+        let members = buckets.members_in(r, &rows);
+        for (i, &j) in members.iter().enumerate() {
+            if let (Some((data, ncols)), Some(&ahead)) =
+                (row_major, members.get(i + PREFETCH_AHEAD))
+            {
+                prefetch(&data[ahead * ncols..(ahead + 1) * ncols]);
+            }
+            add_row(j, sign_of(j), out_row);
         }
     };
     if out.layout() == Layout::RowMajor {
@@ -394,11 +467,12 @@ impl SketchOperator for CountSketch {
         let mut y = vec![0.0; self.k];
         {
             use rayon::prelude::*;
-            let (counts, members) = invert_row_map(self.k, &self.rows);
             let signs = &self.signs;
             y.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                for &j in &members[counts[r]..counts[r + 1]] {
-                    *slot += if signs[j] { x[j] } else { -x[j] };
+                for &j in self.buckets.bucket(r) {
+                    // `±x[j]` as a sign-bit flip (what `-x` is): a branch on the
+                    // random sign would mispredict half the time.
+                    *slot += f64::from_bits(x[j].to_bits() ^ (u64::from(!signs[j]) << 63));
                 }
             });
         }
@@ -457,6 +531,12 @@ impl HashCountSketch {
         (row, sign)
     }
 
+    /// The row map inverted for one apply: nothing is stored, so every apply sorts.
+    fn buckets(&self) -> Buckets {
+        let targets: Vec<usize> = (0..self.d).map(|j| self.hash(j).0).collect();
+        Buckets::new(self.k, &targets)
+    }
+
     /// Materialise the equivalent explicit [`CountSketch`] (for testing equivalence and
     /// for reusing the explicit kernels).
     pub fn to_explicit(&self) -> CountSketch {
@@ -493,7 +573,7 @@ impl SketchOperator for HashCountSketch {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
         out.fill(0.0);
-        fold_operand_rows(out, a, 0..self.d, |j| self.hash(j));
+        fold_operand_rows(out, a, &self.buckets(), 0..self.d, |j| self.hash(j).1);
         let d = self.d as u64;
         let k = self.k as u64;
         match a {
@@ -537,10 +617,9 @@ impl SketchOperator for HashCountSketch {
         let mut y = vec![0.0; self.k];
         {
             use rayon::prelude::*;
-            let targets: Vec<usize> = (0..self.d).map(|j| self.hash(j).0).collect();
-            let (counts, members) = invert_row_map(self.k, &targets);
+            let buckets = self.buckets();
             y.par_iter_mut().enumerate().for_each(|(r, slot)| {
-                for &j in &members[counts[r]..counts[r + 1]] {
+                for &j in buckets.bucket(r) {
                     let (_, sign) = self.hash(j);
                     *slot += sign * x[j];
                 }

@@ -13,9 +13,12 @@
 //!   the radix-4 fast Walsh–Hadamard transform of **Algorithm 3** with a shared-memory
 //!   tile model,
 //! * the Count-Gauss multisketch (CountSketch down to `k₁ = 2n²`, Gaussian down to
-//!   `k₂ = 2n`) — the two-stage [`Pipeline::count_gauss`], built as a
-//!   [`ComposedSketch`] whose Gaussian GEMM reads the row-major CountSketch output in
-//!   place (the layout point of Section 6.1),
+//!   `k₂ = 2n`) — the two-stage [`Pipeline::count_gauss`], whose Gaussian GEMM reads
+//!   the row-major CountSketch output in place (the layout point of Section 6.1),
+//! * [`ComposedSketch`] — the built pipeline: every [`Pipeline`] builds one, holding
+//!   each resolved stage's spec and typed [`StageOperator`].  It is generated once
+//!   per solve, applied to `A` and `b`, and handed to the multi-device executor,
+//!   which then builds nothing,
 //! * [`embedding`] — empirical subspace-embedding distortion checks (Definitions
 //!   1.1–1.2).
 //!
@@ -25,7 +28,9 @@
 //! multi-stage [`Pipeline`]) names the kind, dimensions (exact or as the paper's
 //! `2n` / `2n²` embedding rules), and Philox seed, serializes to JSON, and builds the
 //! live operator on a device.  The hot path is [`SketchOperator::apply_into`]:
-//! operand-generic (dense or CSR via [`Operand`]) and allocation-free.
+//! operand-generic (dense or CSR via [`Operand`]) and allocation-free.  A
+//! [`CountSketch`] inverts its row map once, when it is generated, so no apply
+//! sorts.
 //!
 //! ```
 //! use sketch_core::{EmbeddingDim, SketchSpec, SketchOperator};
@@ -61,6 +66,7 @@ pub use gaussian::GaussianSketch;
 pub use operand::{Operand, OperandSlice};
 pub use spec::{
     json::JsonValue, ComposedSketch, EmbeddingDim, Pipeline, ShardAxis, SketchKind, SketchSpec,
+    StageOperator,
 };
 pub use srht::Srht;
 pub use streaming::FrequencyCountSketch;

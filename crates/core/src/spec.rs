@@ -15,10 +15,13 @@
 //!
 //! [`Pipeline`] expresses sketch *composition* the same way: the Count-Gauss
 //! multisketch is simply the two-stage pipeline
-//! `[CountSketch → 2n², Gaussian → 2n]`, and every multi-stage chain builds one
-//! [`ComposedSketch`].  For Count→Gauss that is the Section 6.1 layout for free: the
-//! CountSketch writes its `k₁ x n` intermediate row-major and the Gaussian's GEMM
-//! reads it in place, so no layout conversion of the large intermediate is needed.
+//! `[CountSketch → 2n², Gaussian → 2n]`.  Every pipeline builds one
+//! [`ComposedSketch`], the built pipeline: each resolved stage's spec next to its
+//! typed [`StageOperator`], generated once and then applied to `A` and `b` alike
+//! (and handed to the multi-device executor, which then builds nothing).  For
+//! Count→Gauss that is the Section 6.1 layout for free: the CountSketch writes its
+//! `k₁ x n` intermediate row-major and the Gaussian's GEMM reads it in place, so no
+//! layout conversion of the large intermediate is needed.
 //!
 //! Specs serialize to JSON through the built-in [`json`] module (the offline serde
 //! shim carries no data format), and rebuilding from the serialized form is
@@ -44,7 +47,8 @@ use crate::srht::Srht;
 use crate::traits::SketchOperator;
 use serde::{Deserialize, Serialize};
 use sketch_gpu_sim::{Device, KernelCost};
-use sketch_la::{Layout, MatrixViewMut};
+use sketch_la::{Layout, Matrix, MatrixViewMut};
+use std::borrow::Cow;
 
 pub mod json;
 
@@ -285,7 +289,9 @@ impl SketchSpec {
 
     /// The `(input, output)` dimensions [`build`](Self::build) constructs, or the typed
     /// error it returns: the spec must carry an exact, non-zero output dimension and a
-    /// non-zero input dimension.
+    /// non-zero input dimension, and every index its operator draws must fit a
+    /// uniform index (`[0, 2^32)`): a CountSketch's output rows, and the rows of an
+    /// SRHT's padded transform.
     pub fn exact_dims(&self) -> Result<(usize, usize), Error> {
         let EmbeddingDim::Exact(k) = self.output_dim else {
             return Err(Error::invalid_param(format!(
@@ -306,6 +312,19 @@ impl SketchSpec {
                 self.kind.as_str()
             )));
         }
+        let drawable = 1..=u32::MAX as usize;
+        if self.kind == SketchKind::CountSketch && !drawable.contains(&k) {
+            return Err(Error::invalid_param(format!(
+                "a count-sketch row map draws rows in [0, 2^32), got output dimension {k}"
+            )));
+        }
+        let padded = self.input_dim.checked_next_power_of_two();
+        if self.kind == SketchKind::Srht && !padded.is_some_and(|p| drawable.contains(&p)) {
+            return Err(Error::invalid_param(format!(
+                "an srht samples rows of its padded transform in [0, 2^32), got input dimension {}",
+                self.input_dim
+            )));
+        }
         Ok((self.input_dim, k))
     }
 
@@ -314,11 +333,19 @@ impl SketchSpec {
     /// Requires an [`EmbeddingDim::Exact`] output dimension; use
     /// [`build_for`](Self::build_for) when the spec carries a rule.
     pub fn build(&self, device: &Device) -> Result<Box<dyn SketchOperator>, Error> {
+        Ok(self.build_stage(device)?.into_boxed())
+    }
+
+    /// Build the described operator as a [`StageOperator`] (the typed sibling of
+    /// [`build`](Self::build), for callers that dispatch on the kind).
+    pub fn build_stage(&self, device: &Device) -> Result<StageOperator, Error> {
         Ok(match self.kind {
-            SketchKind::CountSketch => Box::new(self.build_countsketch(device)?),
-            SketchKind::Gaussian => Box::new(self.build_gaussian(device)?),
-            SketchKind::Srht => Box::new(self.build_srht(device)?),
-            SketchKind::HashCountSketch => Box::new(self.build_hash_countsketch(device)?),
+            SketchKind::CountSketch => StageOperator::CountSketch(self.build_countsketch(device)?),
+            SketchKind::Gaussian => StageOperator::Gaussian(self.build_gaussian(device)?),
+            SketchKind::Srht => StageOperator::Srht(self.build_srht(device)?),
+            SketchKind::HashCountSketch => {
+                StageOperator::HashCountSketch(self.build_hash_countsketch(device)?)
+            }
         })
     }
 
@@ -477,9 +504,8 @@ impl EmbeddingDim {
 
 /// A chain of [`SketchSpec`] stages applied left to right: `S = S_p ⋯ S_2 S_1`.
 ///
-/// A one-stage pipeline is just that sketch; any longer chain (the two-stage
-/// `[CountSketch, Gaussian]` multisketch included) builds a [`ComposedSketch`] that
-/// applies the stages sequentially.
+/// Every pipeline builds a [`ComposedSketch`] that applies the stages
+/// sequentially; a one-stage pipeline acts exactly as its one sketch.
 #[must_use = "a Pipeline describes a sketch chain; call build/build_for to construct it"]
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Pipeline {
@@ -569,21 +595,29 @@ impl Pipeline {
         self.stages.first().map_or(0, |s| s.input_dim)
     }
 
-    /// Build for an operand with `ncols` columns.
+    /// Build for an operand with `ncols` columns: the [`ComposedSketch`] of
+    /// [`compose_for`](Self::compose_for), as a trait object.
     pub fn build_for(
         &self,
         device: &Device,
         ncols: usize,
     ) -> Result<Box<dyn SketchOperator>, Error> {
-        let resolved = self.resolve(ncols)?;
-        if resolved.len() == 1 {
-            return resolved[0].build(device);
-        }
-        let mut stages = Vec::with_capacity(resolved.len());
-        for spec in &resolved {
-            stages.push(spec.build(device)?);
-        }
-        Ok(Box::new(ComposedSketch::new(stages)?))
+        Ok(Box::new(self.compose_for(device, ncols)?))
+    }
+
+    /// Resolve against an operand with `ncols` columns and build every stage on
+    /// `device`, in order (each stage's generation is charged there): the typed
+    /// sibling of [`build_for`](Self::build_for).
+    pub fn compose_for(&self, device: &Device, ncols: usize) -> Result<ComposedSketch, Error> {
+        let stages = self
+            .resolve(ncols)?
+            .into_iter()
+            .map(|spec| {
+                let operator = spec.build_stage(device)?;
+                Ok((spec, operator))
+            })
+            .collect::<Result<_, Error>>()?;
+        Ok(ComposedSketch { stages })
     }
 
     /// Build, requiring every stage to carry an exact output dimension already
@@ -635,35 +669,87 @@ impl Pipeline {
     }
 }
 
-/// A sequential composition of sketch operators: what every multi-stage [`Pipeline`]
-/// builds, the Count-Gauss multisketch included.
+/// The typed operator of one built [`Pipeline`] stage.
+#[derive(Debug, Clone)]
+pub enum StageOperator {
+    /// [`SketchKind::CountSketch`].
+    CountSketch(CountSketch),
+    /// [`SketchKind::Gaussian`].
+    Gaussian(GaussianSketch),
+    /// [`SketchKind::Srht`].
+    Srht(Srht),
+    /// [`SketchKind::HashCountSketch`].
+    HashCountSketch(HashCountSketch),
+}
+
+impl StageOperator {
+    /// The operator behind the trait.
+    pub fn as_operator(&self) -> &dyn SketchOperator {
+        match self {
+            StageOperator::CountSketch(s) => s,
+            StageOperator::Gaussian(s) => s,
+            StageOperator::Srht(s) => s,
+            StageOperator::HashCountSketch(s) => s,
+        }
+    }
+
+    /// The operator as an owned trait object.
+    pub fn into_boxed(self) -> Box<dyn SketchOperator> {
+        match self {
+            StageOperator::CountSketch(s) => Box::new(s),
+            StageOperator::Gaussian(s) => Box::new(s),
+            StageOperator::Srht(s) => Box::new(s),
+            StageOperator::HashCountSketch(s) => Box::new(s),
+        }
+    }
+
+    /// The explicit CountSketch a [`ShardAxis::Rows`] stage folds its row shards
+    /// with (the hash variant materialises one), or `None` for a
+    /// [`ShardAxis::Cols`] stage.
+    pub fn row_sketch(&self) -> Option<Cow<'_, CountSketch>> {
+        match self {
+            StageOperator::CountSketch(s) => Some(Cow::Borrowed(s)),
+            StageOperator::HashCountSketch(s) => Some(Cow::Owned(s.to_explicit())),
+            StageOperator::Gaussian(_) | StageOperator::Srht(_) => None,
+        }
+    }
+}
+
+/// A built [`Pipeline`]: each resolved stage's spec and its typed operator,
+/// applied left to right.  Built by [`Pipeline::compose_for`] (and, boxed, by
+/// [`Pipeline::build_for`]).
+///
+/// A one-stage pipeline answers as its stage does: name, layout, costs and
+/// allocation.  A longer chain (the Count-Gauss multisketch included) is named
+/// "Pipeline" and feeds each stage's output to the next.
 pub struct ComposedSketch {
-    stages: Vec<Box<dyn SketchOperator>>,
+    stages: Vec<(SketchSpec, StageOperator)>,
 }
 
 impl ComposedSketch {
-    /// Compose stages applied left to right; adjacent dimensions must chain.
-    pub fn new(stages: Vec<Box<dyn SketchOperator>>) -> Result<Self, Error> {
-        if stages.is_empty() {
-            return Err(Error::invalid_param("cannot compose zero sketches"));
-        }
-        for pair in stages.windows(2) {
-            if pair[1].input_dim() != pair[0].output_dim() {
-                return Err(Error::invalid_param(format!(
-                    "cannot chain {} (output {}) into {} (input {})",
-                    pair[0].name(),
-                    pair[0].output_dim(),
-                    pair[1].name(),
-                    pair[1].input_dim()
-                )));
-            }
-        }
-        Ok(Self { stages })
+    /// The built stages in application order, each resolved spec with its operator.
+    pub fn stages(&self) -> &[(SketchSpec, StageOperator)] {
+        &self.stages
     }
 
-    /// The composed stages.
-    pub fn stages(&self) -> &[Box<dyn SketchOperator>] {
-        &self.stages
+    /// The one stage of a one-stage pipeline.
+    fn only(&self) -> Option<&dyn SketchOperator> {
+        match self.stages.as_slice() {
+            [(_, only)] => Some(only.as_operator()),
+            _ => None,
+        }
+    }
+
+    fn operators(&self) -> impl Iterator<Item = &dyn SketchOperator> {
+        self.stages.iter().map(|(_, op)| op.as_operator())
+    }
+
+    fn first(&self) -> &dyn SketchOperator {
+        self.stages.first().expect("non-empty").1.as_operator()
+    }
+
+    fn last(&self) -> &dyn SketchOperator {
+        self.stages.last().expect("non-empty").1.as_operator()
     }
 }
 
@@ -672,7 +758,7 @@ impl std::fmt::Debug for ComposedSketch {
         f.debug_struct("ComposedSketch")
             .field(
                 "stages",
-                &self.stages.iter().map(|s| s.name()).collect::<Vec<_>>(),
+                &self.stages.iter().map(|(spec, _)| spec).collect::<Vec<_>>(),
             )
             .finish()
     }
@@ -680,19 +766,19 @@ impl std::fmt::Debug for ComposedSketch {
 
 impl SketchOperator for ComposedSketch {
     fn input_dim(&self) -> usize {
-        self.stages.first().expect("non-empty").input_dim()
+        self.first().input_dim()
     }
 
     fn output_dim(&self) -> usize {
-        self.stages.last().expect("non-empty").output_dim()
+        self.last().output_dim()
     }
 
     fn name(&self) -> &'static str {
-        "Pipeline"
+        self.only().map_or("Pipeline", |only| only.name())
     }
 
     fn output_layout(&self) -> Layout {
-        self.stages.last().expect("non-empty").output_layout()
+        self.last().output_layout()
     }
 
     fn apply_into(
@@ -701,38 +787,53 @@ impl SketchOperator for ComposedSketch {
         a: Operand<'_>,
         out: &mut MatrixViewMut<'_>,
     ) -> Result<(), Error> {
+        if let Some(only) = self.only() {
+            return only.apply_into(device, a, out);
+        }
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let (last, front) = self.stages.split_last().expect("non-empty");
-        if front.is_empty() {
-            return last.apply_into(device, a, out);
+        let mut current = self.first().apply_operand(device, a)?;
+        let middle = &self.stages[1..self.stages.len() - 1];
+        for (_, stage) in middle {
+            current = stage.as_operator().apply_matrix(device, &current)?;
         }
-        let mut current = front[0].apply_operand(device, a)?;
-        for stage in &front[1..] {
-            current = stage.apply_matrix(device, &current)?;
+        self.last()
+            .apply_into(device, Operand::Dense(&current), out)
+    }
+
+    fn apply_operand(&self, device: &Device, a: Operand<'_>) -> Result<Matrix, Error> {
+        if let Some(only) = self.only() {
+            return only.apply_operand(device, a);
         }
-        last.apply_into(device, Operand::Dense(&current), out)
+        // The trait's allocating wrapper.
+        self.check_operand(&a)?;
+        let n = a.ncols();
+        let _reservation =
+            device.try_reserve(KernelCost::f64_bytes((self.output_dim() * n) as u64))?;
+        let mut y = Matrix::zeros_with_layout(self.output_dim(), n, self.output_layout());
+        self.apply_into(device, a, &mut y.view_mut())?;
+        Ok(y)
     }
 
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
+        if let Some(only) = self.only() {
+            return only.apply_vector(device, x);
+        }
         self.check_input_dim(x.len())?;
-        let (first, rest) = self.stages.split_first().expect("non-empty");
-        let mut current = first.apply_vector(device, x)?;
-        for stage in rest {
+        let mut current = self.first().apply_vector(device, x)?;
+        for stage in self.operators().skip(1) {
             current = stage.apply_vector(device, &current)?;
         }
         Ok(current)
     }
 
     fn generation_cost(&self) -> KernelCost {
-        self.stages
-            .iter()
+        self.operators()
             .fold(KernelCost::zero(), |acc, s| acc + s.generation_cost())
     }
 
     fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        self.stages
-            .iter()
+        self.operators()
             .fold(KernelCost::zero(), |acc, s| acc + s.algorithmic_cost(ncols))
     }
 }
@@ -960,14 +1061,21 @@ mod tests {
             SketchSpec::gaussian(31, EmbeddingDim::Exact(8), 2),
         ]);
         assert!(bad_chain.build_for(&d, 4).is_err());
-        // Stage operators whose dimensions do not chain.
-        let count: Box<dyn SketchOperator> = Box::new(CountSketch::generate(&d, 100, 32, 1));
-        let gauss: Box<dyn SketchOperator> =
-            Box::new(GaussianSketch::generate(&d, 64, 8, 1).unwrap());
-        assert!(matches!(
-            ComposedSketch::new(vec![count, gauss]),
-            Err(Error::InvalidParameter { .. })
-        ));
+        // Indices a uniform index cannot draw: a CountSketch row map past 2^32 rows,
+        // and an SRHT whose padded transform is longer than 2^32.
+        for spec in [
+            SketchSpec::countsketch(64, EmbeddingDim::Exact(1 << 32), 1),
+            SketchSpec::srht((1 << 32) + 1, EmbeddingDim::Exact(8), 1),
+        ] {
+            assert!(matches!(
+                spec.exact_dims(),
+                Err(Error::InvalidParameter { .. })
+            ));
+            assert!(matches!(
+                spec.build(&d),
+                Err(Error::InvalidParameter { .. })
+            ));
+        }
         // An operand or a vector of the wrong length.
         let multi = Pipeline::count_gauss(100, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 1)
             .build_for(&d, 4)

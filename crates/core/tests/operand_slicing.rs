@@ -11,7 +11,9 @@
 //!   single-device accumulation chain when their row ranges are folded into one
 //!   shared accumulator in shard order — the ordered ring fold — whether the
 //!   fold is the operator's own `CountSketch::fold_rows` or a serial reference
-//!   over `slice_rows` views.
+//!   over `slice_rows` views.  The row ranges are balanced, and also cut at
+//!   random points with empty and one-row ranges among them: the edges of the
+//!   binary searches `fold_rows` makes into the stored row map.
 
 use proptest::prelude::*;
 use sketch_core::{CountSketch, EmbeddingDim, Operand, SketchKind, SketchOperator, SketchSpec};
@@ -59,6 +61,18 @@ fn balanced_ranges(extent: usize, pieces: usize) -> Vec<std::ops::Range<usize>> 
     out
 }
 
+/// Cut `0..extent` (non-zero) into contiguous ranges at uneven points: every
+/// `cuts` entry modulo `extent + 1`, plus `c = cuts[0] % extent` twice and
+/// `c + 1`, so an empty range `c..c` and a one-row range `c..c + 1` are always
+/// among them.
+fn cut_ranges(extent: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let c = cuts[0] % extent;
+    let mut points: Vec<usize> = cuts.iter().map(|&x| x % (extent + 1)).collect();
+    points.extend([0, c, c, c + 1, extent]);
+    points.sort_unstable();
+    points.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
 /// Column recomposition: apply the *full* operator to each column slice and
 /// stitch the panels; must equal the unsliced apply bit-for-bit.
 fn check_col_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usize) -> bool {
@@ -86,13 +100,17 @@ fn check_col_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
     bits_equal(&full, &stitched)
 }
 
-/// Row recomposition: fold an uneven partition of the rows into one shared
-/// accumulator in shard order — through the operator's own fold
+/// Row recomposition: fold a partition of the rows (`ranges`, in order) into one
+/// shared accumulator in shard order — through the operator's own fold
 /// (`CountSketch::fold_rows`, the executor's shard kernel, into a row-major and
 /// a column-major accumulator) and through a hand-written serial reference over
 /// `slice_rows` views — and compare every result against the unsliced
 /// Algorithm-2 apply, of the explicit operator and of the kind's own operator.
-fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usize) -> bool {
+fn check_row_recomposition(
+    spec: &SketchSpec,
+    operand: Operand<'_>,
+    ranges: &[std::ops::Range<usize>],
+) -> bool {
     let dev = device();
     let sketch: CountSketch = match spec.kind {
         SketchKind::CountSketch => spec.build_countsketch(&dev).expect("builds"),
@@ -115,10 +133,9 @@ fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
         .apply_into(&dev, operand, &mut own.view_mut())
         .expect("own apply");
 
-    let ranges = balanced_ranges(operand.nrows(), pieces);
     let mut kernel = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
     let mut kernel_cm = Matrix::zeros_with_layout(k, n, Layout::ColMajor);
-    for range in &ranges {
+    for range in ranges {
         sketch.fold_rows(operand, range.clone(), &mut kernel.view_mut());
         sketch.fold_rows(operand, range.clone(), &mut kernel_cm.view_mut());
     }
@@ -126,7 +143,7 @@ fn check_row_recomposition(spec: &SketchSpec, operand: Operand<'_>, pieces: usiz
     let rows = sketch.rows();
     let signs = sketch.signs();
     let mut folded = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
-    for range in ranges {
+    for range in ranges.iter().cloned() {
         let slice = operand.slice_rows(range.clone());
         match slice.as_operand() {
             Operand::Dense(block) => {
@@ -177,13 +194,16 @@ proptest! {
 
     /// slice ∘ apply_into == apply_into along each kind's ShardAxis, for dense
     /// (both layouts), CSR and CSR-view operands, with uneven splits (prime
-    /// piece counts included).
+    /// piece counts included) and, for the row fold, random cut points.
     #[test]
     fn prop_slices_recompose_bit_for_bit(
         d in 31usize..160,
         n in 5usize..12,
         pieces in 2usize..8,
         seed in 0u64..200,
+        cut_a in 0usize..1000,
+        cut_b in 0usize..1000,
+        cut_c in 0usize..1000,
     ) {
         let dense = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
         let dense_cm = dense.to_layout(&device(), Layout::ColMajor);
@@ -200,7 +220,8 @@ proptest! {
             ] {
                 let ok = match spec.shard_axis() {
                     sketch_core::ShardAxis::Rows =>
-                        check_row_recomposition(&spec, operand, pieces),
+                        check_row_recomposition(&spec, operand, &balanced_ranges(d, pieces))
+                            && check_row_recomposition(&spec, operand, &cut_ranges(d, &[cut_a, cut_b, cut_c])),
                     sketch_core::ShardAxis::Cols =>
                         check_col_recomposition(&spec, operand, pieces),
                 };

@@ -1,7 +1,8 @@
 //! The multi-device pipelined executor.
 //!
-//! [`pipelined_sketch`] runs a declarative [`Pipeline`] of sketch stages across a
-//! [`DevicePool`]: each stage's operand is sharded along the stage's
+//! [`pipelined_sketch`] runs a declarative [`Pipeline`] of sketch stages, or a
+//! pipeline already built ([`ComposedSketch`]), across a [`DevicePool`]: each
+//! stage's operand is sharded along the stage's
 //! [`ShardAxis`] (the bitwise-lossless axis declared by `sketch-core`), the shard
 //! kernels are dispatched round-robin onto the pool's devices, and the modelled
 //! timeline overlaps each shard's collective with the next shard's compute using
@@ -38,7 +39,8 @@
 use crate::comm::CommCost;
 use crate::error::DistError;
 use sketch_core::{
-    CountSketch, Error, Operand, Pipeline, ShardAxis, SketchKind, SketchOperator, SketchSpec,
+    ComposedSketch, CountSketch, Error, Operand, Pipeline, ShardAxis, SketchOperator, SketchSpec,
+    StageOperator,
 };
 use sketch_gpu_sim::{
     Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
@@ -317,6 +319,30 @@ impl PipelinedRun {
     }
 }
 
+/// What [`pipelined_sketch`] runs: a `&Pipeline` or a `&ComposedSketch` converts
+/// into it, the way an operand converts into an [`Operand`].
+#[derive(Debug, Clone, Copy)]
+pub enum Plan<'p> {
+    /// Specs, resolved against the operand and built stage by stage on the
+    /// first live device.
+    Specs(&'p Pipeline),
+    /// A built pipeline ([`Pipeline::compose_for`]): its operators run as they
+    /// are, and nothing is built.
+    Built(&'p ComposedSketch),
+}
+
+impl<'p> From<&'p Pipeline> for Plan<'p> {
+    fn from(plan: &'p Pipeline) -> Self {
+        Plan::Specs(plan)
+    }
+}
+
+impl<'p> From<&'p ComposedSketch> for Plan<'p> {
+    fn from(built: &'p ComposedSketch) -> Self {
+        Plan::Built(built)
+    }
+}
+
 /// The checks [`pipelined_sketch`] makes before it builds or runs anything: the
 /// `rows x cols` operand (named by `describe` in errors) is non-empty, the first
 /// stage's input dimension equals `rows`, and `plan` resolves against `cols` to
@@ -329,27 +355,37 @@ pub fn preflight(
     cols: usize,
     describe: impl Fn() -> String,
 ) -> Result<Vec<SketchSpec>, DistError> {
-    if rows == 0 || cols == 0 {
-        return Err(DistError::invalid_param(format!(
-            "pipelined_sketch needs a non-empty operand, got {}",
-            describe()
-        )));
-    }
+    check_non_empty(rows, cols, &describe)?;
     let resolved = plan.resolve(cols)?;
     if let Some(first) = resolved.first() {
-        if first.input_dim != rows {
-            return Err(Error::dimension_mismatch(
-                "pipelined_sketch",
-                first.input_dim,
-                rows,
-                describe(),
-            ));
-        }
+        check_rows(first.input_dim, rows, &describe)?;
     }
     for stage in &resolved {
         stage.exact_dims()?;
     }
     Ok(resolved)
+}
+
+fn check_non_empty(rows: usize, cols: usize, describe: impl Fn() -> String) -> Result<(), Error> {
+    if rows == 0 || cols == 0 {
+        return Err(Error::invalid_param(format!(
+            "pipelined_sketch needs a non-empty operand, got {}",
+            describe()
+        )));
+    }
+    Ok(())
+}
+
+fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> Result<(), Error> {
+    if input_dim != rows {
+        return Err(Error::dimension_mismatch(
+            "pipelined_sketch",
+            input_dim,
+            rows,
+            describe(),
+        ));
+    }
+    Ok(())
 }
 
 /// Execute `plan` on `a` across the pool, sharding each stage along its
@@ -364,6 +400,14 @@ pub fn preflight(
 /// An operand with zero rows or zero columns, or one the plan does not fit, is
 /// rejected by [`preflight`] with a typed error before any stage runs.
 ///
+/// `plan` is a `&Pipeline` or a pipeline already built, a `&ComposedSketch`
+/// (see [`Plan`]).  At each stage's start the first live device is charged
+/// the stage's generation: a spec is built there, and a built stage's
+/// [`generation_cost`](SketchOperator::generation_cost) is recorded there.
+/// Either way the run is the same — result, timeline, per-device costs and
+/// fault report — so a driver that built the pipeline to sketch `b` as well
+/// hands it over and nothing is generated twice.
+///
 /// The numerical result is **bit-for-bit identical** to
 /// `plan.build_for(device, a.ncols())?.apply_operand(device, a)` on a single
 /// device, for every supported kind (CountSketch, Gaussian, SRHT, hash
@@ -374,14 +418,31 @@ pub fn preflight(
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
 /// [`Device`] launches — "serial" is just the degenerate pool.
-pub fn pipelined_sketch<'a>(
+pub fn pipelined_sketch<'a, 'p>(
     pool: &DevicePool,
     a: impl Into<Operand<'a>>,
-    plan: &Pipeline,
+    plan: impl Into<Plan<'p>>,
     opts: &ExecutorOptions,
 ) -> Result<PipelinedRun, DistError> {
     let a: Operand<'a> = a.into();
-    let resolved = preflight(plan, a.nrows(), a.ncols(), || a.describe())?;
+    let describe = || a.describe();
+    let resolved;
+    // Each stage's resolved spec, and its operator when the plan is built.
+    let stages: Vec<(&SketchSpec, Option<&StageOperator>)> = match plan.into() {
+        Plan::Specs(plan) => {
+            resolved = preflight(plan, a.nrows(), a.ncols(), describe)?;
+            resolved.iter().map(|spec| (spec, None)).collect()
+        }
+        Plan::Built(built) => {
+            check_non_empty(a.nrows(), a.ncols(), describe)?;
+            check_rows(built.input_dim(), a.nrows(), describe)?;
+            built
+                .stages()
+                .iter()
+                .map(|(spec, op)| (spec, Some(op)))
+                .collect()
+        }
+    };
     let p = pool.num_devices();
 
     // Devices already observed dead (a sticky flag from a previous run on the
@@ -397,11 +458,11 @@ pub fn pipelined_sketch<'a>(
     }
 
     let mut state = ExecState::new(p, alive);
-    let mut schedules = Vec::with_capacity(resolved.len());
-    let mut comms = Vec::with_capacity(resolved.len());
+    let mut schedules = Vec::with_capacity(stages.len());
+    let mut comms = Vec::with_capacity(stages.len());
     let mut current: Option<Matrix> = None; // None = first stage reads `a`
 
-    for (stage_idx, spec) in resolved.iter().enumerate() {
+    for (stage_idx, &(spec, built)) in stages.iter().enumerate() {
         let input = match &current {
             Some(m) => Operand::Dense(m),
             None => a,
@@ -413,51 +474,47 @@ pub fn pipelined_sketch<'a>(
         };
         let n = input.ncols();
         let kind = spec.kind.as_str();
-        let (_, k) = spec.exact_dims()?;
         let build_device = pool.device(state.alive[0]);
 
-        // The stage operator is built once and its generation replicated to
-        // every live device up front — which is exactly why recovery needs no
-        // regeneration: survivors already hold their replicas, so a retry
-        // re-runs shard kernels only.
-        let (out, reported) = match axis {
-            ShardAxis::Rows => {
-                let sketch = match spec.kind {
-                    SketchKind::CountSketch => spec.build_countsketch(build_device)?,
-                    SketchKind::HashCountSketch => {
-                        spec.build_hash_countsketch(build_device)?.to_explicit()
-                    }
-                    other => {
-                        return Err(DistError::invalid_param(format!(
-                            "{} is not a row-sharded sketch kind",
-                            other.as_str()
-                        )))
-                    }
-                };
-                replicate_generation(pool, &state.alive, sketch.generation_cost());
+        // The stage's generation is charged to the first live device — a spec
+        // is built there, a built stage records its generation cost there —
+        // and replicated to every other live device up front, which is exactly
+        // why recovery needs no regeneration: survivors already hold their
+        // replicas, so a retry re-runs shard kernels only.
+        let generated;
+        let op = match built {
+            Some(op) => {
+                build_device.record(op.as_operator().generation_cost());
+                op
+            }
+            None => {
+                generated = spec.build_stage(build_device)?;
+                &generated
+            }
+        };
+        replicate_generation(pool, &state.alive, op.as_operator().generation_cost());
+        let k = op.as_operator().output_dim();
+        let (out, reported) = match op.row_sketch() {
+            Some(sketch) => {
                 state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
                     Ok(row_attempt(
                         pool, input, &sketch, kind, k, n, schedule, alive, clock, stage_idx,
                     ))
                 })?
             }
-            ShardAxis::Cols => {
-                let op = spec.build(build_device)?;
-                replicate_generation(pool, &state.alive, op.generation_cost());
-                state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
-                    col_attempt(
-                        pool,
-                        input,
-                        op.as_ref(),
-                        kind,
-                        k,
-                        schedule,
-                        alive,
-                        clock,
-                        stage_idx,
-                    )
-                })?
-            }
+            None => state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
+                col_attempt(
+                    pool,
+                    input,
+                    op.as_operator(),
+                    kind,
+                    k,
+                    schedule,
+                    alive,
+                    clock,
+                    stage_idx,
+                )
+            })?,
         };
         schedules.push(reported);
         comms.push(match axis {
@@ -1002,8 +1059,7 @@ fn ring_fold_time(pool: &DevicePool, k: usize, n: usize) -> f64 {
 }
 
 /// Charge the (replicated) sketch generation to every live device except the
-/// build device (`alive[0]`), which already recorded it while building the
-/// operator.
+/// first (`alive[0]`), which was charged it when the stage started.
 fn replicate_generation(pool: &DevicePool, alive: &[usize], cost: KernelCost) {
     for &d in &alive[1..] {
         pool.device(d).launch("sketch gen (replica)", cost);

@@ -1,8 +1,10 @@
 //! # sketch-dist
 //!
 //! The workspace's one execution engine: a [`Pipeline`](sketch_core::Pipeline)
-//! of sketch stages run across a [`DevicePool`](sketch_gpu_sim::DevicePool)
-//! (Section 7 of the paper, on simulated devices).
+//! of sketch stages, or one already built
+//! ([`ComposedSketch`](sketch_core::ComposedSketch)), run across a
+//! [`DevicePool`](sketch_gpu_sim::DevicePool) (Section 7 of the paper, on
+//! simulated devices).
 //!
 //! * [`pipelined_sketch`] — shard each stage along its bitwise-lossless
 //!   [`ShardAxis`](sketch_core::ShardAxis), dispatch the shards round-robin
@@ -80,6 +82,6 @@ pub mod executor;
 pub use comm::{CommCost, CommPattern};
 pub use error::DistError;
 pub use executor::{
-    pipelined_sketch, preflight, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun,
+    pipelined_sketch, preflight, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun, Plan,
     Schedule, ShardAssignment,
 };

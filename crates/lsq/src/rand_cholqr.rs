@@ -75,15 +75,15 @@ pub fn rand_cholqr_least_squares(
 ) -> Result<(LsqSolution, PipelinedRun), LsqError> {
     let device = pool.device(0);
     let mut prof = Profiler::new(device);
-    // Generation is accounted in its own phase; the executor regenerates the
-    // stage operators internally from the same specs and seeds (same bits), so
-    // this build is purely the Figure-5 "Sketch gen" accounting.
-    prof.phase(Phase::SketchGen, || {
-        plan.build_for(device, problem.ncols()).map(|_| ())
-    })?;
-
-    // Step 1: sketch the coefficient matrix on the pool.
-    let (run, sketch_phase) = pooled_matrix_sketch(pool, &problem.a, plan, opts)?;
+    // Generate the operator once, in its own phase (the Figure-5 "Sketch
+    // gen" segment).  Step 1: the executor runs it as built to sketch the
+    // coefficient matrix on the pool; nothing else needs it.
+    let (run, sketch_phase) = {
+        let sketch = prof.phase(Phase::SketchGen, || {
+            plan.compose_for(device, problem.ncols())
+        })?;
+        pooled_matrix_sketch(pool, &problem.a, &sketch, opts)?
+    };
     let y_cm = run.result.to_layout(device, Layout::ColMajor);
 
     // Step 2: economy QR of the sketched matrix (only R₀ is needed).

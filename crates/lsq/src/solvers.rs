@@ -11,7 +11,7 @@
 
 use crate::error::LsqError;
 use crate::problem::LsqProblem;
-use sketch_core::Pipeline;
+use sketch_core::{ComposedSketch, Pipeline, SketchOperator};
 use sketch_dist::{pipelined_sketch, ExecutorOptions, PipelinedRun};
 use sketch_gpu_sim::obs::Stopwatch;
 use sketch_gpu_sim::{Device, DevicePool, Phase, PhaseRecord, Profiler, RunBreakdown};
@@ -76,20 +76,20 @@ pub fn normal_equations(device: &Device, problem: &LsqProblem) -> Result<LsqSolu
     })
 }
 
-/// Run the matrix sketch on the pool and produce the [`PhaseRecord`] both
-/// engine-routed solvers splice into their breakdown right after `SketchGen`:
-/// pool-wide cost delta, wall-clock window, and the **pipelined** (not serial)
-/// modelled makespan, so multi-device speedups show up directly in
-/// Figure-5-style stacks.
+/// Run the built matrix sketch on the pool and produce the [`PhaseRecord`]
+/// both engine-routed solvers splice into their breakdown right after
+/// `SketchGen`: pool-wide cost delta, wall-clock window, and the **pipelined**
+/// (not serial) modelled makespan, so multi-device speedups show up directly
+/// in Figure-5-style stacks.
 pub(crate) fn pooled_matrix_sketch(
     pool: &DevicePool,
     a: &sketch_la::Matrix,
-    plan: &Pipeline,
+    sketch: &ComposedSketch,
     opts: &ExecutorOptions,
 ) -> Result<(PipelinedRun, PhaseRecord), LsqError> {
     let total_before = pool.total_cost();
     let wall_start = Stopwatch::start();
-    let run = pipelined_sketch(pool, a, plan, opts)?;
+    let run = pipelined_sketch(pool, a, sketch, opts)?;
     let record = PhaseRecord {
         phase: Phase::MatrixSketch,
         cost: pool.total_cost() - total_before,
@@ -119,15 +119,16 @@ pub fn sketch_and_solve(
     let device = pool.device(0);
     let mut prof = Profiler::new(device);
 
-    // Build the vector-sketch operator first, inside its own SketchGen phase.
-    // The executor regenerates its stage operators internally (deterministic:
-    // same specs, same seeds, same bits), so this build exists only to sketch
-    // `b`; charging it up front keeps every generation the tracker sees inside
-    // a named phase, mirroring the paper's explicit "Sketch gen" stack segment.
-    let sketch = prof.phase(Phase::SketchGen, || plan.build_for(device, problem.ncols()))?;
+    // Generate the operator once, inside its own SketchGen phase (the paper's
+    // "Sketch gen" stack segment).  The executor runs it as built, charging
+    // each stage's generation to the pool as a spec run would, and it then
+    // sketches `b`.
+    let sketch = prof.phase(Phase::SketchGen, || {
+        plan.compose_for(device, problem.ncols())
+    })?;
 
     // Matrix sketch on the pool, wall-clock timed like a Profiler phase.
-    let (run, sketch_phase) = pooled_matrix_sketch(pool, &problem.a, plan, opts)?;
+    let (run, sketch_phase) = pooled_matrix_sketch(pool, &problem.a, &sketch, opts)?;
 
     // The remaining Algorithm-1 steps run on device 0: the reduced problem is
     // k x n with k = O(n²) at most — not worth sharding.

@@ -537,6 +537,16 @@ mod tests {
                 ),
                 "got 4294967297x4",
             ),
+            // A CountSketch with more output rows than its row map can draw.
+            (
+                with_ok(
+                    r#"{"tenant": "wide",
+                     "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 64,
+                                              "output_dim": {"exact": 4294967296}, "seed": 1}]},
+                     "operand": {"dense": {"rows": 64, "cols": 1, "seed": 2}}}"#,
+                ),
+                "got output dimension 4294967296",
+            ),
         ];
         for (text, expected) in cases {
             let file = JobFile::from_json(&text).unwrap();

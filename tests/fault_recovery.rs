@@ -7,10 +7,13 @@
 //! that end to end: a device dying at any injected sim-time, for every sketch
 //! kind (plus the Count-Gauss pipeline), dense and CSR operands, on 2/4/7
 //! device pools, yields results bit-for-bit identical to the no-fault run.
+//! Every run is made twice, from the plan's specs and as a pipeline built
+//! beforehand, and the two must agree on every field and every device's cost.
 //! Stragglers only stretch the modelled clock, never the bits; the serve
 //! layer retries dead-device jobs under a typed budget and renders
 //! byte-identical ledgers across reruns.
 
+use gpu_countsketch::dist::Plan;
 use gpu_countsketch::prelude::*;
 use gpu_countsketch::serve::{OperandData, QueuedJob, RejectReason, ServiceReport};
 use proptest::prelude::*;
@@ -50,13 +53,84 @@ fn operands(d: usize, seed: u64) -> Vec<OperandData> {
     ]
 }
 
-fn run_plan(pool: &DevicePool, operand: &OperandData, plan: &Pipeline) -> PipelinedRun {
-    let opts = ExecutorOptions::default();
-    match operand {
-        OperandData::Dense(m) => pipelined_sketch(pool, Operand::Dense(m), plan, &opts),
-        OperandData::Csr(s) => pipelined_sketch(pool, Operand::Csr(s), plan, &opts),
+fn operand_of(data: &OperandData) -> Operand<'_> {
+    match data {
+        OperandData::Dense(m) => Operand::Dense(m),
+        OperandData::Csr(s) => Operand::Csr(s),
     }
-    .expect("run fits the modelled pool")
+}
+
+/// Run `plan` on a fresh pool of `devices` H100s under `faults`, and each
+/// device's cost.
+fn run_on<'p>(
+    devices: usize,
+    faults: &FaultPlan,
+    operand: &OperandData,
+    plan: impl Into<Plan<'p>>,
+) -> (PipelinedRun, Vec<KernelCost>) {
+    let pool = DevicePool::h100(devices);
+    pool.apply_fault_plan(faults);
+    let before: Vec<KernelCost> = pool
+        .devices()
+        .iter()
+        .map(|d| d.tracker().snapshot())
+        .collect();
+    let run = pipelined_sketch(
+        &pool,
+        operand_of(operand),
+        plan,
+        &ExecutorOptions::default(),
+    )
+    .expect("run fits the modelled pool");
+    let costs = pool
+        .devices()
+        .iter()
+        .zip(before)
+        .map(|(d, before)| d.tracker().snapshot() - before)
+        .collect();
+    (run, costs)
+}
+
+/// Run `plan` from its specs on a fresh pool of `devices` H100s under `faults`,
+/// and again, on a twin pool under the same faults, as a pipeline built on a
+/// device outside the pool.  Every field of the two runs and each device's
+/// cost must match; returns the spec run and its device costs.
+fn run_both(
+    devices: usize,
+    faults: &FaultPlan,
+    operand: &OperandData,
+    plan: &Pipeline,
+) -> (PipelinedRun, Vec<KernelCost>) {
+    let ncols = operand_of(operand).ncols();
+    let built = plan
+        .compose_for(&Device::h100(), ncols)
+        .expect("plan builds");
+    let (run, costs) = run_on(devices, faults, operand, plan);
+    let (twin, twin_costs) = run_on(devices, faults, operand, &built);
+    assert!(bits_equal(&run.result, &twin.result), "result bits");
+    assert_eq!(run.timeline.entries(), twin.timeline.entries());
+    for (spec_s, built_s) in [
+        (run.serial_seconds, twin.serial_seconds),
+        (run.pipelined_seconds, twin.pipelined_seconds),
+        (run.compute_only_seconds, twin.compute_only_seconds),
+        (run.comm_seconds, twin.comm_seconds),
+    ] {
+        assert_eq!(spec_s.to_bits(), built_s.to_bits());
+    }
+    assert_eq!(run.comm, twin.comm);
+    assert_eq!(run.schedules, twin.schedules);
+    assert_eq!(run.fault, twin.fault);
+    assert_eq!(costs, twin_costs, "device costs");
+    (run, costs)
+}
+
+fn run_plan(
+    devices: usize,
+    faults: &FaultPlan,
+    operand: &OperandData,
+    plan: &Pipeline,
+) -> PipelinedRun {
+    run_both(devices, faults, operand, plan).0
 }
 
 /// Strict bit equality — `max_abs_diff == 0` would conflate `-0.0` and `0.0`.
@@ -84,15 +158,14 @@ fn device_death_recovers_bit_exactly_for_every_plan() {
     for devices in [2usize, 4, 7] {
         for (i, plan) in plans(d, 40).into_iter().enumerate() {
             for (which, operand) in operands(d, 7 + i as u64).iter().enumerate() {
-                let clean = run_plan(&DevicePool::h100(devices), operand, &plan);
+                let clean = run_plan(devices, &FaultPlan::healthy(), operand, &plan);
                 assert!(clean.fault.is_clean());
 
                 // The highest-ordinal device owns the last shard of every
                 // stage, so a death at 30% of the fault-free makespan always
                 // lands mid-flight.
-                let pool = DevicePool::h100(devices);
-                pool.apply_fault_plan(&dies_at(devices - 1, 0.3 * clean.pipelined_seconds));
-                let run = run_plan(&pool, operand, &plan);
+                let faults = dies_at(devices - 1, 0.3 * clean.pipelined_seconds);
+                let run = run_plan(devices, &faults, operand, &plan);
 
                 let ctx = format!("plan {i} operand {which} on {devices} devices");
                 assert!(
@@ -115,25 +188,22 @@ fn cascading_deaths_peel_the_pool_down_to_a_lone_survivor() {
     let d = 1 << 10;
     let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 9);
     let operand = &operands(d, 7)[0];
-    let clean = run_plan(&DevicePool::h100(3), operand, &plan);
+    let clean = run_plan(3, &FaultPlan::healthy(), operand, &plan);
 
-    let pool = DevicePool::h100(3);
-    pool.apply_fault_plan(
-        &FaultPlan::healthy()
-            .with_fault(
-                2,
-                FaultSpec::Dies {
-                    after_sim_seconds: 0.1 * clean.pipelined_seconds,
-                },
-            )
-            .with_fault(
-                1,
-                FaultSpec::Dies {
-                    after_sim_seconds: 0.2 * clean.pipelined_seconds,
-                },
-            ),
-    );
-    let run = run_plan(&pool, operand, &plan);
+    let faults = FaultPlan::healthy()
+        .with_fault(
+            2,
+            FaultSpec::Dies {
+                after_sim_seconds: 0.1 * clean.pipelined_seconds,
+            },
+        )
+        .with_fault(
+            1,
+            FaultSpec::Dies {
+                after_sim_seconds: 0.2 * clean.pipelined_seconds,
+            },
+        );
+    let run = run_plan(3, &faults, operand, &plan);
 
     assert!(bits_equal(&run.result, &clean.result));
     let mut dead: Vec<usize> = run.fault.failures.iter().map(|f| f.device).collect();
@@ -142,6 +212,34 @@ fn cascading_deaths_peel_the_pool_down_to_a_lone_survivor() {
     assert_eq!(run.fault.survivors, 1);
     assert!(run.fault.shards_recomputed > 0);
     assert!(run.fault.lost_seconds > 0.0);
+}
+
+#[test]
+fn a_death_in_stage_0_moves_stage_1_generation_to_device_1() {
+    let d = 1 << 10;
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 5);
+    let stage0 = Pipeline::single(plan.stages[0].clone());
+    let operand = &operands(d, 7)[0];
+    let devices = 3;
+    // Device 0 owns stage 0's first shard, so it dies during stage 0.
+    let stage0_clean = run_plan(devices, &FaultPlan::healthy(), operand, &stage0);
+    let faults = dies_at(0, 0.3 * stage0_clean.pipelined_seconds);
+
+    let (run, costs) = run_both(devices, &faults, operand, &plan);
+    let (_, stage0_costs) = run_both(devices, &faults, operand, &stage0);
+    assert_eq!(run.fault.failures.len(), 1);
+    assert_eq!(
+        (run.fault.failures[0].device, run.fault.failures[0].stage),
+        (0, 0)
+    );
+    // The dead device carries nothing of stage 1; its first survivor carries
+    // stage 1's generation, whichever way the plan was given (`run_both`
+    // compares the spec run with the built one device by device).
+    assert_eq!(costs[0], stage0_costs[0]);
+    let built = plan.compose_for(&Device::h100(), 8).unwrap();
+    let generation = built.stages()[1].1.as_operator().generation_cost();
+    let stage1 = costs[1] - stage0_costs[1];
+    assert!(stage1.flops >= generation.flops && stage1.bytes_written >= generation.bytes_written);
 }
 
 #[test]
@@ -193,20 +291,17 @@ proptest! {
         let d = 1 << 9;
         let plan = plans(d, 60)[plan_idx].clone();
         let operand = &operands(d, 5)[plan_idx % 2];
-        let clean = run_plan(&DevicePool::h100(devices), operand, &plan);
+        let clean = run_plan(devices, &FaultPlan::healthy(), operand, &plan);
 
         let victim = victim_draw % devices;
         let slow = (victim + 1) % devices;
         let fault_at = frac_permille as f64 * 1e-3 * clean.pipelined_seconds;
-        let pool = DevicePool::h100(devices);
-        pool.apply_fault_plan(
-            &FaultPlan::healthy()
-                .with_fault(victim, FaultSpec::Dies { after_sim_seconds: fault_at })
-                .with_fault(slow, FaultSpec::Straggler {
-                    slowdown_factor: straggler_tenths as f64 / 10.0,
-                }),
-        );
-        let run = run_plan(&pool, operand, &plan);
+        let faults = FaultPlan::healthy()
+            .with_fault(victim, FaultSpec::Dies { after_sim_seconds: fault_at })
+            .with_fault(slow, FaultSpec::Straggler {
+                slowdown_factor: straggler_tenths as f64 / 10.0,
+            });
+        let run = run_plan(devices, &faults, operand, &plan);
 
         prop_assert!(
             bits_equal(&run.result, &clean.result),
@@ -234,14 +329,13 @@ proptest! {
         let d = 1 << 9;
         let plan = plans(d, 60)[plan_idx].clone();
         let operand = &operands(d, 5)[plan_idx % 2];
-        let clean = run_plan(&DevicePool::h100(devices), operand, &plan);
+        let clean = run_plan(devices, &FaultPlan::healthy(), operand, &plan);
 
-        let pool = DevicePool::h100(devices);
-        pool.apply_fault_plan(&FaultPlan::healthy().with_fault(
+        let faults = FaultPlan::healthy().with_fault(
             victim_draw % devices,
             FaultSpec::Straggler { slowdown_factor: 1.0 },
-        ));
-        let run = run_plan(&pool, operand, &plan);
+        );
+        let run = run_plan(devices, &faults, operand, &plan);
 
         prop_assert!(bits_equal(&run.result, &clean.result));
         prop_assert_eq!(
