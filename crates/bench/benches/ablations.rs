@@ -1,5 +1,5 @@
 //! Criterion ablation benches: kernel and layout variants of the CountSketch and
-//! multisketch (the design choices DESIGN.md calls out).
+//! multisketch (the design choices `paper ablations` tabulates).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sketch_core::{EmbeddingDim, Pipeline, SketchOperator, SketchSpec};

@@ -25,8 +25,8 @@ const fn f64b(n: u64) -> u64 {
 /// resident buffers (both layouts of `A`, every other method's sketches and outputs,
 /// cuRAND states, 100-trial bookkeeping).  A 30 % budget for a single method's working
 /// set reproduces exactly the paper's blank set: both reported points exceed it and
-/// every point the paper does plot stays below it.  See EXPERIMENTS.md for the
-/// calibration table.
+/// every point the paper does plot stays below it (`paper fig2` and `paper fig5` print
+/// the blank bars as OOM rows).
 pub const SUITE_MEMORY_FRACTION: f64 = 0.3;
 
 /// Whether a method's working set (operand + method-specific buffers) exceeds the

@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_faults [-- --smoke] [--out PATH] [--trace PATH]`
 
+use sketch_bench::cli;
 use sketch_bench::report::{ms, Table};
 use sketch_core::{EmbeddingDim, JsonValue, Operand, Pipeline};
 use sketch_dist::{pipelined_sketch, ExecutorOptions, PipelinedRun};
@@ -133,19 +134,10 @@ fn run_cell(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_faults.json", String::as_str)
-        .to_string();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = cli::FIG_FAULTS.from_env();
+    let smoke = args.smoke;
+    let out_path = args.out.unwrap_or_else(|| "BENCH_faults.json".into());
+    let trace_path = args.trace;
 
     let d = if smoke { 1 << 12 } else { 1 << 15 };
     let n = 8usize;

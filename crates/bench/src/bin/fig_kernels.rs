@@ -1,10 +1,11 @@
-//! Kernel-speed regression harness: naive-reference vs cache-blocked kernels,
-//! measured on this host and emitted as `BENCH_kernels.json`.
+//! Host kernel harness: the real kernels measured on this host and emitted as
+//! `BENCH_kernels.json`.  Every other figure reports *modelled* H100 times; this
+//! binary times what the build actually does, with warm-up discarded and median/min
+//! over repeated samples per row, in two parts.
 //!
-//! `fig_walltime` tracks thread scaling of the production kernels; this binary
-//! tracks the *single-threaded* speedup of the cache-blocked kernels over the
-//! per-element reference implementations they replaced — the number that cache
-//! blocking actually bought, with no parallelism in the frame.  Four sweeps:
+//! **Naive reference vs cache-blocked kernels, on one thread**: the speedup cache
+//! blocking actually bought over the per-element implementations it replaced, with no
+//! parallelism in the frame.  The sweeps:
 //!
 //! * **GEMM**: [`sketch_la::blas3::gemm_into`] (GEBP packing + register-tiled
 //!   microkernel) vs [`sketch_la::blas3::gemm_naive_into`] (one packed dot
@@ -33,10 +34,15 @@
 //!   Box–Muller on the host's libm over the same Philox words, written in this bin, at
 //!   2^20 draws (2^18 smoke).  Its `max_rel_diff` is the two fills' rounding gap.
 //!
+//! **Thread sweep**: six production kernels (dense GEMM, the SYRK-path Gram matrix,
+//! the tiled FWHT, the CountSketch ordered-gather scatter, CSR SpMM, and the
+//! end-to-end `sketch_and_solve` least-squares driver) each run under explicit pools
+//! of 1/2/4 threads (`--smoke`: 1/2), with the modelled H100 time alongside for scale.
+//!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
 //!
 //! * blocked GEMM must be **>= 2x** the naive reference at 512x512x128 on one
-//!   thread (the shape `BENCH_walltime.json` has always tracked);
+//!   thread (the shape the thread sweep's GEMM row times);
 //! * tiled FWHT must be **strictly faster** than the un-tiled kernel at the
 //!   largest swept length (d = 2^20 full, 2^18 smoke);
 //! * blocked and naive GEMM and Gram values must agree within `1e-12 * max|C|` on
@@ -47,23 +53,45 @@
 //!   shape on one thread;
 //! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread;
 //! * the Gaussian fill must be within **1e-14** (absolute) of the libm reference at
-//!   every draw and **>= 1.5x** its speed on one thread.
+//!   every draw and **>= 1.5x** its speed on one thread;
+//! * **thread bitwise** (unconditional): every thread-sweep kernel's output at every
+//!   thread count must be bit-for-bit identical to its 1-thread output — the
+//!   threading model's core promise (deterministic task boundaries + ordered
+//!   reduction);
+//! * **thread speedup** (only when the host has more than one core): the best
+//!   multi-thread speedup among thread-sweep rows of at least 2^20 elements (any row
+//!   under `--smoke`, whose sizes are smaller) must exceed 1.0 (0.5 smoke).  On a
+//!   single-core host a measured speedup is physically impossible, so the gate is
+//!   skipped and recorded as such in the JSON.
 //!
-//! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH]`
+//! `--trace PATH` writes a Perfetto-compatible trace: one wall-track event per timed
+//! thread-sweep sample, plus the metrics summary (host shape and thread-pool
+//! activity).
+//!
+//! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH] [--trace PATH]`
 
+use sketch_bench::cli;
 use sketch_bench::report::{ms, Table};
-use sketch_bench::walltime::{host_cores, time_fn, with_thread_pool, Sample};
-use sketch_core::fwht::{fwht_in_place, fwht_tiled_in_place, DEFAULT_TILE};
-use sketch_core::JsonValue;
-use sketch_gpu_sim::Device;
+use sketch_bench::walltime::{
+    bits_of, host_cores, time_fn, time_fn_traced, with_thread_pool, Sample,
+};
+use sketch_core::fwht::{fwht_in_place, fwht_matrix_columns, fwht_tiled_in_place, DEFAULT_TILE};
+use sketch_core::{CountSketch, EmbeddingDim, JsonValue, Operand, Pipeline, SketchOperator};
+use sketch_dist::ExecutorOptions;
+use sketch_gpu_sim::{Device, DevicePool};
 use sketch_la::blas2::{gemv, gemv_naive, Triangle};
-use sketch_la::blas3::{gemm_into, gemm_naive_into, gram_gemm, trsm_right, trsm_right_naive};
+use sketch_la::blas3::{
+    gemm, gemm_into, gemm_naive_into, gram_gemm, syrk_gram, trsm_right, trsm_right_naive,
+};
 use sketch_la::qr::{geqrf_naive, geqrf_owned};
 use sketch_la::{Layout, Matrix, Op};
+use sketch_lsq::{sketch_and_solve, LsqProblem};
+use sketch_obs::{chrome_trace_with_metrics, write_json, MetricsRegistry, RecorderHandle};
 use sketch_rng::fill::{self, BLOCKS_PER_ELEMENT, CHUNK};
 use sketch_rng::StreamFactory;
+use sketch_sparse::{spmm_into, CooMatrix, CsrMatrix};
 
-/// The GEMM gate shape (m, k, n): the row `BENCH_walltime.json` has always tracked.
+/// The GEMM gate shape (m, k, n): the thread sweep's GEMM shape.
 const GATE_GEMM: (usize, usize, usize) = (512, 512, 128);
 
 /// Required blocked-over-naive speedup at [`GATE_GEMM`] on one thread.
@@ -83,6 +111,10 @@ const GATE_GAUSSIAN_SPEEDUP: f64 = 1.5;
 
 /// Largest absolute difference the Gaussian fill may have from the libm reference.
 const GATE_GAUSSIAN_ABS_DIFF: f64 = 1e-14;
+
+/// Thread-sweep kernels must reach this many elements before they count toward the
+/// full-run speedup gate (small problems are launch-overhead-bound).
+const GATE_THREAD_MIN_ELEMS: usize = 1 << 20;
 
 /// One naive-vs-blocked measurement.
 struct KernelRow {
@@ -418,18 +450,220 @@ fn bench_fwht_length(d: usize, seed: u64) -> KernelRow {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_kernels.json", String::as_str)
-        .to_string();
+/// One thread-sweep measurement: a (kernel, thread count) pair.
+struct ThreadRow {
+    kernel: &'static str,
+    threads: usize,
+    /// Problem size in f64 elements (nnz for sparse operands) — the scale axis.
+    elems: usize,
+    sample: Sample,
+    modelled_h100_ms: f64,
+    /// Median-time ratio vs the 1-thread row of the same kernel.
+    speedup_vs_1t: f64,
+    /// Output bits identical to the 1-thread output of the same kernel.
+    bitwise_equal: bool,
+}
 
+impl ThreadRow {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Object(vec![
+            ("kernel".into(), JsonValue::Str(self.kernel.into())),
+            ("threads".into(), JsonValue::UInt(self.threads as u64)),
+            ("elems".into(), JsonValue::UInt(self.elems as u64)),
+            (
+                "median_ms".into(),
+                JsonValue::Float(self.sample.median_ms()),
+            ),
+            ("min_ms".into(), JsonValue::Float(self.sample.min_ms())),
+            (
+                "samples".into(),
+                JsonValue::UInt(self.sample.samples as u64),
+            ),
+            (
+                "modelled_h100_ms".into(),
+                JsonValue::Float(self.modelled_h100_ms),
+            ),
+            ("speedup_vs_1t".into(), JsonValue::Float(self.speedup_vs_1t)),
+            ("bitwise_equal".into(), JsonValue::Bool(self.bitwise_equal)),
+        ])
+    }
+}
+
+/// Time `routine` under a pool of each thread count in `grid`, emitting wall-track
+/// trace events named `{kernel} @{t}t` when `trace` is set, and fold the samples and
+/// the bits `output` reads from `state` into rows: speedups and bitwise equality are
+/// both computed against the 1-thread entry (always the first in `grid`).  One extra
+/// run of `routine`, measured on `device`, gives the modelled H100 time.
+fn sweep<S>(
+    (kernel, elems): (&'static str, usize),
+    device: &Device,
+    (grid, trace): (&[usize], Option<&RecorderHandle>),
+    mut state: S,
+    mut routine: impl FnMut(&mut S),
+    output: impl Fn(&S) -> Vec<u64>,
+) -> Vec<ThreadRow> {
+    let (_, cost) = device.tracker().measure(|| routine(&mut state));
+    let modelled_h100_ms = device.model_time(&cost) * 1e3;
+    let mut measured = Vec::new();
+    for &t in grid {
+        let name = format!("{kernel} @{t}t");
+        let mut run = || routine(&mut state);
+        let sample = with_thread_pool(t, || match trace {
+            Some(recorder) => time_fn_traced(recorder, &name, &mut run),
+            None => time_fn(&mut run),
+        });
+        measured.push((t, sample, output(&state)));
+    }
+    let (base_median, base_bits) = (measured[0].1.median_ns, measured[0].2.clone());
+    measured
+        .into_iter()
+        .map(|(threads, sample, bits)| ThreadRow {
+            kernel,
+            threads,
+            elems,
+            sample,
+            modelled_h100_ms,
+            speedup_vs_1t: base_median / sample.median_ns,
+            bitwise_equal: bits == base_bits,
+        })
+        .collect()
+}
+
+/// Deterministic random CSR matrix targeting `target_density` stored fill
+/// (same construction as `fig_scaling`; coincident draws merge).
+fn random_csr(d: usize, n: usize, target_density: f64, seed: u64) -> CsrMatrix {
+    let draws = ((d * n) as f64 * target_density).round().max(1.0) as usize;
+    let rows = fill::uniform_index_vec(seed, 10, draws, d);
+    let cols = fill::uniform_index_vec(seed, 11, draws, n);
+    let vals = fill::gaussian_vec(seed, 12, draws);
+    let mut coo = CooMatrix::with_capacity(d, n, draws);
+    for i in 0..draws {
+        coo.push(rows[i], cols[i], vals[i]);
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// The thread sweep: six production kernels, each timed on every pool of `on.0`.
+fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<ThreadRow> {
+    let device = Device::h100();
+    let mut rows = Vec::new();
+
+    // Dense GEMM: `C = A B` with a fresh output each iteration.
+    let (m, k, n) = if smoke { (256, 256, 64) } else { GATE_GEMM };
+    let a = Matrix::random_gaussian(m, k, Layout::RowMajor, 11, 0);
+    let b = Matrix::random_gaussian(k, n, Layout::RowMajor, 12, 0);
+    rows.extend(sweep(
+        ("gemm", m * k),
+        &device,
+        on,
+        None,
+        |c| *c = Some(gemm(&device, 1.0, &a, &b, 0.0, None).expect("gemm fits")),
+        |c| bits_of(c.as_ref().expect("the sweep ran").as_slice()),
+    ));
+
+    // Gram matrix `G = AᵀA` through the SYRK path (upper triangle computed, lower
+    // mirrored) — the bottleneck of `sketch_and_solve`'s normal-equations phase.
+    let (d, n) = if smoke { (2048, 128) } else { (4096, 256) };
+    let a = Matrix::random_gaussian(d, n, Layout::ColMajor, 61, 0);
+    rows.extend(sweep(
+        ("gram", d * n),
+        &device,
+        on,
+        None,
+        |g| *g = Some(syrk_gram(&device, &a)),
+        |g| bits_of(g.as_ref().expect("the sweep ran").as_slice()),
+    ));
+
+    // Tiled FWHT over the columns of a tall matrix, restored from a pristine copy
+    // each iteration (the transform is in-place).
+    let (d, n) = (if smoke { 1 << 15 } else { 1 << 18 }, 4);
+    let pristine = Matrix::random_gaussian(d, n, Layout::ColMajor, 21, 0);
+    rows.extend(sweep(
+        ("fwht", d * n),
+        &device,
+        on,
+        pristine.clone(),
+        |work| {
+            work.as_mut_slice().copy_from_slice(pristine.as_slice());
+            fwht_matrix_columns(&device, work, DEFAULT_TILE);
+        },
+        |work| bits_of(work.as_slice()),
+    ));
+
+    // The CountSketch kernel (ordered gather) into a reused output buffer.
+    let (d, n, k) = (if smoke { 1 << 14 } else { 1 << 17 }, 8, 4096);
+    let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 31, 0);
+    let cs = CountSketch::generate(&device, d, k, 32);
+    rows.extend(sweep(
+        ("countsketch_scatter", d * n),
+        &device,
+        on,
+        Matrix::zeros_with_layout(k, n, Layout::RowMajor),
+        |out| {
+            cs.apply_into(&device, Operand::Dense(&a), &mut out.view_mut())
+                .expect("countsketch fits");
+        },
+        |out| bits_of(out.as_slice()),
+    ));
+
+    // Row-parallel CSR SpMM into a reused output buffer.
+    let (k, d, n) = if smoke {
+        (1024, 1 << 14, 8)
+    } else {
+        (4096, 1 << 17, 8)
+    };
+    let s = random_csr(k, d, 0.002, 41);
+    let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 42, 0);
+    rows.extend(sweep(
+        ("spmm_csr", s.nnz()),
+        &device,
+        on,
+        Matrix::zeros_with_layout(k, n, Layout::RowMajor),
+        |out| spmm_into(&device, &s, &a, &mut out.view_mut()),
+        |out| bits_of(out.as_slice()),
+    ));
+
+    // End-to-end sketch-and-solve with the Count-Gauss pipeline.
+    let (d, n) = (if smoke { 1 << 12 } else { 1 << 14 }, 16);
+    let pool = DevicePool::h100(1);
+    let problem = LsqProblem::performance(pool.device(0), d, n, 51)
+        .expect("problem fits the modelled device");
+    let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 52);
+    let opts = ExecutorOptions::default();
+    rows.extend(sweep(
+        ("sketch_and_solve", d * n),
+        pool.device(0),
+        on,
+        None,
+        |x| {
+            let (solution, _) =
+                sketch_and_solve(&pool, &problem, &plan, &opts).expect("solver succeeds");
+            *x = Some(solution.x);
+        },
+        |x| bits_of(x.as_ref().expect("the sweep ran")),
+    ));
+    rows
+}
+
+/// Status of a one-thread speedup gate: `row` must run at least `required` times
+/// faster than its reference (ratio of minimum times).
+fn speedup_gate(row: &KernelRow, required: f64) -> String {
+    let (speedup, at) = (row.speedup_min, &row.shape);
+    if speedup >= required {
+        format!("passed ({speedup:.2}x >= {required}x at {at})")
+    } else {
+        format!("FAILED ({speedup:.2}x < {required}x at {at})")
+    }
+}
+
+fn main() {
+    let args = cli::FIG_KERNELS.from_env();
+    let smoke = args.smoke;
+    let out_path = args.out.unwrap_or_else(|| "BENCH_kernels.json".into());
+
+    let grid: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let cores = host_cores();
-    println!("host cores: {cores}; smoke: {smoke} (all measurements single-threaded)");
+    println!("host cores: {cores}; thread grid: {grid:?}; smoke: {smoke}");
 
     // GEMM sweep: the gate shape always runs; full mode adds a square shape and
     // the tall-skinny sketch shape (S · A with a short-wide product).
@@ -471,6 +705,13 @@ fn main() {
         bench_gaussian_fill(if smoke { 1 << 18 } else { 1 << 20 }, 93);
     rows.push(gaussian_row);
 
+    let collector = args
+        .trace
+        .as_ref()
+        .map(|_| sketch_obs::TraceCollector::shared());
+    let trace: Option<RecorderHandle> = collector.clone().map(|c| c as RecorderHandle);
+    let thread_rows = thread_sweep(smoke, (grid, trace.as_ref()));
+
     // Text report.
     let mut table = Table::new(
         "Naive-reference vs cache-blocked / grouped kernels (1 thread)".to_string(),
@@ -499,23 +740,41 @@ fn main() {
     }
     table.print();
 
+    let mut table = Table::new(
+        format!("Thread sweep (host cores: {cores})"),
+        &[
+            "kernel",
+            "threads",
+            "elems",
+            "median ms",
+            "min ms",
+            "n",
+            "H100 model ms",
+            "speedup",
+            "bitwise",
+        ],
+    );
+    for r in &thread_rows {
+        table.push_row(vec![
+            r.kernel.to_string(),
+            r.threads.to_string(),
+            r.elems.to_string(),
+            ms(r.sample.median_ms()),
+            ms(r.sample.min_ms()),
+            r.sample.samples.to_string(),
+            ms(r.modelled_h100_ms),
+            format!("{:.2}", r.speedup_vs_1t),
+            if r.bitwise_equal { "ok" } else { "MISMATCH" }.to_string(),
+        ]);
+    }
+    table.print();
+
     // Gate 1: blocked GEMM >= 2x naive at the gate shape.
     let gate_shape = format!("{}x{}x{}", GATE_GEMM.0, GATE_GEMM.1, GATE_GEMM.2);
     let gate_row = rows
         .iter()
         .find(|r| r.kernel == "gemm" && r.shape == gate_shape)
         .expect("the gate shape always runs");
-    let gemm_status = if gate_row.speedup_min >= GATE_GEMM_SPEEDUP {
-        format!(
-            "passed ({:.2}x >= {GATE_GEMM_SPEEDUP}x at {gate_shape})",
-            gate_row.speedup_min
-        )
-    } else {
-        format!(
-            "FAILED ({:.2}x < {GATE_GEMM_SPEEDUP}x at {gate_shape})",
-            gate_row.speedup_min
-        )
-    };
 
     // Gate 2: tiled FWHT strictly faster than un-tiled at the largest length.
     let fwht_row = rows
@@ -564,34 +823,12 @@ fn main() {
         .filter(|r| r.kernel == "householder")
         .max_by_key(|r| r.elems)
         .expect("at least one Householder shape runs");
-    let qr_status = if qr_row.speedup_min >= GATE_QR_SPEEDUP {
-        format!(
-            "passed ({:.2}x >= {GATE_QR_SPEEDUP}x at {})",
-            qr_row.speedup_min, qr_row.shape
-        )
-    } else {
-        format!(
-            "FAILED ({:.2}x < {GATE_QR_SPEEDUP}x at {})",
-            qr_row.speedup_min, qr_row.shape
-        )
-    };
 
     // Gate 6: the lockstep TRSM >= 1.5x the per-vector reference.
     let trsm_row = rows
         .iter()
         .find(|r| r.kernel == "trsm_right")
         .expect("the TRSM row always runs");
-    let trsm_status = if trsm_row.speedup_min >= GATE_TRSM_SPEEDUP {
-        format!(
-            "passed ({:.2}x >= {GATE_TRSM_SPEEDUP}x at {})",
-            trsm_row.speedup_min, trsm_row.shape
-        )
-    } else {
-        format!(
-            "FAILED ({:.2}x < {GATE_TRSM_SPEEDUP}x at {})",
-            trsm_row.speedup_min, trsm_row.shape
-        )
-    };
 
     // Gate 7: the Gaussian fill stays within 1e-14 of libm and >= 1.5x its speed.
     let gaussian_row = rows
@@ -609,76 +846,123 @@ fn main() {
             gaussian_row.shape
         )
     };
-    let gaussian_speed_status = if gaussian_row.speedup_min >= GATE_GAUSSIAN_SPEEDUP {
-        format!(
-            "passed ({:.2}x >= {GATE_GAUSSIAN_SPEEDUP}x at {})",
-            gaussian_row.speedup_min, gaussian_row.shape
-        )
+
+    // Gate 8 (unconditional): every thread-sweep row is bit-for-bit equal to the
+    // 1-thread run of its kernel.
+    let mismatches: Vec<&ThreadRow> = thread_rows.iter().filter(|r| !r.bitwise_equal).collect();
+    for r in &mismatches {
+        eprintln!(
+            "VIOLATION: {} at {} threads is not bitwise-identical to 1 thread",
+            r.kernel, r.threads
+        );
+    }
+    let thread_bitwise_status = if mismatches.is_empty() {
+        "passed (every kernel identical at every thread count)".to_string()
     } else {
         format!(
-            "FAILED ({:.2}x < {GATE_GAUSSIAN_SPEEDUP}x at {})",
-            gaussian_row.speedup_min, gaussian_row.shape
+            "FAILED ({} row(s) differ from 1 thread — thread-count-dependent results)",
+            mismatches.len()
         )
     };
 
-    let doc = JsonValue::Object(vec![
+    // Gate 9 (only meaningful on a multi-core host): some large kernel must show a
+    // sane multi-thread speedup.  Smoke runs use reduced sizes, so the smoke gate
+    // drops the size floor and only rejects pathological slowdowns.
+    let threshold = if smoke { 0.5 } else { 1.0 };
+    let best = thread_rows
+        .iter()
+        .filter(|r| r.threads > 1 && (smoke || r.elems >= GATE_THREAD_MIN_ELEMS))
+        .fold(0.0f64, |acc, r| acc.max(r.speedup_vs_1t));
+    let thread_speedup_status = if cores <= 1 {
+        format!("skipped (single-core host; best observed {best:.2}x)")
+    } else if best > threshold {
+        format!("passed (best {best:.2}x > {threshold})")
+    } else {
+        format!("FAILED (best {best:.2}x <= {threshold})")
+    };
+
+    let gates = [
+        (
+            "gemm_speedup_gate",
+            speedup_gate(gate_row, GATE_GEMM_SPEEDUP),
+        ),
+        ("fwht_speedup_gate", fwht_status),
+        ("values_gate", values_status),
+        ("bitwise_gate", bitwise_status),
+        (
+            "householder_speedup_gate",
+            speedup_gate(qr_row, GATE_QR_SPEEDUP),
+        ),
+        (
+            "trsm_speedup_gate",
+            speedup_gate(trsm_row, GATE_TRSM_SPEEDUP),
+        ),
+        ("gaussian_accuracy_gate", gaussian_accuracy_status),
+        (
+            "gaussian_speedup_gate",
+            speedup_gate(gaussian_row, GATE_GAUSSIAN_SPEEDUP),
+        ),
+        ("thread_bitwise_gate", thread_bitwise_status),
+        ("thread_speedup_gate", thread_speedup_status),
+    ];
+
+    // The `host` header pins the machine the numbers came from: measured times
+    // are only comparable against the same host shape and compiler.
+    let mut doc = vec![
         ("experiment".into(), JsonValue::Str("fig_kernels".into())),
         (
             "host".into(),
             JsonValue::Object(vec![
                 ("cores".into(), JsonValue::UInt(cores as u64)),
+                (
+                    "thread_grid".into(),
+                    JsonValue::Array(grid.iter().map(|&t| JsonValue::UInt(t as u64)).collect()),
+                ),
                 ("rustc".into(), JsonValue::Str(sketch_obs::rustc_version())),
             ]),
         ),
         ("smoke".into(), JsonValue::Bool(smoke)),
-        (
-            "gemm_speedup_gate".into(),
-            JsonValue::Str(gemm_status.clone()),
-        ),
-        (
-            "fwht_speedup_gate".into(),
-            JsonValue::Str(fwht_status.clone()),
-        ),
-        ("values_gate".into(), JsonValue::Str(values_status.clone())),
-        (
-            "bitwise_gate".into(),
-            JsonValue::Str(bitwise_status.clone()),
-        ),
-        (
-            "householder_speedup_gate".into(),
-            JsonValue::Str(qr_status.clone()),
-        ),
-        (
-            "trsm_speedup_gate".into(),
-            JsonValue::Str(trsm_status.clone()),
-        ),
-        (
-            "gaussian_accuracy_gate".into(),
-            JsonValue::Str(gaussian_accuracy_status.clone()),
-        ),
-        (
-            "gaussian_speedup_gate".into(),
-            JsonValue::Str(gaussian_speed_status.clone()),
-        ),
-        (
-            "rows".into(),
-            JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
-        ),
-    ]);
-    std::fs::write(&out_path, doc.render()).expect("write kernels JSON");
+    ];
+    doc.extend(
+        gates
+            .iter()
+            .map(|(key, status)| (key.to_string(), JsonValue::Str(status.clone()))),
+    );
+    doc.push((
+        "rows".into(),
+        JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
+    ));
+    doc.push((
+        "thread_rows".into(),
+        JsonValue::Array(thread_rows.iter().map(ThreadRow::to_json).collect()),
+    ));
+    std::fs::write(&out_path, JsonValue::Object(doc).render()).expect("write kernels JSON");
     println!("wrote {out_path}");
 
+    // Perfetto-compatible trace: one wall event per timed thread-sweep sample,
+    // plus the metrics summary (host shape and thread-pool activity).
+    if let (Some(path), Some(collector)) = (&args.trace, &collector) {
+        let metrics = MetricsRegistry::new();
+        metrics.add("host.cores", cores as u64);
+        let stats = rayon::pool_stats();
+        metrics.add("rayon.batches", stats.batches);
+        metrics.add("rayon.tasks", stats.tasks);
+        metrics.add("rayon.inline_tasks", stats.inline_tasks);
+        for r in &thread_rows {
+            metrics.observe(
+                "walltime.median_ms",
+                r.sample.median_ms(),
+                &[0.01, 0.1, 1.0, 10.0, 100.0],
+            );
+        }
+        let trace_doc = chrome_trace_with_metrics(&collector.snapshot(), Some(&metrics));
+        write_json(std::path::Path::new(path), &trace_doc).expect("write trace JSON");
+        println!("wrote {path}");
+    }
+
     let mut failed = false;
-    for (name, status) in [
-        ("gemm speedup gate", &gemm_status),
-        ("fwht speedup gate", &fwht_status),
-        ("values gate", &values_status),
-        ("bitwise gate", &bitwise_status),
-        ("householder speedup gate", &qr_status),
-        ("trsm speedup gate", &trsm_status),
-        ("gaussian accuracy gate", &gaussian_accuracy_status),
-        ("gaussian speedup gate", &gaussian_speed_status),
-    ] {
+    for (key, status) in &gates {
+        let name = key.replace('_', " ");
         if status.starts_with("FAILED") {
             eprintln!("{name} {status}");
             failed = true;

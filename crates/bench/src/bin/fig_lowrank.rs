@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_lowrank [-- --smoke]`
 
+use sketch_bench::cli;
 use sketch_bench::report::{sci, Table};
 use sketch_gpu_sim::Device;
 use sketch_la::cond::{geometric_singular_values, matrix_with_singular_values};
@@ -20,7 +21,7 @@ fn frob_rel_err(device: &Device, a: &Matrix, approx: &Matrix) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = cli::FIG_LOWRANK.from_env().smoke;
     // (m, n, k) problem sizes; smoke mode keeps CI fast.
     let sizes: &[(usize, usize, usize)] = if smoke {
         &[(512, 48, 6)]

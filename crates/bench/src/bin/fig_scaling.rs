@@ -21,8 +21,9 @@
 //! below serial makespan on every pool of ≥ 2 devices — and exits non-zero if any
 //! run violates it, so the CI smoke run doubles as a regression gate.
 //!
-//! Run with: `cargo run --release -p sketch-bench --bin fig_scaling [-- --smoke] [--out PATH]`
+//! Run with: `cargo run --release -p sketch-bench --bin fig_scaling [-- --smoke] [--out PATH] [--trace PATH]`
 
+use sketch_bench::cli;
 use sketch_bench::report::{ms, pct, Table};
 use sketch_core::{EmbeddingDim, JsonValue, Operand, Pipeline, SketchSpec};
 use sketch_dist::{pipelined_sketch, ExecutorOptions, PipelinedRun};
@@ -162,19 +163,10 @@ fn push_rows(table: &mut Table, runs: &[Run]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_scaling.json", String::as_str)
-        .to_string();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = cli::FIG_SCALING.from_env();
+    let smoke = args.smoke;
+    let out_path = args.out.unwrap_or_else(|| "BENCH_scaling.json".into());
+    let trace_path = args.trace;
 
     let (d_strong, n) = if smoke { (1 << 12, 8) } else { (1 << 16, 16) };
     let d_weak_base = if smoke { 1 << 11 } else { 1 << 14 };

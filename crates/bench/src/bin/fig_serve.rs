@@ -19,6 +19,7 @@
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_serve [-- --smoke] [--out PATH] [--trace PATH]`
 
+use sketch_bench::cli;
 use sketch_bench::report::{ms, Table};
 use sketch_core::{EmbeddingDim, JsonValue, Pipeline, SketchSpec};
 use sketch_gpu_sim::DevicePool;
@@ -104,19 +105,10 @@ fn workload(tenants: usize, jobs_per_tenant: usize, d: usize) -> Vec<JobSpec> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_serve.json", String::as_str)
-        .to_string();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = cli::FIG_SERVE.from_env();
+    let smoke = args.smoke;
+    let out_path = args.out.unwrap_or_else(|| "BENCH_serve.json".into());
+    let trace_path = args.trace;
 
     let d = if smoke { 1 << 12 } else { 1 << 15 };
     let tenant_counts: &[usize] = &[2, 4];

@@ -1,6 +1,7 @@
 //! # sketch-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's evaluation plus
+//! The benchmark harness: one binary for the paper's tables and figures, one for the
+//! measured host kernels, the modelled scaling, serving, fault and low-rank figures, plus
 //! Criterion micro-benchmarks for the individual kernels.
 //!
 //! Every figure is regenerated at two scales:
@@ -14,25 +15,21 @@
 //!   real kernels record, so the projection cannot silently drift from the
 //!   implementation.  The same module holds Table 1's symbolic formulas.
 //!
-//! Binaries (run with `cargo run -p sketch-bench --release --bin <name>`):
+//! Binaries (run with `cargo run -p sketch-bench --release --bin <name>`; every one
+//! takes `--smoke`, the CI-sized run of the same gates, and reads its flags through
+//! [`cli`]):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 (complexity summary + measured counter check) |
-//! | `fig2_sketch_times` | Figure 2 (sketch gen/apply time vs Gram matrix) |
-//! | `fig3_mem_throughput` | Figure 3 (percent of peak memory throughput) |
-//! | `fig4_flops` | Figure 4 (percent of peak FLOP/s) |
-//! | `fig5_lsq_breakdown` | Figure 5 (least squares runtime breakdown) |
-//! | `fig6_residual_easy` | Figure 6 (relative residuals, easy problem) |
-//! | `fig7_residual_hard` | Figure 7 (relative residuals, hard problem) |
-//! | `fig8_stability` | Figure 8 (residual vs condition number) |
-//! | `dist_comm` | Section 7 communication-volume comparison |
-//! | `ablations` | design-choice ablations (atomic vs gather, layouts, radix, SyRK); `--smoke` gates the multisketch layout |
-//! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled) |
-//! | `fig_walltime` | measured wall-clock across thread counts + bitwise gate |
-//! | `all_experiments` | everything above in sequence |
+//! | `paper` | the paper's evaluation, one subcommand each: `table1`, `fig2` … `fig8`, `sec7` (Section 7's communication comparison) and `ablations`; all of them with no subcommand |
+//! | `fig_kernels` | measured host kernels: naive vs blocked on one thread, and a 1/2/4-thread sweep with its bitwise and speedup gates (`BENCH_kernels.json`) |
+//! | `fig_lowrank` | randomized vs deterministic low-rank SVD (modelled) |
+//! | `fig_scaling` | multi-device strong/weak scaling + overlap ablation (modelled, `BENCH_scaling.json`) |
+//! | `fig_serve` | multi-tenant co-scheduling vs FIFO (modelled, `BENCH_serve.json`) |
+//! | `fig_faults` | device death and bit-exact recovery on the executor (modelled, `BENCH_faults.json`) |
 
 pub mod analytic;
+pub mod cli;
 pub mod config;
 pub mod lsq_experiments;
 pub mod report;

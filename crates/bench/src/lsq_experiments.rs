@@ -166,8 +166,7 @@ pub fn stability_rows(seed: u64) -> Vec<ResidualRow> {
     rows
 }
 
-/// Summarise residual rows per method (used by the binaries and EXPERIMENTS.md):
-/// method -> (min, max) residual over the sweep.
+/// Summarise residual rows per method: method -> (min, max) residual over the sweep.
 pub fn residual_summary(rows: &[ResidualRow]) -> BTreeMap<&'static str, (f64, f64)> {
     let mut out: BTreeMap<&'static str, (f64, f64)> = BTreeMap::new();
     for row in rows {

@@ -1,5 +1,5 @@
 //! Measured wall-clock timing: sampling helpers and thread-pool scaffolding for
-//! the `fig_walltime` binary.
+//! the `fig_kernels` binary.
 //!
 //! Everything else in this crate reports *modelled* `KernelCost` times (the H100
 //! roofline).  This module is the measured counterpart: it times the kernels as
@@ -11,7 +11,7 @@
 //! The sampling discipline matches the workspace's criterion shim: warm-up
 //! iterations are discarded, every timed iteration is an independent sample, and
 //! the **median**/**minimum** are reported rather than a mean-of-few, so one
-//! descheduled sample cannot poison a row of `BENCH_walltime.json`.
+//! descheduled sample cannot poison a row of `BENCH_kernels.json`.
 
 use sketch_obs::{CostBreakdown, RecorderHandle, Stopwatch, TraceEvent, Track};
 use std::time::Duration;
@@ -110,8 +110,8 @@ pub fn with_thread_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Number of hardware threads this host exposes.  Measured speedup > 1 is only
-/// physically possible when this exceeds 1; `fig_walltime` records it in the
-/// JSON and conditions its speedup gate on it.
+/// physically possible when this exceeds 1; `fig_kernels` records it in the
+/// JSON and conditions its thread speedup gate on it.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

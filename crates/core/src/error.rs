@@ -53,6 +53,13 @@ pub enum Error {
         /// Description of what is wrong.
         detail: String,
     },
+    /// The host refused to allocate a buffer the operation needs (e.g. a
+    /// Gaussian operator's `k x d` matrix): the typed form of what would
+    /// otherwise abort the process.
+    HostAllocationFailed {
+        /// Bytes of the refused allocation.
+        bytes: u64,
+    },
     /// A simulated device died mid-run (an injected
     /// [`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies) fault fired) and
     /// the executor could not — or was not asked to — recover around it.
@@ -146,6 +153,9 @@ impl fmt::Display for Error {
             Error::La(e) => write!(f, "linear algebra failure: {e}"),
             Error::InvalidParameter { detail } => write!(f, "invalid parameter: {detail}"),
             Error::BadProblem { detail } => write!(f, "unusable problem: {detail}"),
+            Error::HostAllocationFailed { bytes } => {
+                write!(f, "the host refused to allocate {bytes} bytes")
+            }
             Error::DeviceFailed {
                 ordinal,
                 after_sim_seconds,

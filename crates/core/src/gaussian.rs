@@ -28,14 +28,23 @@ pub struct GaussianSketch {
 impl GaussianSketch {
     /// Generate the sketch, reserving (and then releasing) the modelled device memory it
     /// would occupy.  Fails with [`Error::WouldExceedMemory`] exactly where the
-    /// paper reports GPU out-of-memory failures.
+    /// paper reports GPU out-of-memory failures, and with
+    /// [`Error::HostAllocationFailed`] when the host refuses the `k x d` buffer.
     pub fn generate(device: &Device, d: usize, k: usize, seed: u64) -> Result<Self, Error> {
         if k == 0 {
             return Err(Error::invalid_param(
                 "Gaussian sketch output dimension must be positive",
             ));
         }
-        let bytes = KernelCost::f64_bytes((k * d) as u64);
+        let len = k
+            .checked_mul(d)
+            .filter(|&len| len <= isize::MAX as usize / std::mem::size_of::<f64>())
+            .ok_or_else(|| {
+                Error::invalid_param(format!(
+                    "a {k} x {d} Gaussian sketch exceeds isize::MAX bytes"
+                ))
+            })?;
+        let bytes = KernelCost::f64_bytes(len as u64);
         if !device.memory().would_fit(bytes) {
             // Report the same error try_reserve would produce, without reserving.
             return Err(device
@@ -44,9 +53,10 @@ impl GaussianSketch {
                 .into());
         }
         let scale = 1.0 / (k as f64).sqrt();
-        let data = fill::scaled_gaussian_vec(seed, 0, k * d, scale);
+        let data = fill::scaled_gaussian_vec(seed, 0, len, scale)
+            .map_err(|_| Error::HostAllocationFailed { bytes })?;
         let matrix = Matrix::from_vec(k, d, Layout::RowMajor, data);
-        let generation_cost = KernelCost::new(0, bytes, (k * d) as u64 * FLOPS_PER_GAUSSIAN, 1);
+        let generation_cost = KernelCost::new(0, bytes, len as u64 * FLOPS_PER_GAUSSIAN, 1);
         device.record(generation_cost);
         Ok(Self {
             matrix,
@@ -337,6 +347,15 @@ mod tests {
         let d = Device::new(spec);
         let err = GaussianSketch::generate(&d, 1 << 24, 128, 1).unwrap_err();
         assert!(matches!(err, Error::WouldExceedMemory(_)));
+    }
+
+    #[test]
+    fn an_operator_past_isize_max_bytes_is_a_typed_error() {
+        // k·d overflows usize here, and 2^60 doubles overflow isize::MAX bytes.
+        for (d, k) in [(usize::MAX, 2), (1 << 30, 1 << 30)] {
+            let err = GaussianSketch::generate(&device(), d, k, 1).unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter { .. }), "{err}");
+        }
     }
 
     #[test]

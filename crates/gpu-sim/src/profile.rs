@@ -193,6 +193,18 @@ impl<'a> Profiler<'a> {
         PhaseSpan { profiler: self }
     }
 
+    /// Append a phase measured outside the profiler (e.g. a matrix sketch run
+    /// across a whole pool, whose cost and modelled makespan are pool-wide):
+    /// it advances the phase clock and feeds the device's recorder exactly as
+    /// a phase run through [`Profiler::phase`] does.
+    pub fn record(&mut self, record: PhaseRecord) {
+        let mut state = self.state.borrow_mut();
+        if let Some(parent) = state.active.last_mut() {
+            parent.child_wall += record.wall_seconds;
+        }
+        self.push(&mut state, record);
+    }
+
     /// Close the innermost open span: derive its record, feed it to the
     /// device's recorder, and charge its wall time to the parent span.
     fn exit_innermost(&self) {
@@ -206,25 +218,30 @@ impl<'a> Profiler<'a> {
             parent.child_wall += elapsed;
         }
         let cost = self.device.tracker().snapshot() - open.start_cost;
-        let model = self.device.model_time(&cost);
-        let start = state.phase_clock;
-        state.phase_clock = start + model;
-        if let Some(recorder) = self.device.recorder() {
-            recorder.record(TraceEvent {
-                name: open.phase.label().to_string(),
-                device: self.device.ordinal(),
-                track: Track::Phase,
-                sim: Some((start, start + model)),
-                wall_ns: (wall * 1e9) as u64,
-                cost: cost.into(),
-            });
-        }
-        state.breakdown.phases.push(PhaseRecord {
+        let record = PhaseRecord {
             phase: open.phase,
             cost,
-            model_seconds: model,
+            model_seconds: self.device.model_time(&cost),
             wall_seconds: wall,
-        });
+        };
+        self.push(&mut state, record);
+    }
+
+    /// Lay `record` on the phase clock, emit its Phase-track span, and append it.
+    fn push(&self, state: &mut ProfilerState, record: PhaseRecord) {
+        let start = state.phase_clock;
+        state.phase_clock = start + record.model_seconds;
+        if let Some(recorder) = self.device.recorder() {
+            recorder.record(TraceEvent {
+                name: record.phase.label().to_string(),
+                device: self.device.ordinal(),
+                track: Track::Phase,
+                sim: Some((start, state.phase_clock)),
+                wall_ns: (record.wall_seconds * 1e9) as u64,
+                cost: record.cost.into(),
+            });
+        }
+        state.breakdown.phases.push(record);
     }
 
     /// Finish and return the breakdown.

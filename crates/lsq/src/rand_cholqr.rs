@@ -84,6 +84,7 @@ pub fn rand_cholqr_least_squares(
         })?;
         pooled_matrix_sketch(pool, &problem.a, &sketch, opts)?
     };
+    prof.record(sketch_phase);
     let y_cm = run.result.to_layout(device, Layout::ColMajor);
 
     // Step 2: economy QR of the sketched matrix (only R₀ is needed).
@@ -114,15 +115,11 @@ pub fn rand_cholqr_least_squares(
         trsv(device, Triangle::Upper, Op::NoTrans, &r0, &y2)
     })?;
 
-    // Splice the pooled matrix-sketch phase in after SketchGen.
-    let mut breakdown = prof.finish();
-    breakdown.phases.insert(1, sketch_phase);
-
     Ok((
         LsqSolution {
             x,
             method: "rand_cholQR",
-            breakdown,
+            breakdown: prof.finish(),
         },
         run,
     ))

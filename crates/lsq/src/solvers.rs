@@ -77,10 +77,10 @@ pub fn normal_equations(device: &Device, problem: &LsqProblem) -> Result<LsqSolu
 }
 
 /// Run the built matrix sketch on the pool and produce the [`PhaseRecord`]
-/// both engine-routed solvers splice into their breakdown right after
-/// `SketchGen`: pool-wide cost delta, wall-clock window, and the **pipelined**
-/// (not serial) modelled makespan, so multi-device speedups show up directly
-/// in Figure-5-style stacks.
+/// both engine-routed solvers record right after `SketchGen`
+/// ([`Profiler::record`]): pool-wide cost delta, wall-clock window, and the
+/// **pipelined** (not serial) modelled makespan, so multi-device speedups show
+/// up directly in Figure-5-style stacks.
 pub(crate) fn pooled_matrix_sketch(
     pool: &DevicePool,
     a: &sketch_la::Matrix,
@@ -129,6 +129,7 @@ pub fn sketch_and_solve(
 
     // Matrix sketch on the pool, wall-clock timed like a Profiler phase.
     let (run, sketch_phase) = pooled_matrix_sketch(pool, &problem.a, &sketch, opts)?;
+    prof.record(sketch_phase);
 
     // The remaining Algorithm-1 steps run on device 0: the reduced problem is
     // k x n with k = O(n²) at most — not worth sharding.
@@ -151,15 +152,11 @@ pub fn sketch_and_solve(
         )
     })?;
 
-    // Splice the pooled matrix-sketch phase in after SketchGen.
-    let mut breakdown = prof.finish();
-    breakdown.phases.insert(1, sketch_phase);
-
     Ok((
         LsqSolution {
             x,
             method: "Sketch-and-solve",
-            breakdown,
+            breakdown: prof.finish(),
         },
         run,
     ))
@@ -402,6 +399,64 @@ mod tests {
                 }
                 assert!(run.pipelined_seconds <= run.serial_seconds);
             }
+        }
+    }
+
+    #[test]
+    fn traced_sketching_solves_put_every_phase_on_the_phase_track() {
+        use sketch_gpu_sim::obs::{TraceCollector, Track};
+        let p = problem(4096, 6, 10);
+        let plan = Pipeline::count_gauss(
+            p.nrows(),
+            EmbeddingDim::Square(8),
+            EmbeddingDim::Ratio(8),
+            11,
+        );
+        let opts = ExecutorOptions::default();
+        type Solver = fn(
+            &DevicePool,
+            &LsqProblem,
+            &Pipeline,
+            &ExecutorOptions,
+        ) -> Result<(LsqSolution, PipelinedRun), LsqError>;
+        let solvers: [(&str, Solver); 2] = [
+            ("sketch_and_solve", sketch_and_solve),
+            (
+                "rand_cholqr_least_squares",
+                crate::rand_cholqr::rand_cholqr_least_squares,
+            ),
+        ];
+        for (name, solver) in solvers {
+            let pool = pool1();
+            let collector = TraceCollector::shared();
+            pool.attach_recorder(collector.clone());
+            let (sol, _run) = solver(&pool, &p, &plan, &opts).unwrap();
+            let events: Vec<_> = collector
+                .snapshot()
+                .into_iter()
+                .filter(|e| e.track == Track::Phase)
+                .collect();
+            let phases = &sol.breakdown.phases;
+            assert_eq!(events.len(), phases.len(), "{name}: one span per phase");
+            let mut clock = 0.0f64;
+            for (event, phase) in events.iter().zip(phases) {
+                assert_eq!(event.name, phase.phase.label(), "{name}");
+                let (start, end) = event.sim.expect("phase spans are modelled");
+                assert_eq!(start.to_bits(), clock.to_bits(), "{name}: spans abut");
+                assert_eq!(
+                    end.to_bits(),
+                    (start + phase.model_seconds).to_bits(),
+                    "{name}: {} lasts its modelled time",
+                    event.name
+                );
+                clock = end;
+            }
+            assert_eq!(
+                (clock * 1e3).to_bits(),
+                sol.breakdown.total_model_ms().to_bits(),
+                "{name}: the track ends at the breakdown's total"
+            );
+            assert_eq!(events[1].name, Phase::MatrixSketch.label());
         }
     }
 }

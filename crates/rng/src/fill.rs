@@ -16,6 +16,7 @@ use crate::philox::Philox4x32;
 use crate::stream::StreamFactory;
 use crate::tier::Tier;
 use rayon::prelude::*;
+use std::collections::TryReserveError;
 
 /// Number of elements generated per independent chunk.
 ///
@@ -53,11 +54,20 @@ pub fn gaussian_fill(seed: u64, stream: u64, out: &mut [f64]) {
     scaled_gaussian_fill(seed, stream, out, 1.0);
 }
 
-/// Fill a new vector with scaled normal variates `N(0, scale^2)`.
-pub fn scaled_gaussian_vec(seed: u64, stream: u64, len: usize, scale: f64) -> Vec<f64> {
-    let mut out = vec![0.0; len];
+/// Fill a new vector with scaled normal variates `N(0, scale^2)`, or return the
+/// host's refusal to allocate it: the buffer is reserved with `try_reserve_exact`,
+/// so a length the host cannot hold is an error value instead of an abort.
+pub fn scaled_gaussian_vec(
+    seed: u64,
+    stream: u64,
+    len: usize,
+    scale: f64,
+) -> Result<Vec<f64>, TryReserveError> {
+    let mut out = Vec::new();
+    out.try_reserve_exact(len)?;
+    out.resize(len, 0.0);
     scaled_gaussian_fill(seed, stream, &mut out, scale);
-    out
+    Ok(out)
 }
 
 /// [`gaussian_fill`] times `scale`, multiplied inside the transform loop.  Each
@@ -215,7 +225,7 @@ mod tests {
 
     #[test]
     fn scaled_gaussian_scales_variance() {
-        let v = scaled_gaussian_vec(2, 0, 100_000, 0.5);
+        let v = scaled_gaussian_vec(2, 0, 100_000, 0.5).unwrap();
         let var = v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64;
         assert!((var - 0.25).abs() < 2e-2, "var = {var}");
     }
@@ -341,6 +351,7 @@ mod tests {
                 .map(|x| (x * scale).to_bits())
                 .collect();
             let one_pass: Vec<u64> = scaled_gaussian_vec(8, 2, len, scale)
+                .unwrap()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();

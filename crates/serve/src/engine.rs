@@ -596,56 +596,77 @@ mod tests {
 
     #[test]
     fn an_operand_the_host_cannot_map_is_one_ledger_entry_and_the_other_job_runs() {
+        use crate::error::RejectReason;
         use crate::file::JobFile;
         use crate::queue::QueuedJob;
 
-        // 2^59 x 1 doubles is 2^62 bytes: within isize::MAX, so admission lets it
-        // through, but past the address space of every 64-bit host.
-        let file = JobFile::from_json(
-            r#"{"jobs": [
-                {"tenant": "ok",
-                 "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 4096,
-                                          "output_dim": {"exact": 64}, "seed": 3}]},
-                 "operand": {"dense": {"rows": 4096, "cols": 8, "seed": 4}}},
-                {"tenant": "unmappable",
-                 "pipeline": {"stages": [{"kind": "count-sketch",
-                                          "input_dim": 576460752303423488,
-                                          "output_dim": {"exact": 16}, "seed": 1}]},
-                 "operand": {"dense": {"rows": 576460752303423488, "cols": 1, "seed": 2}}}
-            ]}"#,
-        )
-        .unwrap();
-        let pool = DevicePool::unlimited(2);
-        let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
-        for job in file.jobs.iter().cloned() {
-            engine.submit(job).expect("both jobs pass admission");
-        }
-        let report = engine.run().expect("the batch settles a report");
-        let ledger = &report.tenants["unmappable"];
-        assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
-        assert_eq!(ledger.rejected_by_reason["operand_allocation_failed"], 1);
-        assert_eq!(
-            report.service.abandoned[0].reason,
-            crate::error::RejectReason::OperandAllocationFailed { bytes: 1 << 62 }
-        );
-        assert_eq!(report.jobs_run(), 1);
-
-        let solo = Scheduler::new()
-            .run(
-                &DevicePool::unlimited(1),
-                &[QueuedJob {
-                    job: file.jobs[0].clone(),
-                    seq: 0,
-                }],
-            )
+        // Each bad job asks for 2^62 bytes: within isize::MAX, so admission lets
+        // it through, but past the address space of every 64-bit host.  The
+        // first is a 2^59 x 1 dense operand, the second a 2^43 x 2^16 Gaussian
+        // operator.
+        let unmappable_operand = r#"{"tenant": "unmappable",
+             "pipeline": {"stages": [{"kind": "count-sketch",
+                                      "input_dim": 576460752303423488,
+                                      "output_dim": {"exact": 16}, "seed": 1}]},
+             "operand": {"dense": {"rows": 576460752303423488, "cols": 1, "seed": 2}}}"#;
+        let unmappable_operator = r#"{"tenant": "unmappable",
+             "pipeline": {"stages": [{"kind": "gaussian", "input_dim": 65536,
+                                      "output_dim": {"exact": 8796093022208}, "seed": 1}]},
+             "operand": {"dense": {"rows": 65536, "cols": 1, "seed": 2}}}"#;
+        let refused_operator = sketch_core::Error::HostAllocationFailed { bytes: 1 << 62 };
+        for (bad_job, tag, reason) in [
+            (
+                unmappable_operand,
+                "operand_allocation_failed",
+                RejectReason::OperandAllocationFailed { bytes: 1 << 62 },
+            ),
+            (
+                unmappable_operator,
+                "execution_failed",
+                RejectReason::ExecutionFailed {
+                    detail: refused_operator.to_string(),
+                },
+            ),
+        ] {
+            let file = JobFile::from_json(&format!(
+                r#"{{"jobs": [
+                    {{"tenant": "ok",
+                     "pipeline": {{"stages": [{{"kind": "count-sketch", "input_dim": 4096,
+                                              "output_dim": {{"exact": 64}}, "seed": 3}}]}},
+                     "operand": {{"dense": {{"rows": 4096, "cols": 8, "seed": 4}}}}}},
+                    {bad_job}
+                ]}}"#
+            ))
             .unwrap();
-        let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
-            m.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(
-            bits(&report.service.jobs[0].run.result),
-            bits(&solo.jobs[0].run.result)
-        );
+            let pool = DevicePool::unlimited(2);
+            let mut engine = ServeEngine::new(&pool, file.admission(), file.queue_capacity);
+            for job in file.jobs.iter().cloned() {
+                engine.submit(job).expect("both jobs pass admission");
+            }
+            let report = engine.run().expect("the batch settles a report");
+            let ledger = &report.tenants["unmappable"];
+            assert_eq!((ledger.jobs_run, ledger.jobs_rejected), (0, 1));
+            assert_eq!(ledger.rejected_by_reason[tag], 1);
+            assert_eq!(report.service.abandoned[0].reason, reason);
+            assert_eq!(report.jobs_run(), 1);
+
+            let solo = Scheduler::new()
+                .run(
+                    &DevicePool::unlimited(1),
+                    &[QueuedJob {
+                        job: file.jobs[0].clone(),
+                        seq: 0,
+                    }],
+                )
+                .unwrap();
+            let bits = |m: &sketch_la::Matrix| -> Vec<u64> {
+                m.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&report.service.jobs[0].run.result),
+                bits(&solo.jobs[0].run.result)
+            );
+        }
     }
 
     #[test]

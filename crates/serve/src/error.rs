@@ -64,6 +64,13 @@ pub enum RejectReason {
         /// Bytes the materialised operand holds at its peak.
         bytes: u64,
     },
+    /// The executor failed the admitted job with an error that is not a
+    /// device failure (e.g. the host refused to allocate a Gaussian operator,
+    /// [`sketch_core::Error::HostAllocationFailed`]).
+    ExecutionFailed {
+        /// The executor's error, rendered.
+        detail: String,
+    },
 }
 
 impl RejectReason {
@@ -78,6 +85,7 @@ impl RejectReason {
             RejectReason::InvalidSpec { .. } => "invalid_spec",
             RejectReason::RetriesExhausted { .. } => "retries_exhausted",
             RejectReason::OperandAllocationFailed { .. } => "operand_allocation_failed",
+            RejectReason::ExecutionFailed { .. } => "execution_failed",
         }
     }
 }
@@ -111,6 +119,7 @@ impl std::fmt::Display for RejectReason {
                 f,
                 "the host refused to allocate the job's {bytes}-byte operand"
             ),
+            RejectReason::ExecutionFailed { detail } => write!(f, "execution failed: {detail}"),
         }
     }
 }

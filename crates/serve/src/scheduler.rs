@@ -55,7 +55,8 @@ impl ScheduledJob {
 }
 
 /// A job the scheduler gave up on: every execution attempt died with a device
-/// failure and the tenant's retry budget (or the pool) ran out.
+/// failure and the tenant's retry budget (or the pool) ran out, its operand
+/// could not be materialised, or the executor failed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbandonedJob {
     /// The submitting tenant.
@@ -63,9 +64,10 @@ pub struct AbandonedJob {
     /// Queue sequence number of the job.
     pub seq: u64,
     /// The typed reason: [`RejectReason::RetriesExhausted`] when every
-    /// attempt hit a dead device, or the refusal
+    /// attempt hit a dead device, the refusal
     /// [`OperandSpec::try_materialize`](crate::OperandSpec::try_materialize)
-    /// returned (e.g. [`RejectReason::OperandAllocationFailed`]).
+    /// returned (e.g. [`RejectReason::OperandAllocationFailed`]), or
+    /// [`RejectReason::ExecutionFailed`] for any other executor error.
     pub reason: RejectReason,
     /// Execution attempts that failed before the job was abandoned.
     pub attempts: usize,
@@ -77,8 +79,8 @@ pub struct AbandonedJob {
 pub struct ServiceRun {
     /// Jobs in execution (queue) order.
     pub jobs: Vec<ScheduledJob>,
-    /// Jobs abandoned after exhausting their retry budget on dying devices, or
-    /// whose operand could not be materialised.
+    /// Jobs abandoned after exhausting their retry budget on dying devices,
+    /// whose operand could not be materialised, or that the executor failed.
     pub abandoned: Vec<AbandonedJob>,
     /// Execution attempts re-run because an earlier attempt hit a dead device.
     pub retries: u64,
@@ -170,7 +172,9 @@ impl Scheduler {
     /// budget — or with no live device left — the job is *abandoned* with a
     /// typed [`RejectReason::RetriesExhausted`], never a hard error.  A job
     /// whose operand cannot be materialised (the host refuses the allocation)
-    /// is abandoned with that typed reason, and the other jobs run on.
+    /// is abandoned with that typed reason, a job the executor fails for any
+    /// other reason with [`RejectReason::ExecutionFailed`], and the other jobs
+    /// run on.
     ///
     /// Stragglers feed the claim decision: an
     /// [interactive](DeadlineClass::Interactive) job whose earliest-free claim
@@ -279,6 +283,17 @@ impl Scheduler {
                             tenant: qj.job.tenant.clone(),
                             seq: qj.seq,
                             reason,
+                            attempts: attempts + 1,
+                        });
+                        break;
+                    }
+                    Err(ServeError::Core(e)) => {
+                        abandoned.push(AbandonedJob {
+                            tenant: qj.job.tenant.clone(),
+                            seq: qj.seq,
+                            reason: RejectReason::ExecutionFailed {
+                                detail: e.to_string(),
+                            },
                             attempts: attempts + 1,
                         });
                         break;

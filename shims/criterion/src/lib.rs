@@ -6,8 +6,9 @@
 //! [`SAMPLE_BUDGET`] time budget is reached.  Both the **minimum** (the least
 //! noise-contaminated estimate of the routine's true cost) and the **median**
 //! (robust central tendency) are reported; `nanos_per_iter` is the median.
-//! This replaces the old mean-of-2, which was too noisy for wall-clock gating
-//! in `BENCH_walltime.json`.
+//! This replaces the old mean-of-2, which was too noisy for wall-clock gating;
+//! `sketch_bench::walltime`, which times the rows of `BENCH_kernels.json`, samples
+//! the same way.
 
 use std::fmt;
 use std::time::{Duration, Instant};
