@@ -2,14 +2,21 @@
 //!
 //! The kernels in this workspace record deterministic costs that depend only on the
 //! operand shapes, so each figure can be evaluated at `d = 2²¹ … 2²³` without allocating
-//! terabytes of data: this module re-states those cost formulas as closed-form functions
-//! of `(d, n)` and the unit tests check them against the costs the real kernels record
-//! at small sizes, guaranteeing the projection cannot drift from the implementation.
+//! terabytes of data.  Every sketch's generation and apply cost is the statement its
+//! kind makes from the operand's shape
+//! ([`Pipeline::costs`](sketch_core::Pipeline::costs)) — the same statement the kernels
+//! record — as are the GEMM's and the SpMM's, so the projection cannot drift from the
+//! implementation.  The solvers' other kernels (GEMV, QR, Cholesky, TRSM) keep
+//! closed-form mirrors here.
 
 use sketch_core::fwht::global_passes;
 use sketch_core::fwht::DEFAULT_TILE;
+use sketch_core::{OperandShape, SketchCosts};
 use sketch_gpu_sim::{KernelCost, Phase};
+use sketch_la::blas3::gemm_cost;
+use sketch_la::Layout;
 use sketch_lsq::Method;
+use sketch_sparse::spmm_cost;
 
 /// Bytes of `n` doubles.
 const fn f64b(n: u64) -> u64 {
@@ -29,17 +36,22 @@ const fn f64b(n: u64) -> u64 {
 /// the blank bars as OOM rows).
 pub const SUITE_MEMORY_FRACTION: f64 = 0.3;
 
-/// Whether a method's working set (operand + method-specific buffers) exceeds the
-/// benchmark-suite memory budget on the given device.
+/// Whether a method's working set exceeds the benchmark-suite memory budget on the
+/// given device.  The working set is the operand, the stored operator (what its
+/// generation writes), what the apply reserves, and the `k x n` result.
 pub fn exceeds_suite_memory(
     method: SketchMethod,
     d: usize,
     n: usize,
     spec: &sketch_gpu_sim::DeviceSpec,
 ) -> bool {
-    let a_bytes = (d * n * 8) as u64;
+    let costs = method.costs(d, n);
+    let working_set = f64b((d * n) as u64)
+        + costs.generation.bytes_written
+        + costs.apply_reserve
+        + f64b((method.embedding_dim(n) * n) as u64);
     let budget = (spec.memory_bytes as f64 * SUITE_MEMORY_FRACTION) as u64;
-    a_bytes + method.extra_device_bytes(d, n) > budget
+    working_set > budget
 }
 
 /// The operations compared in Figures 2–4.
@@ -146,93 +158,45 @@ impl SketchMethod {
         }
     }
 
-    /// Bytes the method must hold on the device beyond `A` itself (used to reproduce
-    /// the Gaussian OOM at the largest paper sizes).
-    pub fn extra_device_bytes(&self, d: usize, n: usize) -> u64 {
-        let d = d as u64;
-        let n = n as u64;
+    /// The least-squares method that applies this sketch (`None` for the Gram
+    /// baseline; the SpMM baseline is the CountSketch applied another way).
+    pub fn solver(&self) -> Option<Method> {
         match self {
-            SketchMethod::Gram => f64b(n * n),
-            // The stored 2n x d Gaussian plus the 2n x n result.
-            SketchMethod::Gaussian => f64b(2 * n * d) + f64b(2 * n * n),
-            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => f64b(2 * n * n * n) + 5 * d,
-            SketchMethod::MultiSketch => {
-                f64b(2 * n * n * n) + 5 * d + f64b(2 * n * 2 * n * n) + f64b(2 * n * n)
-            }
-            SketchMethod::Srht => f64b((d.next_power_of_two()) * n) + f64b(2 * n * n),
+            SketchMethod::Gram => None,
+            SketchMethod::Gaussian => Some(Method::Gaussian),
+            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => Some(Method::CountSketch),
+            SketchMethod::MultiSketch => Some(Method::MultiSketch),
+            SketchMethod::Srht => Some(Method::Srht),
         }
     }
 
-    /// Cost of generating the sketch's random ingredients (the `Sketch gen` stack of
-    /// Figure 2); mirrors the `generation_cost` each operator records.
-    pub fn generation_cost(&self, d: usize, n: usize) -> KernelCost {
-        let d64 = d as u64;
-        let n64 = n as u64;
+    /// Generation and apply costs of the method on a dense row-major `d x n`
+    /// operand: the statement of its solver's sketch (with the generic SpMM's
+    /// apply for the SpMM baseline), or the Gram GEMM.
+    pub fn costs(&self, d: usize, n: usize) -> SketchCosts {
+        let Some(solver) = self.solver() else {
+            return SketchCosts {
+                apply: gemm_cost(n, d, n, false),
+                ..SketchCosts::default()
+            };
+        };
+        let a = OperandShape::Dense {
+            rows: d,
+            cols: n,
+            layout: Layout::RowMajor,
+        };
+        let stated = solver
+            .sketch_pipeline(d, 0)
+            .expect("every sketch method's solver sketches")
+            .costs(a)
+            .expect("the paper's sketches state their costs at every swept shape");
         match self {
-            SketchMethod::Gram => KernelCost::zero(),
-            SketchMethod::Gaussian => {
-                let k = 2 * n64;
-                KernelCost::new(0, f64b(k * d64), k * d64 * 12, 1)
-            }
-            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => {
-                KernelCost::new(0, d64 * 5, d64, 1)
-            }
-            SketchMethod::MultiSketch => {
-                let k1 = 2 * n64 * n64;
-                let k2 = 2 * n64;
-                KernelCost::new(0, d64 * 5, d64, 1)
-                    + KernelCost::new(0, f64b(k2 * k1), k2 * k1 * 12, 1)
-            }
-            SketchMethod::Srht => {
-                let k = 2 * n64;
-                KernelCost::new(0, d64 + 4 * k, d64 + k, 1)
-            }
-        }
-    }
-
-    /// Cost of applying the operator to a dense row-major `d x n` matrix; mirrors the
-    /// costs the kernels record (validated against them in the tests below).
-    pub fn apply_cost(&self, d: usize, n: usize) -> KernelCost {
-        let d64 = d as u64;
-        let n64 = n as u64;
-        match self {
-            SketchMethod::Gram => gemm_cost(n64, d64, n64, false),
-            SketchMethod::Gaussian => gemm_cost(2 * n64, d64, n64, false),
-            SketchMethod::CountAlg2 => countsketch_apply_cost(d64, n64, 2 * n64 * n64),
-            SketchMethod::CountSpmm => {
-                // spmm: nnz = d, output rows k = 2n².
-                let k = 2 * n64 * n64;
-                let nnz = d64;
-                let idx_bytes = 8 * (nnz + k + 1);
-                KernelCost::new(
-                    f64b(nnz) + idx_bytes + f64b(nnz * n64) * sketch_sparse::SPMM_GATHER_PENALTY,
-                    f64b(k * n64),
-                    2 * nnz * n64,
-                    1,
-                )
-            }
-            SketchMethod::MultiSketch => {
-                let k1 = 2 * n64 * n64;
-                let k2 = 2 * n64;
-                // CountSketch stage writing row-major Y, then the Gaussian GEMM reading
-                // Y in place.
-                countsketch_apply_cost(d64, n64, k1) + gemm_cost(k2, k1, n64, false)
-            }
-            SketchMethod::Srht => {
-                let k = 2 * n64;
-                let d_pad = (d.next_power_of_two()) as u64;
-                let bits = d_pad.trailing_zeros() as u64;
-                let passes = global_passes(d.next_power_of_two(), DEFAULT_TILE);
-                // Sign flip + pad, FWHT passes, sampling.
-                KernelCost::new(f64b(d64 * n64) + f64b(d64), f64b(d_pad * n64), d64 * n64, 1)
-                    + KernelCost::new(
-                        f64b(d_pad * n64) * passes,
-                        f64b(d_pad * n64) * passes,
-                        2 * d_pad * n64 * bits,
-                        passes.max(1),
-                    )
-                    + KernelCost::new(f64b(k * n64) + 4 * k, f64b(k * n64), k * n64, 1)
-            }
+            // The SpMM applies the CountSketch as a 2n² x d CSR matrix, one entry per column.
+            SketchMethod::CountSpmm => SketchCosts {
+                apply: spmm_cost(2 * n * n, d, n),
+                ..stated
+            },
+            _ => stated,
         }
     }
 
@@ -272,22 +236,6 @@ impl SketchMethod {
             }
         }
     }
-}
-
-/// Cost the GEMM kernel records for an `m x k` times `k x n` product.
-pub fn gemm_cost(m: u64, k: u64, n: u64, accumulate: bool) -> KernelCost {
-    let read_c = if accumulate { m * n } else { 0 };
-    KernelCost::new(f64b(m * k + k * n + read_c), f64b(m * n), 2 * m * n * k, 1)
-}
-
-/// Cost the Algorithm 2 CountSketch kernel records for a row-major `d x n` operand.
-pub fn countsketch_apply_cost(d: u64, n: u64, k: u64) -> KernelCost {
-    KernelCost::new(
-        f64b(d * n) + f64b(d * n) + d * 5,
-        f64b(d * n) + f64b(k * n),
-        d * n,
-        2,
-    )
 }
 
 /// Cost the GEMV kernel records for an `m x k` operand (no initial `y`).
@@ -334,13 +282,9 @@ pub fn layout_conversion_cost(rows: u64, cols: u64) -> KernelCost {
 
 /// The sketch a sketch-and-solve [`Method`] applies; `None` for the other solvers.
 pub(crate) fn solver_sketch(method: Method) -> Option<SketchMethod> {
-    match method {
-        Method::Gaussian => Some(SketchMethod::Gaussian),
-        Method::CountSketch => Some(SketchMethod::CountAlg2),
-        Method::MultiSketch => Some(SketchMethod::MultiSketch),
-        Method::Srht => Some(SketchMethod::Srht),
-        _ => None,
-    }
+    SketchMethod::ALL
+        .into_iter()
+        .find(|sketch| sketch.solver() == Some(method))
 }
 
 /// Per-phase analytic costs of solving a `d x n` least squares problem with `method`,
@@ -351,9 +295,10 @@ pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, Ker
     let n64 = n as u64;
     if let Some(sketch) = solver_sketch(method) {
         let k = sketch.embedding_dim(n) as u64;
+        let costs = sketch.costs(d, n);
         return Some(vec![
-            (Phase::SketchGen, sketch.generation_cost(d, n)),
-            (Phase::MatrixSketch, sketch.apply_cost(d, n)),
+            (Phase::SketchGen, costs.generation),
+            (Phase::MatrixSketch, costs.apply),
             (Phase::VectorSketch, sketch_vector_cost(sketch, d64, n64)),
             (
                 Phase::Geqrf,
@@ -365,7 +310,7 @@ pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, Ker
     }
     match method {
         Method::NormalEquations => Some(vec![
-            (Phase::GramMatrix, gemm_cost(n64, d64, n64, false)),
+            (Phase::GramMatrix, gemm_cost(n, d, n, false)),
             (Phase::ATransposeB, gemv_cost(n64, d64)),
             (Phase::Potrf, potrf_cost(n64)),
             (Phase::Trsv, trsv_cost(n64)),
@@ -374,15 +319,16 @@ pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, Ker
         Method::RandCholQr => {
             let sketch = SketchMethod::MultiSketch;
             let k = sketch.embedding_dim(n) as u64;
+            let costs = sketch.costs(d, n);
             Some(vec![
-                (Phase::SketchGen, sketch.generation_cost(d, n)),
-                (Phase::MatrixSketch, sketch.apply_cost(d, n)),
+                (Phase::SketchGen, costs.generation),
+                (Phase::MatrixSketch, costs.apply),
                 (
                     Phase::Geqrf,
                     layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
                 ),
                 (Phase::Trsm, trsm_right_cost(d64, n64)),
-                (Phase::GramMatrix, gemm_cost(n64, d64, n64, false)),
+                (Phase::GramMatrix, gemm_cost(n, d, n, false)),
                 (Phase::ATransposeB, gemv_cost(n64, d64)),
                 (Phase::Potrf, potrf_cost(n64)),
                 (Phase::Trsv, trsv_cost(n64)),
@@ -407,108 +353,50 @@ fn sketch_vector_cost(sketch: SketchMethod, d: u64, n: u64) -> KernelCost {
             let k1 = 2 * n * n;
             KernelCost::new(f64b(2 * d) + d * 5, f64b(d + k1), d, 2) + gemv_cost(2 * n, k1)
         }
-        SketchMethod::Srht => {
-            let d_usize = d as usize;
-            SketchMethod::Srht.apply_cost(d_usize, 1)
-        }
+        SketchMethod::Srht => SketchMethod::Srht.costs(d as usize, 1).apply,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketch_core::{EmbeddingDim, Pipeline, SketchSpec};
     use sketch_gpu_sim::Device;
     use sketch_la::blas3::gram_gemm;
     use sketch_la::{Layout, Matrix};
 
-    /// The paper-convention spec for one sketch method (None for the Gram baseline).
-    fn pipeline_of(method: SketchMethod, d: usize, seed: u64) -> Option<Pipeline> {
-        match method {
-            SketchMethod::Gram => None,
-            SketchMethod::Gaussian => Some(Pipeline::single(SketchSpec::gaussian(
-                d,
-                EmbeddingDim::Ratio(2),
-                seed,
-            ))),
-            SketchMethod::CountAlg2 | SketchMethod::CountSpmm => Some(Pipeline::single(
-                SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed),
-            )),
-            SketchMethod::MultiSketch => Some(Pipeline::count_gauss(
-                d,
-                EmbeddingDim::Square(2),
-                EmbeddingDim::Ratio(2),
-                seed,
-            )),
-            SketchMethod::Srht => Some(Pipeline::single(SketchSpec::srht(
-                d,
-                EmbeddingDim::Ratio(2),
-                seed,
-            ))),
-        }
-    }
-
-    /// The guarantee behind the paper-scale projections: the analytic formulas must
-    /// match the costs the real kernels record, byte for byte and flop for flop.
+    /// The guarantee behind the paper-scale projections of the kernels that are
+    /// not sketches (each sketch's statement is pinned against its recording in
+    /// `sketch-core`): the analytic costs must match the costs the real kernels
+    /// record, byte for byte and flop for flop.
     #[test]
     fn analytic_apply_costs_match_recorded_costs() {
         let d = 2048usize;
         let n = 16usize;
         let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 1, 0);
 
-        for method in SketchMethod::ALL {
+        for method in [SketchMethod::Gram, SketchMethod::CountSpmm] {
             let device = Device::unlimited();
-            match method {
-                SketchMethod::Gram => {
-                    let _ = gram_gemm(&device, &a).unwrap();
-                }
-                SketchMethod::CountSpmm => {
-                    let s = pipeline_of(method, d, 3).unwrap().stages[0]
-                        .resolve(n)
-                        .build_countsketch(&device)
-                        .unwrap();
-                    device.tracker().reset();
-                    let _ = s.apply_matrix_spmm(&device, &a).unwrap();
-                }
-                _ => {
-                    let s = pipeline_of(method, d, 3)
-                        .unwrap()
-                        .build_for(&device, n)
-                        .unwrap();
-                    device.tracker().reset();
-                    let _ = s.apply_matrix(&device, &a).unwrap();
-                }
+            if method == SketchMethod::Gram {
+                let _ = gram_gemm(&device, &a).unwrap();
+            } else {
+                let s = method
+                    .solver()
+                    .unwrap()
+                    .sketch_pipeline(d, 3)
+                    .unwrap()
+                    .stages[0]
+                    .resolve(n)
+                    .build_countsketch(&device)
+                    .unwrap();
+                device.tracker().reset();
+                let _ = s.apply_matrix_spmm(&device, &a).unwrap();
             }
             let recorded = device.tracker().snapshot();
-            let analytic = method.apply_cost(d, n);
+            let analytic = method.costs(d, n).apply;
             assert_eq!(
                 recorded,
                 analytic,
                 "{}: recorded {recorded:?} vs analytic {analytic:?}",
-                method.label()
-            );
-        }
-    }
-
-    #[test]
-    fn analytic_generation_costs_match_recorded_costs() {
-        let d = 1024usize;
-        let n = 8usize;
-        for method in [
-            SketchMethod::Gaussian,
-            SketchMethod::CountAlg2,
-            SketchMethod::MultiSketch,
-            SketchMethod::Srht,
-        ] {
-            let device = Device::unlimited();
-            let _ = pipeline_of(method, d, 3)
-                .unwrap()
-                .build_for(&device, n)
-                .unwrap();
-            assert_eq!(
-                device.tracker().snapshot(),
-                method.generation_cost(d, n),
-                "{}",
                 method.label()
             );
         }

@@ -54,6 +54,10 @@
 //! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread;
 //! * the Gaussian fill must be within **1e-14** (absolute) of the libm reference at
 //!   every draw and **>= 1.5x** its speed on one thread;
+//! * **sharding**: a Gaussian and an SRHT plan, built once and run through
+//!   [`sketch_dist::pipelined_sketch`] on a 2^16x16 operand (one thread, samples
+//!   interleaved), must take at most **1.1x** on a pool of four what they take on a
+//!   pool of one: shards are charges, not host work;
 //! * **thread bitwise** (unconditional): every thread-sweep kernel's output at every
 //!   thread count must be bit-for-bit identical to its 1-thread output — the
 //!   threading model's core promise (deterministic task boundaries + ordered
@@ -73,11 +77,13 @@
 use sketch_bench::cli;
 use sketch_bench::report::{ms, Table};
 use sketch_bench::walltime::{
-    bits_of, host_cores, time_fn, time_fn_traced, with_thread_pool, Sample,
+    bits_of, host_cores, time_fn, time_fn_traced, time_interleaved, with_thread_pool, Sample,
 };
 use sketch_core::fwht::{fwht_in_place, fwht_matrix_columns, fwht_tiled_in_place, DEFAULT_TILE};
-use sketch_core::{CountSketch, EmbeddingDim, JsonValue, Operand, Pipeline, SketchOperator};
-use sketch_dist::ExecutorOptions;
+use sketch_core::{
+    CountSketch, EmbeddingDim, JsonValue, Operand, Pipeline, SketchOperator, SketchSpec,
+};
+use sketch_dist::{pipelined_sketch, ExecutorOptions};
 use sketch_gpu_sim::{Device, DevicePool};
 use sketch_la::blas2::{gemv, gemv_naive, Triangle};
 use sketch_la::blas3::{
@@ -111,6 +117,9 @@ const GATE_GAUSSIAN_SPEEDUP: f64 = 1.5;
 
 /// Largest absolute difference the Gaussian fill may have from the libm reference.
 const GATE_GAUSSIAN_ABS_DIFF: f64 = 1e-14;
+
+/// Most a pool of four may take, in median host time, over a pool of one.
+const GATE_SHARDING_RATIO: f64 = 1.1;
 
 /// Thread-sweep kernels must reach this many elements before they count toward the
 /// full-run speedup gate (small problems are launch-overhead-bound).
@@ -450,6 +459,50 @@ fn bench_fwht_length(d: usize, seed: u64) -> KernelRow {
     }
 }
 
+/// Time the plan `kind(2^16, k = 2n)`, built once, through `pipelined_sketch` on a
+/// row-major 2^16x16 operand on a pool of one and a pool of four devices (one
+/// thread, samples interleaved).  Returns its JSON row and the pool of four's
+/// median over the pool of one's.
+fn bench_sharding(kind: fn(usize, EmbeddingDim, u64) -> SketchSpec, seed: u64) -> (JsonValue, f64) {
+    let (d, n) = (1 << 16, 16);
+    let spec = kind(d, EmbeddingDim::Ratio(2), seed);
+    let a = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
+    let built = Pipeline::single(spec.clone())
+        .compose_for(&Device::unlimited(), n)
+        .expect("the sharding plans build");
+    let opts = ExecutorOptions::default();
+    let run = |devices: usize| {
+        let pool = DevicePool::unlimited(devices);
+        let (a, built, opts) = (&a, &built, &opts);
+        move || {
+            let run = pipelined_sketch(&pool, a, built, opts).expect("the plan runs");
+            drop(std::hint::black_box(run));
+        }
+    };
+    let (mut one, mut four) = (run(1), run(4));
+    let [one, four] = with_thread_pool(1, || time_interleaved(&mut [&mut one, &mut four]))[..]
+    else {
+        unreachable!("two routines give two samples")
+    };
+    let ratio = four.median_ns / one.median_ns;
+    let (plan, shape) = (spec.kind.as_str(), format!("2^{}x{n}", d.trailing_zeros()));
+    println!(
+        "pipelined_sketch, built {plan} plan, {shape}, 1 thread: pool of 1 {} ms, pool of 4 {} ms (interleaved medians), {ratio:.2}x",
+        ms(one.median_ms()),
+        ms(four.median_ms())
+    );
+    let row = JsonValue::Object(vec![
+        ("plan".into(), JsonValue::Str(plan.into())),
+        ("shape".into(), JsonValue::Str(shape)),
+        ("pool1_median_ms".into(), JsonValue::Float(one.median_ms())),
+        ("pool1_min_ms".into(), JsonValue::Float(one.min_ms())),
+        ("pool4_median_ms".into(), JsonValue::Float(four.median_ms())),
+        ("pool4_min_ms".into(), JsonValue::Float(four.min_ms())),
+        ("ratio".into(), JsonValue::Float(ratio)),
+    ]);
+    (row, ratio)
+}
+
 /// One thread-sweep measurement: a (kernel, thread count) pair.
 struct ThreadRow {
     kernel: &'static str,
@@ -593,7 +646,7 @@ fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<Thr
     // The CountSketch kernel (ordered gather) into a reused output buffer.
     let (d, n, k) = (if smoke { 1 << 14 } else { 1 << 17 }, 8, 4096);
     let a = Matrix::random_gaussian(d, n, Layout::RowMajor, 31, 0);
-    let cs = CountSketch::generate(&device, d, k, 32);
+    let cs = CountSketch::generate(&device, d, k, 32).expect("the CountSketch fits the host");
     rows.extend(sweep(
         ("countsketch_scatter", d * n),
         &device,
@@ -704,6 +757,13 @@ fn main() {
     let (gaussian_row, gaussian_abs_diff) =
         bench_gaussian_fill(if smoke { 1 << 18 } else { 1 << 20 }, 93);
     rows.push(gaussian_row);
+    let (sharding_rows, ratios): (Vec<JsonValue>, Vec<f64>) = [
+        (SketchSpec::gaussian as fn(_, _, _) -> _, 94),
+        (SketchSpec::srht, 95),
+    ]
+    .into_iter()
+    .map(|(kind, seed)| bench_sharding(kind, seed))
+    .unzip();
 
     let collector = args
         .trace
@@ -847,7 +907,15 @@ fn main() {
         )
     };
 
-    // Gate 8 (unconditional): every thread-sweep row is bit-for-bit equal to the
+    // Gate 8: a pool of four costs the host at most 1.1x a pool of one.
+    let worst = ratios.iter().fold(0.0f64, |acc, &r| acc.max(r));
+    let sharding_status = if worst <= GATE_SHARDING_RATIO {
+        format!("passed (pool of 4 / pool of 1 at most {worst:.2}x <= {GATE_SHARDING_RATIO}x)")
+    } else {
+        format!("FAILED (pool of 4 / pool of 1 up to {worst:.2}x > {GATE_SHARDING_RATIO}x)")
+    };
+
+    // Gate 9 (unconditional): every thread-sweep row is bit-for-bit equal to the
     // 1-thread run of its kernel.
     let mismatches: Vec<&ThreadRow> = thread_rows.iter().filter(|r| !r.bitwise_equal).collect();
     for r in &mismatches {
@@ -865,7 +933,7 @@ fn main() {
         )
     };
 
-    // Gate 9 (only meaningful on a multi-core host): some large kernel must show a
+    // Gate 10 (only meaningful on a multi-core host): some large kernel must show a
     // sane multi-thread speedup.  Smoke runs use reduced sizes, so the smoke gate
     // drops the size floor and only rejects pathological slowdowns.
     let threshold = if smoke { 0.5 } else { 1.0 };
@@ -902,6 +970,7 @@ fn main() {
             "gaussian_speedup_gate",
             speedup_gate(gaussian_row, GATE_GAUSSIAN_SPEEDUP),
         ),
+        ("sharding_host_gate", sharding_status),
         ("thread_bitwise_gate", thread_bitwise_status),
         ("thread_speedup_gate", thread_speedup_status),
     ];
@@ -932,6 +1001,7 @@ fn main() {
         "rows".into(),
         JsonValue::Array(rows.iter().map(KernelRow::to_json).collect()),
     ));
+    doc.push(("sharding_rows".into(), JsonValue::Array(sharding_rows)));
     doc.push((
         "thread_rows".into(),
         JsonValue::Array(thread_rows.iter().map(ThreadRow::to_json).collect()),

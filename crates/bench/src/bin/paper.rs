@@ -83,7 +83,7 @@ fn table1() {
     );
     let (dm, nm) = (1usize << 16, 64usize);
     for method in SketchMethod::ALL {
-        let cost = method.apply_cost(dm, nm);
+        let cost = method.costs(dm, nm).apply;
         measured.push_row(vec![
             method.label().to_string(),
             sci(cost.flops as f64),

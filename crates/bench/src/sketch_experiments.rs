@@ -2,7 +2,7 @@
 
 use crate::analytic::SketchMethod;
 use crate::config::{ExperimentScale, SweepPoint};
-use sketch_core::{EmbeddingDim, Pipeline, SketchOperator, SketchSpec};
+use sketch_core::{SketchOperator, StageOperator};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::blas3::gram_gemm;
 use sketch_la::{Layout, Matrix};
@@ -48,10 +48,9 @@ fn percents(device: &Device, useful: &KernelCost, total_seconds: f64) -> (f64, f
 /// Build one analytic (paper-scale) row.
 fn analytic_row(device: &Device, point: SweepPoint, method: SketchMethod) -> SketchTimingRow {
     let oom = crate::analytic::exceeds_suite_memory(method, point.d, point.n, device.spec());
-    let gen = method.generation_cost(point.d, point.n);
-    let apply = method.apply_cost(point.d, point.n);
-    let gen_s = device.model_time(&gen);
-    let apply_s = device.model_time(&apply);
+    let costs = method.costs(point.d, point.n);
+    let gen_s = device.model_time(&costs.generation);
+    let apply_s = device.model_time(&costs.apply);
     let useful = method.useful_cost(point.d, point.n);
     let (bw, fl) = percents(device, &useful, apply_s);
     SketchTimingRow {
@@ -73,68 +72,29 @@ fn measured_row(point: SweepPoint, method: SketchMethod, seed: u64) -> SketchTim
     let a = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
 
     let start = Stopwatch::start();
-    let (gen_cost, apply_cost, oom) = match method {
-        SketchMethod::Gram => {
+    let (gen_cost, apply_cost, oom) = match method.solver() {
+        None => {
             let (_, apply) = device.tracker().measure(|| gram_gemm(&device, &a).unwrap());
             (KernelCost::zero(), apply, false)
         }
-        SketchMethod::Gaussian => {
-            let spec = SketchSpec::gaussian(d, EmbeddingDim::Ratio(2), seed);
-            match spec.resolve(n).build_gaussian(&device) {
+        Some(solver) => {
+            let plan = solver
+                .sketch_pipeline(d, seed)
+                .expect("every sketch method's solver sketches");
+            match plan.compose_for(&device, n) {
                 Ok(s) => {
                     let gen = device.tracker().snapshot();
-                    let (res, apply) = device.tracker().measure(|| s.apply_matrix(&device, &a));
+                    let (res, apply) = device.tracker().measure(|| match &s.stages()[0].1 {
+                        StageOperator::CountSketch(cs) if method == SketchMethod::CountSpmm => {
+                            cs.apply_matrix_spmm(&device, &a)
+                        }
+                        _ => s.apply_matrix(&device, &a),
+                    });
                     (gen, apply, res.is_err())
                 }
+                // The Gaussian's k x d operator may not fit (the blank bars).
                 Err(_) => (KernelCost::zero(), KernelCost::zero(), true),
             }
-        }
-        SketchMethod::CountAlg2 => {
-            let s = SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed)
-                .resolve(n)
-                .build_countsketch(&device)
-                .expect("CountSketch spec is always buildable");
-            let gen = device.tracker().snapshot();
-            device.tracker().reset();
-            let (_, apply) = device
-                .tracker()
-                .measure(|| s.apply_matrix(&device, &a).unwrap());
-            (gen, apply, false)
-        }
-        SketchMethod::CountSpmm => {
-            let s = SketchSpec::countsketch(d, EmbeddingDim::Square(2), seed)
-                .resolve(n)
-                .build_countsketch(&device)
-                .expect("CountSketch spec is always buildable");
-            let gen = device.tracker().snapshot();
-            device.tracker().reset();
-            let (_, apply) = device
-                .tracker()
-                .measure(|| s.apply_matrix_spmm(&device, &a).unwrap());
-            (gen, apply, false)
-        }
-        SketchMethod::MultiSketch => {
-            let s = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), seed)
-                .build_for(&device, n)
-                .unwrap();
-            let gen = device.tracker().snapshot();
-            device.tracker().reset();
-            let (_, apply) = device
-                .tracker()
-                .measure(|| s.apply_matrix(&device, &a).unwrap());
-            (gen, apply, false)
-        }
-        SketchMethod::Srht => {
-            let s = SketchSpec::srht(d, EmbeddingDim::Ratio(2), seed)
-                .resolve(n)
-                .build_srht(&device)
-                .unwrap();
-            let gen = device.tracker().snapshot();
-            device.tracker().reset();
-            let (_, apply) = device
-                .tracker()
-                .measure(|| s.apply_matrix(&device, &a).unwrap());
-            (gen, apply, false)
         }
     };
     let wall_ms = start.elapsed_seconds() * 1e3;

@@ -91,11 +91,35 @@ fn time_fn_with(routine: &mut impl FnMut(), mut on_sample: impl FnMut(f64)) -> S
         on_sample(ns);
         samples.push(ns);
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    Sample {
-        median_ns: samples[samples.len() / 2],
-        min_ns: samples[0],
-        samples: samples.len(),
+    Sample::of(samples)
+}
+
+/// Time `routines` with their samples interleaved: [`WARMUP_ITERS`] discarded
+/// rounds, then [`MAX_SAMPLES`] rounds of one timed run of each in turn, so load
+/// that drifts while they are sampled slows them alike and their medians compare.
+pub fn time_interleaved(routines: &mut [&mut dyn FnMut()]) -> Vec<Sample> {
+    let mut samples = vec![Vec::with_capacity(MAX_SAMPLES); routines.len()];
+    for round in 0..WARMUP_ITERS + MAX_SAMPLES {
+        for (routine, times) in routines.iter_mut().zip(&mut samples) {
+            let start = Stopwatch::start();
+            routine();
+            if round >= WARMUP_ITERS {
+                times.push(start.elapsed_ns() as f64);
+            }
+        }
+    }
+    samples.into_iter().map(Sample::of).collect()
+}
+
+impl Sample {
+    /// The median, minimum and count of non-empty `samples` (in ns).
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+        Sample {
+            median_ns: samples[samples.len() / 2],
+            min_ns: samples[0],
+            samples: samples.len(),
+        }
     }
 }
 

@@ -35,8 +35,8 @@
 //! little arithmetic for zero generation time and zero index storage.
 
 use crate::error::Error;
-use crate::operand::Operand;
-use crate::traits::SketchOperator;
+use crate::operand::{Operand, OperandShape};
+use crate::traits::{apply_stated, try_zeroed, SketchCosts, SketchOperator};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
@@ -69,26 +69,35 @@ impl CountSketch {
     ///
     /// Only `d` uniform integers and `d` random signs are generated — the cheapness of
     /// this step relative to generating `k·d` Gaussians is half the paper's argument.
-    pub fn generate(device: &Device, d: usize, k: usize, seed: u64) -> Self {
-        assert!(k > 0, "CountSketch output dimension must be positive");
+    /// Inverting the row map takes `k + 1` words, so an output dimension the host
+    /// cannot hold that many words for fails with [`Error::HostAllocationFailed`].
+    pub fn generate(device: &Device, d: usize, k: usize, seed: u64) -> Result<Self, Error> {
+        if k == 0 {
+            return Err(Error::invalid_param(
+                "CountSketch output dimension must be positive",
+            ));
+        }
         let rows = fill::uniform_index_vec(seed, 0, d, k);
         let signs = fill::rademacher_bool_vec(seed, 1, d);
-        // Generation traffic: write d 4-byte integers and d 1-byte flags; a handful of
-        // flops for the rejection sampling.
-        let generation_cost = KernelCost::new(0, (d as u64) * 5, d as u64, 1);
+        let buckets = Buckets::new(k, &rows)?;
+        let generation_cost = generation_cost(d);
         device.record(generation_cost);
-        Self {
+        Ok(Self {
             d,
             k,
-            buckets: Buckets::new(k, &rows),
+            buckets,
             rows,
             signs,
             generation_cost,
-        }
+        })
     }
 
     /// Construct from an explicit row map and signs (used by tests and by
     /// [`HashCountSketch::to_explicit`]).
+    ///
+    /// # Panics
+    /// Panics if the parts do not describe a `d -> k` CountSketch, or if the host
+    /// cannot hold the row map's `k + 1`-word inverse.
     pub fn from_parts(d: usize, k: usize, rows: Vec<usize>, signs: Vec<bool>) -> Self {
         assert_eq!(rows.len(), d, "need one target row per input row");
         assert_eq!(signs.len(), d, "need one sign per input row");
@@ -96,7 +105,7 @@ impl CountSketch {
         Self {
             d,
             k,
-            buckets: Buckets::new(k, &rows),
+            buckets: Buckets::new(k, &rows).expect("the host holds the row map's inverse"),
             rows,
             signs,
             generation_cost: KernelCost::zero(),
@@ -113,53 +122,54 @@ impl CountSketch {
         &self.signs
     }
 
-    /// Modelled cost of one Algorithm-2 style application of a CountSketch
-    /// with `d_rows` input rows and `k` output rows to an operand with `ncols`
-    /// columns.
+    /// What a `d -> k` CountSketch states ([`SketchCosts`]): its generation, and one
+    /// Algorithm-2 apply to a `d`-row operand of shape `a` — the atomic scatter,
+    /// reading a dense operand row-wise (a column-major one pays the
+    /// uncoalesced-read penalty) and a sparse one non-zero by non-zero.
     ///
-    /// Exposed so the multi-device executor in `sketch-dist`, which folds row
-    /// shards of one global sketch through [`fold_rows`](Self::fold_rows),
-    /// charges each shard exactly the single-device kernel's model instead of
-    /// duplicating the formula.
-    pub fn apply_cost(d_rows: usize, k: usize, ncols: usize, col_major_input: bool) -> KernelCost {
-        let d = d_rows as u64;
-        let n = ncols as u64;
-        let k = k as u64;
-        let read_a = KernelCost::f64_bytes(d * n)
-            * if col_major_input {
-                COL_MAJOR_READ_PENALTY
-            } else {
-                1
-            };
+    /// The apply reads `d` and the shape only, so the multi-device executor
+    /// charges a row shard of `r` rows (the rows one [`fold_rows`](Self::fold_rows)
+    /// of the range would touch) the statement at `d = r`.
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
+        let (d64, n, k) = (d as u64, a.cols() as u64, k as u64);
+        let idx = std::mem::size_of::<usize>() as u64;
         // Atomic add = read-modify-write on the output row, plus the initial zeroing of
         // Y and the index/sign reads.
-        KernelCost::new(
-            read_a + KernelCost::f64_bytes(d * n) + d * 5,
-            KernelCost::f64_bytes(d * n) + KernelCost::f64_bytes(k * n),
-            d * n,
-            2,
-        )
+        let apply = match a {
+            OperandShape::Dense { layout, .. } => {
+                let penalty = match layout {
+                    Layout::ColMajor => COL_MAJOR_READ_PENALTY,
+                    Layout::RowMajor => 1,
+                };
+                let dn = KernelCost::f64_bytes(d64 * n);
+                KernelCost::new(
+                    dn * penalty + dn + d64 * 5,
+                    dn + KernelCost::f64_bytes(k * n),
+                    d64 * n,
+                    2,
+                )
+            }
+            OperandShape::Csr { nnz, .. } => {
+                let nnz = nnz as u64;
+                KernelCost::new(
+                    KernelCost::f64_bytes(nnz) + idx * (nnz + d64 + 1) + d64 * 5,
+                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n),
+                    nnz,
+                    2,
+                )
+            }
+        };
+        SketchCosts {
+            generation: generation_cost(d),
+            apply,
+            apply_reserve: 0,
+        }
     }
 
-    /// Modelled cost of scattering a CSR operand with `nnz` non-zeros through an
-    /// Algorithm-2 style kernel into a `k x n` output.
-    pub fn apply_cost_csr(d_rows: usize, k: usize, ncols: usize, nnz: usize) -> KernelCost {
-        let d = d_rows as u64;
-        let n = ncols as u64;
-        let k = k as u64;
-        let nnz = nnz as u64;
-        let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d + 1);
-        KernelCost::new(
-            KernelCost::f64_bytes(nnz) + idx_bytes + d * 5,
-            KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n),
-            nnz,
-            2,
-        )
-    }
-
-    /// Record the cost of one Algorithm-2 style application to a `d x n` operand.
-    fn record_apply_cost(&self, device: &Device, ncols: usize, col_major_input: bool) {
-        device.record(Self::apply_cost(self.d, self.k, ncols, col_major_input));
+    /// `out = S A`, unrecorded: the Algorithm-2 fold of every row.
+    pub(crate) fn compute_into(&self, a: Operand<'_>, out: &mut MatrixViewMut<'_>) {
+        out.fill(0.0);
+        self.fold_rows(a, 0..self.d, out);
     }
 
     /// Atomics-free ablation: let each *output* row gather and sum the input rows
@@ -199,11 +209,11 @@ impl CountSketch {
     /// any ordered partition of `0..d` into one accumulator reproduces the serial
     /// scatter's per-cell chain bit for bit, at any thread count.  Each bucket's
     /// members inside the range are found by binary search in the stored inverted
-    /// row map, so nothing is sorted here.  This is how the multi-device executor
-    /// folds its row shards.
+    /// row map, so nothing is sorted here.  This is the property the
+    /// multi-device executor's row sharding rests on.
     ///
-    /// No cost is recorded: callers charge [`apply_cost`](Self::apply_cost) /
-    /// [`apply_cost_csr`](Self::apply_cost_csr) themselves.
+    /// No cost is recorded: callers charge the [`costs`](Self::costs) statement
+    /// of the range themselves.
     ///
     /// # Panics
     /// Panics if `a` does not have `d` rows, if `rows` does not fit inside
@@ -251,6 +261,12 @@ impl CountSketch {
     }
 }
 
+/// What generating a `d`-row CountSketch records: write d 4-byte integers and d
+/// 1-byte flags; a handful of flops for the rejection sampling.
+fn generation_cost(d: usize) -> KernelCost {
+    KernelCost::new(0, (d as u64) * 5, d as u64, 1)
+}
+
 /// A CountSketch row map inverted by counting sort: bucket `r` lists, **in
 /// ascending order**, every input row `j` with `r_j = r`.
 ///
@@ -266,21 +282,28 @@ struct Buckets {
 }
 
 impl Buckets {
-    fn new(k: usize, targets: &[usize]) -> Self {
-        let mut offsets = vec![0usize; k + 1];
+    /// Invert `targets` (every entry `< k`).  The `k + 1` offsets, the cursor and
+    /// the members are reserved fallibly: `k` comes from a spec, so a row map the
+    /// host cannot invert is [`Error::HostAllocationFailed`].
+    fn new(k: usize, targets: &[usize]) -> Result<Self, Error> {
+        let words = k
+            .checked_add(1)
+            .ok_or(Error::HostAllocationFailed { bytes: u64::MAX })?;
+        let mut offsets: Vec<usize> = try_zeroed(words)?;
         for &r in targets {
             offsets[r + 1] += 1;
         }
         for i in 0..k {
             offsets[i + 1] += offsets[i];
         }
-        let mut members = vec![0usize; targets.len()];
-        let mut cursor = offsets.clone();
+        let mut members: Vec<usize> = try_zeroed(targets.len())?;
+        let mut cursor: Vec<usize> = try_zeroed(words)?;
+        cursor.copy_from_slice(&offsets);
         for (j, &r) in targets.iter().enumerate() {
             members[cursor[r]] = j;
             cursor[r] += 1;
         }
-        Self { offsets, members }
+        Ok(Self { offsets, members })
     }
 
     /// Bucket `r`: every input row mapped to output row `r`, ascending.
@@ -445,20 +468,10 @@ impl SketchOperator for CountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        out.fill(0.0);
-        self.fold_rows(a, 0..self.d, out);
-        match a {
-            Operand::Dense(m) => {
-                self.record_apply_cost(device, m.ncols(), m.layout() == Layout::ColMajor);
-            }
-            Operand::Csr(s) => {
-                device.record(Self::apply_cost_csr(self.d, self.k, s.ncols(), s.nnz()));
-            }
-            Operand::CsrRows(v) => {
-                device.record(Self::apply_cost_csr(self.d, self.k, v.ncols(), v.nnz()));
-            }
-        }
-        Ok(())
+        apply_stated(device, Self::costs(self.d, self.k, a.shape()), || {
+            self.compute_into(a, out);
+            Ok(())
+        })
     }
 
     /// Apply to a single vector (the right-hand side sketch of Algorithm 1).
@@ -532,9 +545,52 @@ impl HashCountSketch {
     }
 
     /// The row map inverted for one apply: nothing is stored, so every apply sorts.
-    fn buckets(&self) -> Buckets {
+    fn buckets(&self) -> Result<Buckets, Error> {
         let targets: Vec<usize> = (0..self.d).map(|j| self.hash(j).0).collect();
         Buckets::new(self.k, &targets)
+    }
+
+    /// What a `d -> k` hash CountSketch states ([`SketchCosts`]): no generation, and
+    /// one apply to a `d`-row operand of shape `a`, the hashes recomputed per row
+    /// in place of the stored map's reads.
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
+        let (d, n, k) = (d as u64, a.cols() as u64, k as u64);
+        let apply = match a {
+            OperandShape::Dense { .. } => KernelCost::new(
+                KernelCost::f64_bytes(2 * d * n),
+                KernelCost::f64_bytes(d * n) + KernelCost::f64_bytes(k * n),
+                d * n + 6 * d,
+                2,
+            ),
+            OperandShape::Csr { nnz, .. } => {
+                let nnz = nnz as u64;
+                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d + 1);
+                KernelCost::new(
+                    KernelCost::f64_bytes(nnz) + idx_bytes,
+                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n),
+                    nnz + 6 * d,
+                    2,
+                )
+            }
+        };
+        SketchCosts {
+            generation: KernelCost::zero(),
+            apply,
+            apply_reserve: 0,
+        }
+    }
+
+    /// `out = S A`, unrecorded; the per-apply inverse of the hashed row map is
+    /// reserved fallibly.
+    pub(crate) fn compute_into(
+        &self,
+        a: Operand<'_>,
+        out: &mut MatrixViewMut<'_>,
+    ) -> Result<(), Error> {
+        let buckets = self.buckets()?;
+        out.fill(0.0);
+        fold_operand_rows(out, a, &buckets, 0..self.d, |j| self.hash(j).1);
+        Ok(())
     }
 
     /// Materialise the equivalent explicit [`CountSketch`] (for testing equivalence and
@@ -572,44 +628,9 @@ impl SketchOperator for HashCountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        out.fill(0.0);
-        fold_operand_rows(out, a, &self.buckets(), 0..self.d, |j| self.hash(j).1);
-        let d = self.d as u64;
-        let k = self.k as u64;
-        match a {
-            Operand::Dense(m) => {
-                let n64 = m.ncols() as u64;
-                device.record(KernelCost::new(
-                    KernelCost::f64_bytes(2 * d * n64),
-                    KernelCost::f64_bytes(d * n64) + KernelCost::f64_bytes(k * n64),
-                    d * n64 + 6 * d,
-                    2,
-                ));
-            }
-            Operand::Csr(s) => {
-                let nnz = s.nnz() as u64;
-                let n64 = s.ncols() as u64;
-                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d + 1);
-                device.record(KernelCost::new(
-                    KernelCost::f64_bytes(nnz) + idx_bytes,
-                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n64),
-                    nnz + 6 * d,
-                    2,
-                ));
-            }
-            Operand::CsrRows(v) => {
-                let nnz = v.nnz() as u64;
-                let n64 = v.ncols() as u64;
-                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d + 1);
-                device.record(KernelCost::new(
-                    KernelCost::f64_bytes(nnz) + idx_bytes,
-                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n64),
-                    nnz + 6 * d,
-                    2,
-                ));
-            }
-        }
-        Ok(())
+        apply_stated(device, Self::costs(self.d, self.k, a.shape()), || {
+            self.compute_into(a, out)
+        })
     }
 
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
@@ -617,7 +638,7 @@ impl SketchOperator for HashCountSketch {
         let mut y = vec![0.0; self.k];
         {
             use rayon::prelude::*;
-            let buckets = self.buckets();
+            let buckets = self.buckets()?;
             y.par_iter_mut().enumerate().for_each(|(r, slot)| {
                 for &j in buckets.bucket(r) {
                     let (_, sign) = self.hash(j);
@@ -691,7 +712,7 @@ mod tests {
     fn algorithm2_matches_dense_reference() {
         let d = device();
         let a = Matrix::random_gaussian(300, 5, Layout::RowMajor, 1, 0);
-        let cs = CountSketch::generate(&d, 300, 32, 9);
+        let cs = CountSketch::generate(&d, 300, 32, 9).unwrap();
         let y = cs.apply_matrix(&d, &a).unwrap();
         let expect = reference_apply(&cs, &a);
         assert!(y.max_abs_diff(&expect).unwrap() < 1e-12);
@@ -702,7 +723,7 @@ mod tests {
         let d = device();
         let a_rm = Matrix::random_gaussian(200, 4, Layout::RowMajor, 2, 0);
         let a_cm = a_rm.to_layout(&d, Layout::ColMajor);
-        let cs = CountSketch::generate(&d, 200, 16, 3);
+        let cs = CountSketch::generate(&d, 200, 16, 3).unwrap();
         let y1 = cs.apply_matrix(&d, &a_rm).unwrap();
         let y2 = cs.apply_matrix(&d, &a_cm).unwrap();
         assert!(y1.max_abs_diff(&y2).unwrap() < 1e-12);
@@ -712,7 +733,7 @@ mod tests {
     fn apply_into_reused_buffer_is_bit_identical_to_apply_matrix() {
         let d = device();
         let a = Matrix::random_gaussian(250, 6, Layout::RowMajor, 4, 0);
-        let cs = CountSketch::generate(&d, 250, 40, 5);
+        let cs = CountSketch::generate(&d, 250, 40, 5).unwrap();
         let y = cs.apply_matrix(&d, &a).unwrap();
         // Dirty buffer: apply_into must overwrite every element.
         let mut out = Matrix::from_fn(40, 6, Layout::RowMajor, |_, _| f64::NAN);
@@ -726,7 +747,7 @@ mod tests {
         let d = device();
         let a = Matrix::random_gaussian(120, 4, Layout::RowMajor, 6, 0);
         let sparse = csr_of(&a);
-        let cs = CountSketch::generate(&d, 120, 24, 7);
+        let cs = CountSketch::generate(&d, 120, 24, 7).unwrap();
         let y_dense = cs.apply_matrix(&d, &a).unwrap();
         let y_sparse = cs.apply_operand(&d, Operand::Csr(&sparse)).unwrap();
         assert!(y_dense.max_abs_diff(&y_sparse).unwrap() < 1e-12);
@@ -736,7 +757,7 @@ mod tests {
     fn apply_into_performs_zero_device_allocations() {
         let d = device();
         let a = Matrix::random_gaussian(200, 4, Layout::RowMajor, 3, 0);
-        let cs = CountSketch::generate(&d, 200, 16, 1);
+        let cs = CountSketch::generate(&d, 200, 16, 1).unwrap();
         let mut out = Matrix::zeros_with_layout(16, 4, Layout::RowMajor);
         let before = d.memory().allocations();
         cs.apply_into(&d, Operand::Dense(&a), &mut out.view_mut())
@@ -767,7 +788,7 @@ mod tests {
     fn gather_and_spmm_variants_match_algorithm2() {
         let d = device();
         let a = Matrix::random_gaussian(250, 6, Layout::RowMajor, 4, 0);
-        let cs = CountSketch::generate(&d, 250, 40, 5);
+        let cs = CountSketch::generate(&d, 250, 40, 5).unwrap();
         let y_atomic = cs.apply_matrix(&d, &a).unwrap();
         let y_gather = cs.apply_matrix_gather(&d, &a).unwrap();
         let y_spmm = cs.apply_matrix_spmm(&d, &a).unwrap();
@@ -780,7 +801,7 @@ mod tests {
         let d = device();
         let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.1).sin()).collect();
         let a = Matrix::from_fn(150, 1, Layout::RowMajor, |i, _| x[i]);
-        let cs = CountSketch::generate(&d, 150, 20, 6);
+        let cs = CountSketch::generate(&d, 150, 20, 6).unwrap();
         let yv = cs.apply_vector(&d, &x).unwrap();
         let ym = cs.apply_matrix(&d, &a).unwrap();
         for i in 0..20 {
@@ -791,7 +812,7 @@ mod tests {
     #[test]
     fn sparse_materialisation_has_one_entry_per_column() {
         let d = device();
-        let cs = CountSketch::generate(&d, 100, 16, 7);
+        let cs = CountSketch::generate(&d, 100, 16, 7).unwrap();
         let s = cs.to_sparse();
         assert_eq!(s.nrows(), 16);
         assert_eq!(s.ncols(), 100);
@@ -813,7 +834,7 @@ mod tests {
         let d = device();
         let a = Matrix::random_gaussian(120, 3, Layout::RowMajor, 8, 0);
         let b = Matrix::random_gaussian(120, 3, Layout::RowMajor, 8, 1);
-        let cs = CountSketch::generate(&d, 120, 24, 9);
+        let cs = CountSketch::generate(&d, 120, 24, 9).unwrap();
         // S(A + 2B) == SA + 2 SB
         let apb = Matrix::from_fn(120, 3, Layout::RowMajor, |i, j| {
             a.get(i, j) + 2.0 * b.get(i, j)
@@ -833,7 +854,7 @@ mod tests {
         let d = device();
         let dim = 4096;
         let x: Vec<f64> = fill::gaussian_vec(3, 3, dim);
-        let cs = CountSketch::generate(&d, dim, 512, 11);
+        let cs = CountSketch::generate(&d, dim, 512, 11).unwrap();
         let y = cs.apply_vector(&d, &x).unwrap();
         let nx: f64 = x.iter().map(|v| v * v).sum::<f64>().sqrt();
         let ny: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -843,7 +864,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_rejected_with_context() {
         let d = device();
-        let cs = CountSketch::generate(&d, 50, 8, 1);
+        let cs = CountSketch::generate(&d, 50, 8, 1).unwrap();
         let a = Matrix::zeros_with_layout(40, 2, Layout::RowMajor);
         let err = cs.apply_matrix(&d, &a).unwrap_err();
         match &err {
@@ -871,7 +892,7 @@ mod tests {
         let mut spec = DeviceSpec::h100();
         spec.memory_bytes = 1024; // tiny device
         let d = Device::new(spec);
-        let cs = CountSketch::generate(&d, 64, 1024, 1);
+        let cs = CountSketch::generate(&d, 64, 1024, 1).unwrap();
         let a = Matrix::zeros_with_layout(64, 8, Layout::RowMajor);
         assert!(matches!(
             cs.apply_matrix(&d, &a),
@@ -882,7 +903,7 @@ mod tests {
     #[test]
     fn generation_cost_is_tiny_compared_to_gaussian() {
         let d = device();
-        let cs = CountSketch::generate(&d, 10_000, 128, 1);
+        let cs = CountSketch::generate(&d, 10_000, 128, 1).unwrap();
         let gen = cs.generation_cost();
         // 5 bytes per input row, no reads.
         assert_eq!(gen.bytes_written, 50_000);
@@ -892,7 +913,7 @@ mod tests {
     #[test]
     fn algorithmic_cost_matches_table1() {
         let d = device();
-        let cs = CountSketch::generate(&d, 1000, 32, 1);
+        let cs = CountSketch::generate(&d, 1000, 32, 1).unwrap();
         let c = cs.algorithmic_cost(16);
         assert_eq!(c.flops, 16_000);
         assert_eq!(c.bytes_read, 8 * 16_000);
@@ -972,7 +993,7 @@ mod tests {
         fn prop_all_variants_agree(d_dim in 10usize..200, n in 1usize..6, k in 2usize..32, seed in 0u64..500) {
             let dev = device();
             let a = Matrix::random_gaussian(d_dim, n, Layout::RowMajor, seed, 0);
-            let cs = CountSketch::generate(&dev, d_dim, k, seed + 1);
+            let cs = CountSketch::generate(&dev, d_dim, k, seed + 1).unwrap();
             let y1 = cs.apply_matrix(&dev, &a).unwrap();
             let y2 = cs.apply_matrix_gather(&dev, &a).unwrap();
             let y3 = cs.apply_matrix_spmm(&dev, &a).unwrap();
@@ -985,7 +1006,7 @@ mod tests {
             // Summing all rows of Y equals the signed sum of all rows of A.
             let dev = device();
             let a = Matrix::random_gaussian(d_dim, 3, Layout::RowMajor, seed, 0);
-            let cs = CountSketch::generate(&dev, d_dim, 16, seed);
+            let cs = CountSketch::generate(&dev, d_dim, 16, seed).unwrap();
             let y = cs.apply_matrix(&dev, &a).unwrap();
             for c in 0..3 {
                 let sum_y: f64 = (0..16).map(|i| y.get(i, c)).sum();

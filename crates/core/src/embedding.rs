@@ -126,7 +126,7 @@ mod tests {
         let dim = 4096;
         let n = 4;
         let basis = orthonormal_columns(&d, dim, n, 3).unwrap();
-        let cs = CountSketch::generate(&d, dim, 8 * n * n, 4);
+        let cs = CountSketch::generate(&d, dim, 8 * n * n, 4).unwrap();
         let eps = subspace_embedding_distortion(&d, &cs, &basis).unwrap();
         assert!(eps < 0.7, "distortion {eps}");
     }
@@ -172,7 +172,7 @@ mod tests {
         let d = device();
         let dim = 256;
         let vectors = Matrix::zeros(dim, 3);
-        let cs = CountSketch::generate(&d, dim, 64, 1);
+        let cs = CountSketch::generate(&d, dim, 64, 1).unwrap();
         assert_eq!(max_norm_distortion(&d, &cs, &vectors).unwrap(), 0.0);
         assert_eq!(
             max_inner_product_distortion(&d, &cs, &vectors).unwrap(),
@@ -188,8 +188,8 @@ mod tests {
         let dim = 4096;
         let n = 3;
         let basis = orthonormal_columns(&d, dim, n, 11).unwrap();
-        let small = CountSketch::generate(&d, dim, 4 * n * n, 12);
-        let large = CountSketch::generate(&d, dim, 64 * n * n, 12);
+        let small = CountSketch::generate(&d, dim, 4 * n * n, 12).unwrap();
+        let large = CountSketch::generate(&d, dim, 64 * n * n, 12).unwrap();
         let eps_small = subspace_embedding_distortion(&d, &small, &basis).unwrap();
         let eps_large = subspace_embedding_distortion(&d, &large, &basis).unwrap();
         assert!(

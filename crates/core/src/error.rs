@@ -64,7 +64,7 @@ pub enum Error {
     /// [`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies) fault fired) and
     /// the executor could not — or was not asked to — recover around it.
     ///
-    /// The pipelined executor normally absorbs these by recomputing the dead
+    /// The pipelined executor normally absorbs these by rescheduling the dead
     /// device's shards on the survivors; the error escapes only when every
     /// device in the pool is dead.
     DeviceFailed {

@@ -177,32 +177,39 @@ pub fn global_passes(d: usize, tile: usize) -> u64 {
 /// # Panics
 /// Panics if the matrix is not column-major or its row count is not a power of two.
 pub fn fwht_matrix_columns(device: &Device, a: &mut Matrix, tile: usize) {
+    fwht_columns_unrecorded(a, tile);
+    device.record(fwht_columns_cost(a.nrows(), a.ncols(), tile));
+}
+
+/// [`fwht_matrix_columns`] without the cost record.
+pub(crate) fn fwht_columns_unrecorded(a: &mut Matrix, tile: usize) {
     assert_eq!(
         a.layout(),
         Layout::ColMajor,
         "the SRHT pipeline keeps everything column-major (Section 5)"
     );
     let d = a.nrows();
-    let n = a.ncols();
     if d > 1 {
         assert!(d.is_power_of_two(), "FWHT length must be a power of two");
     }
-    {
-        let data = a.as_mut_slice();
-        data.par_chunks_mut(d.max(1)).for_each(|col| {
-            fwht_tiled_in_place(col, tile);
-        });
-    }
+    a.as_mut_slice()
+        .par_chunks_mut(d.max(1))
+        .for_each(|col| fwht_tiled_in_place(col, tile));
+}
 
+/// The modelled cost of transforming the `n` length-`d` columns of a matrix with a
+/// `tile`-double shared-memory tile: [`global_passes`] read/write passes over the
+/// matrix, one launch each.
+pub(crate) fn fwht_columns_cost(d: usize, n: usize, tile: usize) -> KernelCost {
     let passes = global_passes(d, tile);
     let dn = (d * n) as u64;
     let bits = if d > 1 { d.trailing_zeros() as u64 } else { 0 };
-    device.record(KernelCost::new(
+    KernelCost::new(
         KernelCost::f64_bytes(dn) * passes,
         KernelCost::f64_bytes(dn) * passes,
         2 * dn * bits,
         passes.max(1),
-    ));
+    )
 }
 
 #[cfg(test)]

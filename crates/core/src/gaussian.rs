@@ -9,8 +9,9 @@
 //! reproduces through the device memory tracker.
 
 use crate::error::Error;
-use crate::operand::Operand;
-use crate::traits::SketchOperator;
+use crate::operand::{Operand, OperandShape};
+use crate::spec::SketchKind;
+use crate::traits::{apply_stated, SketchCosts, SketchOperator};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{blas2, blas3, Layout, Matrix, MatrixViewMut, Op};
 use sketch_rng::fill;
@@ -56,7 +57,7 @@ impl GaussianSketch {
         let data = fill::scaled_gaussian_vec(seed, 0, len, scale)
             .map_err(|_| Error::HostAllocationFailed { bytes })?;
         let matrix = Matrix::from_vec(k, d, Layout::RowMajor, data);
-        let generation_cost = KernelCost::new(0, bytes, len as u64 * FLOPS_PER_GAUSSIAN, 1);
+        let generation_cost = generation_cost(d, k);
         device.record(generation_cost);
         Ok(Self {
             matrix,
@@ -74,52 +75,42 @@ impl GaussianSketch {
         self.matrix.size_bytes()
     }
 
-    /// Cost of the gather-per-nonzero sparse application path.
-    fn record_csr_apply_cost(&self, device: &Device, nnz: usize, nrows: usize, ncols: usize) {
-        let nnz = nnz as u64;
-        let n64 = ncols as u64;
-        let k64 = self.output_dim() as u64;
-        let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + nrows as u64 + 1);
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(nnz + k64 * nnz) + idx_bytes,
-            KernelCost::f64_bytes(k64 * n64),
-            2 * k64 * nnz,
-            1,
-        ));
-    }
-}
-
-impl SketchOperator for GaussianSketch {
-    fn input_dim(&self) -> usize {
-        self.matrix.ncols()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.matrix.nrows()
-    }
-
-    fn name(&self) -> &'static str {
-        "Gaussian"
+    /// What a `d -> k` Gaussian sketch states ([`SketchCosts`]): generating its
+    /// `k·d` draws, and one apply to a `d`-row operand of shape `a` — a GEMM for a
+    /// dense operand, the dense sketch's columns gathered per non-zero for a
+    /// sparse one.  The `k x d` operator is stored, not reserved per apply.
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
+        let apply = match a {
+            OperandShape::Dense { cols, .. } => blas3::gemm_cost(k, d, cols, false),
+            OperandShape::Csr { cols, nnz, .. } => {
+                let (nnz, n, k) = (nnz as u64, cols as u64, k as u64);
+                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d as u64 + 1);
+                KernelCost::new(
+                    KernelCost::f64_bytes(nnz + k * nnz) + idx_bytes,
+                    KernelCost::f64_bytes(k * n),
+                    2 * k * nnz,
+                    1,
+                )
+            }
+        };
+        SketchCosts {
+            generation: generation_cost(d, k),
+            apply,
+            apply_reserve: 0,
+        }
     }
 
-    fn output_layout(&self) -> Layout {
-        Layout::ColMajor
-    }
-
-    /// GEMM straight into the caller's buffer (dense operands), or a dense×CSR
-    /// accumulation for sparse operands.  No intermediate matrix is allocated.
-    fn apply_into(
+    /// `out = S A`, unrecorded: GEMM straight into the caller's buffer (dense
+    /// operands), or a dense×CSR accumulation for sparse operands.  No intermediate
+    /// matrix is allocated.
+    pub(crate) fn compute_into(
         &self,
-        device: &Device,
         a: Operand<'_>,
         out: &mut MatrixViewMut<'_>,
     ) -> Result<(), Error> {
-        self.check_operand(&a)?;
-        self.check_output(out, a.ncols())?;
         match a {
             Operand::Dense(m) => {
-                blas3::gemm_into(
-                    device,
+                blas3::gemm_into_unrecorded(
                     1.0,
                     Op::NoTrans,
                     &self.matrix,
@@ -142,7 +133,6 @@ impl SketchOperator for GaussianSketch {
                         }
                     }
                 }
-                self.record_csr_apply_cost(device, s.nnz(), s.nrows(), s.ncols());
             }
             Operand::CsrRows(v) => {
                 out.fill(0.0);
@@ -153,10 +143,47 @@ impl SketchOperator for GaussianSketch {
                         }
                     }
                 }
-                self.record_csr_apply_cost(device, v.nnz(), v.nrows(), v.ncols());
             }
         }
         Ok(())
+    }
+}
+
+/// What generating a `k x d` Gaussian records: write `k·d` Box–Muller draws.
+fn generation_cost(d: usize, k: usize) -> KernelCost {
+    let len = k as u64 * d as u64;
+    KernelCost::new(0, KernelCost::f64_bytes(len), len * FLOPS_PER_GAUSSIAN, 1)
+}
+
+impl SketchOperator for GaussianSketch {
+    fn input_dim(&self) -> usize {
+        self.matrix.ncols()
+    }
+
+    fn output_dim(&self) -> usize {
+        self.matrix.nrows()
+    }
+
+    fn name(&self) -> &'static str {
+        "Gaussian"
+    }
+
+    fn output_layout(&self) -> Layout {
+        SketchKind::Gaussian.output_layout()
+    }
+
+    /// GEMM straight into the caller's buffer (dense operands), or a dense×CSR
+    /// accumulation for sparse operands.  No intermediate matrix is allocated.
+    fn apply_into(
+        &self,
+        device: &Device,
+        a: Operand<'_>,
+        out: &mut MatrixViewMut<'_>,
+    ) -> Result<(), Error> {
+        self.check_operand(&a)?;
+        self.check_output(out, a.ncols())?;
+        let costs = Self::costs(self.input_dim(), self.output_dim(), a.shape());
+        apply_stated(device, costs, || self.compute_into(a, out))
     }
 
     fn apply_matrix(&self, device: &Device, a: &Matrix) -> Result<Matrix, Error> {

@@ -30,7 +30,10 @@
 //! live operator on a device.  The hot path is [`SketchOperator::apply_into`]:
 //! operand-generic (dense or CSR via [`Operand`]) and allocation-free.  A
 //! [`CountSketch`] inverts its row map once, when it is generated, so no apply
-//! sorts.
+//! sorts.  Every kind states its costs from the operand's shape alone
+//! ([`SketchSpec::costs`], [`Pipeline::costs`] → [`SketchCosts`]): each
+//! `apply_into` computes, then records exactly that statement, and the
+//! executor and the paper-scale projections read the same statements.
 //!
 //! ```
 //! use sketch_core::{EmbeddingDim, SketchSpec, SketchOperator};
@@ -63,11 +66,11 @@ pub mod traits;
 pub use countsketch::{CountSketch, HashCountSketch};
 pub use error::{Error, SketchError};
 pub use gaussian::GaussianSketch;
-pub use operand::{Operand, OperandSlice};
+pub use operand::{Operand, OperandShape, OperandSlice};
 pub use spec::{
     json::JsonValue, ComposedSketch, EmbeddingDim, Pipeline, ShardAxis, SketchKind, SketchSpec,
     StageOperator,
 };
 pub use srht::Srht;
 pub use streaming::FrequencyCountSketch;
-pub use traits::SketchOperator;
+pub use traits::{SketchCosts, SketchOperator};

@@ -9,7 +9,7 @@
 
 use crate::error::Error;
 use sketch_gpu_sim::{Device, KernelCost};
-use sketch_la::{blas3, Matrix, Op};
+use sketch_la::{blas3, Layout, Matrix, Op};
 use sketch_sparse::{spmm, CsrMatrix, CsrRowsView};
 use std::ops::Range;
 
@@ -27,7 +27,62 @@ pub enum Operand<'a> {
     CsrRows(CsrRowsView<'a>),
 }
 
+/// All a sketch's cost statement reads of an operand: its shape, and its dense
+/// layout or its stored non-zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandShape {
+    /// A dense `rows x cols` operand in `layout`.
+    Dense {
+        /// Rows.
+        rows: usize,
+        /// Columns.
+        cols: usize,
+        /// Storage order.
+        layout: Layout,
+    },
+    /// A sparse `rows x cols` operand (CSR, or a CSR row window) with `nnz` stored
+    /// entries.
+    Csr {
+        /// Rows.
+        rows: usize,
+        /// Columns.
+        cols: usize,
+        /// Stored non-zeros.
+        nnz: usize,
+    },
+}
+
+impl OperandShape {
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        match *self {
+            OperandShape::Dense { cols, .. } | OperandShape::Csr { cols, .. } => cols,
+        }
+    }
+}
+
 impl<'a> Operand<'a> {
+    /// The operand's [`OperandShape`].
+    pub fn shape(&self) -> OperandShape {
+        match self {
+            Operand::Dense(m) => OperandShape::Dense {
+                rows: m.nrows(),
+                cols: m.ncols(),
+                layout: m.layout(),
+            },
+            Operand::Csr(s) => OperandShape::Csr {
+                rows: s.nrows(),
+                cols: s.ncols(),
+                nnz: s.nnz(),
+            },
+            Operand::CsrRows(v) => OperandShape::Csr {
+                rows: v.nrows(),
+                cols: v.ncols(),
+                nnz: v.nnz(),
+            },
+        }
+    }
+
     /// Number of rows (the leading dimension a sketch checks against).
     pub fn nrows(&self) -> usize {
         match self {

@@ -41,14 +41,14 @@
 
 use crate::countsketch::{CountSketch, HashCountSketch};
 use crate::error::Error;
+use crate::fwht::DEFAULT_TILE;
 use crate::gaussian::GaussianSketch;
-use crate::operand::Operand;
+use crate::operand::{Operand, OperandShape};
 use crate::srht::Srht;
-use crate::traits::SketchOperator;
+use crate::traits::{try_zeros, SketchCosts, SketchOperator};
 use serde::{Deserialize, Serialize};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
-use std::borrow::Cow;
 
 pub mod json;
 
@@ -105,6 +105,16 @@ impl SketchKind {
             SketchKind::CountSketch | SketchKind::HashCountSketch => ShardAxis::Rows,
             // Per-column dot/transform kernels: column panels are exact.
             SketchKind::Gaussian | SketchKind::Srht => ShardAxis::Cols,
+        }
+    }
+
+    /// The layout this kind's operator writes its output in: row-major for the
+    /// scatter-style CountSketch kernels, column-major for the GEMM-backed and
+    /// transform sketches.
+    pub fn output_layout(&self) -> Layout {
+        match self {
+            SketchKind::CountSketch | SketchKind::HashCountSketch => Layout::RowMajor,
+            SketchKind::Gaussian | SketchKind::Srht => Layout::ColMajor,
         }
     }
 }
@@ -328,6 +338,21 @@ impl SketchSpec {
         Ok((self.input_dim, k))
     }
 
+    /// What the operator this resolved spec builds states ([`SketchCosts`]) for an
+    /// `input_dim`-row operand of shape `a`: its generation, and what one
+    /// `apply_into` records and reserves.  Nothing is built, so a paper-scale
+    /// shape costs nothing to state.  Fails as [`build`](Self::build) does on a
+    /// spec [`exact_dims`](Self::exact_dims) rejects.
+    pub fn costs(&self, a: OperandShape) -> Result<SketchCosts, Error> {
+        let (d, k) = self.exact_dims()?;
+        Ok(match self.kind {
+            SketchKind::CountSketch => CountSketch::costs(d, k, a),
+            SketchKind::Gaussian => GaussianSketch::costs(d, k, a),
+            SketchKind::Srht => Srht::costs(d, k, self.tile.unwrap_or(DEFAULT_TILE), a),
+            SketchKind::HashCountSketch => HashCountSketch::costs(d, k, a),
+        })
+    }
+
     /// Build the described operator as a trait object.
     ///
     /// Requires an [`EmbeddingDim::Exact`] output dimension; use
@@ -375,7 +400,7 @@ impl SketchSpec {
     pub fn build_countsketch(&self, device: &Device) -> Result<CountSketch, Error> {
         self.check_kind(SketchKind::CountSketch)?;
         let (d, k) = self.exact_dims()?;
-        Ok(CountSketch::generate(device, d, k, self.seed))
+        CountSketch::generate(device, d, k, self.seed)
     }
 
     /// Build the concrete [`GaussianSketch`].
@@ -620,6 +645,42 @@ impl Pipeline {
         Ok(ComposedSketch { stages })
     }
 
+    /// What building this pipeline for an operand of shape `a` and one
+    /// `apply_into` of the built [`ComposedSketch`] record and reserve
+    /// ([`SketchCosts`]), from the shapes alone: the stages' statements chained,
+    /// each stage reading the previous stage's `k x n` output.
+    ///
+    /// The reservation is the apply's peak: every stage but the last runs through
+    /// its allocating apply, which holds the stage's output — and a Gaussian stage
+    /// its stored operator — while the stage runs.
+    pub fn costs(&self, a: OperandShape) -> Result<SketchCosts, Error> {
+        let n = a.cols();
+        let stages = self.resolve(n)?;
+        let last = stages.len() - 1;
+        let mut total = SketchCosts::default();
+        let mut shape = a;
+        for (i, stage) in stages.iter().enumerate() {
+            let costs = stage.costs(shape)?;
+            let (_, k) = stage.exact_dims()?;
+            total.generation += costs.generation;
+            total.apply += costs.apply;
+            let mut held = costs.apply_reserve;
+            if i < last {
+                held += KernelCost::f64_bytes((k * n) as u64);
+                if stage.kind == SketchKind::Gaussian {
+                    held += costs.generation.bytes_written;
+                }
+            }
+            total.apply_reserve = total.apply_reserve.max(held);
+            shape = OperandShape::Dense {
+                rows: k,
+                cols: n,
+                layout: stage.kind.output_layout(),
+            };
+        }
+        Ok(total)
+    }
+
     /// Build, requiring every stage to carry an exact output dimension already
     /// (`ncols` is irrelevant in that case).
     pub fn build(&self, device: &Device) -> Result<Box<dyn SketchOperator>, Error> {
@@ -703,15 +764,25 @@ impl StageOperator {
         }
     }
 
-    /// The explicit CountSketch a [`ShardAxis::Rows`] stage folds its row shards
-    /// with (the hash variant materialises one), or `None` for a
-    /// [`ShardAxis::Cols`] stage.
-    pub fn row_sketch(&self) -> Option<Cow<'_, CountSketch>> {
+    /// `S a` into a fresh `k x n` matrix in the operator's layout, **unrecorded**:
+    /// the bits [`apply_into`](SketchOperator::apply_into) writes, none of the
+    /// device costs it records or reserves.  The multi-device executor computes
+    /// each stage once with this and charges its shards the stated
+    /// [`SketchCosts`].  The output (and the hash variant's per-apply row-map
+    /// inverse, and the SRHT's work matrix) is reserved fallibly, so a host that
+    /// cannot hold it is [`Error::HostAllocationFailed`].
+    pub fn compute(&self, a: Operand<'_>) -> Result<Matrix, Error> {
+        let op = self.as_operator();
+        op.check_operand(&a)?;
+        let mut out = try_zeros(op.output_dim(), a.ncols(), op.output_layout())?;
+        let out_view = &mut out.view_mut();
         match self {
-            StageOperator::CountSketch(s) => Some(Cow::Borrowed(s)),
-            StageOperator::HashCountSketch(s) => Some(Cow::Owned(s.to_explicit())),
-            StageOperator::Gaussian(_) | StageOperator::Srht(_) => None,
+            StageOperator::CountSketch(s) => s.compute_into(a, out_view),
+            StageOperator::Gaussian(s) => s.compute_into(a, out_view)?,
+            StageOperator::Srht(s) => s.compute_into(a, out_view)?,
+            StageOperator::HashCountSketch(s) => s.compute_into(a, out_view)?,
         }
+        Ok(out)
     }
 }
 
@@ -924,7 +995,7 @@ mod tests {
         let d = device();
         let spec = SketchSpec::countsketch(200, EmbeddingDim::Exact(24), 9);
         let via_spec = spec.build_countsketch(&d).unwrap();
-        let direct = CountSketch::generate(&d, 200, 24, 9);
+        let direct = CountSketch::generate(&d, 200, 24, 9).unwrap();
         assert_eq!(via_spec.rows(), direct.rows());
         assert_eq!(via_spec.signs(), direct.signs());
 
@@ -942,7 +1013,10 @@ mod tests {
         let resolved = plan.resolve(6).unwrap();
         let count = resolved[0].build_countsketch(&d).unwrap();
         let gauss = resolved[1].build_gaussian(&d).unwrap();
-        assert_eq!(count.rows(), CountSketch::generate(&d, 512, 72, 7).rows());
+        assert_eq!(
+            count.rows(),
+            CountSketch::generate(&d, 512, 72, 7).unwrap().rows()
+        );
         // The salt's value is part of the bit contract, so it is pinned here.
         assert_eq!(
             gauss.matrix(),

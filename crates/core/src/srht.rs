@@ -10,9 +10,10 @@
 //! two, which leaves all inner products unchanged.
 
 use crate::error::Error;
-use crate::fwht::{fwht_matrix_columns, global_passes, DEFAULT_TILE};
-use crate::operand::Operand;
-use crate::traits::SketchOperator;
+use crate::fwht::{fwht_columns_cost, fwht_columns_unrecorded, global_passes, DEFAULT_TILE};
+use crate::operand::{Operand, OperandShape};
+use crate::spec::SketchKind;
+use crate::traits::{apply_stated, try_zeros, SketchCosts, SketchOperator};
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
@@ -62,8 +63,7 @@ impl Srht {
         let d_pad = d.next_power_of_two();
         let signs = fill::rademacher_vec(seed, 0, d);
         let sample = fill::uniform_index_vec(seed, 1, k, d_pad);
-        // Generation: d signs + k sampled indices.
-        let generation_cost = KernelCost::new(0, d as u64 + 4 * k as u64, (d + k) as u64, 1);
+        let generation_cost = generation_cost(d, k);
         device.record(generation_cost);
         Ok(Self {
             d,
@@ -86,11 +86,69 @@ impl Srht {
         self.tile
     }
 
-    /// Build the sign-flipped, zero-padded, column-major work matrix `D A` from a
-    /// dense or CSR operand.
-    fn build_work_matrix(&self, device: &Device, a: &Operand<'_>) -> Matrix {
+    /// What a `d -> k` SRHT with a `tile`-double FWHT tile states ([`SketchCosts`]):
+    /// its generation, and one apply to a `d`-row operand of shape `a` — the
+    /// sign-flip into the padded column-major work matrix (reserved for the
+    /// apply), the tiled FWHT's global passes, and the sampling.
+    pub fn costs(d: usize, k: usize, tile: usize, a: OperandShape) -> SketchCosts {
+        let d_pad = d.next_power_of_two();
+        let n = a.cols();
+        let work = KernelCost::f64_bytes((d_pad * n) as u64);
+        let flip = match a {
+            // Sign flip + copy: read A and the signs once, write the padded work matrix.
+            OperandShape::Dense { .. } => {
+                let dn = (d * n) as u64;
+                KernelCost::new(
+                    KernelCost::f64_bytes(dn) + KernelCost::f64_bytes(d as u64),
+                    work,
+                    dn,
+                    1,
+                )
+            }
+            // Scatter the stored entries into the padded work matrix.
+            OperandShape::Csr { nnz, .. } => {
+                let nnz = nnz as u64;
+                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d as u64 + 1);
+                KernelCost::new(
+                    KernelCost::f64_bytes(nnz + d as u64) + idx_bytes,
+                    work,
+                    nnz,
+                    1,
+                )
+            }
+        };
+        let kn = (k * n) as u64;
+        let sample = KernelCost::new(
+            KernelCost::f64_bytes(kn) + 4 * k as u64,
+            KernelCost::f64_bytes(kn),
+            kn,
+            1,
+        );
+        SketchCosts {
+            generation: generation_cost(d, k),
+            apply: flip + fwht_columns_cost(d_pad, n, tile) + sample,
+            apply_reserve: work,
+        }
+    }
+
+    /// `out = (1/√k) P H D A`, unrecorded: sign-flip into the padded work matrix
+    /// (reserved fallibly on the host), transform its columns, sample.
+    pub(crate) fn compute_into(
+        &self,
+        a: Operand<'_>,
+        out: &mut MatrixViewMut<'_>,
+    ) -> Result<(), Error> {
+        let mut work = self.work_matrix(&a)?;
+        fwht_columns_unrecorded(&mut work, self.tile);
+        self.sample_rows_into(&work, out);
+        Ok(())
+    }
+
+    /// The sign-flipped, zero-padded, column-major work matrix `D A` of a dense or
+    /// CSR operand.
+    fn work_matrix(&self, a: &Operand<'_>) -> Result<Matrix, Error> {
         let n = a.ncols();
-        let mut work = Matrix::zeros_with_layout(self.d_pad, n, Layout::ColMajor);
+        let mut work = try_zeros(self.d_pad, n, Layout::ColMajor)?;
         match a {
             Operand::Dense(m) => {
                 for j in 0..n {
@@ -99,15 +157,6 @@ impl Srht {
                         col[i] = self.signs[i] * m.get(i, j);
                     }
                 }
-                // Sign flip + copy: read A and the signs once, write the padded work
-                // matrix.
-                let dn = (self.d * n) as u64;
-                device.record(KernelCost::new(
-                    KernelCost::f64_bytes(dn) + KernelCost::f64_bytes(self.d as u64),
-                    KernelCost::f64_bytes((self.d_pad * n) as u64),
-                    dn,
-                    1,
-                ));
             }
             Operand::Csr(s) => {
                 for i in 0..self.d {
@@ -115,7 +164,6 @@ impl Srht {
                         work.set(i, j, self.signs[i] * v);
                     }
                 }
-                self.record_work_matrix_cost(device, s.nnz(), n);
             }
             Operand::CsrRows(v) => {
                 for i in 0..self.d {
@@ -123,43 +171,27 @@ impl Srht {
                         work.set(i, j, self.signs[i] * val);
                     }
                 }
-                self.record_work_matrix_cost(device, v.nnz(), n);
             }
         }
-        work
-    }
-
-    /// Cost of scattering a sparse operand into the padded work matrix.
-    fn record_work_matrix_cost(&self, device: &Device, nnz: usize, n: usize) {
-        let nnz = nnz as u64;
-        let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + self.d as u64 + 1);
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(nnz + self.d as u64) + idx_bytes,
-            KernelCost::f64_bytes((self.d_pad * n) as u64),
-            nnz,
-            1,
-        ));
+        Ok(work)
     }
 
     /// Sample and scale the transformed work matrix into the caller's buffer:
     /// `out = (1/√k) P (H D A)`.
-    fn sample_rows_into(&self, device: &Device, work: &Matrix, out: &mut MatrixViewMut<'_>) {
-        let n = work.ncols();
+    fn sample_rows_into(&self, work: &Matrix, out: &mut MatrixViewMut<'_>) {
         let scale = 1.0 / (self.k as f64).sqrt();
-        for j in 0..n {
+        for j in 0..work.ncols() {
             let src = work.col(j).expect("col-major");
             for (i, &row) in self.sample.iter().enumerate() {
                 out.set(i, j, scale * src[row]);
             }
         }
-        let kn = (self.k * n) as u64;
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(kn) + 4 * self.k as u64,
-            KernelCost::f64_bytes(kn),
-            kn,
-            1,
-        ));
     }
+}
+
+/// What generating a `d -> k` SRHT records: `d` signs and `k` sampled indices.
+fn generation_cost(d: usize, k: usize) -> KernelCost {
+    KernelCost::new(0, d as u64 + 4 * k as u64, (d + k) as u64, 1)
 }
 
 impl SketchOperator for Srht {
@@ -176,7 +208,7 @@ impl SketchOperator for Srht {
     }
 
     fn output_layout(&self) -> Layout {
-        Layout::ColMajor
+        SketchKind::Srht.output_layout()
     }
 
     /// Sign-flip + FWHT + sample.  The padded FWHT work matrix is inherent to the
@@ -190,12 +222,8 @@ impl SketchOperator for Srht {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let _work_res =
-            device.try_reserve(KernelCost::f64_bytes((self.d_pad * a.ncols()) as u64))?;
-        let mut work = self.build_work_matrix(device, &a);
-        fwht_matrix_columns(device, &mut work, self.tile);
-        self.sample_rows_into(device, &work, out);
-        Ok(())
+        let costs = Self::costs(self.d, self.k, self.tile, a.shape());
+        apply_stated(device, costs, || self.compute_into(a, out))
     }
 
     fn apply_vector(&self, device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {

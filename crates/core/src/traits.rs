@@ -1,9 +1,71 @@
-//! The [`SketchOperator`] abstraction shared by every sketch in the workspace.
+//! The [`SketchOperator`] abstraction shared by every sketch in the workspace, and
+//! the [`SketchCosts`] each sketch kind states for itself.
 
 use crate::error::Error;
 use crate::operand::Operand;
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
+
+/// What a sketch kind states, from the operand's shape alone, about generating its
+/// operator and applying it once: the one cost model behind every recorded sketch
+/// cost.  [`SketchSpec::costs`](crate::SketchSpec::costs) returns it for a resolved
+/// spec, [`Pipeline::costs`](crate::Pipeline::costs) for a chain.
+///
+/// Each operator's [`apply_into`](SketchOperator::apply_into) computes, then records
+/// exactly [`apply`](Self::apply) under a reservation of
+/// [`apply_reserve`](Self::apply_reserve), and its generation records
+/// [`generation`](Self::generation); the multi-device executor charges shards the
+/// same statements instead of running their kernels.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SketchCosts {
+    /// What generating the operator records (the "Sketch gen" cost); its bytes
+    /// written are the operator's stored ingredients.
+    pub generation: KernelCost,
+    /// What one `apply_into` records: its launches summed into one cost, whose
+    /// `launches` counts them.
+    pub apply: KernelCost,
+    /// Device bytes one `apply_into` reserves at its peak (and releases before it
+    /// returns) beyond the operand and the caller-owned output: the SRHT's padded
+    /// work matrix, a pipeline's intermediates.
+    pub apply_reserve: u64,
+}
+
+/// Reserve what `costs` states on `device`, run the unrecorded `compute`, then
+/// record the stated apply cost: every sketch kind's `apply_into` after its checks.
+pub(crate) fn apply_stated(
+    device: &Device,
+    costs: SketchCosts,
+    compute: impl FnOnce() -> Result<(), Error>,
+) -> Result<(), Error> {
+    let _work = match costs.apply_reserve {
+        0 => None,
+        bytes => Some(device.try_reserve(bytes)?),
+    };
+    compute()?;
+    device.record(costs.apply);
+    Ok(())
+}
+
+/// A zeroed host buffer of `len` elements, or [`Error::HostAllocationFailed`] when
+/// the host refuses it: the buffers an untrusted shape sizes are reserved with
+/// `try_reserve_exact`, so a refusal is a typed error, not an abort.
+pub(crate) fn try_zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, Error> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(len)
+        .map_err(|_| Error::HostAllocationFailed {
+            bytes: (len as u64).saturating_mul(std::mem::size_of::<T>() as u64),
+        })?;
+    buf.resize(len, T::default());
+    Ok(buf)
+}
+
+/// A zeroed `rows x cols` matrix in `layout`, reserved like [`try_zeroed`].
+pub(crate) fn try_zeros(rows: usize, cols: usize, layout: Layout) -> Result<Matrix, Error> {
+    let len = rows
+        .checked_mul(cols)
+        .ok_or(Error::HostAllocationFailed { bytes: u64::MAX })?;
+    Ok(Matrix::from_vec(rows, cols, layout, try_zeroed(len)?))
+}
 
 /// A random linear operator `S : R^d -> R^k` that can be applied to matrices and
 /// vectors on the simulated device.

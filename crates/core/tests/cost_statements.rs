@@ -1,0 +1,122 @@
+//! The one cost model: what each sketch kind states from an operand's shape alone
+//! (`SketchSpec::costs`, `Pipeline::costs`) is exactly what building its operator
+//! and one `apply_into` record — every launch, byte and flop — and reserve on the
+//! device.  Every kind and the Count→Gauss pipeline, on dense operands in both
+//! layouts, on CSR and on a CSR row window, at random shapes, fills and tiles.
+//!
+//! The multi-device executor charges its shards these statements instead of
+//! running their kernels, and the paper-scale projections evaluate them at sizes
+//! nothing could allocate, so this is the check that keeps both honest.
+
+use proptest::prelude::*;
+use sketch_core::{EmbeddingDim, Operand, Pipeline, SketchCosts, SketchOperator, SketchSpec};
+use sketch_gpu_sim::Device;
+use sketch_la::{Layout, Matrix};
+use sketch_sparse::{CooMatrix, CsrMatrix};
+
+/// A `d x n` CSR operand storing about `fill` percent of its entries.
+fn random_csr(d: usize, n: usize, fill: usize, seed: u64) -> CsrMatrix {
+    let values = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 3);
+    let mut coo = CooMatrix::new(d, n);
+    for i in 0..d {
+        for j in 0..n {
+            if (i * 37 + j * 11 + seed as usize) % 100 < fill {
+                coo.push(i, j, values.get(i, j));
+            }
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// Build `op` on a fresh device and apply it once to `a`, checking the recorded
+/// generation, the recorded apply and the apply's peak reservation against
+/// `stated`.
+fn check(
+    stated: SketchCosts,
+    a: Operand<'_>,
+    build: impl FnOnce(&Device) -> Box<dyn SketchOperator>,
+) {
+    let device = Device::unlimited();
+    let (op, generation) = device.tracker().measure(|| build(&device));
+    prop_assert_eq!(generation, stated.generation, "generation of {}", op.name());
+    prop_assert_eq!(
+        device.memory().peak(),
+        0,
+        "{} reserved at generation",
+        op.name()
+    );
+
+    let mut out = Matrix::zeros_with_layout(op.output_dim(), a.ncols(), op.output_layout());
+    let (applied, apply) = device
+        .tracker()
+        .measure(|| op.apply_into(&device, a, &mut out.view_mut()));
+    prop_assert!(applied.is_ok(), "{} failed on {}", op.name(), a.describe());
+    prop_assert_eq!(apply, stated.apply, "{} on {}", op.name(), a.describe());
+    prop_assert_eq!(
+        device.memory().peak(),
+        stated.apply_reserve,
+        "{} reservation on {}",
+        op.name(),
+        a.describe()
+    );
+    prop_assert_eq!(
+        device.memory().in_use(),
+        0,
+        "{} kept a reservation",
+        op.name()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prop_recorded_costs_equal_the_statement(
+        d in 1usize..300,
+        n in 1usize..10,
+        k in 1usize..48,
+        k2 in 1usize..24,
+        fill in 0usize..100,
+        tile_pow in 2u32..12,
+        seed in 0u64..1000,
+    ) {
+        let dense = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
+        let dense_cm = dense.to_layout(&Device::unlimited(), Layout::ColMajor);
+        let sparse = random_csr(d, n, fill, seed);
+        // A CSR row window: the middle d rows of a taller parent.
+        let parent = random_csr(d + 4, n, fill, seed + 1);
+        let window = parent.slice_rows(2..d + 2);
+        let operands = [
+            Operand::Dense(&dense),
+            Operand::Dense(&dense_cm),
+            Operand::Csr(&sparse),
+            Operand::CsrRows(window),
+        ];
+
+        let specs = [
+            SketchSpec::countsketch(d, EmbeddingDim::Exact(k), seed),
+            SketchSpec::hash_countsketch(d, EmbeddingDim::Exact(k), seed + 1),
+            SketchSpec::gaussian(d, EmbeddingDim::Exact(k), seed + 2),
+            SketchSpec::srht(d, EmbeddingDim::Exact(k), seed + 3),
+            SketchSpec::srht(d, EmbeddingDim::Exact(k), seed + 4).with_tile(1 << tile_pow),
+        ];
+        let count_gauss =
+            Pipeline::count_gauss(d, EmbeddingDim::Exact(k), EmbeddingDim::Exact(k2), seed + 5);
+        for a in operands {
+            for spec in &specs {
+                check(spec.costs(a.shape()).unwrap(), a, |device| spec.build(device).unwrap());
+            }
+            check(count_gauss.costs(a.shape()).unwrap(), a, |device| {
+                count_gauss.build_for(device, n).unwrap()
+            });
+        }
+    }
+}
+
+#[test]
+fn a_spec_that_cannot_build_states_nothing() {
+    let unresolved = SketchSpec::gaussian(64, EmbeddingDim::Ratio(2), 1);
+    let shape = Operand::Dense(&Matrix::zeros(64, 4)).shape();
+    assert!(unresolved.costs(shape).is_err());
+    assert!(unresolved.resolve(4).costs(shape).is_ok());
+}

@@ -25,27 +25,39 @@
 //!    [`PipelinedRun`] reports serial vs. pipelined makespan, the compute-only
 //!    critical path, overlap efficiency and per-device utilization.
 //!
+//! Shards are charges, not host work.  Because every schedule, fault plan and
+//! pool size must give the single apply's bits, each stage's result *is* the
+//! single apply: after its schedule walk succeeds, the stage is computed once,
+//! with the operator's own kernel on the whole operand
+//! ([`StageOperator::compute`]).  The walk itself runs no kernel.  It charges
+//! each shard — and each recovery re-run — the cost its sketch kind states for
+//! the shard's slice of the operand ([`SketchSpec::costs`], the one cost model
+//! the kernels record too), on the modelled clock and on the shard's device,
+//! reserving and releasing the device memory the shard's apply would (the
+//! SRHT's work matrix), so a device that runs out still fails at its shard.
+//!
 //! The executor also absorbs injected device deaths
 //! ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)).  Its one modelled
-//! clock is a [`StreamSet`] driven while the shards execute: each shard's
-//! kernel and collective are enqueued as the shard runs, and an operation that
-//! would end after its device's death instant is cut there, so the exact
-//! simulated instant a death fires is known mid-stage.  The stage is then
-//! rescheduled over the survivors and re-run from its Philox-seeded operators —
-//! bit-for-bit identical output, because every stage is schedule-independent
-//! by construction.  The aborted attempt's cut operations stay on the
-//! timeline, and the price paid is itemised in [`FaultReport`].
+//! clock is a [`StreamSet`] driven while the shards are charged: each shard's
+//! kernel and collective are enqueued in turn, and an operation that would end
+//! after its device's death instant is cut there, so the exact simulated
+//! instant a death fires is known mid-stage.  The stage is then rescheduled
+//! over the survivors and charged again — the survivors already hold their
+//! replicas of the Philox-seeded operators, and the result does not depend on
+//! the schedule.  The aborted attempt's cut operations stay on the timeline,
+//! and the price paid is itemised in [`FaultReport`].
 
 use crate::comm::CommCost;
 use crate::error::DistError;
 use sketch_core::{
-    ComposedSketch, CountSketch, Error, Operand, Pipeline, ShardAxis, SketchOperator, SketchSpec,
-    StageOperator,
+    ComposedSketch, CountSketch, Error, Operand, OperandShape, Pipeline, ShardAxis, SketchOperator,
+    SketchSpec, StageOperator,
 };
 use sketch_gpu_sim::{
     Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
 };
 use sketch_la::{Layout, Matrix};
+use sketch_obs::{CostBreakdown, Stopwatch, TraceEvent, Track};
 use std::ops::Range;
 
 /// Tuning knobs for the executor.
@@ -393,10 +405,12 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 ///
 /// `a` is any [`Operand`]-viewable input — `&Matrix`, `&CsrMatrix`, a
 /// [`CsrRowsView`](sketch_sparse::CsrRowsView) or an explicit [`Operand`] —
-/// so the same engine serves dense and sparse workloads.  Row-sharded stages
-/// fold each shard's row range of the operand in place through
-/// [`CountSketch::fold_rows`]; column-sharded stages materialise CSC-style
-/// panels via [`Operand::slice_cols`], charging the copy to the shard's device.
+/// so the same engine serves dense and sparse workloads.  Each stage is
+/// computed once, on the whole operand, after its shards have been charged
+/// (see the module docs): a row shard the CountSketch statement of its row
+/// range, a column panel its kind's statement for the panel's width (and, for
+/// a CSR operand, its non-zeros, counted over `col_idx`; each live device is
+/// charged one CSC-style panel cut per attempt).  Nothing is sliced or copied.
 /// An operand with zero rows or zero columns, or one the plan does not fit, is
 /// rejected by [`preflight`] with a typed error before any stage runs.
 ///
@@ -418,6 +432,10 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
 /// [`Device`] launches — "serial" is just the degenerate pool.
+///
+/// With an enabled recorder attached to the pool, each stage also emits one
+/// [`Track::Wall`] event: the measured host time of its one compute, spanning
+/// the stage's modelled interval.  Without one, no clock is read.
 pub fn pipelined_sketch<'a, 'p>(
     pool: &DevicePool,
     a: impl Into<Operand<'a>>,
@@ -457,6 +475,7 @@ pub fn pipelined_sketch<'a, 'p>(
         ));
     }
 
+    let recorder = pool.recorder();
     let mut state = ExecState::new(p, alive);
     let mut schedules = Vec::with_capacity(stages.len());
     let mut comms = Vec::with_capacity(stages.len());
@@ -467,20 +486,14 @@ pub fn pipelined_sketch<'a, 'p>(
             Some(m) => Operand::Dense(m),
             None => a,
         };
-        let axis = spec.shard_axis();
-        let extent = match axis {
-            ShardAxis::Rows => input.nrows(),
-            ShardAxis::Cols => input.ncols(),
-        };
         let n = input.ncols();
-        let kind = spec.kind.as_str();
         let build_device = pool.device(state.alive[0]);
 
         // The stage's generation is charged to the first live device — a spec
         // is built there, a built stage records its generation cost there —
         // and replicated to every other live device up front, which is exactly
         // why recovery needs no regeneration: survivors already hold their
-        // replicas, so a retry re-runs shard kernels only.
+        // replicas, so a retry re-charges shard kernels only.
         let generated;
         let op = match built {
             Some(op) => {
@@ -494,30 +507,30 @@ pub fn pipelined_sketch<'a, 'p>(
         };
         replicate_generation(pool, &state.alive, op.as_operator().generation_cost());
         let k = op.as_operator().output_dim();
-        let (out, reported) = match op.row_sketch() {
-            Some(sketch) => {
-                state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
-                    Ok(row_attempt(
-                        pool, input, &sketch, kind, k, n, schedule, alive, clock, stage_idx,
-                    ))
-                })?
-            }
-            None => state.run_stage(opts, axis, extent, stage_idx, |schedule, alive, clock| {
-                col_attempt(
-                    pool,
-                    input,
-                    op.as_operator(),
-                    kind,
-                    k,
-                    schedule,
-                    alive,
-                    clock,
-                    stage_idx,
-                )
-            })?,
+        let stage = Stage {
+            index: stage_idx,
+            spec,
+            input,
+            k,
         };
+        let (reported, span) = state.run_stage(pool, opts, &stage)?;
+
+        // Every shard is charged; the stage's bits are the operator's own
+        // kernel on the whole operand.
+        let stopwatch = recorder.as_ref().map(|_| Stopwatch::start());
+        let out = op.compute(input)?;
+        if let (Some(recorder), Some(stopwatch)) = (&recorder, stopwatch) {
+            recorder.record(TraceEvent {
+                name: format!("s{stage_idx} {} compute", spec.kind.as_str()),
+                device: 0,
+                track: Track::Wall,
+                sim: Some(span),
+                wall_ns: stopwatch.elapsed_ns(),
+                cost: CostBreakdown::default(),
+            });
+        }
         schedules.push(reported);
-        comms.push(match axis {
+        comms.push(match stage.axis() {
             ShardAxis::Rows => CommCost::allreduce(state.alive.len(), k, n),
             ShardAxis::Cols => CommCost::allgather(state.alive.len(), k, n),
         });
@@ -549,26 +562,26 @@ pub fn pipelined_sketch<'a, 'p>(
     // The recorder sees every timeline operation on its device×stream sim
     // track, then the fault markers on a dedicated track: a zero-width death
     // point plus the recovery span on the dead device's row.
-    if let Some(recorder) = pool.recorder() {
+    if let Some(recorder) = &recorder {
         for entry in timeline.entries() {
             recorder.record(entry.trace_event());
         }
         for f in &failures {
-            recorder.record(sketch_obs::TraceEvent {
+            recorder.record(TraceEvent {
                 name: format!("device {} died (stage s{})", f.device, f.stage),
                 device: f.device,
-                track: sketch_obs::Track::Fault,
+                track: Track::Fault,
                 sim: Some((f.detected_at_seconds, f.detected_at_seconds)),
                 wall_ns: 0,
-                cost: sketch_obs::CostBreakdown::default(),
+                cost: CostBreakdown::default(),
             });
-            recorder.record(sketch_obs::TraceEvent {
+            recorder.record(TraceEvent {
                 name: format!("recovery: stage s{} rescheduled on survivors", f.stage),
                 device: f.device,
-                track: sketch_obs::Track::Fault,
+                track: Track::Fault,
                 sim: Some((f.detected_at_seconds, f.recovered_at_seconds)),
                 wall_ns: 0,
-                cost: sketch_obs::CostBreakdown::default(),
+                cost: CostBreakdown::default(),
             });
         }
     }
@@ -735,7 +748,7 @@ fn replay<'e>(
 /// drains, then the stage restarts at the barrier).
 enum Attempt {
     /// Every shard ran to completion on the attempt's schedule.
-    Success(Matrix),
+    Success,
     /// A device died mid-attempt.
     Died {
         failure: DeviceFailed,
@@ -777,21 +790,23 @@ impl ExecState {
     /// attempt's truncated operations stay on the timeline as a barrier-
     /// separated episode.  Fails with the death only when no device is left.
     ///
-    /// Returns the stage output and the successful schedule with devices
-    /// remapped to pool positions.
-    fn run_stage<F>(
+    /// Returns the successful schedule with devices remapped to pool positions,
+    /// and the stage's modelled interval: from the previous stage's end to the
+    /// successful attempt's.
+    fn run_stage(
         &mut self,
+        pool: &DevicePool,
         opts: &ExecutorOptions,
-        axis: ShardAxis,
-        extent: usize,
-        stage_idx: usize,
-        mut attempt: F,
-    ) -> Result<(Matrix, Schedule), DistError>
-    where
-        F: FnMut(&Schedule, &[usize], &mut Clock) -> Result<Attempt, DistError>,
-    {
+        stage: &Stage<'_>,
+    ) -> Result<(Schedule, (f64, f64)), DistError> {
+        let extent = stage.extent();
         let mut attempt_no = 0usize;
         let stage_first_failure = self.failures.len();
+        let stage_start = self
+            .clock
+            .barrier
+            .iter()
+            .fold(0.0f64, |acc, e| acc.max(e.at));
         loop {
             let survivors = self.alive.len();
             // A single live device is a first-class zero-overhead target: no
@@ -801,14 +816,14 @@ impl ExecState {
             } else {
                 (opts.shards_per_device.max(1) * survivors).clamp(1, extent)
             };
-            let schedule = Schedule::block_cyclic(axis, extent, num_shards, survivors);
-            let attempt = attempt(&schedule, &self.alive, &mut self.clock)?;
+            let schedule = Schedule::block_cyclic(stage.axis(), extent, num_shards, survivors);
+            let attempt = stage.attempt(pool, &schedule, &self.alive, &mut self.clock)?;
             let (ops, episode_end) = self.clock.end_episode();
             if attempt_no > 0 {
                 self.shards_recomputed += ops.len();
             }
             match attempt {
-                Attempt::Success(out) => {
+                Attempt::Success => {
                     self.episodes.push((ops, true));
                     // Recovery on the trace runs from each detection to the
                     // stage's eventual success.
@@ -819,7 +834,7 @@ impl ExecState {
                     for a in &mut reported.assignments {
                         a.device = self.alive[a.device];
                     }
-                    return Ok((out, reported));
+                    return Ok((reported, (stage_start, episode_end)));
                 }
                 Attempt::Died {
                     failure,
@@ -830,7 +845,7 @@ impl ExecState {
                     self.episodes.push((ops, false));
                     self.failures.push(DeviceFailure {
                         device: failure.ordinal,
-                        stage: stage_idx,
+                        stage: stage.index,
                         at_sim_seconds: failure.after_sim_seconds,
                         detected_at_seconds: detected_at,
                         recovered_at_seconds: detected_at, // backfilled on success
@@ -846,216 +861,165 @@ impl ExecState {
     }
 }
 
-/// One attempt of a row-sharded stage (CountSketch families): fold block-row
-/// shards into one shared accumulator in global row order — the exact chain of
-/// the single-device Algorithm-2 scatter, and simultaneously the ordered ring
-/// reduction whose per-shard fold the timeline overlaps with the next shard's
-/// compute.  Because shards are contiguous ranges folded in schedule order,
-/// *any* survivor schedule replays the identical floating-point chain — this
-/// is what makes recompute-on-failure bit-exact.
-///
-/// Every shard runs the operator's own kernel, [`CountSketch::fold_rows`], on
-/// the parent operand with the shard's row range, so nothing is copied; the
-/// shard is charged [`CountSketch::apply_cost`] (dense, with the operand's
-/// layout penalty) or [`CountSketch::apply_cost_csr`] (CSR, with the range's
-/// non-zeros read off `row_ptr`).
-#[allow(clippy::too_many_arguments)]
-fn row_attempt(
-    pool: &DevicePool,
-    input: Operand<'_>,
-    sketch: &CountSketch,
-    kind: &str,
+/// One stage as its shards are charged.
+struct Stage<'a> {
+    index: usize,
+    spec: &'a SketchSpec,
+    input: Operand<'a>,
+    /// The stage's output dimension.
     k: usize,
-    n: usize,
-    schedule: &Schedule,
-    alive: &[usize],
-    clock: &mut Clock,
-    stage_idx: usize,
-) -> Attempt {
-    let survivors = alive.len();
+}
 
-    let mut out = Matrix::zeros_with_layout(k, n, Layout::RowMajor);
-    for assignment in &schedule.assignments {
-        let phys = alive[assignment.device];
-        let device = pool.device(phys);
-        let range = assignment.range.clone();
-        sketch.fold_rows(input, range.clone(), &mut out.view_mut());
-        let cost = match input {
-            Operand::Dense(m) => {
-                CountSketch::apply_cost(range.len(), k, n, m.layout() == Layout::ColMajor)
-            }
-            Operand::Csr(s) => {
-                CountSketch::apply_cost_csr(range.len(), k, n, s.slice_rows(range).nnz())
-            }
-            Operand::CsrRows(v) => {
-                CountSketch::apply_cost_csr(range.len(), k, n, v.slice_rows(range).nnz())
-            }
-        };
-        let label = format!("s{stage_idx} {kind} shard {}", assignment.index);
-        device.launch(&label, cost);
+impl Stage<'_> {
+    fn axis(&self) -> ShardAxis {
+        self.spec.shard_axis()
+    }
 
-        let (comm_s, comm_bytes) = if survivors > 1 {
-            (
-                ring_fold_time(pool, k, n) * device.link_scale(),
-                KernelCost::f64_bytes((k * n) as u64),
-            )
-        } else {
-            (0.0, 0)
-        };
-        let op = ShardOp {
-            device: phys,
-            label,
-            compute_s: device.scaled_time(&cost),
-            comm_s,
-            chained: true,
-            cost,
-            comm_bytes,
-        };
-        if let Some((failure, detected_at)) = clock.run(op, Some(device)) {
-            return Attempt::Died {
-                failure,
-                local: assignment.device,
-                detected_at,
+    /// The rows ([`ShardAxis::Rows`]) or columns ([`ShardAxis::Cols`]) the
+    /// stage's shards split.
+    fn extent(&self) -> usize {
+        match self.axis() {
+            ShardAxis::Rows => self.input.nrows(),
+            ShardAxis::Cols => self.input.ncols(),
+        }
+    }
+
+    /// One attempt of the stage on `schedule`: charge every shard in schedule
+    /// order, its kernel then its collective, until one outlives its device.
+    ///
+    /// A row shard (CountSketch families) is charged the CountSketch statement
+    /// of its row range — the hash variant too — and its collective is the
+    /// ordered ring fold of the whole `k x n` accumulator, chained after the
+    /// previous shard's: folding block rows into one accumulator in global row
+    /// order is the single-device Algorithm-2 chain, so any survivor schedule
+    /// gives the same bits.  A column panel (Gaussian, SRHT) is charged its
+    /// kind's statement for the panel, reserving and releasing what the panel's
+    /// apply would on its device, and its collective is the allgather of its
+    /// `k x width` slice: per-column kernels never see the other panels.
+    fn attempt(
+        &self,
+        pool: &DevicePool,
+        schedule: &Schedule,
+        alive: &[usize],
+        clock: &mut Clock,
+    ) -> Result<Attempt, DistError> {
+        let n = self.input.ncols();
+        let kind = self.spec.kind.as_str();
+        let panel_nnz = self.charge_csr_panel_cut(pool, alive, schedule);
+        for (shard, assignment) in schedule.assignments.iter().enumerate() {
+            let phys = alive[assignment.device];
+            let device = pool.device(phys);
+            let range = &assignment.range;
+            let (label, cost, comm_words) = match self.axis() {
+                ShardAxis::Rows => {
+                    let rows = match self.input {
+                        Operand::Dense(m) => dense_shape(range.len(), n, m.layout()),
+                        Operand::Csr(s) => {
+                            csr_shape(range.len(), n, s.slice_rows(range.clone()).nnz())
+                        }
+                        Operand::CsrRows(v) => {
+                            csr_shape(range.len(), n, v.slice_rows(range.clone()).nnz())
+                        }
+                    };
+                    let cost = CountSketch::costs(range.len(), self.k, rows).apply;
+                    let label = format!("s{} {kind} shard {}", self.index, assignment.index);
+                    device.launch(&label, cost);
+                    (label, cost, self.k * n)
+                }
+                ShardAxis::Cols => {
+                    let d = self.input.nrows();
+                    let panel = match self.input {
+                        Operand::Dense(m) => dense_shape(d, range.len(), m.layout()),
+                        Operand::Csr(_) | Operand::CsrRows(_) => {
+                            csr_shape(d, range.len(), panel_nnz[shard])
+                        }
+                    };
+                    let costs = self.spec.costs(panel)?;
+                    if costs.apply_reserve > 0 {
+                        device.try_reserve(costs.apply_reserve)?;
+                    }
+                    // Like the panel apply it stands for: recorded, no kernel span.
+                    device.record(costs.apply);
+                    let label = format!("s{} {kind} panel {}", self.index, assignment.index);
+                    (label, costs.apply, self.k * range.len())
+                }
             };
-        }
-    }
-    Attempt::Success(out)
-}
-
-/// One attempt of a column-sharded stage (Gaussian, SRHT): every device
-/// sketches an independent column panel with the *full* operator — per-column
-/// kernels never see the other panels, so the panels are bitwise slices of the
-/// single-device result (under any survivor schedule) — and the panels are
-/// allgathered.
-///
-/// Dense panels are cut with [`Operand::slice_cols`] (view-equivalent,
-/// uncharged).  CSR operands are carved into *all* panels up front in one
-/// CSC-style conversion pass, charged once per live device (every device
-/// converts its replica, like sketch generation) — so the modelled compute of
-/// a sparse column stage does **not** grow with the shard count the way
-/// per-shard full-matrix scans would.
-#[allow(clippy::too_many_arguments)]
-fn col_attempt(
-    pool: &DevicePool,
-    input: Operand<'_>,
-    op: &dyn SketchOperator,
-    kind: &str,
-    k: usize,
-    schedule: &Schedule,
-    alive: &[usize],
-    clock: &mut Clock,
-    stage_idx: usize,
-) -> Result<Attempt, DistError> {
-    let survivors = alive.len();
-    let n = input.ncols();
-
-    // One conversion pass cuts every CSR panel of the attempt (None for dense).
-    let csr_panels = cut_csr_panels(pool, alive, input, schedule);
-
-    let mut out = Matrix::zeros_with_layout(k, n, op.output_layout());
-    for (shard, assignment) in schedule.assignments.iter().enumerate() {
-        let phys = alive[assignment.device];
-        let device = pool.device(phys);
-        let range = assignment.range.clone();
-        let mut panel_out = Matrix::zeros_with_layout(k, range.len(), op.output_layout());
-        let (applied, cost) = device.tracker().measure(|| match &csr_panels {
-            Some(panels) => op.apply_into(
-                device,
-                Operand::Csr(&panels[shard]),
-                &mut panel_out.view_mut(),
-            ),
-            None => {
-                let panel_in = input.slice_cols(device, range.clone());
-                op.apply_into(device, panel_in.as_operand(), &mut panel_out.view_mut())
-            }
-        });
-        applied?;
-        for (j, global) in range.clone().enumerate() {
-            for i in 0..k {
-                out.set(i, global, panel_out.get(i, j));
+            let (comm_s, comm_bytes) = if alive.len() > 1 {
+                let bytes = KernelCost::f64_bytes(comm_words as u64);
+                (
+                    pool.interconnect().transfer_time(bytes) * device.link_scale(),
+                    bytes,
+                )
+            } else {
+                (0.0, 0)
+            };
+            let op = ShardOp {
+                device: phys,
+                label,
+                compute_s: device.scaled_time(&cost),
+                comm_s,
+                chained: self.axis() == ShardAxis::Rows,
+                cost,
+                comm_bytes,
+            };
+            if let Some((failure, detected_at)) = clock.run(op, Some(device)) {
+                return Ok(Attempt::Died {
+                    failure,
+                    local: assignment.device,
+                    detected_at,
+                });
             }
         }
-        let label = format!("s{stage_idx} {kind} panel {}", assignment.index);
+        Ok(Attempt::Success)
+    }
 
-        let (comm_s, comm_bytes) = if survivors > 1 {
-            let bytes = KernelCost::f64_bytes((k * range.len()) as u64);
-            (
-                pool.interconnect().transfer_time(bytes) * device.link_scale(),
-                bytes,
-            )
-        } else {
-            (0.0, 0)
+    /// The column stage of a CSR-like operand cuts every panel of an attempt in
+    /// one CSC-style conversion pass, charged **once per live device** (each
+    /// device converts its replica, mirroring [`replicate_generation`]): stream
+    /// the parent's nonzeros and row pointers once, write every panel's entries
+    /// plus its fresh row-pointer array.  So the modelled compute of a sparse
+    /// column stage does not grow with the shard count the way per-shard
+    /// full-matrix scans would.  Returns each panel's non-zeros, counted over
+    /// `col_idx` (no panel is built); empty for every other stage.
+    fn charge_csr_panel_cut(
+        &self,
+        pool: &DevicePool,
+        alive: &[usize],
+        schedule: &Schedule,
+    ) -> Vec<usize> {
+        let col_idx = match (self.axis(), self.input) {
+            (ShardAxis::Cols, Operand::Csr(s)) => s.col_idx(),
+            (ShardAxis::Cols, Operand::CsrRows(v)) => v.col_idx(),
+            _ => return Vec::new(),
         };
-        let shard_op = ShardOp {
-            device: phys,
-            label,
-            compute_s: device.scaled_time(&cost),
-            comm_s,
-            chained: false,
-            cost,
-            comm_bytes,
-        };
-        if let Some((failure, detected_at)) = clock.run(shard_op, Some(device)) {
-            return Ok(Attempt::Died {
-                failure,
-                local: assignment.device,
-                detected_at,
-            });
+        let mut panel_nnz = vec![0usize; schedule.num_shards()];
+        for &c in col_idx {
+            panel_nnz[schedule.assignments.partition_point(|a| a.range.end <= c)] += 1;
         }
+        let nnz = col_idx.len() as u64;
+        let idx = std::mem::size_of::<usize>() as u64;
+        let rows1 = self.input.nrows() as u64 + 1;
+        let cost = KernelCost::new(
+            KernelCost::f64_bytes(nnz) + idx * (nnz + rows1),
+            KernelCost::f64_bytes(nnz) + idx * (nnz + rows1 * panel_nnz.len() as u64),
+            nnz,
+            1,
+        );
+        for &d in alive {
+            pool.device(d).launch("csc panel cut", cost);
+        }
+        panel_nnz
     }
-    Ok(Attempt::Success(out))
 }
 
-/// Carve every column panel of a CSR-like operand for one stage attempt, in
-/// schedule order, and charge the CSC-style conversion **once per live device**
-/// (each device converts its replica, mirroring [`replicate_generation`]):
-/// stream the parent's nonzeros and row pointers once, write every panel's
-/// entries plus its fresh row-pointer array.  Dense operands return `None`
-/// (their panels are view-equivalent cuts).
-fn cut_csr_panels(
-    pool: &DevicePool,
-    alive: &[usize],
-    input: Operand<'_>,
-    schedule: &Schedule,
-) -> Option<Vec<sketch_sparse::CsrMatrix>> {
-    let panels: Vec<sketch_sparse::CsrMatrix> = match input {
-        Operand::Dense(_) => return None,
-        Operand::Csr(s) => schedule
-            .assignments
-            .iter()
-            .map(|a| s.slice_cols(a.range.clone()))
-            .collect(),
-        Operand::CsrRows(v) => schedule
-            .assignments
-            .iter()
-            .map(|a| v.slice_cols(a.range.clone()))
-            .collect(),
-    };
-    let nnz = match input {
-        Operand::Csr(s) => s.nnz(),
-        Operand::CsrRows(v) => v.nnz(),
-        Operand::Dense(_) => unreachable!("dense returned above"),
-    } as u64;
-    let idx = std::mem::size_of::<usize>() as u64;
-    let rows1 = input.nrows() as u64 + 1;
-    let cost = KernelCost::new(
-        KernelCost::f64_bytes(nnz) + idx * (nnz + rows1),
-        KernelCost::f64_bytes(nnz) + idx * (nnz + rows1 * panels.len() as u64),
-        nnz,
-        1,
-    );
-    for &d in alive {
-        pool.device(d).launch("csc panel cut", cost);
-    }
-    Some(panels)
+/// A dense operand's shape.
+fn dense_shape(rows: usize, cols: usize, layout: Layout) -> OperandShape {
+    OperandShape::Dense { rows, cols, layout }
 }
 
-/// Time one shard's ordered ring fold occupies its comm stream: moving the `k x n`
-/// accumulator one hop.  (Callers skip the fold entirely when only one device
-/// is live — the fold is then local.)
-fn ring_fold_time(pool: &DevicePool, k: usize, n: usize) -> f64 {
-    pool.interconnect()
-        .transfer_time(KernelCost::f64_bytes((k * n) as u64))
+/// A sparse operand's shape.
+fn csr_shape(rows: usize, cols: usize, nnz: usize) -> OperandShape {
+    OperandShape::Csr { rows, cols, nnz }
 }
 
 /// Charge the (replicated) sketch generation to every live device except the
@@ -1735,6 +1699,47 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.is_device_failure());
+    }
+
+    #[test]
+    fn a_traced_run_records_each_stage_compute_on_the_wall_track() {
+        let a = input(512, 6);
+        let plan = Pipeline::count_gauss(512, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 3);
+        let pool = DevicePool::unlimited(4);
+        let collector = sketch_obs::TraceCollector::shared();
+        pool.attach_recorder(collector.clone());
+        let run = pipelined_sketch(&pool, &a, &plan, &ExecutorOptions::default()).unwrap();
+        let wall: Vec<_> = collector
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.track == Track::Wall)
+            .collect();
+        let names: Vec<&str> = wall.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["s0 count-sketch compute", "s1 gaussian compute"]);
+        for e in &wall {
+            assert!(e.wall_ns > 0, "{} measured nothing", e.name);
+            let (start, end) = e.sim.expect("a stage spans its modelled interval");
+            assert!(0.0 <= start && start < end && end <= run.pipelined_seconds);
+        }
+        assert_eq!(wall[0].sim.unwrap().1, wall[1].sim.unwrap().0);
+    }
+
+    #[test]
+    fn a_stage_output_the_host_cannot_hold_is_a_typed_error() {
+        use sketch_sparse::{CooMatrix, CsrMatrix};
+
+        // 2^15 buckets fit, but the 2^15 x 2^30 output is 2^48 bytes: past the
+        // address space of every 64-bit host.
+        let mut coo = CooMatrix::new(64, 1 << 30);
+        coo.push(3, 5, 1.0);
+        let csr = CsrMatrix::from_coo(&coo);
+        let plan = Pipeline::single(SketchSpec::countsketch(64, EmbeddingDim::Exact(1 << 15), 1));
+        let pool = DevicePool::unlimited(2);
+        let err = pipelined_sketch(&pool, &csr, &plan, &ExecutorOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, Error::HostAllocationFailed { bytes } if bytes == 1 << 48),
+            "{err}"
+        );
     }
 
     #[test]

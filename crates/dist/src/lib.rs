@@ -9,10 +9,13 @@
 //! * [`pipelined_sketch`] — shard each stage along its bitwise-lossless
 //!   [`ShardAxis`](sketch_core::ShardAxis), dispatch the shards round-robin
 //!   over the pool, and overlap each shard's ring collective with the next
-//!   shard's compute on simulated streams.  Row shards of the CountSketch
-//!   families run the operator's own kernel,
-//!   [`CountSketch::fold_rows`](sketch_core::CountSketch::fold_rows), on the
-//!   parent operand; column panels of Gaussian/SRHT run the full operator;
+//!   shard's compute on simulated streams.  Shards are charges, not host
+//!   work: each costs, on the modelled clock and on its device, what its
+//!   sketch kind states for its slice of the operand
+//!   ([`SketchSpec::costs`](sketch_core::SketchSpec::costs)), and once the
+//!   schedule walk succeeds the stage is computed once, with the operator's
+//!   own kernel on the whole operand
+//!   ([`StageOperator::compute`](sketch_core::StageOperator::compute));
 //! * [`preflight`] — the operand and plan checks the executor makes before it
 //!   builds anything, shared with the serve layer's admission;
 //! * [`PipelinedRun`] — the result, the modelled timeline, the per-stage
@@ -21,10 +24,12 @@
 //! * [`CommCost`] — the ring allreduce/allgather volume model.
 //!
 //! The result is **bit-for-bit identical** to single-device execution for
-//! every sketch kind, independent of shard and device count: the row fold
-//! keeps one ascending-row add chain per output cell, and column panels never
-//! see each other.  A pool of one runs each stage as one bare device launch,
-//! so serial execution is the degenerate pool.
+//! every sketch kind, independent of shard and device count — by construction,
+//! since each stage is the single apply.  The schedule it is charged on is
+//! sound because the row fold keeps one ascending-row add chain per output
+//! cell and column panels never see each other (pinned in `sketch-core`'s
+//! slicing proptests).  A pool of one runs each stage as one bare device
+//! launch, so serial execution is the degenerate pool.
 //!
 //! ## Example: Section 7's communication volumes
 //!

@@ -17,8 +17,9 @@
 //! service scheduler observe the same injected faults as the parent pool —
 //! exactly as a real flaky GPU is flaky for every job scheduled onto it.
 //! Nothing here perturbs numerics: faults bend modelled *time* only, and the
-//! executor's recovery (`sketch-dist`) regenerates lost shards from their
-//! Philox seeds, so recovered results stay bit-exact.
+//! executor's recovery (`sketch-dist`) reschedules lost shards over the
+//! survivors, which hold the stage's Philox-seeded operators, so recovered
+//! results stay bit-exact.
 //!
 //! Plans round-trip through JSON *exactly* — `f64` fields render via Rust's
 //! shortest-round-trip formatting — so a chaos configuration can be checked

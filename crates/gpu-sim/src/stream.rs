@@ -11,8 +11,8 @@
 //! The scheduling rule is the CUDA one: an operation starts at the maximum of its
 //! stream's cursor (in-order streams) and every event it waits on, and finishes
 //! `duration` later.  Nothing here executes numerics — the executor in `sketch-dist`
-//! runs the kernels for real on the [`Device`](crate::Device)s and uses this module
-//! only to answer "when would this have happened on real hardware".
+//! computes each stage for real and uses this module only to answer "when would
+//! its shards have run on real hardware".
 //!
 //! ```
 //! use sketch_gpu_sim::{StreamKind, StreamSet};

@@ -123,16 +123,18 @@ fn gemm_dims(
     Ok((m, k, n))
 }
 
-/// Record the modelled GEMM cost (`2mnk` flops, packed-operand traffic).
-fn record_gemm_cost(device: &Device, m: usize, k: usize, n: usize, read_c: bool) {
+/// The modelled cost of an `m x k` times `k x n` GEMM (`2mnk` flops, packed-operand
+/// traffic), reading a `beta`-scaled `C` when `read_c`: what every GEMM entry point
+/// records, stated from the shapes alone.
+pub fn gemm_cost(m: usize, k: usize, n: usize, read_c: bool) -> KernelCost {
     let (m64, n64, k64) = (m as u64, n as u64, k as u64);
     let read_c = if read_c { m64 * n64 } else { 0 };
-    device.record(KernelCost::new(
+    KernelCost::new(
         KernelCost::f64_bytes(m64 * k64 + k64 * n64 + read_c),
         KernelCost::f64_bytes(m64 * n64),
         2 * m64 * n64 * k64,
         1,
-    ));
+    )
 }
 
 /// General matrix-matrix product `C <- alpha * op(A) * op(B) + beta * C`.
@@ -218,7 +220,44 @@ pub fn gemm_into_with_blocks(
     blocks: BlockSizes,
 ) -> Result<(), LaError> {
     let (m, k, n) = gemm_dims(op_a, a, op_b, b, c, out)?;
+    gemm_compute(alpha, op_a, a, op_b, b, beta, c, out, blocks);
+    device.record(gemm_cost(m, k, n, beta != 0.0 && c.is_some()));
+    Ok(())
+}
 
+/// [`gemm_into`] without the cost record: the same bits, for callers that record
+/// the [`gemm_cost`] statement themselves (or charge it elsewhere).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_into_unrecorded(
+    alpha: f64,
+    op_a: Op,
+    a: &Matrix,
+    op_b: Op,
+    b: &Matrix,
+    beta: f64,
+    c: Option<&Matrix>,
+    out: &mut MatrixViewMut<'_>,
+) -> Result<(), LaError> {
+    gemm_dims(op_a, a, op_b, b, c, out)?;
+    gemm_compute(alpha, op_a, a, op_b, b, beta, c, out, BlockSizes::default());
+    Ok(())
+}
+
+/// The blocked GEMM body behind [`gemm_into_with_blocks`] and
+/// [`gemm_into_unrecorded`], on dimensions `gemm_dims` has checked.
+#[allow(clippy::too_many_arguments)]
+fn gemm_compute(
+    alpha: f64,
+    op_a: Op,
+    a: &Matrix,
+    op_b: Op,
+    b: &Matrix,
+    beta: f64,
+    c: Option<&Matrix>,
+    out: &mut MatrixViewMut<'_>,
+    blocks: BlockSizes,
+) {
+    let (m, n) = (out.nrows(), out.ncols());
     let acc = gebp::blocked_sums(op_a, a, op_b, b, blocks, false);
     let pn = gebp::padded(n.max(1), gebp::NR);
     let read_beta = beta != 0.0 && c.is_some();
@@ -253,9 +292,6 @@ pub fn gemm_into_with_blocks(
                 });
         }
     }
-
-    record_gemm_cost(device, m, k, n, read_beta);
-    Ok(())
 }
 
 /// The pre-blocking per-element GEMM: every output element is one packed dot product.
@@ -314,7 +350,7 @@ pub fn gemm_naive_into(
         }
     }
 
-    record_gemm_cost(device, m, k, n, beta != 0.0 && c.is_some());
+    device.record(gemm_cost(m, k, n, beta != 0.0 && c.is_some()));
     Ok(())
 }
 

@@ -613,19 +613,30 @@ mod tests {
              "pipeline": {"stages": [{"kind": "gaussian", "input_dim": 65536,
                                       "output_dim": {"exact": 8796093022208}, "seed": 1}]},
              "operand": {"dense": {"rows": 65536, "cols": 1, "seed": 2}}}"#;
-        let refused_operator = sketch_core::Error::HostAllocationFailed { bytes: 1 << 62 };
+        // The next two ask for a CountSketch stage of 2^32 - 1 rows on a 64 x 64
+        // operand: an exact output dimension admission accepts.  Inverting the
+        // explicit row map takes 2^32 bucket offsets (2^35 bytes); the hash
+        // variant stores no map, and its 2^32 - 1 x 64 stage output is refused.
+        let unbucketable = r#"{"tenant": "unmappable",
+             "pipeline": {"stages": [{"kind": "count-sketch", "input_dim": 64,
+                                      "output_dim": {"exact": 4294967295}, "seed": 1}]},
+             "operand": {"dense": {"rows": 64, "cols": 64, "seed": 2}}}"#;
+        let unbucketable_hash = unbucketable.replace("count-sketch", "hash-count-sketch");
+        let refused = |bytes| RejectReason::ExecutionFailed {
+            detail: sketch_core::Error::HostAllocationFailed { bytes }.to_string(),
+        };
         for (bad_job, tag, reason) in [
             (
                 unmappable_operand,
                 "operand_allocation_failed",
                 RejectReason::OperandAllocationFailed { bytes: 1 << 62 },
             ),
+            (unmappable_operator, "execution_failed", refused(1 << 62)),
+            (unbucketable, "execution_failed", refused(1 << 35)),
             (
-                unmappable_operator,
+                unbucketable_hash.as_str(),
                 "execution_failed",
-                RejectReason::ExecutionFailed {
-                    detail: refused_operator.to_string(),
-                },
+                refused(4294967295 * 64 * 8),
             ),
         ] {
             let file = JobFile::from_json(&format!(

@@ -258,8 +258,8 @@ impl CsrMatrix {
 ///
 /// `row_ptr` is a window of the parent's row pointer array, so local offsets are
 /// recovered by subtracting `base` (= the parent's `row_ptr` at the window start).
-/// The view is `Copy` — three slices and two integers — which lets the executor
-/// hand row shards to devices without touching the nonzeros.
+/// The view is `Copy` — three slices and two integers — so a row shard's
+/// window costs nothing to take.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrRowsView<'a> {
     ncols: usize,
@@ -283,6 +283,11 @@ impl<'a> CsrRowsView<'a> {
     /// Number of stored non-zeros inside the viewed rows.
     pub fn nnz(&self) -> usize {
         self.values.len()
+    }
+
+    /// Column indices of the viewed rows' non-zeros, row by row.
+    pub fn col_idx(&self) -> &'a [usize] {
+        self.col_idx
     }
 
     /// Iterate over `(col, value)` pairs of local row `i`.

@@ -24,4 +24,4 @@ pub mod ops;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, CsrRowsView};
-pub use ops::{spmm, spmm_into, spmv, SPMM_GATHER_PENALTY};
+pub use ops::{spmm, spmm_cost, spmm_into, spmv, SPMM_GATHER_PENALTY};

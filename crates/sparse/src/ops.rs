@@ -129,21 +129,24 @@ pub fn spmm_into(device: &Device, s: &CsrMatrix, a: &Matrix, out: &mut MatrixVie
         }
     }
 
-    let nnz = s.nnz() as u64;
-    let n64 = n as u64;
-    let k64 = k as u64;
-    let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + k64 + 1);
-    // Every non-zero pulls a full dense row of A through a gather; the output is
-    // written once (and re-read for accumulation when rows collide, which the penalty
-    // term absorbs).
-    device.record(KernelCost::new(
+    device.record(spmm_cost(k, s.nnz(), n));
+}
+
+/// The modelled cost of `S A` for a `k`-row `S` with `nnz` stored entries and an
+/// `n`-column `A`: every non-zero pulls a full dense row of `A` through a gather;
+/// the output is written once (and re-read for accumulation when rows collide,
+/// which the penalty term absorbs).
+pub fn spmm_cost(k: usize, nnz: usize, n: usize) -> KernelCost {
+    let (k, nnz, n) = (k as u64, nnz as u64, n as u64);
+    let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + k + 1);
+    KernelCost::new(
         KernelCost::f64_bytes(nnz)
             + idx_bytes
-            + KernelCost::f64_bytes(nnz * n64) * SPMM_GATHER_PENALTY,
-        KernelCost::f64_bytes(k64 * n64),
-        2 * nnz * n64,
+            + KernelCost::f64_bytes(nnz * n) * SPMM_GATHER_PENALTY,
+        KernelCost::f64_bytes(k * n),
+        2 * nnz * n,
         1,
-    ));
+    )
 }
 
 #[cfg(test)]
