@@ -2,18 +2,23 @@
 //!
 //! The kernels in this workspace record deterministic costs that depend only on the
 //! operand shapes, so each figure can be evaluated at `d = 2²¹ … 2²³` without allocating
-//! terabytes of data.  Every sketch's generation and apply cost is the statement its
-//! kind makes from the operand's shape
-//! ([`Pipeline::costs`](sketch_core::Pipeline::costs)) — the same statement the kernels
-//! record — as are the GEMM's and the SpMM's, so the projection cannot drift from the
-//! implementation.  The solvers' other kernels (GEMV, QR, Cholesky, TRSM) keep
-//! closed-form mirrors here.
+//! terabytes of data.  Every projected cost is the statement its kernel records: each
+//! sketch's generation and applies are what its kind states from the operand's shape
+//! ([`Pipeline::costs`]), and the solvers' other kernels are `sketch-la`'s statements
+//! (`gemm_cost`, `gemv_cost`, `geqrf_cost`, `ormqr_cost`, `potrf_cost`, `trsv_cost`,
+//! `trsm_cost`, `copy_cost`) and the SpMM's, so the projection cannot drift from the
+//! implementation.  The one cost formula kept here is Table 1's useful volume
+//! ([`SketchMethod::useful_cost`]), which is the paper's, not a kernel's recording.
 
 use sketch_core::fwht::global_passes;
 use sketch_core::fwht::DEFAULT_TILE;
-use sketch_core::{OperandShape, SketchCosts};
+use sketch_core::{OperandShape, Pipeline, SketchCosts};
 use sketch_gpu_sim::{KernelCost, Phase};
-use sketch_la::blas3::gemm_cost;
+use sketch_la::blas2::{gemv_cost, trsv_cost};
+use sketch_la::blas3::{gemm_cost, trsm_cost};
+use sketch_la::chol::potrf_cost;
+use sketch_la::matrix::copy_cost;
+use sketch_la::qr::{geqrf_cost, ormqr_cost};
 use sketch_la::Layout;
 use sketch_lsq::Method;
 use sketch_sparse::spmm_cost;
@@ -238,48 +243,6 @@ impl SketchMethod {
     }
 }
 
-/// Cost the GEMV kernel records for an `m x k` operand (no initial `y`).
-pub fn gemv_cost(m: u64, k: u64) -> KernelCost {
-    KernelCost::new(f64b(m * k + k), f64b(m), 2 * m * k, 1)
-}
-
-/// Cost the Householder QR records for an `m x n` factorisation.
-pub fn geqrf_cost(m: u64, n: u64) -> KernelCost {
-    let flops = 2 * m * n * n - (2 * n * n * n) / 3;
-    let passes = n.div_ceil(32).max(1);
-    KernelCost::new(f64b(m * n) * passes, f64b(m * n) * passes, flops, n)
-}
-
-/// Cost of applying `Qᵀ` (from an `m x n` QR) to one vector.
-pub fn ormqr_cost(m: u64, n: u64) -> KernelCost {
-    KernelCost::new(f64b(m * n + m), f64b(m), 4 * m * n, 1)
-}
-
-/// Cost of a Cholesky factorisation of an `n x n` Gram matrix.
-pub fn potrf_cost(n: u64) -> KernelCost {
-    KernelCost::new(
-        f64b(n * n),
-        f64b(n * (n + 1) / 2),
-        n * n * n / 3 + 2 * n * n,
-        1,
-    )
-}
-
-/// Cost of one triangular solve with an `n x n` factor.
-pub fn trsv_cost(n: u64) -> KernelCost {
-    KernelCost::new(f64b(n * (n + 1) / 2 + n), f64b(n), n * n, 1)
-}
-
-/// Cost of the right-sided TRSM preconditioning `A₀ = A R⁻¹` (`d x n` operand).
-pub fn trsm_right_cost(d: u64, n: u64) -> KernelCost {
-    KernelCost::new(f64b(n * (n + 1) / 2 + d * n), f64b(d * n), d * n * n, 1)
-}
-
-/// Cost of a row/column-major layout conversion of a `rows x cols` matrix.
-pub fn layout_conversion_cost(rows: u64, cols: u64) -> KernelCost {
-    KernelCost::new(f64b(rows * cols), f64b(rows * cols), 0, 1)
-}
-
 /// The sketch a sketch-and-solve [`Method`] applies; `None` for the other solvers.
 pub(crate) fn solver_sketch(method: Method) -> Option<SketchMethod> {
     SketchMethod::ALL
@@ -288,81 +251,74 @@ pub(crate) fn solver_sketch(method: Method) -> Option<SketchMethod> {
 }
 
 /// Per-phase analytic costs of solving a `d x n` least squares problem with `method`,
-/// in the order the solver charges them; `None` for the methods Figure 5 leaves out
+/// in the order the solver records them; `None` for the methods Figure 5 leaves out
 /// (QR).
+///
+/// The sketch phases are the method's [`Pipeline::costs`]: its generation, its apply
+/// to a row-major `d x n` matrix, and — resolved at `n`, like the operator the solver
+/// builds — its apply to the right-hand side as a `d x 1` operand.  GEQRF includes the
+/// conversion of a row-major sketch to column-major.  The executor charges a built
+/// pipeline's generation a second time inside the solver's matrix-sketch phase, which
+/// this projection leaves out.
 pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, KernelCost)>> {
-    let d64 = d as u64;
-    let n64 = n as u64;
-    if let Some(sketch) = solver_sketch(method) {
-        let k = sketch.embedding_dim(n) as u64;
-        let costs = sketch.costs(d, n);
+    if method == Method::NormalEquations {
         return Some(vec![
-            (Phase::SketchGen, costs.generation),
-            (Phase::MatrixSketch, costs.apply),
-            (Phase::VectorSketch, sketch_vector_cost(sketch, d64, n64)),
-            (
-                Phase::Geqrf,
-                layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
-            ),
-            (Phase::Ormqr, ormqr_cost(k, n64)),
-            (Phase::Trsv, trsv_cost(n64)),
+            (Phase::GramMatrix, gemm_cost(n, d, n, false)),
+            (Phase::ATransposeB, gemv_cost(n, d, false)),
+            (Phase::Potrf, potrf_cost(n)),
+            (Phase::Trsv, trsv_cost(n)),
+            (Phase::Trsv, trsv_cost(n)),
         ]);
     }
-    match method {
-        Method::NormalEquations => Some(vec![
+    let pipeline = method.sketch_pipeline(d, 0)?;
+    let shape = |cols| OperandShape::Dense {
+        rows: d,
+        cols,
+        layout: Layout::RowMajor,
+    };
+    const STATED: &str = "the paper's sketches state their costs at every swept shape";
+    let sketch = pipeline.costs(shape(n)).expect(STATED);
+    let stages = pipeline.resolve(n).expect(STATED);
+    let last = stages.last().expect("a sketch has a stage");
+    let k = last.output_dim.resolve(n);
+    let geqrf = match last.kind.output_layout() {
+        Layout::RowMajor => copy_cost(k * n) + geqrf_cost(k, n),
+        Layout::ColMajor => geqrf_cost(k, n),
+    };
+    let mut phases = vec![
+        (Phase::SketchGen, sketch.generation),
+        (Phase::MatrixSketch, sketch.apply),
+    ];
+    if method == Method::RandCholQr {
+        phases.extend([
+            (Phase::Geqrf, geqrf),
+            (Phase::Trsm, trsm_cost(n, d)),
             (Phase::GramMatrix, gemm_cost(n, d, n, false)),
-            (Phase::ATransposeB, gemv_cost(n64, d64)),
-            (Phase::Potrf, potrf_cost(n64)),
-            (Phase::Trsv, trsv_cost(n64)),
-            (Phase::Trsv, trsv_cost(n64)),
-        ]),
-        Method::RandCholQr => {
-            let sketch = SketchMethod::MultiSketch;
-            let k = sketch.embedding_dim(n) as u64;
-            let costs = sketch.costs(d, n);
-            Some(vec![
-                (Phase::SketchGen, costs.generation),
-                (Phase::MatrixSketch, costs.apply),
-                (
-                    Phase::Geqrf,
-                    layout_conversion_cost(k, n64) + geqrf_cost(k, n64),
-                ),
-                (Phase::Trsm, trsm_right_cost(d64, n64)),
-                (Phase::GramMatrix, gemm_cost(n, d, n, false)),
-                (Phase::ATransposeB, gemv_cost(n64, d64)),
-                (Phase::Potrf, potrf_cost(n64)),
-                (Phase::Trsv, trsv_cost(n64)),
-                (Phase::Trsv, trsv_cost(n64)),
-                (Phase::Trsv, trsv_cost(n64)),
-            ])
-        }
-        _ => None,
+            (Phase::ATransposeB, gemv_cost(n, d, false)),
+            (Phase::Potrf, potrf_cost(n)),
+            (Phase::Trsv, trsv_cost(n)),
+            (Phase::Trsv, trsv_cost(n)),
+            (Phase::Trsv, trsv_cost(n)),
+        ]);
+    } else {
+        let vector = Pipeline::new(stages).costs(shape(1)).expect(STATED);
+        phases.extend([
+            (Phase::VectorSketch, vector.apply),
+            (Phase::Geqrf, geqrf),
+            (Phase::Ormqr, ormqr_cost(k, n)),
+            (Phase::Trsv, trsv_cost(n)),
+        ]);
     }
-}
-
-/// Analytic cost of sketching the right-hand side vector.
-fn sketch_vector_cost(sketch: SketchMethod, d: u64, n: u64) -> KernelCost {
-    match sketch {
-        SketchMethod::Gram => KernelCost::zero(),
-        SketchMethod::Gaussian => gemv_cost(2 * n, d),
-        SketchMethod::CountAlg2 | SketchMethod::CountSpmm => {
-            let k = 2 * n * n;
-            KernelCost::new(f64b(2 * d) + d * 5, f64b(d + k), d, 2)
-        }
-        SketchMethod::MultiSketch => {
-            let k1 = 2 * n * n;
-            KernelCost::new(f64b(2 * d) + d * 5, f64b(d + k1), d, 2) + gemv_cost(2 * n, k1)
-        }
-        SketchMethod::Srht => SketchMethod::Srht.costs(d as usize, 1).apply,
-    }
+    Some(phases)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketch_gpu_sim::Device;
+    use sketch_gpu_sim::{Device, DevicePool};
     use sketch_la::blas3::gram_gemm;
     use sketch_la::{Layout, Matrix};
+    use sketch_lsq::{solve, LsqProblem};
 
     /// The guarantee behind the paper-scale projections of the kernels that are
     /// not sketches (each sketch's statement is pinned against its recording in
@@ -400,6 +356,60 @@ mod tests {
                 method.label()
             );
         }
+    }
+
+    /// The guarantee behind Figure 5's paper-scale stacks: on a pool of one, each
+    /// Figure-5 solver records, phase by phase, what `phase_costs` projects (its
+    /// matrix-sketch phase also holding the generation the executor charges a built
+    /// pipeline a second time), and every solver's breakdown holds every cost the
+    /// device records.
+    #[test]
+    fn figure5_projection_is_what_the_solvers_record() {
+        let mut mismatches = Vec::new();
+        for (d, n) in [(4096, 8), (1 << 14, 16)] {
+            let pool = DevicePool::unlimited(1);
+            let device = pool.device(0);
+            let problem = LsqProblem::performance(device, d, n, 5).unwrap();
+            for method in Method::ALL {
+                let before = device.tracker().snapshot();
+                let sol = solve(&pool, &problem, method, 9).unwrap();
+                let recorded = device.tracker().snapshot() - before;
+                if sol.breakdown.total_cost() != recorded {
+                    mismatches.push(format!(
+                        "{} at {d}x{n}: breakdown {:?}, device {recorded:?}",
+                        method.label(),
+                        sol.breakdown.total_cost()
+                    ));
+                }
+                let Some(projected) = phase_costs(method, d, n) else {
+                    continue;
+                };
+                let generation = projected
+                    .iter()
+                    .find(|(phase, _)| *phase == Phase::SketchGen)
+                    .map_or(KernelCost::zero(), |&(_, cost)| cost);
+                let expected: Vec<(Phase, KernelCost)> = projected
+                    .into_iter()
+                    .map(|(phase, cost)| match phase {
+                        Phase::MatrixSketch => (phase, cost + generation),
+                        _ => (phase, cost),
+                    })
+                    .collect();
+                let phases: Vec<(Phase, KernelCost)> = sol
+                    .breakdown
+                    .phases
+                    .iter()
+                    .map(|p| (p.phase, p.cost))
+                    .collect();
+                if phases != expected {
+                    mismatches.push(format!(
+                        "{} at {d}x{n}: recorded {phases:?}, projected {expected:?}",
+                        method.label()
+                    ));
+                }
+            }
+        }
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
     }
 
     #[test]
@@ -483,6 +493,33 @@ mod tests {
             "expected a substantial speedup, got {:.1}%",
             100.0 * speedup
         );
+    }
+
+    #[test]
+    fn useful_costs_are_table1_volumes() {
+        // CountSketch: dn arithmetic, dn reads and dn writes.
+        let count = SketchMethod::CountAlg2.useful_cost(1000, 16);
+        assert_eq!(
+            (count.flops, count.bytes_read, count.bytes_written),
+            (16_000, 8 * 16_000, 8 * 16_000)
+        );
+        // Gaussian (k = 2n): 2dkn arithmetic, dn reads and kn writes.
+        let gauss = SketchMethod::Gaussian.useful_cost(100, 10);
+        assert_eq!(
+            (gauss.flops, gauss.bytes_read, gauss.bytes_written),
+            (2 * 100 * 20 * 10, 8 * 100 * 10, 8 * 20 * 10)
+        );
+        // SRHT: 2·n·d·log2(d) arithmetic over the padded transform, and traffic.
+        let srht = SketchMethod::Srht.useful_cost(1 << 10, 8);
+        assert_eq!(srht.flops, 2 * 1024 * 8 * 10);
+        assert!(srht.total_bytes() > 0);
+        // The multisketch adds its Gaussian stage to the CountSketch's volume.
+        let (multi, count) = (
+            SketchMethod::MultiSketch.useful_cost(4096, 8),
+            SketchMethod::CountAlg2.useful_cost(4096, 8),
+        );
+        assert!(multi.flops > count.flops);
+        assert!(multi.total_bytes() > count.total_bytes());
     }
 
     #[test]

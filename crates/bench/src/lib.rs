@@ -9,10 +9,10 @@
 //! * **measured** — the kernels actually run on this machine at a reduced problem size
 //!   (no GPU; the rayon shim schedules real host threads); both the modelled H100 time
 //!   and the wall-clock time are reported,
-//! * **paper scale** — the same cost formulas evaluated analytically at the paper's
-//!   `d ∈ {2²¹, 2²², 2²³}`, `n ∈ {32 … 256}` and pushed through the H100 roofline model.
-//!   A unit test (`analytic::tests`) checks the analytic formulas against the costs the
-//!   real kernels record, so the projection cannot silently drift from the
+//! * **paper scale** — the same cost statements the kernels record, evaluated at the
+//!   paper's `d ∈ {2²¹, 2²², 2²³}`, `n ∈ {32 … 256}` and pushed through the H100
+//!   roofline model.  A unit test (`analytic::tests`) pins the Figure-5 projection to
+//!   what the solvers record, phase by phase, so it cannot silently drift from the
 //!   implementation.  The same module holds Table 1's symbolic formulas.
 //!
 //! Binaries (run with `cargo run -p sketch-bench --release --bin <name>`; every one

@@ -267,6 +267,16 @@ fn generation_cost(d: usize) -> KernelCost {
     KernelCost::new(0, (d as u64) * 5, d as u64, 1)
 }
 
+/// The shape a `d`-long vector apply is stated at: a dense `d x 1` row-major operand
+/// (its one column read contiguously, as the vector is).
+fn vector_shape(d: usize) -> OperandShape {
+    OperandShape::Dense {
+        rows: d,
+        cols: 1,
+        layout: Layout::RowMajor,
+    }
+}
+
 /// A CountSketch row map inverted by counting sort: bucket `r` lists, **in
 /// ascending order**, every input row `j` with `r_j = r`.
 ///
@@ -489,30 +499,12 @@ impl SketchOperator for CountSketch {
                 }
             });
         }
-        let d = self.d as u64;
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(2 * d) + d * 5,
-            KernelCost::f64_bytes(d + self.k as u64),
-            d,
-            2,
-        ));
+        device.record(Self::costs(self.d, self.k, vector_shape(self.d)).apply);
         Ok(y)
     }
 
     fn generation_cost(&self) -> KernelCost {
         self.generation_cost
-    }
-
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        let d = self.d as u64;
-        let n = ncols as u64;
-        // Table 1: dn arithmetic, dn reads and dn writes.
-        KernelCost::new(
-            KernelCost::f64_bytes(d * n),
-            KernelCost::f64_bytes(d * n),
-            d * n,
-            1,
-        )
     }
 }
 
@@ -646,29 +638,12 @@ impl SketchOperator for HashCountSketch {
                 }
             });
         }
-        let d = self.d as u64;
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(2 * d),
-            KernelCost::f64_bytes(d + self.k as u64),
-            d + 6 * d,
-            2,
-        ));
+        device.record(Self::costs(self.d, self.k, vector_shape(self.d)).apply);
         Ok(y)
     }
 
     fn generation_cost(&self) -> KernelCost {
         KernelCost::zero()
-    }
-
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        let d = self.d as u64;
-        let n = ncols as u64;
-        KernelCost::new(
-            KernelCost::f64_bytes(d * n),
-            KernelCost::f64_bytes(d * n),
-            d * n,
-            1,
-        )
     }
 }
 
@@ -908,16 +883,6 @@ mod tests {
         // 5 bytes per input row, no reads.
         assert_eq!(gen.bytes_written, 50_000);
         assert_eq!(gen.bytes_read, 0);
-    }
-
-    #[test]
-    fn algorithmic_cost_matches_table1() {
-        let d = device();
-        let cs = CountSketch::generate(&d, 1000, 32, 1).unwrap();
-        let c = cs.algorithmic_cost(16);
-        assert_eq!(c.flops, 16_000);
-        assert_eq!(c.bytes_read, 8 * 16_000);
-        assert_eq!(c.bytes_written, 8 * 16_000);
     }
 
     #[test]

@@ -219,20 +219,6 @@ impl SketchOperator for GaussianSketch {
     fn generation_cost(&self) -> KernelCost {
         self.generation_cost
     }
-
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        let d = self.input_dim() as u64;
-        let k = self.output_dim() as u64;
-        let n = ncols as u64;
-        // Table 1: dn² arithmetic (with k = O(n) this is 2·d·k·n flops) and dn
-        // read/writes of the operand.
-        KernelCost::new(
-            KernelCost::f64_bytes(d * n),
-            KernelCost::f64_bytes(k * n),
-            2 * d * k * n,
-            1,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -414,7 +400,5 @@ mod tests {
         assert_eq!(g.name(), "Gaussian");
         assert_eq!(g.input_dim(), 100);
         assert_eq!(g.output_dim(), 20);
-        let c = g.algorithmic_cost(5);
-        assert_eq!(c.flops, 2 * 100 * 20 * 5);
     }
 }

@@ -47,7 +47,7 @@ use crate::operand::{Operand, OperandShape};
 use crate::srht::Srht;
 use crate::traits::{try_zeros, SketchCosts, SketchOperator};
 use serde::{Deserialize, Serialize};
-use sketch_gpu_sim::{Device, KernelCost};
+use sketch_gpu_sim::{Device, KernelCost, Reservation};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 
 pub mod json;
@@ -650,23 +650,26 @@ impl Pipeline {
     /// ([`SketchCosts`]), from the shapes alone: the stages' statements chained,
     /// each stage reading the previous stage's `k x n` output.
     ///
-    /// The reservation is the apply's peak: every stage but the last runs through
-    /// its allocating apply, which holds the stage's output — and a Gaussian stage
-    /// its stored operator — while the stage runs.
+    /// The reservation is the apply's peak: every stage but the last writes its
+    /// `k x n` output into a reserved intermediate (a Gaussian stage holding its
+    /// stored operator too while it runs), and each intermediate stays reserved
+    /// while the next stage reads it.
     pub fn costs(&self, a: OperandShape) -> Result<SketchCosts, Error> {
         let n = a.cols();
         let stages = self.resolve(n)?;
         let last = stages.len() - 1;
         let mut total = SketchCosts::default();
         let mut shape = a;
+        let mut input = 0;
         for (i, stage) in stages.iter().enumerate() {
             let costs = stage.costs(shape)?;
             let (_, k) = stage.exact_dims()?;
             total.generation += costs.generation;
             total.apply += costs.apply;
-            let mut held = costs.apply_reserve;
+            let mut held = input + costs.apply_reserve;
             if i < last {
-                held += KernelCost::f64_bytes((k * n) as u64);
+                input = KernelCost::f64_bytes((k * n) as u64);
+                held += input;
                 if stage.kind == SketchKind::Gaussian {
                     held += costs.generation.bytes_written;
                 }
@@ -784,6 +787,28 @@ impl StageOperator {
         }
         Ok(out)
     }
+
+    /// `S a` into a fresh `k x n` matrix through [`apply_into`](SketchOperator::apply_into),
+    /// returned with the reservation of that matrix on `device`: a chain's
+    /// intermediate, which its reader holds until the next stage has read it.  A
+    /// Gaussian stage keeps its stored operator reserved while it runs, as its
+    /// allocating apply does.
+    fn apply_held<'d>(
+        &self,
+        device: &'d Device,
+        a: Operand<'_>,
+    ) -> Result<(Matrix, Reservation<'d>), Error> {
+        let op = self.as_operator();
+        let _operator = match self {
+            StageOperator::Gaussian(g) => Some(device.try_reserve(g.size_bytes())?),
+            _ => None,
+        };
+        let held =
+            device.try_reserve(KernelCost::f64_bytes((op.output_dim() * a.ncols()) as u64))?;
+        let mut y = try_zeros(op.output_dim(), a.ncols(), op.output_layout())?;
+        op.apply_into(device, a, &mut y.view_mut())?;
+        Ok((y, held))
+    }
 }
 
 /// A built [`Pipeline`]: each resolved stage's spec and its typed operator,
@@ -863,13 +888,12 @@ impl SketchOperator for ComposedSketch {
         }
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let mut current = self.first().apply_operand(device, a)?;
-        let middle = &self.stages[1..self.stages.len() - 1];
-        for (_, stage) in middle {
-            current = stage.as_operator().apply_matrix(device, &current)?;
+        // Each intermediate stays reserved until the next stage has read it.
+        let mut held = self.stages[0].1.apply_held(device, a)?;
+        for (_, stage) in &self.stages[1..self.stages.len() - 1] {
+            held = stage.apply_held(device, Operand::Dense(&held.0))?;
         }
-        self.last()
-            .apply_into(device, Operand::Dense(&current), out)
+        self.last().apply_into(device, Operand::Dense(&held.0), out)
     }
 
     fn apply_operand(&self, device: &Device, a: Operand<'_>) -> Result<Matrix, Error> {
@@ -901,11 +925,6 @@ impl SketchOperator for ComposedSketch {
     fn generation_cost(&self) -> KernelCost {
         self.operators()
             .fold(KernelCost::zero(), |acc, s| acc + s.generation_cost())
-    }
-
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        self.operators()
-            .fold(KernelCost::zero(), |acc, s| acc + s.algorithmic_cost(ncols))
     }
 }
 
@@ -1080,15 +1099,11 @@ mod tests {
                 assert!((v - ym.get(i, 0)).abs() < 1e-10);
             }
 
-            // Generation and the Table-1 cost cover every stage.
+            // Generation covers every stage.
             assert_eq!(
                 op.generation_cost(),
                 stages[0].generation_cost() + stages[1].generation_cost()
             );
-            let first = stages[0].algorithmic_cost(n);
-            let both = op.algorithmic_cost(n);
-            assert!(both.flops > first.flops);
-            assert!(both.total_bytes() > first.total_bytes());
 
             if plan.is_count_gauss() {
                 // The multisketch roughly preserves norms...
@@ -1103,6 +1118,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A chain's intermediate stays reserved while the next stage reads it: on 8
+    /// columns, Count(4096→2048)→SRHT(→16) holds its 131,072-byte intermediate and
+    /// the SRHT's 131,072-byte work matrix at once, which a 196,608-byte device
+    /// cannot.
+    #[test]
+    fn a_chain_holds_its_intermediate_while_the_next_stage_reads_it() {
+        let plan = Pipeline::single(SketchSpec::countsketch(4096, EmbeddingDim::Exact(2048), 1))
+            .then(SketchSpec::srht(0, EmbeddingDim::Exact(16), 2));
+        let a = Matrix::random_gaussian(4096, 8, Layout::RowMajor, 3, 0);
+        let mut spec = sketch_gpu_sim::DeviceSpec::h100();
+        spec.memory_bytes = 196_608;
+        let small = Device::new(spec);
+        let op = plan.build_for(&small, 8).unwrap();
+        let mut out = Matrix::zeros_with_layout(16, 8, op.output_layout());
+        let err = op
+            .apply_into(&small, Operand::Dense(&a), &mut out.view_mut())
+            .unwrap_err();
+        assert!(matches!(err, Error::WouldExceedMemory(_)), "{err}");
+        assert_eq!(small.memory().in_use(), 0);
+
+        let stated = plan.costs(Operand::Dense(&a).shape()).unwrap();
+        assert_eq!(stated.apply_reserve, 2 * 131_072);
     }
 
     #[test]

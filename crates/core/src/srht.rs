@@ -10,7 +10,7 @@
 //! two, which leaves all inner products unchanged.
 
 use crate::error::Error;
-use crate::fwht::{fwht_columns_cost, fwht_columns_unrecorded, global_passes, DEFAULT_TILE};
+use crate::fwht::{fwht_columns_cost, fwht_columns_unrecorded, DEFAULT_TILE};
 use crate::operand::{Operand, OperandShape};
 use crate::spec::SketchKind;
 use crate::traits::{apply_stated, try_zeros, SketchCosts, SketchOperator};
@@ -236,26 +236,6 @@ impl SketchOperator for Srht {
     fn generation_cost(&self) -> KernelCost {
         self.generation_cost
     }
-
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-        let d = self.d_pad as u64;
-        let n = ncols as u64;
-        let bits = if self.d_pad > 1 {
-            self.d_pad.trailing_zeros() as u64
-        } else {
-            0
-        };
-        // Table 1: dn·log n arithmetic and dn·log n read/writes.  We charge the ideal
-        // tiled traffic (the global passes an optimal shared-memory FWHT must make) as
-        // the useful volume, which is what Figure 3 normalises against.
-        let passes = global_passes(self.d_pad, self.tile);
-        KernelCost::new(
-            KernelCost::f64_bytes(d * n) * passes,
-            KernelCost::f64_bytes(d * n) * passes,
-            2 * d * n * bits,
-            1,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -436,13 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn generation_and_algorithmic_costs_are_populated() {
+    fn generation_cost_is_populated() {
         let d = device();
         let s = Srht::generate(&d, 1 << 10, 64, 9).unwrap();
         assert!(s.generation_cost().bytes_written > 0);
-        let c = s.algorithmic_cost(8);
-        assert!(c.flops > 0);
-        assert!(c.total_bytes() > 0);
         assert_eq!(s.name(), "SRHT");
     }
 }

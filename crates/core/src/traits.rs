@@ -143,15 +143,6 @@ pub trait SketchOperator {
     /// time" component of Figures 2 and 5).
     fn generation_cost(&self) -> KernelCost;
 
-    /// The *algorithmic* (Table 1) cost of applying this sketch to a `d x n` matrix:
-    /// the arithmetic and the useful read/write volume, excluding implementation
-    /// overheads such as atomic read-modify-write traffic or index arrays.
-    ///
-    /// Figure 3's percent-of-peak-throughput numbers divide this useful traffic by the
-    /// measured (or modelled) runtime, which is why a kernel that moves extra bytes
-    /// internally lands below 100 % even when it saturates the memory system.
-    fn algorithmic_cost(&self, ncols: usize) -> KernelCost;
-
     /// Check that an operand with `rows` leading dimension is compatible.
     fn check_input_dim(&self, rows: usize) -> Result<(), Error> {
         if rows == self.input_dim() {
@@ -262,7 +253,8 @@ mod tests {
                     }
                 }
             }
-            device.record(self.algorithmic_cost(a.ncols()));
+            let bytes = KernelCost::f64_bytes((self.k * a.ncols()) as u64);
+            device.record(KernelCost::new(bytes, bytes, 0, 1));
             Ok(())
         }
         fn apply_vector(&self, _device: &Device, x: &[f64]) -> Result<Vec<f64>, Error> {
@@ -271,14 +263,6 @@ mod tests {
         }
         fn generation_cost(&self) -> KernelCost {
             KernelCost::zero()
-        }
-        fn algorithmic_cost(&self, ncols: usize) -> KernelCost {
-            KernelCost::new(
-                KernelCost::f64_bytes((self.k * ncols) as u64),
-                KernelCost::f64_bytes((self.k * ncols) as u64),
-                0,
-                1,
-            )
         }
     }
 
@@ -326,7 +310,6 @@ mod tests {
         assert_eq!(s.name(), "TakeFirst");
         assert_eq!(s.output_dim(), 2);
         assert_eq!(s.generation_cost(), KernelCost::zero());
-        assert!(s.algorithmic_cost(3).total_bytes() > 0);
     }
 
     #[test]

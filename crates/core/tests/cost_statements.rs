@@ -1,8 +1,9 @@
 //! The one cost model: what each sketch kind states from an operand's shape alone
 //! (`SketchSpec::costs`, `Pipeline::costs`) is exactly what building its operator
 //! and one `apply_into` record — every launch, byte and flop — and reserve on the
-//! device.  Every kind and the Count→Gauss pipeline, on dense operands in both
-//! layouts, on CSR and on a CSR row window, at random shapes, fills and tiles.
+//! device.  Every kind and the Count→Gauss and Count→SRHT pipelines, on dense
+//! operands in both layouts, on CSR and on a CSR row window, at random shapes, fills
+//! and tiles; and one `apply_vector`, as a dense `d x 1` operand.
 //!
 //! The multi-device executor charges its shards these statements instead of
 //! running their kernels, and the paper-scale projections evaluate them at sizes
@@ -102,13 +103,50 @@ proptest! {
         ];
         let count_gauss =
             Pipeline::count_gauss(d, EmbeddingDim::Exact(k), EmbeddingDim::Exact(k2), seed + 5);
+        // The SRHT's work matrix is reserved while the intermediate it reads still is.
+        let count_srht = Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Exact(k), seed))
+            .then(SketchSpec::srht(0, EmbeddingDim::Exact(k2), seed + 6));
         for a in operands {
             for spec in &specs {
                 check(spec.costs(a.shape()).unwrap(), a, |device| spec.build(device).unwrap());
             }
-            check(count_gauss.costs(a.shape()).unwrap(), a, |device| {
-                count_gauss.build_for(device, n).unwrap()
-            });
+            for chain in [&count_gauss, &count_srht] {
+                check(chain.costs(a.shape()).unwrap(), a, |device| {
+                    chain.build_for(device, n).unwrap()
+                });
+            }
+        }
+    }
+
+    /// `apply_vector` records what the resolved pipeline states for a dense `d x 1`
+    /// row-major operand: the statement `sketch_bench::analytic` projects the
+    /// least-squares solvers' vector sketch with.  (The Gaussian's GEMV records
+    /// `gemv_cost(k, d, false)`, which equals the statement's `gemm_cost(k, d, 1,
+    /// false)` by formula only; this keeps it so.)
+    #[test]
+    fn prop_vector_applies_record_the_statement_at_one_column(
+        d in 1usize..300,
+        k in 1usize..48,
+        k2 in 1usize..24,
+        seed in 0u64..1000,
+    ) {
+        let x = Matrix::random_gaussian(d, 1, Layout::RowMajor, seed, 0);
+        let column = Operand::Dense(&x).shape();
+        let plans = [
+            Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Exact(k), seed)),
+            Pipeline::single(SketchSpec::hash_countsketch(d, EmbeddingDim::Exact(k), seed + 1)),
+            Pipeline::single(SketchSpec::gaussian(d, EmbeddingDim::Exact(k), seed + 2)),
+            Pipeline::single(SketchSpec::srht(d, EmbeddingDim::Exact(k), seed + 3)),
+            Pipeline::count_gauss(d, EmbeddingDim::Exact(k), EmbeddingDim::Exact(k2), seed + 4),
+        ];
+        for plan in &plans {
+            let device = Device::unlimited();
+            let op = plan.build_for(&device, 1).unwrap();
+            let (applied, recorded) = device
+                .tracker()
+                .measure(|| op.apply_vector(&device, x.as_slice()));
+            prop_assert!(applied.is_ok(), "{} failed on a vector", op.name());
+            prop_assert_eq!(recorded, plan.costs(column).unwrap().apply, "{}", op.name());
         }
     }
 }

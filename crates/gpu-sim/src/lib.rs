@@ -14,8 +14,6 @@
 //!   bytes it read, bytes it wrote, and flops it executed;
 //! * [`roofline`] — converts a [`KernelCost`] into a modelled execution time and into
 //!   the percent-of-peak numbers plotted in Figures 3 and 4;
-//! * [`launch`] — a chunked parallel-for "kernel launcher" with an [`launch::AtomicF64`]
-//!   helper that mirrors CUDA's `atomicAdd(double*)`, used by Algorithm 2;
 //! * [`Profiler`] — named phases matching the legend of Figure 5 (Gram matrix, Aᵀb,
 //!   sketch gen, matrix sketch, vector sketch, POTRF, GEQRF, ORMQR, TRSV, TRSM);
 //! * [`MemoryTracker`] — models the 80 GB device capacity so the "Gaussian bar is blank
@@ -74,7 +72,6 @@
 pub mod counters;
 pub mod device;
 pub mod fault;
-pub mod launch;
 pub mod memory;
 pub mod pool;
 pub mod profile;
@@ -84,7 +81,6 @@ pub mod stream;
 pub use counters::{CostTracker, KernelCost};
 pub use device::{Device, DeviceSpec};
 pub use fault::{DeviceFailed, FaultParseError, FaultPlan, FaultSpec};
-pub use launch::{parallel_for, parallel_for_chunks, AtomicF64, AtomicF64View};
 pub use memory::{MemoryError, MemoryTracker, Reservation};
 pub use pool::{DevicePool, InterconnectSpec, PoolError};
 pub use profile::{Phase, PhaseRecord, PhaseSpan, Profiler, RunBreakdown};

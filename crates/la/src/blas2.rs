@@ -54,7 +54,7 @@ pub fn gemv(
     for (o, acc_i) in out.iter_mut().zip(&acc) {
         *o += alpha * acc_i;
     }
-    record_gemv_cost(device, m, k, beta);
+    device.record(gemv_cost(m, k, beta != 0.0));
     Ok(out)
 }
 
@@ -81,7 +81,7 @@ pub fn gemv_naive(
         }
         out[i] += alpha * acc;
     }
-    record_gemv_cost(device, m, k, beta);
+    device.record(gemv_cost(m, k, beta != 0.0));
     Ok(out)
 }
 
@@ -124,13 +124,18 @@ fn scaled_y(m: usize, beta: f64, y: Option<&[f64]>) -> Vec<f64> {
     out
 }
 
-fn record_gemv_cost(device: &Device, m: usize, k: usize, beta: f64) {
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes((m * k + k + if beta != 0.0 { m } else { 0 }) as u64),
-        KernelCost::f64_bytes(m as u64),
-        (2 * m * k) as u64,
+/// The modelled cost of an `m x k` GEMV (`2mk` flops; `op(A)` and `x` read once, `y`
+/// written once), reading a `beta`-scaled `y` when `read_y`: what [`gemv`] and
+/// [`gemv_naive`] record, stated from the shape alone.
+pub fn gemv_cost(m: usize, k: usize, read_y: bool) -> KernelCost {
+    let (m64, k64) = (m as u64, k as u64);
+    let read_y = if read_y { m64 } else { 0 };
+    KernelCost::new(
+        KernelCost::f64_bytes(m64 * k64 + k64 + read_y),
+        KernelCost::f64_bytes(m64),
+        2 * m64 * k64,
         1,
-    ));
+    )
 }
 
 /// Triangular solve `op(T) x = b` with a vector right-hand side (TRSV).
@@ -191,14 +196,20 @@ pub fn trsv(
         }
     }
 
-    let nn = n as u64;
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes(nn * (nn + 1) / 2 + nn),
-        KernelCost::f64_bytes(nn),
-        nn * nn,
-        1,
-    ));
+    device.record(trsv_cost(n));
     Ok(x)
+}
+
+/// The modelled cost of one triangular solve with an `n x n` factor (the triangle
+/// and the right-hand side read once, `n²` flops): what [`trsv`] records.
+pub fn trsv_cost(n: usize) -> KernelCost {
+    let n = n as u64;
+    KernelCost::new(
+        KernelCost::f64_bytes(n * (n + 1) / 2 + n),
+        KernelCost::f64_bytes(n),
+        n * n,
+        1,
+    )
 }
 
 #[cfg(test)]

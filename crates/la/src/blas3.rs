@@ -489,14 +489,22 @@ fn triangular_solve(
         x.as_mut_slice(),
     );
 
-    let (n64, r64) = (n as u64, vectors as u64);
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes(n64 * (n64 + 1) / 2 + n64 * r64),
-        KernelCost::f64_bytes(n64 * r64),
-        n64 * n64 * r64,
-        1,
-    ));
+    device.record(trsm_cost(n, vectors));
     Ok(x)
+}
+
+/// The modelled cost of a triangular solve with an `n x n` factor and `vectors`
+/// right-hand sides, on either side (the triangle and the right-hand sides read once,
+/// `n²` flops per vector): what [`trsm`] and [`trsm_right`] record.  The right solve
+/// of a `d x n` operand has `d` vectors.
+pub fn trsm_cost(n: usize, vectors: usize) -> KernelCost {
+    let (n, r) = (n as u64, vectors as u64);
+    KernelCost::new(
+        KernelCost::f64_bytes(n * (n + 1) / 2 + n * r),
+        KernelCost::f64_bytes(n * r),
+        n * n * r,
+        1,
+    )
 }
 
 /// `x[i] - Σ_{j ∈ js} T[i, j] · x[j]` for every lane of a transposed group, subtracting

@@ -52,14 +52,21 @@ pub fn potrf_upper(device: &Device, g: &Matrix) -> Result<Matrix, LaError> {
         }
     }
 
-    let n64 = n as u64;
-    device.record(KernelCost::new(
-        KernelCost::f64_bytes(n64 * n64),
-        KernelCost::f64_bytes(n64 * (n64 + 1) / 2),
-        n64 * n64 * n64 / 3 + 2 * n64 * n64,
-        1,
-    ));
+    device.record(potrf_cost(n));
     Ok(r)
+}
+
+/// The modelled cost of the Cholesky factorisation of an `n x n` Gram matrix (the
+/// matrix read once, the upper factor written once, `n³/3 + 2n²` flops): what
+/// [`potrf_upper`] records.
+pub fn potrf_cost(n: usize) -> KernelCost {
+    let n = n as u64;
+    KernelCost::new(
+        KernelCost::f64_bytes(n * n),
+        KernelCost::f64_bytes(n * (n + 1) / 2),
+        n * n * n / 3 + 2 * n * n,
+        1,
+    )
 }
 
 /// Lower triangular Cholesky factor `L` with `G = L Lᵀ` (transpose of [`potrf_upper`]).

@@ -21,7 +21,12 @@
 //!
 //! Every routine takes a [`sketch_gpu_sim::Device`] handle and records the cost it would
 //! incur on the modelled GPU, which is how the benchmark harness regenerates the paper's
-//! runtime breakdowns without CUDA hardware.
+//! runtime breakdowns without CUDA hardware.  The costs the least-squares solvers
+//! record are stated from the shapes alone by a public function beside each kernel
+//! ([`blas2::gemv_cost`], [`blas2::trsv_cost`], [`blas3::gemm_cost`],
+//! [`blas3::trsm_cost`], [`chol::potrf_cost`], [`qr::geqrf_cost`], [`qr::ormqr_cost`],
+//! [`matrix::copy_cost`]), which the paper-scale projection evaluates at sizes nothing
+//! could allocate.
 //!
 //! ```
 //! use sketch_gpu_sim::Device;

@@ -317,7 +317,7 @@ impl Matrix {
         let mut out = Matrix::zeros_with_layout(self.nrows, self.ncols, layout);
         let (rows, cols) = self.storage_shape();
         transpose_tiles(&self.data, rows, cols, &mut out.data);
-        record_copy_cost(device, self.data.len());
+        device.record(copy_cost(self.data.len()));
         out
     }
 
@@ -335,7 +335,7 @@ impl Matrix {
                 out.set(i, j, self.get(i, j));
             }
         }
-        record_copy_cost(device, self.data.len());
+        device.record(copy_cost(self.data.len()));
         out
     }
 
@@ -378,7 +378,7 @@ impl Matrix {
         } else {
             out.as_mut_slice().copy_from_slice(&self.data);
         }
-        record_copy_cost(device, self.data.len());
+        device.record(copy_cost(self.data.len()));
         Ok(())
     }
 
@@ -398,7 +398,7 @@ impl Matrix {
                 out.set(j, i, self.get(i, j));
             }
         }
-        record_copy_cost(device, self.data.len());
+        device.record(copy_cost(self.data.len()));
         Ok(())
     }
 
@@ -486,10 +486,12 @@ fn transpose_tiles(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
     }
 }
 
-/// A layout conversion or transpose reads and writes every element once.
-fn record_copy_cost(device: &Device, elems: usize) {
+/// The modelled cost of a layout conversion or transpose of `elems` elements, which
+/// reads and writes every element once: what [`Matrix::to_layout`],
+/// [`Matrix::transpose`] and their siblings record.
+pub fn copy_cost(elems: usize) -> KernelCost {
     let bytes = KernelCost::f64_bytes(elems as u64);
-    device.record(KernelCost::new(bytes, bytes, 0, 1));
+    KernelCost::new(bytes, bytes, 0, 1)
 }
 
 /// A mutable view over a caller-owned dense buffer with matrix shape and layout.

@@ -125,7 +125,7 @@ pub fn geqrf_owned(device: &Device, a: Matrix) -> Result<QrFactors, LaError> {
         });
     }
 
-    record_geqrf_cost(device, m, n);
+    device.record(geqrf_cost(m, n));
     Ok(QrFactors { factors: f, taus })
 }
 
@@ -184,20 +184,37 @@ pub fn geqrf_naive(device: &Device, a: &Matrix) -> Result<QrFactors, LaError> {
         }
     }
 
-    record_geqrf_cost(device, m, n);
+    device.record(geqrf_cost(m, n));
     Ok(QrFactors { factors: f, taus })
 }
 
-fn record_geqrf_cost(device: &Device, m: usize, n: usize) {
+/// The modelled cost of the Householder QR of an `m x n` column-major matrix (one
+/// read and write of the panel per 32-column block, `2mn² - 2n³/3` flops, one launch
+/// per column): what [`geqrf`], [`geqrf_owned`] and [`geqrf_naive`] record
+/// after any layout conversion.
+pub fn geqrf_cost(m: usize, n: usize) -> KernelCost {
     let (m64, n64) = (m as u64, n as u64);
     let flops = 2 * m64 * n64 * n64 - (2 * n64 * n64 * n64) / 3;
     let passes = n64.div_ceil(QR_MODEL_BLOCK).max(1);
-    device.record(KernelCost::new(
+    KernelCost::new(
         KernelCost::f64_bytes(m64 * n64) * passes,
         KernelCost::f64_bytes(m64 * n64) * passes,
         flops,
         n64,
-    ));
+    )
+}
+
+/// The modelled cost of applying `Q` or `Qᵀ` from the QR of an `m x n` matrix to one
+/// vector (the reflectors and the vector read once, `4mn` flops): what
+/// [`QrFactors::apply_qt_vec`] and [`QrFactors::apply_q_vec`] record.
+pub fn ormqr_cost(m: usize, n: usize) -> KernelCost {
+    let (m64, n64) = (m as u64, n as u64);
+    KernelCost::new(
+        KernelCost::f64_bytes(m64 * n64 + m64),
+        KernelCost::f64_bytes(m64),
+        4 * m64 * n64,
+        1,
+    )
 }
 
 fn record_q_thin_cost(device: &Device, m: usize, n: usize) {
@@ -328,13 +345,7 @@ impl QrFactors {
         for k in 0..n {
             self.apply_reflector(k, &mut y);
         }
-        let (m64, n64) = (m as u64, n as u64);
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(m64 * n64 + m64),
-            KernelCost::f64_bytes(m64),
-            4 * m64 * n64,
-            1,
-        ));
+        device.record(ormqr_cost(m, n));
         Ok(y)
     }
 
@@ -352,13 +363,7 @@ impl QrFactors {
         for k in (0..n).rev() {
             self.apply_reflector(k, &mut y);
         }
-        let (m64, n64) = (m as u64, n as u64);
-        device.record(KernelCost::new(
-            KernelCost::f64_bytes(m64 * n64 + m64),
-            KernelCost::f64_bytes(m64),
-            4 * m64 * n64,
-            1,
-        ));
+        device.record(ormqr_cost(m, n));
         Ok(y)
     }
 

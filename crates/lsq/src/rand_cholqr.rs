@@ -85,10 +85,10 @@ pub fn rand_cholqr_least_squares(
         pooled_matrix_sketch(pool, &problem.a, &sketch, opts)?
     };
     prof.record(sketch_phase);
-    let y_cm = run.result.to_layout(device, Layout::ColMajor);
 
-    // Step 2: economy QR of the sketched matrix (only R₀ is needed).
-    let r0 = prof.phase(Phase::Geqrf, || geqrf(device, &y_cm))?.r();
+    // Step 2: economy QR of the sketched matrix (only R₀ is needed), converting a
+    // row-major sketch inside the phase.
+    let r0 = prof.phase(Phase::Geqrf, || geqrf(device, &run.result))?.r();
 
     // Step 3: precondition A₀ = A R₀⁻¹.
     let a0 = prof.phase(Phase::Trsm, || {

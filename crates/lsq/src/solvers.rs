@@ -20,7 +20,7 @@ use sketch_la::blas3::gram_gemm;
 use sketch_la::chol::potrf_upper;
 use sketch_la::norms::relative_residual;
 use sketch_la::qr::geqrf;
-use sketch_la::{Layout, Op};
+use sketch_la::Op;
 
 /// The result of a least squares solve: the solution vector plus the phase breakdown
 /// used by the Figure 5 harness.
@@ -136,10 +136,9 @@ pub fn sketch_and_solve(
     let z = prof.phase(Phase::VectorSketch, || {
         sketch.apply_vector(device, &problem.b)
     })?;
-    // The sketched matrix arrives row-major from the CountSketch-style kernels;
-    // the QR wants column-major, mirroring the conversion the paper performs.
-    let w_cm = run.result.to_layout(device, Layout::ColMajor);
-    let factors = prof.phase(Phase::Geqrf, || geqrf(device, &w_cm))?;
+    // The QR converts a row-major sketch (the CountSketch's) to column-major inside
+    // its phase, mirroring the conversion the paper performs.
+    let factors = prof.phase(Phase::Geqrf, || geqrf(device, &run.result))?;
     let qtz = prof.phase(Phase::Ormqr, || factors.apply_qt_vec(device, &z))?;
     let r = factors.r();
     let x = prof.phase(Phase::Trsv, || {
@@ -167,8 +166,7 @@ pub fn sketch_and_solve(
 /// runtime plots.
 pub fn qr_direct(device: &Device, problem: &LsqProblem) -> Result<LsqSolution, LsqError> {
     let mut prof = Profiler::new(device);
-    let a_cm = problem.a.to_layout(device, sketch_la::Layout::ColMajor);
-    let factors = prof.phase(Phase::Geqrf, || geqrf(device, &a_cm))?;
+    let factors = prof.phase(Phase::Geqrf, || geqrf(device, &problem.a))?;
     let qtb = prof.phase(Phase::Ormqr, || factors.apply_qt_vec(device, &problem.b))?;
     let r = factors.r();
     let x = prof.phase(Phase::Trsv, || {
@@ -204,6 +202,7 @@ mod tests {
     use super::*;
     use sketch_core::{EmbeddingDim, Pipeline, SketchSpec};
     use sketch_gpu_sim::Device;
+    use sketch_la::Layout;
 
     fn device() -> Device {
         Device::unlimited()
