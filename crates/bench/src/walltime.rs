@@ -8,10 +8,10 @@
 //! modelled time answers "what would the paper's GPU do", measured time answers
 //! "what does this build do on this machine, at N threads".
 //!
-//! The sampling discipline matches the workspace's criterion shim: warm-up
-//! iterations are discarded, every timed iteration is an independent sample, and
-//! the **median**/**minimum** are reported rather than a mean-of-few, so one
-//! descheduled sample cannot poison a row of `BENCH_kernels.json`.
+//! The sampling discipline: warm-up iterations are discarded, every timed
+//! iteration is an independent sample, and the **median**/**minimum** are
+//! reported rather than a mean-of-few, so one descheduled sample cannot poison a
+//! row of `BENCH_kernels.json`.
 
 use sketch_obs::{CostBreakdown, RecorderHandle, Stopwatch, TraceEvent, Track};
 use std::time::Duration;

@@ -41,7 +41,6 @@
 
 use crate::countsketch::{CountSketch, HashCountSketch};
 use crate::error::Error;
-use crate::fwht::DEFAULT_TILE;
 use crate::gaussian::GaussianSketch;
 use crate::operand::{Operand, OperandShape};
 use crate::srht::Srht;
@@ -203,8 +202,6 @@ pub struct SketchSpec {
     pub output_dim: EmbeddingDim,
     /// Philox seed driving the sketch's random ingredients.
     pub seed: u64,
-    /// SRHT-specific knob: the modelled shared-memory tile (in doubles) of the FWHT.
-    pub tile: Option<usize>,
 }
 
 impl SketchSpec {
@@ -215,7 +212,6 @@ impl SketchSpec {
             input_dim,
             output_dim,
             seed,
-            tile: None,
         }
     }
 
@@ -226,7 +222,6 @@ impl SketchSpec {
             input_dim,
             output_dim,
             seed,
-            tile: None,
         }
     }
 
@@ -237,7 +232,6 @@ impl SketchSpec {
             input_dim,
             output_dim,
             seed,
-            tile: None,
         }
     }
 
@@ -248,14 +242,7 @@ impl SketchSpec {
             input_dim,
             output_dim,
             seed,
-            tile: None,
         }
-    }
-
-    /// Set the SRHT shared-memory tile knob.
-    pub fn with_tile(mut self, tile: usize) -> Self {
-        self.tile = Some(tile);
-        self
     }
 
     /// Replace the seed.
@@ -348,7 +335,7 @@ impl SketchSpec {
         Ok(match self.kind {
             SketchKind::CountSketch => CountSketch::costs(d, k, a),
             SketchKind::Gaussian => GaussianSketch::costs(d, k, a),
-            SketchKind::Srht => Srht::costs(d, k, self.tile.unwrap_or(DEFAULT_TILE), a),
+            SketchKind::Srht => Srht::costs(d, k, a),
             SketchKind::HashCountSketch => HashCountSketch::costs(d, k, a),
         })
     }
@@ -414,10 +401,7 @@ impl SketchSpec {
     pub fn build_srht(&self, device: &Device) -> Result<Srht, Error> {
         self.check_kind(SketchKind::Srht)?;
         let (d, k) = self.exact_dims()?;
-        match self.tile {
-            Some(tile) => Srht::generate_with_tile(device, d, k, self.seed, tile),
-            None => Srht::generate(device, d, k, self.seed),
-        }
+        Srht::generate(device, d, k, self.seed)
     }
 
     /// Build the concrete [`HashCountSketch`].
@@ -429,7 +413,7 @@ impl SketchSpec {
 
     /// Serialize to a [`JsonValue`].
     pub fn to_json_value(&self) -> JsonValue {
-        let mut fields = vec![
+        JsonValue::Object(vec![
             (
                 "kind".to_string(),
                 JsonValue::Str(self.kind.as_str().into()),
@@ -440,11 +424,7 @@ impl SketchSpec {
             ),
             ("output_dim".to_string(), self.output_dim.to_json_value()),
             ("seed".to_string(), JsonValue::UInt(self.seed)),
-        ];
-        if let Some(tile) = self.tile {
-            fields.push(("tile".to_string(), JsonValue::UInt(tile as u64)));
-        }
-        JsonValue::Object(fields)
+        ])
     }
 
     /// Parse from a [`JsonValue`].
@@ -468,19 +448,11 @@ impl SketchSpec {
             .get("seed")
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| Error::invalid_param("sketch spec is missing \"seed\""))?;
-        let tile = match value.get("tile") {
-            Some(t) => Some(
-                t.as_usize()
-                    .ok_or_else(|| Error::invalid_param("\"tile\" must be an integer"))?,
-            ),
-            None => None,
-        };
         Ok(Self {
             kind,
             input_dim,
             output_dim,
             seed,
-            tile,
         })
     }
 
@@ -1203,7 +1175,7 @@ mod tests {
         let d = device();
         // Large seed exercises full u64 fidelity through the JSON layer.
         let seed = 0xDEAD_BEEF_1234_5678u64;
-        let spec = SketchSpec::srht(300, EmbeddingDim::Exact(40), seed).with_tile(256);
+        let spec = SketchSpec::srht(300, EmbeddingDim::Exact(40), seed);
         let text = spec.to_json();
         let back = SketchSpec::from_json(&text).unwrap();
         assert_eq!(spec, back);

@@ -31,25 +31,13 @@ pub struct Srht {
     signs: Vec<f64>,
     /// Sampled row indices of `P` (length `k`, drawn from `0..d_pad`).
     sample: Vec<usize>,
-    /// Modelled shared-memory tile used by the FWHT traffic model.
-    tile: usize,
     generation_cost: KernelCost,
 }
 
 impl Srht {
-    /// Generate an SRHT with the default shared-memory tile.
+    /// Generate an SRHT.  Its FWHT runs (and is modelled) with the shared-memory
+    /// tile [`DEFAULT_TILE`].
     pub fn generate(device: &Device, d: usize, k: usize, seed: u64) -> Result<Self, Error> {
-        Self::generate_with_tile(device, d, k, seed, DEFAULT_TILE)
-    }
-
-    /// Generate an SRHT with an explicit tile size (exposed for the FWHT ablation).
-    pub fn generate_with_tile(
-        device: &Device,
-        d: usize,
-        k: usize,
-        seed: u64,
-        tile: usize,
-    ) -> Result<Self, Error> {
         if k == 0 {
             return Err(Error::invalid_param(
                 "SRHT output dimension must be positive",
@@ -71,7 +59,6 @@ impl Srht {
             k,
             signs,
             sample,
-            tile,
             generation_cost,
         })
     }
@@ -81,16 +68,11 @@ impl Srht {
         self.d_pad
     }
 
-    /// The modelled shared-memory tile (in doubles).
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
-    /// What a `d -> k` SRHT with a `tile`-double FWHT tile states ([`SketchCosts`]):
-    /// its generation, and one apply to a `d`-row operand of shape `a` — the
-    /// sign-flip into the padded column-major work matrix (reserved for the
-    /// apply), the tiled FWHT's global passes, and the sampling.
-    pub fn costs(d: usize, k: usize, tile: usize, a: OperandShape) -> SketchCosts {
+    /// What a `d -> k` SRHT states ([`SketchCosts`]): its generation, and one apply
+    /// to a `d`-row operand of shape `a` — the sign-flip into the padded
+    /// column-major work matrix (reserved for the apply), the global passes of the
+    /// FWHT tiled at [`DEFAULT_TILE`], and the sampling.
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
         let d_pad = d.next_power_of_two();
         let n = a.cols();
         let work = KernelCost::f64_bytes((d_pad * n) as u64);
@@ -126,7 +108,7 @@ impl Srht {
         );
         SketchCosts {
             generation: generation_cost(d, k),
-            apply: flip + fwht_columns_cost(d_pad, n, tile) + sample,
+            apply: flip + fwht_columns_cost(d_pad, n, DEFAULT_TILE) + sample,
             apply_reserve: work,
         }
     }
@@ -139,7 +121,7 @@ impl Srht {
         out: &mut MatrixViewMut<'_>,
     ) -> Result<(), Error> {
         let mut work = self.work_matrix(&a)?;
-        fwht_columns_unrecorded(&mut work, self.tile);
+        fwht_columns_unrecorded(&mut work, DEFAULT_TILE);
         self.sample_rows_into(&work, out);
         Ok(())
     }
@@ -222,7 +204,7 @@ impl SketchOperator for Srht {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let costs = Self::costs(self.d, self.k, self.tile, a.shape());
+        let costs = Self::costs(self.d, self.k, a.shape());
         apply_stated(device, costs, || self.compute_into(a, out))
     }
 
@@ -395,24 +377,6 @@ mod tests {
         assert!(Srht::generate(&d, 16, 0, 1).is_err());
         let s = Srht::generate(&d, 16, 4, 1).unwrap();
         assert!(s.apply_vector(&d, &[0.0; 15]).is_err());
-    }
-
-    #[test]
-    fn larger_tiles_reduce_modelled_traffic() {
-        let dev_small = device();
-        let dev_large = device();
-        let a = Matrix::random_gaussian(1 << 12, 2, Layout::ColMajor, 3, 0);
-        let s_small = Srht::generate_with_tile(&dev_small, 1 << 12, 64, 1, 64).unwrap();
-        let s_large = Srht::generate_with_tile(&dev_large, 1 << 12, 64, 1, 1 << 12).unwrap();
-        dev_small.tracker().reset();
-        dev_large.tracker().reset();
-        let _ = s_small.apply_matrix(&dev_small, &a).unwrap();
-        let _ = s_large.apply_matrix(&dev_large, &a).unwrap();
-        assert!(
-            dev_small.tracker().snapshot().total_bytes()
-                > dev_large.tracker().snapshot().total_bytes()
-        );
-        assert_eq!(s_small.tile(), 64);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! (`SketchSpec::costs`, `Pipeline::costs`) is exactly what building its operator
 //! and one `apply_into` record — every launch, byte and flop — and reserve on the
 //! device.  Every kind and the Count→Gauss and Count→SRHT pipelines, on dense
-//! operands in both layouts, on CSR and on a CSR row window, at random shapes, fills
-//! and tiles; and one `apply_vector`, as a dense `d x 1` operand.
+//! operands in both layouts, on CSR and on a CSR row window, at random shapes and
+//! fills; and one `apply_vector`, as a dense `d x 1` operand.
 //!
 //! The multi-device executor charges its shards these statements instead of
 //! running their kernels, and the paper-scale projections evaluate them at sizes
@@ -78,7 +78,6 @@ proptest! {
         k in 1usize..48,
         k2 in 1usize..24,
         fill in 0usize..100,
-        tile_pow in 2u32..12,
         seed in 0u64..1000,
     ) {
         let dense = Matrix::random_gaussian(d, n, Layout::RowMajor, seed, 0);
@@ -99,7 +98,6 @@ proptest! {
             SketchSpec::hash_countsketch(d, EmbeddingDim::Exact(k), seed + 1),
             SketchSpec::gaussian(d, EmbeddingDim::Exact(k), seed + 2),
             SketchSpec::srht(d, EmbeddingDim::Exact(k), seed + 3),
-            SketchSpec::srht(d, EmbeddingDim::Exact(k), seed + 4).with_tile(1 << tile_pow),
         ];
         let count_gauss =
             Pipeline::count_gauss(d, EmbeddingDim::Exact(k), EmbeddingDim::Exact(k2), seed + 5);

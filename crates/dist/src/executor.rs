@@ -29,12 +29,14 @@
 //! pool size must give the single apply's bits, each stage's result *is* the
 //! single apply: after its schedule walk succeeds, the stage is computed once,
 //! with the operator's own kernel on the whole operand
-//! ([`StageOperator::compute`]).  The walk itself runs no kernel.  It charges
-//! each shard — and each recovery re-run — the cost its sketch kind states for
-//! the shard's slice of the operand ([`SketchSpec::costs`], the one cost model
-//! the kernels record too), on the modelled clock and on the shard's device,
-//! reserving and releasing the device memory the shard's apply would (the
-//! SRHT's work matrix), so a device that runs out still fails at its shard.
+//! ([`StageOperator::compute`](sketch_core::StageOperator::compute)).  The walk
+//! itself runs no kernel.  It charges each shard — and each recovery re-run —
+//! what its stage's spec states at the shard's shape ([`SketchSpec::costs`], the
+//! one cost model the kernels record too), on the modelled clock and on the
+//! shard's device, reserving and releasing the device memory the shard's apply
+//! would (the SRHT's work matrix), so a device that runs out still fails at its
+//! shard.  The pipeline's generation is charged once, on the device that built
+//! it, and as a replica on every other live device.
 //!
 //! The executor also absorbs injected device deaths
 //! ([`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies)).  Its one modelled
@@ -50,8 +52,8 @@
 use crate::comm::CommCost;
 use crate::error::DistError;
 use sketch_core::{
-    ComposedSketch, CountSketch, Error, Operand, OperandShape, Pipeline, ShardAxis, SketchOperator,
-    SketchSpec, StageOperator,
+    ComposedSketch, Error, Operand, OperandShape, Pipeline, ShardAxis, SketchCosts, SketchOperator,
+    SketchSpec,
 };
 use sketch_gpu_sim::{
     Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
@@ -333,10 +335,14 @@ impl PipelinedRun {
 
 /// What [`pipelined_sketch`] runs: a `&Pipeline` or a `&ComposedSketch` converts
 /// into it, the way an operand converts into an [`Operand`].
+///
+/// Either way the run is one built pipeline, generated once on the pool's first
+/// live device: specs are built there before the first stage, and a built
+/// pipeline is taken to have been built there.
 #[derive(Debug, Clone, Copy)]
 pub enum Plan<'p> {
-    /// Specs, resolved against the operand and built stage by stage on the
-    /// first live device.
+    /// Specs, resolved against the operand and built with
+    /// [`Pipeline::compose_for`] on the first live device before the first stage.
     Specs(&'p Pipeline),
     /// A built pipeline ([`Pipeline::compose_for`]): its operators run as they
     /// are, and nothing is built.
@@ -407,20 +413,24 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 /// [`CsrRowsView`](sketch_sparse::CsrRowsView) or an explicit [`Operand`] —
 /// so the same engine serves dense and sparse workloads.  Each stage is
 /// computed once, on the whole operand, after its shards have been charged
-/// (see the module docs): a row shard the CountSketch statement of its row
-/// range, a column panel its kind's statement for the panel's width (and, for
-/// a CSR operand, its non-zeros, counted over `col_idx`; each live device is
-/// charged one CSC-style panel cut per attempt).  Nothing is sliced or copied.
-/// An operand with zero rows or zero columns, or one the plan does not fit, is
-/// rejected by [`preflight`] with a typed error before any stage runs.
+/// (see the module docs): every shard its own stage's statement
+/// ([`SketchSpec::costs`]) at the shard's shape — a row shard as a sketch of its
+/// row range, a column panel at the panel's width (and, for a CSR operand, its
+/// non-zeros, counted over `col_idx`; a CSR column stage cut into more than one
+/// panel also charges each live device one CSC-style panel cut per attempt).
+/// Nothing is sliced or copied.  An operand with zero rows or zero columns, or
+/// one the plan does not fit, is rejected by [`preflight`] with a typed error
+/// before anything is built or run.
 ///
 /// `plan` is a `&Pipeline` or a pipeline already built, a `&ComposedSketch`
-/// (see [`Plan`]).  At each stage's start the first live device is charged
-/// the stage's generation: a spec is built there, and a built stage's
-/// [`generation_cost`](SketchOperator::generation_cost) is recorded there.
-/// Either way the run is the same — result, timeline, per-device costs and
-/// fault report — so a driver that built the pipeline to sketch `b` as well
-/// hands it over and nothing is generated twice.
+/// (see [`Plan`]).  Specs are built once, with [`Pipeline::compose_for`] on the
+/// first live device, before the first stage; a built pipeline is taken to have
+/// been built there, and the executor records no generation for it.  At each
+/// stage's start every other live device is charged a replica of the stage's
+/// operator, so recovery needs no regeneration.  Either way the run is the same
+/// — result, timeline, per-device costs and fault report — so a driver that
+/// built the pipeline on the pool's first device to sketch `b` as well hands it
+/// over and nothing is generated twice.
 ///
 /// The numerical result is **bit-for-bit identical** to
 /// `plan.build_for(device, a.ncols())?.apply_operand(device, a)` on a single
@@ -431,7 +441,9 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 ///
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
-/// [`Device`] launches — "serial" is just the degenerate pool.
+/// [`Device`] launches — "serial" is just the degenerate pool — and the device
+/// records exactly what [`Pipeline::compose_for`] plus one
+/// [`apply_into`](SketchOperator::apply_into) record on a bare device.
 ///
 /// With an enabled recorder attached to the pool, each stage also emits one
 /// [`Track::Wall`] event: the measured host time of its one compute, spanning
@@ -444,68 +456,58 @@ pub fn pipelined_sketch<'a, 'p>(
 ) -> Result<PipelinedRun, DistError> {
     let a: Operand<'a> = a.into();
     let describe = || a.describe();
-    let resolved;
-    // Each stage's resolved spec, and its operator when the plan is built.
-    let stages: Vec<(&SketchSpec, Option<&StageOperator>)> = match plan.into() {
+    let plan = plan.into();
+    match plan {
         Plan::Specs(plan) => {
-            resolved = preflight(plan, a.nrows(), a.ncols(), describe)?;
-            resolved.iter().map(|spec| (spec, None)).collect()
+            preflight(plan, a.nrows(), a.ncols(), describe)?;
         }
         Plan::Built(built) => {
             check_non_empty(a.nrows(), a.ncols(), describe)?;
             check_rows(built.input_dim(), a.nrows(), describe)?;
-            built
-                .stages()
-                .iter()
-                .map(|(spec, op)| (spec, Some(op)))
-                .collect()
         }
-    };
+    }
     let p = pool.num_devices();
 
     // Devices already observed dead (a sticky flag from a previous run on the
     // same shared pool) never re-join: death is permanent until the fault
     // plan is re-applied.
     let alive: Vec<usize> = (0..p).filter(|&d| !pool.device(d).is_failed()).collect();
-    if alive.is_empty() {
+    let Some(&builder) = alive.first() else {
         let d0 = pool.device(0);
         return Err(Error::device_failed(
             d0.ordinal(),
             d0.death_time().unwrap_or(0.0),
         ));
-    }
+    };
+    // The pipeline is generated once, on the first live device.
+    let composed;
+    let built = match plan {
+        Plan::Specs(plan) => {
+            composed = plan.compose_for(pool.device(builder), a.ncols())?;
+            &composed
+        }
+        Plan::Built(built) => built,
+    };
 
     let recorder = pool.recorder();
+    let stages = built.stages();
     let mut state = ExecState::new(p, alive);
     let mut schedules = Vec::with_capacity(stages.len());
     let mut comms = Vec::with_capacity(stages.len());
     let mut current: Option<Matrix> = None; // None = first stage reads `a`
 
-    for (stage_idx, &(spec, built)) in stages.iter().enumerate() {
+    for (stage_idx, (spec, op)) in stages.iter().enumerate() {
         let input = match &current {
             Some(m) => Operand::Dense(m),
             None => a,
         };
         let n = input.ncols();
-        let build_device = pool.device(state.alive[0]);
-
-        // The stage's generation is charged to the first live device — a spec
-        // is built there, a built stage records its generation cost there —
-        // and replicated to every other live device up front, which is exactly
-        // why recovery needs no regeneration: survivors already hold their
-        // replicas, so a retry re-charges shard kernels only.
-        let generated;
-        let op = match built {
-            Some(op) => {
-                build_device.record(op.as_operator().generation_cost());
-                op
-            }
-            None => {
-                generated = spec.build_stage(build_device)?;
-                &generated
-            }
-        };
-        replicate_generation(pool, &state.alive, op.as_operator().generation_cost());
+        replicate_generation(
+            pool,
+            &state.alive,
+            builder,
+            op.as_operator().generation_cost(),
+        );
         let k = op.as_operator().output_dim();
         let stage = Stage {
             index: stage_idx,
@@ -887,15 +889,15 @@ impl Stage<'_> {
     /// One attempt of the stage on `schedule`: charge every shard in schedule
     /// order, its kernel then its collective, until one outlives its device.
     ///
-    /// A row shard (CountSketch families) is charged the CountSketch statement
-    /// of its row range — the hash variant too — and its collective is the
-    /// ordered ring fold of the whole `k x n` accumulator, chained after the
-    /// previous shard's: folding block rows into one accumulator in global row
-    /// order is the single-device Algorithm-2 chain, so any survivor schedule
-    /// gives the same bits.  A column panel (Gaussian, SRHT) is charged its
-    /// kind's statement for the panel, reserving and releasing what the panel's
-    /// apply would on its device, and its collective is the allgather of its
-    /// `k x width` slice: per-column kernels never see the other panels.
+    /// Every shard is charged [`shard_costs`](Self::shard_costs), its stage's own
+    /// statement at the shard's shape, reserving and releasing what the shard's
+    /// apply would on its device.  A row shard's (CountSketch families)
+    /// collective is the ordered ring fold of the whole `k x n` accumulator,
+    /// chained after the previous shard's: folding block rows into one
+    /// accumulator in global row order is the single-device Algorithm-2 chain, so
+    /// any survivor schedule gives the same bits.  A column panel's (Gaussian,
+    /// SRHT) is the allgather of its `k x width` slice: per-column kernels never
+    /// see the other panels.
     fn attempt(
         &self,
         pool: &DevicePool,
@@ -906,42 +908,25 @@ impl Stage<'_> {
         let n = self.input.ncols();
         let kind = self.spec.kind.as_str();
         let panel_nnz = self.charge_csr_panel_cut(pool, alive, schedule);
-        for (shard, assignment) in schedule.assignments.iter().enumerate() {
+        for assignment in &schedule.assignments {
             let phys = alive[assignment.device];
             let device = pool.device(phys);
-            let range = &assignment.range;
-            let (label, cost, comm_words) = match self.axis() {
+            let costs = self.shard_costs(assignment, &panel_nnz)?;
+            if costs.apply_reserve > 0 {
+                device.try_reserve(costs.apply_reserve)?;
+            }
+            let cost = costs.apply;
+            let (label, comm_words) = match self.axis() {
                 ShardAxis::Rows => {
-                    let rows = match self.input {
-                        Operand::Dense(m) => dense_shape(range.len(), n, m.layout()),
-                        Operand::Csr(s) => {
-                            csr_shape(range.len(), n, s.slice_rows(range.clone()).nnz())
-                        }
-                        Operand::CsrRows(v) => {
-                            csr_shape(range.len(), n, v.slice_rows(range.clone()).nnz())
-                        }
-                    };
-                    let cost = CountSketch::costs(range.len(), self.k, rows).apply;
                     let label = format!("s{} {kind} shard {}", self.index, assignment.index);
                     device.launch(&label, cost);
-                    (label, cost, self.k * n)
+                    (label, self.k * n)
                 }
                 ShardAxis::Cols => {
-                    let d = self.input.nrows();
-                    let panel = match self.input {
-                        Operand::Dense(m) => dense_shape(d, range.len(), m.layout()),
-                        Operand::Csr(_) | Operand::CsrRows(_) => {
-                            csr_shape(d, range.len(), panel_nnz[shard])
-                        }
-                    };
-                    let costs = self.spec.costs(panel)?;
-                    if costs.apply_reserve > 0 {
-                        device.try_reserve(costs.apply_reserve)?;
-                    }
                     // Like the panel apply it stands for: recorded, no kernel span.
-                    device.record(costs.apply);
+                    device.record(cost);
                     let label = format!("s{} {kind} panel {}", self.index, assignment.index);
-                    (label, costs.apply, self.k * range.len())
+                    (label, self.k * assignment.range.len())
                 }
             };
             let (comm_s, comm_bytes) = if alive.len() > 1 {
@@ -973,14 +958,47 @@ impl Stage<'_> {
         Ok(Attempt::Success)
     }
 
-    /// The column stage of a CSR-like operand cuts every panel of an attempt in
-    /// one CSC-style conversion pass, charged **once per live device** (each
-    /// device converts its replica, mirroring [`replicate_generation`]): stream
-    /// the parent's nonzeros and row pointers once, write every panel's entries
-    /// plus its fresh row-pointer array.  So the modelled compute of a sparse
-    /// column stage does not grow with the shard count the way per-shard
-    /// full-matrix scans would.  Returns each panel's non-zeros, counted over
-    /// `col_idx` (no panel is built); empty for every other stage.
+    /// What the stage's spec states for one shard: a row shard's spec is the
+    /// stage's with its row range's length as the input dimension, at the rows'
+    /// shape; a column panel's is the stage's own, at the panel's width (and,
+    /// for a CSR operand, the panel's count in `panel_nnz`).  A single shard's
+    /// shape is the whole operand's, so a pool of one charges what the bare
+    /// apply records.
+    fn shard_costs(
+        &self,
+        assignment: &ShardAssignment,
+        panel_nnz: &[usize],
+    ) -> Result<SketchCosts, Error> {
+        let range = assignment.range.clone();
+        let (spec, rows, cols) = match self.axis() {
+            ShardAxis::Rows => {
+                let spec = SketchSpec {
+                    input_dim: range.len(),
+                    ..self.spec.clone()
+                };
+                (spec, range.len(), self.input.ncols())
+            }
+            ShardAxis::Cols => (self.spec.clone(), self.input.nrows(), range.len()),
+        };
+        spec.costs(match (self.input, self.axis()) {
+            (Operand::Dense(m), _) => dense_shape(rows, cols, m.layout()),
+            (Operand::Csr(s), ShardAxis::Rows) => csr_shape(rows, cols, s.slice_rows(range).nnz()),
+            (Operand::CsrRows(v), ShardAxis::Rows) => {
+                csr_shape(rows, cols, v.slice_rows(range).nnz())
+            }
+            (_, ShardAxis::Cols) => csr_shape(rows, cols, panel_nnz[assignment.index]),
+        })
+    }
+
+    /// A column stage of a CSR-like operand cut into more than one panel cuts
+    /// them in one CSC-style conversion pass per attempt, charged **once per
+    /// live device** (each device converts its replica, mirroring
+    /// [`replicate_generation`]): stream the parent's nonzeros and row pointers
+    /// once, write every panel's entries plus its fresh row-pointer array.  So the
+    /// modelled compute of a sparse column stage does not grow with the shard
+    /// count the way per-shard full-matrix scans would.  A single panel is the
+    /// operand itself, and nothing is cut.  Returns each panel's non-zeros,
+    /// counted over `col_idx` (no panel is built); empty for every other stage.
     fn charge_csr_panel_cut(
         &self,
         pool: &DevicePool,
@@ -996,17 +1014,19 @@ impl Stage<'_> {
         for &c in col_idx {
             panel_nnz[schedule.assignments.partition_point(|a| a.range.end <= c)] += 1;
         }
-        let nnz = col_idx.len() as u64;
-        let idx = std::mem::size_of::<usize>() as u64;
-        let rows1 = self.input.nrows() as u64 + 1;
-        let cost = KernelCost::new(
-            KernelCost::f64_bytes(nnz) + idx * (nnz + rows1),
-            KernelCost::f64_bytes(nnz) + idx * (nnz + rows1 * panel_nnz.len() as u64),
-            nnz,
-            1,
-        );
-        for &d in alive {
-            pool.device(d).launch("csc panel cut", cost);
+        if panel_nnz.len() > 1 {
+            let nnz = col_idx.len() as u64;
+            let idx = std::mem::size_of::<usize>() as u64;
+            let rows1 = self.input.nrows() as u64 + 1;
+            let cost = KernelCost::new(
+                KernelCost::f64_bytes(nnz) + idx * (nnz + rows1),
+                KernelCost::f64_bytes(nnz) + idx * (nnz + rows1 * panel_nnz.len() as u64),
+                nnz,
+                1,
+            );
+            for &d in alive {
+                pool.device(d).launch("csc panel cut", cost);
+            }
         }
         panel_nnz
     }
@@ -1022,10 +1042,13 @@ fn csr_shape(rows: usize, cols: usize, nnz: usize) -> OperandShape {
     OperandShape::Csr { rows, cols, nnz }
 }
 
-/// Charge the (replicated) sketch generation to every live device except the
-/// first (`alive[0]`), which was charged it when the stage started.
-fn replicate_generation(pool: &DevicePool, alive: &[usize], cost: KernelCost) {
-    for &d in &alive[1..] {
+/// Charge a stage operator's generation `cost` as a replica to every live
+/// device but `builder`, the device the pipeline was built on (and charged its
+/// generation) before the first stage.  A stage's replicas are charged at its
+/// start, to the devices then alive, so survivors of a death already hold them
+/// and a retry re-charges shard kernels only.
+fn replicate_generation(pool: &DevicePool, alive: &[usize], builder: usize, cost: KernelCost) {
+    for &d in alive.iter().filter(|&&d| d != builder) {
         pool.device(d).launch("sketch gen (replica)", cost);
     }
 }
@@ -1182,92 +1205,93 @@ mod tests {
         assert_eq!(run.schedules[0].num_shards(), 1);
     }
 
+    /// The one charge rule: on a pool of one, every kind and chain, given as
+    /// specs or built on the pool's device, records exactly what a bare
+    /// `compose_for` + `apply_into` records, on dense operands in both layouts, on
+    /// CSR and on a CSR row window; and its timeline is one entry per stage,
+    /// priced as that stage's bare apply.
     #[test]
-    fn pool_of_one_makespan_equals_bare_device_launches() {
-        use sketch_gpu_sim::DeviceSpec;
-
-        // A spec executed on a DevicePool::single must cost exactly what a bare
-        // Device launch costs: same kernel, no sharding, no collectives, and the
-        // timeline makespan equals the modelled time of the single apply.
-        let d = 640;
-        let n = 7;
-        let a = input(d, n);
-        for spec in [
-            SketchSpec::countsketch(d, EmbeddingDim::Square(2), 4),
-            SketchSpec::srht(d, EmbeddingDim::Ratio(2), 5),
-        ] {
-            // Reference: apply on a bare device and model the apply-only cost.
-            let bare = Device::h100();
-            let op = spec.build_for(&bare, n).unwrap();
-            let before = bare.tracker().snapshot();
-            let single = op.apply_matrix(&bare, &a).unwrap();
-            let apply_cost = bare.tracker().snapshot() - before;
-
-            let pool = DevicePool::single(DeviceSpec::h100());
-            let run = pipelined_sketch(
-                &pool,
-                &a,
-                &Pipeline::single(spec.clone()),
-                &ExecutorOptions::default(),
-            )
-            .unwrap();
-            assert!(bits_equal(&run.result, &single));
-            assert_eq!(run.comm_seconds, 0.0);
-            assert_eq!(run.pipelined_seconds, run.serial_seconds);
-            assert_eq!(run.pipelined_seconds, run.compute_only_seconds);
-            // Exactly one kernel on the timeline, priced like the bare launch.
-            assert_eq!(run.timeline.entries().len(), 1);
-            assert_eq!(
-                run.pipelined_seconds,
-                bare.model_time(&apply_cost),
-                "{} pool-of-one is not a bare launch",
-                spec.kind.as_str()
-            );
-            // And the device tracker accumulated the same generation + apply cost.
-            let pool_cost = pool.total_cost();
-            let bare_total = bare.tracker().snapshot();
-            assert_eq!(pool_cost, bare_total, "{} cost drifted", spec.kind.as_str());
-        }
-    }
-
-    #[test]
-    fn pool_of_one_count_gauss_charges_what_the_bare_device_charges() {
+    fn a_pool_of_one_records_what_a_bare_build_and_apply_records() {
         use sketch_gpu_sim::DeviceSpec;
         use sketch_sparse::{CooMatrix, CsrMatrix};
 
-        // The single-device Count→Gauss operator and a pool of one run the same two
-        // launches (the CountSketch, then the Gaussian GEMM reading its row-major
-        // output in place) after the same generation, dense or CSR.
         let d = 640;
         let n = 7;
         let dense = input(d, n);
-        let mut coo = CooMatrix::new(d, n);
-        for i in 0..d {
-            coo.push(i, i % n, dense.get(i, i % n));
-        }
-        let csr = CsrMatrix::from_coo(&coo);
-        let plan = Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 4);
-        for operand in [Operand::Dense(&dense), Operand::Csr(&csr)] {
-            let bare = Device::h100();
-            let single = plan
-                .build_for(&bare, n)
-                .unwrap()
-                .apply_operand(&bare, operand)
-                .unwrap();
+        let dense_cm = dense.to_layout(&Device::unlimited(), Layout::ColMajor);
+        let csr_of = |rows: usize| {
+            let mut coo = CooMatrix::new(rows, n);
+            for i in 0..rows {
+                coo.push(i, i % n, dense.get(i % d, i % n));
+                if i % 3 == 0 {
+                    coo.push(i, (i + 2) % n, dense.get(i % d, (i + 2) % n));
+                }
+            }
+            CsrMatrix::from_coo(&coo)
+        };
+        let csr = csr_of(d);
+        let parent = csr_of(d + 4);
+        let operands = [
+            Operand::Dense(&dense),
+            Operand::Dense(&dense_cm),
+            Operand::Csr(&csr),
+            Operand::CsrRows(parent.slice_rows(2..d + 2)),
+        ];
+        let plans = [
+            Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Square(2), 4)),
+            Pipeline::single(SketchSpec::hash_countsketch(d, EmbeddingDim::Square(2), 5)),
+            Pipeline::single(SketchSpec::gaussian(d, EmbeddingDim::Ratio(2), 6)),
+            Pipeline::single(SketchSpec::srht(d, EmbeddingDim::Ratio(2), 7)),
+            Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8),
+            Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Square(2), 9))
+                .then(SketchSpec::srht(0, EmbeddingDim::Ratio(2), 10)),
+        ];
+        let opts = ExecutorOptions::default();
+        for plan in &plans {
+            for operand in operands {
+                // Reference: build and apply on a bare device, then price each
+                // stage's apply on its own.
+                let bare = Device::h100();
+                let built = plan.compose_for(&bare, n).unwrap();
+                let mut single =
+                    Matrix::zeros_with_layout(built.output_dim(), n, built.output_layout());
+                built
+                    .apply_into(&bare, operand, &mut single.view_mut())
+                    .unwrap();
+                let stepwise = Device::h100();
+                let mut prices = Vec::new();
+                let mut stage_out: Option<Matrix> = None;
+                for (_, op) in built.stages() {
+                    let stage_in = stage_out.as_ref().map_or(operand, Operand::Dense);
+                    let before = stepwise.tracker().snapshot();
+                    let y = op.as_operator().apply_operand(&stepwise, stage_in).unwrap();
+                    prices.push(bare.model_time(&(stepwise.tracker().snapshot() - before)));
+                    stage_out = Some(y);
+                }
 
-            let pool = DevicePool::single(DeviceSpec::h100());
-            let run = pipelined_sketch(&pool, operand, &plan, &ExecutorOptions::default()).unwrap();
-            assert!(bits_equal(&run.result, &single));
-            assert_eq!(run.comm_seconds, 0.0);
-            assert_eq!(run.pipelined_seconds, run.serial_seconds);
-            // One kernel per stage, and the same generation + apply cost.
-            assert_eq!(run.timeline.entries().len(), 2);
-            assert_eq!(
-                pool.total_cost(),
-                bare.tracker().snapshot(),
-                "{} cost drifted",
-                operand.describe()
-            );
+                for form in ["specs", "built"] {
+                    let ctx = format!("{:?} on {}, {form}", plan.stages, operand.describe());
+                    let pool = DevicePool::single(DeviceSpec::h100());
+                    let run = match form {
+                        "specs" => pipelined_sketch(&pool, operand, plan, &opts),
+                        _ => {
+                            let built = plan.compose_for(pool.device(0), n).unwrap();
+                            pipelined_sketch(&pool, operand, &built, &opts)
+                        }
+                    }
+                    .unwrap();
+                    assert!(bits_equal(&run.result, &single), "{ctx}: bits");
+                    assert_eq!(pool.total_cost(), bare.tracker().snapshot(), "{ctx}: cost");
+                    assert_eq!(run.comm_seconds, 0.0, "{ctx}");
+                    assert_eq!(run.timeline.entries().len(), prices.len(), "{ctx}");
+                    let mut clock = 0.0;
+                    for (entry, price) in run.timeline.entries().iter().zip(&prices) {
+                        assert_eq!((entry.start, entry.end), (clock, clock + price), "{ctx}");
+                        clock = entry.end;
+                    }
+                    assert_eq!(run.pipelined_seconds, clock, "{ctx}");
+                }
+            }
         }
     }
 

@@ -50,7 +50,7 @@ pub mod rand_cholqr;
 pub mod solvers;
 
 pub use error::LsqError;
-pub use method::{solve, solve_with_opts, Method};
+pub use method::{solve, Method};
 pub use problem::LsqProblem;
 pub use rand_cholqr::{rand_cholqr, rand_cholqr_least_squares, RandCholQrFactors};
 pub use solvers::{normal_equations, qr_direct, sketch_and_solve, LsqSolution};

@@ -132,17 +132,7 @@ pub fn solve(
     method: Method,
     seed: u64,
 ) -> Result<LsqSolution, LsqError> {
-    solve_with_opts(pool, problem, method, seed, &ExecutorOptions::default())
-}
-
-/// [`solve`] with explicit executor tuning knobs.
-pub fn solve_with_opts(
-    pool: &DevicePool,
-    problem: &LsqProblem,
-    method: Method,
-    seed: u64,
-    opts: &ExecutorOptions,
-) -> Result<LsqSolution, LsqError> {
+    let opts = &ExecutorOptions::default();
     let device = pool.device(0);
     let d = problem.nrows();
     match method {

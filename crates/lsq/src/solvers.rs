@@ -119,10 +119,10 @@ pub fn sketch_and_solve(
     let device = pool.device(0);
     let mut prof = Profiler::new(device);
 
-    // Generate the operator once, inside its own SketchGen phase (the paper's
-    // "Sketch gen" stack segment).  The executor runs it as built, charging
-    // each stage's generation to the pool as a spec run would, and it then
-    // sketches `b`.
+    // Generate the operator once, on pool device 0, inside its own SketchGen
+    // phase (the paper's "Sketch gen" stack segment).  The executor runs it as
+    // built (charging only the other devices' replicas), and it then sketches
+    // `b`.
     let sketch = prof.phase(Phase::SketchGen, || {
         plan.compose_for(device, problem.ncols())
     })?;
