@@ -28,6 +28,9 @@ const fn f64b(n: u64) -> u64 {
     n * 8
 }
 
+/// Why a projection's statements exist: the swept shapes are far from `u64`'s range.
+const STATED: &str = "the paper's kernels state their costs at every swept shape";
+
 /// Fraction of the device memory one method's working set may occupy before the
 /// benchmark harness marks it out-of-memory (the blank bars of Figures 2 and 5).
 ///
@@ -50,11 +53,8 @@ pub fn exceeds_suite_memory(
     n: usize,
     spec: &sketch_gpu_sim::DeviceSpec,
 ) -> bool {
-    let costs = method.costs(d, n);
-    let working_set = f64b((d * n) as u64)
-        + costs.generation.bytes_written
-        + costs.apply_reserve
-        + f64b((method.embedding_dim(n) * n) as u64);
+    let held = method.costs(d, n).held_bytes(method.embedding_dim(n), n);
+    let working_set = f64b((d * n) as u64) + held.expect(STATED);
     let budget = (spec.memory_bytes as f64 * SUITE_MEMORY_FRACTION) as u64;
     working_set > budget
 }
@@ -181,20 +181,16 @@ impl SketchMethod {
     pub fn costs(&self, d: usize, n: usize) -> SketchCosts {
         let Some(solver) = self.solver() else {
             return SketchCosts {
-                apply: gemm_cost(n, d, n, false),
+                apply: gemm_cost(n, d, n, false).expect(STATED),
                 ..SketchCosts::default()
             };
         };
-        let a = OperandShape::Dense {
-            rows: d,
-            cols: n,
-            layout: Layout::RowMajor,
-        };
+        let a = OperandShape::dense(d, n, Layout::RowMajor);
         let stated = solver
             .sketch_pipeline(d, 0)
             .expect("every sketch method's solver sketches")
             .costs(a)
-            .expect("the paper's sketches state their costs at every swept shape");
+            .expect(STATED);
         match self {
             // The SpMM applies the CountSketch as a 2n² x d CSR matrix, one entry per column.
             SketchMethod::CountSpmm => SketchCosts {
@@ -261,7 +257,7 @@ pub(crate) fn solver_sketch(method: Method) -> Option<SketchMethod> {
 pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, KernelCost)>> {
     if method == Method::NormalEquations {
         return Some(vec![
-            (Phase::GramMatrix, gemm_cost(n, d, n, false)),
+            (Phase::GramMatrix, gemm_cost(n, d, n, false).expect(STATED)),
             (Phase::ATransposeB, gemv_cost(n, d, false)),
             (Phase::Potrf, potrf_cost(n)),
             (Phase::Trsv, trsv_cost(n)),
@@ -269,12 +265,7 @@ pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, Ker
         ]);
     }
     let pipeline = method.sketch_pipeline(d, 0)?;
-    let shape = |cols| OperandShape::Dense {
-        rows: d,
-        cols,
-        layout: Layout::RowMajor,
-    };
-    const STATED: &str = "the paper's sketches state their costs at every swept shape";
+    let shape = |cols| OperandShape::dense(d, cols, Layout::RowMajor);
     let sketch = pipeline.costs(shape(n)).expect(STATED);
     let stages = pipeline.resolve(n).expect(STATED);
     let last = stages.last().expect("a sketch has a stage");
@@ -291,7 +282,7 @@ pub fn phase_costs(method: Method, d: usize, n: usize) -> Option<Vec<(Phase, Ker
         phases.extend([
             (Phase::Geqrf, geqrf),
             (Phase::Trsm, trsm_cost(n, d)),
-            (Phase::GramMatrix, gemm_cost(n, d, n, false)),
+            (Phase::GramMatrix, gemm_cost(n, d, n, false).expect(STATED)),
             (Phase::ATransposeB, gemv_cost(n, d, false)),
             (Phase::Potrf, potrf_cost(n)),
             (Phase::Trsv, trsv_cost(n)),

@@ -74,11 +74,11 @@
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH] [--trace PATH]`
 
-use sketch_bench::cli;
 use sketch_bench::report::{ms, Table};
 use sketch_bench::walltime::{
     bits_of, host_cores, time_fn, time_fn_traced, time_interleaved, with_thread_pool, Sample,
 };
+use sketch_bench::{cli, config::random_csr};
 use sketch_core::fwht::{fwht_in_place, fwht_matrix_columns, fwht_tiled_in_place, DEFAULT_TILE};
 use sketch_core::{
     CountSketch, EmbeddingDim, JsonValue, Operand, Pipeline, SketchOperator, SketchSpec,
@@ -95,7 +95,7 @@ use sketch_lsq::{sketch_and_solve, LsqProblem};
 use sketch_obs::{chrome_trace_with_metrics, write_json, MetricsRegistry, RecorderHandle};
 use sketch_rng::fill::{self, BLOCKS_PER_ELEMENT, CHUNK};
 use sketch_rng::StreamFactory;
-use sketch_sparse::{spmm_into, CooMatrix, CsrMatrix};
+use sketch_sparse::spmm_into;
 
 /// The GEMM gate shape (m, k, n): the thread sweep's GEMM shape.
 const GATE_GEMM: (usize, usize, usize) = (512, 512, 128);
@@ -580,20 +580,6 @@ fn sweep<S>(
             bitwise_equal: bits == base_bits,
         })
         .collect()
-}
-
-/// Deterministic random CSR matrix targeting `target_density` stored fill
-/// (same construction as `fig_scaling`; coincident draws merge).
-fn random_csr(d: usize, n: usize, target_density: f64, seed: u64) -> CsrMatrix {
-    let draws = ((d * n) as f64 * target_density).round().max(1.0) as usize;
-    let rows = fill::uniform_index_vec(seed, 10, draws, d);
-    let cols = fill::uniform_index_vec(seed, 11, draws, n);
-    let vals = fill::gaussian_vec(seed, 12, draws);
-    let mut coo = CooMatrix::with_capacity(d, n, draws);
-    for i in 0..draws {
-        coo.push(rows[i], cols[i], vals[i]);
-    }
-    CsrMatrix::from_coo(&coo)
 }
 
 /// The thread sweep: six production kernels, each timed on every pool of `on.0`.

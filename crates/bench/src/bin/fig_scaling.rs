@@ -23,15 +23,14 @@
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_scaling [-- --smoke] [--out PATH] [--trace PATH]`
 
-use sketch_bench::cli;
 use sketch_bench::report::{ms, pct, Table};
+use sketch_bench::{cli, config::random_csr};
 use sketch_core::{EmbeddingDim, JsonValue, Operand, Pipeline, SketchSpec};
 use sketch_dist::{pipelined_sketch, ExecutorOptions, PipelinedRun};
 use sketch_gpu_sim::DevicePool;
 use sketch_la::{Layout, Matrix};
 use sketch_obs::{chrome_trace_with_metrics, write_json, MetricsRegistry, TraceCollector};
-use sketch_rng::fill;
-use sketch_sparse::{CooMatrix, CsrMatrix};
+use sketch_sparse::CsrMatrix;
 
 /// One measured configuration, ready for both the text table and the JSON report.
 struct Run {
@@ -98,22 +97,6 @@ impl Run {
             ),
         ])
     }
-}
-
-/// Deterministic random CSR operand targeting `target_density` stored fill:
-/// Philox-seeded global `(row, col)` scatter with Gaussian values (coincident
-/// draws merge, so the realised density lands slightly below the target — the
-/// caller labels runs with the *measured* `nnz / (d*n)`).
-fn random_csr(d: usize, n: usize, target_density: f64, seed: u64) -> CsrMatrix {
-    let draws = ((d * n) as f64 * target_density).round().max(1.0) as usize;
-    let rows = fill::uniform_index_vec(seed, 10, draws, d);
-    let cols = fill::uniform_index_vec(seed, 11, draws, n);
-    let vals = fill::gaussian_vec(seed, 12, draws);
-    let mut coo = CooMatrix::with_capacity(d, n, draws);
-    for i in 0..draws {
-        coo.push(rows[i], cols[i], vals[i]);
-    }
-    CsrMatrix::from_coo(&coo)
 }
 
 fn execute(label: &str, d: usize, n: usize, devices: usize, plan: &Pipeline) -> Run {

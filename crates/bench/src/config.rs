@@ -1,4 +1,27 @@
-//! Problem-size sweeps for the experiments.
+//! Problem-size sweeps for the experiments, and their random sparse operand.
+
+use sketch_serve::{OperandData, OperandSpec};
+use sketch_sparse::CsrMatrix;
+
+/// A Philox-seeded random `rows x cols` CSR operand targeting `density` stored fill:
+/// the service's [`OperandSpec::Csr`] recipe (streams 10, 11 and 12) with
+/// `round(rows·cols·density)` draws, at least one.  Coincident draws merge, so the
+/// realised density lands slightly below the target; callers label runs with the
+/// measured density.
+pub fn random_csr(rows: usize, cols: usize, density: f64, seed: u64) -> CsrMatrix {
+    let nnz_target = ((rows * cols) as f64 * density).round() as usize;
+    match (OperandSpec::Csr {
+        rows,
+        cols,
+        nnz_target,
+        seed,
+    })
+    .materialize()
+    {
+        OperandData::Csr(a) => a,
+        OperandData::Dense(_) => unreachable!("a CSR recipe materialises a CSR operand"),
+    }
+}
 
 /// One `(d, n)` point of a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -36,8 +36,8 @@
 
 use crate::error::Error;
 use crate::operand::{Operand, OperandShape};
-use crate::traits::{apply_stated, try_zeroed, SketchCosts, SketchOperator};
-use sketch_gpu_sim::{Device, KernelCost};
+use crate::traits::{apply_stated, try_zeroed, SketchCosts, SketchOperator, STATEMENT_OVERFLOW};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
 use sketch_sparse::{spmm, CooMatrix, CsrMatrix};
@@ -80,7 +80,7 @@ impl CountSketch {
         let rows = fill::uniform_index_vec(seed, 0, d, k);
         let signs = fill::rademacher_bool_vec(seed, 1, d);
         let buckets = Buckets::new(k, &rows)?;
-        let generation_cost = generation_cost(d);
+        let generation_cost = generation_cost(d).ok_or(STATEMENT_OVERFLOW)?;
         device.record(generation_cost);
         Ok(Self {
             d,
@@ -130,8 +130,8 @@ impl CountSketch {
     /// The apply reads `d` and the shape only, so the multi-device executor
     /// charges a row shard of `r` rows (the rows one [`fold_rows`](Self::fold_rows)
     /// of the range would touch) the statement at `d = r`.
-    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
-        let (d64, n, k) = (d as u64, a.cols() as u64, k as u64);
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> Result<SketchCosts, Error> {
+        let (d64, n, k) = (Checked::from(d), Checked::from(a.cols()), Checked::from(k));
         let idx = std::mem::size_of::<usize>() as u64;
         // Atomic add = read-modify-write on the output row, plus the initial zeroing of
         // Y and the index/sign reads.
@@ -141,29 +141,20 @@ impl CountSketch {
                     Layout::ColMajor => COL_MAJOR_READ_PENALTY,
                     Layout::RowMajor => 1,
                 };
-                let dn = KernelCost::f64_bytes(d64 * n);
-                KernelCost::new(
-                    dn * penalty + dn + d64 * 5,
-                    dn + KernelCost::f64_bytes(k * n),
-                    d64 * n,
-                    2,
-                )
+                let dn = d64 * n * 8;
+                KernelCost::checked(dn * penalty + dn + d64 * 5, dn + k * n * 8, d64 * n, 2)
             }
             OperandShape::Csr { nnz, .. } => {
-                let nnz = nnz as u64;
-                KernelCost::new(
-                    KernelCost::f64_bytes(nnz) + idx * (nnz + d64 + 1) + d64 * 5,
-                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n),
+                let nnz = Checked::from(nnz);
+                KernelCost::checked(
+                    nnz * 8 + (nnz + d64 + 1) * idx + d64 * 5,
+                    nnz * 8 + k * n * 8,
                     nnz,
                     2,
                 )
             }
         };
-        SketchCosts {
-            generation: generation_cost(d),
-            apply,
-            apply_reserve: 0,
-        }
+        SketchCosts::checked(generation_cost(d), apply, Checked::ZERO)
     }
 
     /// `out = S A`, unrecorded: the Algorithm-2 fold of every row.
@@ -263,18 +254,15 @@ impl CountSketch {
 
 /// What generating a `d`-row CountSketch records: write d 4-byte integers and d
 /// 1-byte flags; a handful of flops for the rejection sampling.
-fn generation_cost(d: usize) -> KernelCost {
-    KernelCost::new(0, (d as u64) * 5, d as u64, 1)
+fn generation_cost(d: usize) -> Option<KernelCost> {
+    let d = Checked::from(d);
+    KernelCost::checked(Checked::ZERO, d * 5, d, 1)
 }
 
 /// The shape a `d`-long vector apply is stated at: a dense `d x 1` row-major operand
 /// (its one column read contiguously, as the vector is).
-fn vector_shape(d: usize) -> OperandShape {
-    OperandShape::Dense {
-        rows: d,
-        cols: 1,
-        layout: Layout::RowMajor,
-    }
+const fn vector_shape(d: usize) -> OperandShape {
+    OperandShape::dense(d, 1, Layout::RowMajor)
 }
 
 /// A CountSketch row map inverted by counting sort: bucket `r` lists, **in
@@ -478,7 +466,7 @@ impl SketchOperator for CountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        apply_stated(device, Self::costs(self.d, self.k, a.shape()), || {
+        apply_stated(device, Self::costs(self.d, self.k, a.shape())?, || {
             self.compute_into(a, out);
             Ok(())
         })
@@ -499,7 +487,7 @@ impl SketchOperator for CountSketch {
                 }
             });
         }
-        device.record(Self::costs(self.d, self.k, vector_shape(self.d)).apply);
+        device.record(Self::costs(self.d, self.k, vector_shape(self.d))?.apply);
         Ok(y)
     }
 
@@ -545,31 +533,19 @@ impl HashCountSketch {
     /// What a `d -> k` hash CountSketch states ([`SketchCosts`]): no generation, and
     /// one apply to a `d`-row operand of shape `a`, the hashes recomputed per row
     /// in place of the stored map's reads.
-    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
-        let (d, n, k) = (d as u64, a.cols() as u64, k as u64);
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> Result<SketchCosts, Error> {
+        let (d, n, k) = (Checked::from(d), Checked::from(a.cols()), Checked::from(k));
         let apply = match a {
-            OperandShape::Dense { .. } => KernelCost::new(
-                KernelCost::f64_bytes(2 * d * n),
-                KernelCost::f64_bytes(d * n) + KernelCost::f64_bytes(k * n),
-                d * n + 6 * d,
-                2,
-            ),
+            OperandShape::Dense { .. } => {
+                KernelCost::checked(d * n * 16, d * n * 8 + k * n * 8, d * n + d * 6, 2)
+            }
             OperandShape::Csr { nnz, .. } => {
-                let nnz = nnz as u64;
-                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d + 1);
-                KernelCost::new(
-                    KernelCost::f64_bytes(nnz) + idx_bytes,
-                    KernelCost::f64_bytes(nnz) + KernelCost::f64_bytes(k * n),
-                    nnz + 6 * d,
-                    2,
-                )
+                let nnz = Checked::from(nnz);
+                let idx_bytes = (nnz + d + 1) * std::mem::size_of::<usize>() as u64;
+                KernelCost::checked(nnz * 8 + idx_bytes, nnz * 8 + k * n * 8, nnz + d * 6, 2)
             }
         };
-        SketchCosts {
-            generation: KernelCost::zero(),
-            apply,
-            apply_reserve: 0,
-        }
+        SketchCosts::checked(Some(KernelCost::zero()), apply, Checked::ZERO)
     }
 
     /// `out = S A`, unrecorded; the per-apply inverse of the hashed row map is
@@ -620,7 +596,7 @@ impl SketchOperator for HashCountSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        apply_stated(device, Self::costs(self.d, self.k, a.shape()), || {
+        apply_stated(device, Self::costs(self.d, self.k, a.shape())?, || {
             self.compute_into(a, out)
         })
     }
@@ -638,7 +614,7 @@ impl SketchOperator for HashCountSketch {
                 }
             });
         }
-        device.record(Self::costs(self.d, self.k, vector_shape(self.d)).apply);
+        device.record(Self::costs(self.d, self.k, vector_shape(self.d))?.apply);
         Ok(y)
     }
 

@@ -60,6 +60,12 @@ pub enum Error {
         /// Bytes of the refused allocation.
         bytes: u64,
     },
+    /// A size stated from a shape overflows `u64` (a cost statement at a shape
+    /// no host could hold): the typed form of a wrapped or panicking count.
+    SizeOverflow {
+        /// What overflowed (e.g. `"cost statement"`).
+        quantity: &'static str,
+    },
     /// A simulated device died mid-run (an injected
     /// [`FaultSpec::Dies`](sketch_gpu_sim::FaultSpec::Dies) fault fired) and
     /// the executor could not — or was not asked to — recover around it.
@@ -156,6 +162,7 @@ impl fmt::Display for Error {
             Error::HostAllocationFailed { bytes } => {
                 write!(f, "the host refused to allocate {bytes} bytes")
             }
+            Error::SizeOverflow { quantity } => write!(f, "the {quantity} overflows u64"),
             Error::DeviceFailed {
                 ordinal,
                 after_sim_seconds,
@@ -234,6 +241,11 @@ mod tests {
 
         let e = Error::bad_problem("d < n");
         assert!(e.to_string().contains("d < n"));
+
+        let e = Error::SizeOverflow {
+            quantity: "cost statement",
+        };
+        assert!(e.to_string().contains("cost statement overflows u64"));
 
         let e: Error = sketch_gpu_sim::DeviceFailed {
             ordinal: 3,

@@ -16,7 +16,7 @@
 //! what keeps the repo's bitwise determinism gates indifferent to FWHT tuning.
 
 use rayon::prelude::*;
-use sketch_gpu_sim::{Device, KernelCost};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{Layout, Matrix};
 
 /// Default modelled "shared memory" tile: 2048 doubles = 16 KiB per column tile.
@@ -175,10 +175,12 @@ pub fn global_passes(d: usize, tile: usize) -> u64 {
 /// the un-tiled one, so results are bit-for-bit stable under both knobs.
 ///
 /// # Panics
-/// Panics if the matrix is not column-major or its row count is not a power of two.
+/// Panics if the matrix is not column-major, its row count is not a power of two, or
+/// its transform's cost overflows `u64` (which no matrix a host holds does).
 pub fn fwht_matrix_columns(device: &Device, a: &mut Matrix, tile: usize) {
     fwht_columns_unrecorded(a, tile);
-    device.record(fwht_columns_cost(a.nrows(), a.ncols(), tile));
+    let cost = fwht_columns_cost(a.nrows(), a.ncols(), tile);
+    device.record(cost.expect("a stored matrix states its transform's cost"));
 }
 
 /// [`fwht_matrix_columns`] without the cost record.
@@ -199,15 +201,15 @@ pub(crate) fn fwht_columns_unrecorded(a: &mut Matrix, tile: usize) {
 
 /// The modelled cost of transforming the `n` length-`d` columns of a matrix with a
 /// `tile`-double shared-memory tile: [`global_passes`] read/write passes over the
-/// matrix, one launch each.
-pub(crate) fn fwht_columns_cost(d: usize, n: usize, tile: usize) -> KernelCost {
+/// matrix, one launch each.  `None` when a count overflows `u64`.
+pub(crate) fn fwht_columns_cost(d: usize, n: usize, tile: usize) -> Option<KernelCost> {
     let passes = global_passes(d, tile);
-    let dn = (d * n) as u64;
+    let dn = Checked::from(d) * Checked::from(n);
     let bits = if d > 1 { d.trailing_zeros() as u64 } else { 0 };
-    KernelCost::new(
-        KernelCost::f64_bytes(dn) * passes,
-        KernelCost::f64_bytes(dn) * passes,
-        2 * dn * bits,
+    KernelCost::checked(
+        dn * 8 * passes,
+        dn * 8 * passes,
+        dn * 2 * bits,
         passes.max(1),
     )
 }

@@ -11,8 +11,8 @@
 use crate::error::Error;
 use crate::operand::{Operand, OperandShape};
 use crate::spec::SketchKind;
-use crate::traits::{apply_stated, SketchCosts, SketchOperator};
-use sketch_gpu_sim::{Device, KernelCost};
+use crate::traits::{apply_stated, SketchCosts, SketchOperator, STATEMENT_OVERFLOW};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{blas2, blas3, Layout, Matrix, MatrixViewMut, Op};
 use sketch_rng::fill;
 
@@ -57,7 +57,7 @@ impl GaussianSketch {
         let data = fill::scaled_gaussian_vec(seed, 0, len, scale)
             .map_err(|_| Error::HostAllocationFailed { bytes })?;
         let matrix = Matrix::from_vec(k, d, Layout::RowMajor, data);
-        let generation_cost = generation_cost(d, k);
+        let generation_cost = generation_cost(d, k).ok_or(STATEMENT_OVERFLOW)?;
         device.record(generation_cost);
         Ok(Self {
             matrix,
@@ -79,25 +79,16 @@ impl GaussianSketch {
     /// `k·d` draws, and one apply to a `d`-row operand of shape `a` — a GEMM for a
     /// dense operand, the dense sketch's columns gathered per non-zero for a
     /// sparse one.  The `k x d` operator is stored, not reserved per apply.
-    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> Result<SketchCosts, Error> {
         let apply = match a {
             OperandShape::Dense { cols, .. } => blas3::gemm_cost(k, d, cols, false),
             OperandShape::Csr { cols, nnz, .. } => {
-                let (nnz, n, k) = (nnz as u64, cols as u64, k as u64);
-                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d as u64 + 1);
-                KernelCost::new(
-                    KernelCost::f64_bytes(nnz + k * nnz) + idx_bytes,
-                    KernelCost::f64_bytes(k * n),
-                    2 * k * nnz,
-                    1,
-                )
+                let (nnz, n, k) = (Checked::from(nnz), Checked::from(cols), Checked::from(k));
+                let idx_bytes = (nnz + Checked::from(d) + 1) * std::mem::size_of::<usize>() as u64;
+                KernelCost::checked((nnz + k * nnz) * 8 + idx_bytes, k * n * 8, k * nnz * 2, 1)
             }
         };
-        SketchCosts {
-            generation: generation_cost(d, k),
-            apply,
-            apply_reserve: 0,
-        }
+        SketchCosts::checked(generation_cost(d, k), apply, Checked::ZERO)
     }
 
     /// `out = S A`, unrecorded: GEMM straight into the caller's buffer (dense
@@ -150,9 +141,9 @@ impl GaussianSketch {
 }
 
 /// What generating a `k x d` Gaussian records: write `k·d` Box–Muller draws.
-fn generation_cost(d: usize, k: usize) -> KernelCost {
-    let len = k as u64 * d as u64;
-    KernelCost::new(0, KernelCost::f64_bytes(len), len * FLOPS_PER_GAUSSIAN, 1)
+fn generation_cost(d: usize, k: usize) -> Option<KernelCost> {
+    let len = Checked::from(k) * Checked::from(d);
+    KernelCost::checked(Checked::ZERO, len * 8, len * FLOPS_PER_GAUSSIAN, 1)
 }
 
 impl SketchOperator for GaussianSketch {
@@ -182,7 +173,7 @@ impl SketchOperator for GaussianSketch {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let costs = Self::costs(self.input_dim(), self.output_dim(), a.shape());
+        let costs = Self::costs(self.input_dim(), self.output_dim(), a.shape())?;
         apply_stated(device, costs, || self.compute_into(a, out))
     }
 

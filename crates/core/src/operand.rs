@@ -53,6 +53,16 @@ pub enum OperandShape {
 }
 
 impl OperandShape {
+    /// A dense `rows x cols` shape in `layout`.
+    pub const fn dense(rows: usize, cols: usize, layout: Layout) -> Self {
+        OperandShape::Dense { rows, cols, layout }
+    }
+
+    /// A sparse `rows x cols` shape with `nnz` stored entries.
+    pub const fn csr(rows: usize, cols: usize, nnz: usize) -> Self {
+        OperandShape::Csr { rows, cols, nnz }
+    }
+
     /// Number of columns.
     pub fn cols(&self) -> usize {
         match *self {
@@ -65,21 +75,9 @@ impl<'a> Operand<'a> {
     /// The operand's [`OperandShape`].
     pub fn shape(&self) -> OperandShape {
         match self {
-            Operand::Dense(m) => OperandShape::Dense {
-                rows: m.nrows(),
-                cols: m.ncols(),
-                layout: m.layout(),
-            },
-            Operand::Csr(s) => OperandShape::Csr {
-                rows: s.nrows(),
-                cols: s.ncols(),
-                nnz: s.nnz(),
-            },
-            Operand::CsrRows(v) => OperandShape::Csr {
-                rows: v.nrows(),
-                cols: v.ncols(),
-                nnz: v.nnz(),
-            },
+            Operand::Dense(m) => OperandShape::dense(m.nrows(), m.ncols(), m.layout()),
+            Operand::Csr(s) => OperandShape::csr(s.nrows(), s.ncols(), s.nnz()),
+            Operand::CsrRows(v) => OperandShape::csr(v.nrows(), v.ncols(), v.nnz()),
         }
     }
 

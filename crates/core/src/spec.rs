@@ -46,7 +46,7 @@ use crate::operand::{Operand, OperandShape};
 use crate::srht::Srht;
 use crate::traits::{try_zeros, SketchCosts, SketchOperator};
 use serde::{Deserialize, Serialize};
-use sketch_gpu_sim::{Device, KernelCost, Reservation};
+use sketch_gpu_sim::{Checked, Device, KernelCost, Reservation};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 
 pub mod json;
@@ -332,12 +332,12 @@ impl SketchSpec {
     /// spec [`exact_dims`](Self::exact_dims) rejects.
     pub fn costs(&self, a: OperandShape) -> Result<SketchCosts, Error> {
         let (d, k) = self.exact_dims()?;
-        Ok(match self.kind {
+        match self.kind {
             SketchKind::CountSketch => CountSketch::costs(d, k, a),
             SketchKind::Gaussian => GaussianSketch::costs(d, k, a),
             SketchKind::Srht => Srht::costs(d, k, a),
             SketchKind::HashCountSketch => HashCountSketch::costs(d, k, a),
-        })
+        }
     }
 
     /// Build the described operator as a trait object.
@@ -626,32 +626,31 @@ impl Pipeline {
     /// `k x n` output into a reserved intermediate (a Gaussian stage holding its
     /// stored operator too while it runs), and each intermediate stays reserved
     /// while the next stage reads it.
+    ///
+    /// A statement whose counts overflow `u64` at `a` is [`Error::SizeOverflow`].
     pub fn costs(&self, a: OperandShape) -> Result<SketchCosts, Error> {
         let n = a.cols();
         let stages = self.resolve(n)?;
         let last = stages.len() - 1;
         let mut total = SketchCosts::default();
         let mut shape = a;
-        let mut input = 0;
+        let mut input = Checked::ZERO;
         for (i, stage) in stages.iter().enumerate() {
             let costs = stage.costs(shape)?;
             let (_, k) = stage.exact_dims()?;
-            total.generation += costs.generation;
-            total.apply += costs.apply;
+            let generation = total.generation.checked_add(costs.generation);
+            let apply = total.apply.checked_add(costs.apply);
             let mut held = input + costs.apply_reserve;
             if i < last {
-                input = KernelCost::f64_bytes((k * n) as u64);
-                held += input;
+                input = Checked::from(k) * Checked::from(n) * 8;
+                held = held + input;
                 if stage.kind == SketchKind::Gaussian {
-                    held += costs.generation.bytes_written;
+                    held = held + costs.generation.bytes_written;
                 }
             }
-            total.apply_reserve = total.apply_reserve.max(held);
-            shape = OperandShape::Dense {
-                rows: k,
-                cols: n,
-                layout: stage.kind.output_layout(),
-            };
+            let peak = held.0.map(|held| held.max(total.apply_reserve));
+            total = SketchCosts::checked(generation, apply, Checked(peak))?;
+            shape = OperandShape::dense(k, n, stage.kind.output_layout());
         }
         Ok(total)
     }

@@ -13,8 +13,8 @@ use crate::error::Error;
 use crate::fwht::{fwht_columns_cost, fwht_columns_unrecorded, DEFAULT_TILE};
 use crate::operand::{Operand, OperandShape};
 use crate::spec::SketchKind;
-use crate::traits::{apply_stated, try_zeros, SketchCosts, SketchOperator};
-use sketch_gpu_sim::{Device, KernelCost};
+use crate::traits::{apply_stated, try_zeros, SketchCosts, SketchOperator, STATEMENT_OVERFLOW};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 use sketch_rng::fill;
 
@@ -51,7 +51,7 @@ impl Srht {
         let d_pad = d.next_power_of_two();
         let signs = fill::rademacher_vec(seed, 0, d);
         let sample = fill::uniform_index_vec(seed, 1, k, d_pad);
-        let generation_cost = generation_cost(d, k);
+        let generation_cost = generation_cost(d, k).ok_or(STATEMENT_OVERFLOW)?;
         device.record(generation_cost);
         Ok(Self {
             d,
@@ -72,45 +72,29 @@ impl Srht {
     /// to a `d`-row operand of shape `a` — the sign-flip into the padded
     /// column-major work matrix (reserved for the apply), the global passes of the
     /// FWHT tiled at [`DEFAULT_TILE`], and the sampling.
-    pub fn costs(d: usize, k: usize, a: OperandShape) -> SketchCosts {
-        let d_pad = d.next_power_of_two();
-        let n = a.cols();
-        let work = KernelCost::f64_bytes((d_pad * n) as u64);
+    pub fn costs(d: usize, k: usize, a: OperandShape) -> Result<SketchCosts, Error> {
+        let d_pad = d.checked_next_power_of_two().ok_or(STATEMENT_OVERFLOW)?;
+        let (d64, n, k64) = (Checked::from(d), Checked::from(a.cols()), Checked::from(k));
+        let work = Checked::from(d_pad) * n * 8;
         let flip = match a {
             // Sign flip + copy: read A and the signs once, write the padded work matrix.
             OperandShape::Dense { .. } => {
-                let dn = (d * n) as u64;
-                KernelCost::new(
-                    KernelCost::f64_bytes(dn) + KernelCost::f64_bytes(d as u64),
-                    work,
-                    dn,
-                    1,
-                )
+                KernelCost::checked(d64 * n * 8 + d64 * 8, work, d64 * n, 1)
             }
             // Scatter the stored entries into the padded work matrix.
             OperandShape::Csr { nnz, .. } => {
-                let nnz = nnz as u64;
-                let idx_bytes = (std::mem::size_of::<usize>() as u64) * (nnz + d as u64 + 1);
-                KernelCost::new(
-                    KernelCost::f64_bytes(nnz + d as u64) + idx_bytes,
-                    work,
-                    nnz,
-                    1,
-                )
+                let nnz = Checked::from(nnz);
+                let idx_bytes = (nnz + d64 + 1) * std::mem::size_of::<usize>() as u64;
+                KernelCost::checked((nnz + d64) * 8 + idx_bytes, work, nnz, 1)
             }
         };
-        let kn = (k * n) as u64;
-        let sample = KernelCost::new(
-            KernelCost::f64_bytes(kn) + 4 * k as u64,
-            KernelCost::f64_bytes(kn),
-            kn,
-            1,
-        );
-        SketchCosts {
-            generation: generation_cost(d, k),
-            apply: flip + fwht_columns_cost(d_pad, n, DEFAULT_TILE) + sample,
-            apply_reserve: work,
-        }
+        let kn = k64 * n;
+        let sample = KernelCost::checked(kn * 8 + k64 * 4, kn * 8, kn, 1);
+        let apply = flip.and_then(|flip| {
+            flip.checked_add(fwht_columns_cost(d_pad, a.cols(), DEFAULT_TILE)?)?
+                .checked_add(sample?)
+        });
+        SketchCosts::checked(generation_cost(d, k), apply, work)
     }
 
     /// `out = (1/√k) P H D A`, unrecorded: sign-flip into the padded work matrix
@@ -172,8 +156,9 @@ impl Srht {
 }
 
 /// What generating a `d -> k` SRHT records: `d` signs and `k` sampled indices.
-fn generation_cost(d: usize, k: usize) -> KernelCost {
-    KernelCost::new(0, d as u64 + 4 * k as u64, (d + k) as u64, 1)
+fn generation_cost(d: usize, k: usize) -> Option<KernelCost> {
+    let (d, k) = (Checked::from(d), Checked::from(k));
+    KernelCost::checked(Checked::ZERO, d + k * 4, d + k, 1)
 }
 
 impl SketchOperator for Srht {
@@ -204,7 +189,7 @@ impl SketchOperator for Srht {
     ) -> Result<(), Error> {
         self.check_operand(&a)?;
         self.check_output(out, a.ncols())?;
-        let costs = Self::costs(self.d, self.k, a.shape());
+        let costs = Self::costs(self.d, self.k, a.shape())?;
         apply_stated(device, costs, || self.compute_into(a, out))
     }
 

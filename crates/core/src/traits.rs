@@ -3,7 +3,7 @@
 
 use crate::error::Error;
 use crate::operand::Operand;
-use sketch_gpu_sim::{Device, KernelCost};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
 
 /// What a sketch kind states, from the operand's shape alone, about generating its
@@ -15,7 +15,9 @@ use sketch_la::{Layout, Matrix, MatrixViewMut};
 /// exactly [`apply`](Self::apply) under a reservation of
 /// [`apply_reserve`](Self::apply_reserve), and its generation records
 /// [`generation`](Self::generation); the multi-device executor charges shards the
-/// same statements instead of running their kernels.
+/// same statements instead of running their kernels, and the service admits jobs
+/// by them.  At a shape whose counts overflow `u64`, every kind's `costs` returns
+/// [`Error::SizeOverflow`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SketchCosts {
     /// What generating the operator records (the "Sketch gen" cost); its bytes
@@ -28,6 +30,42 @@ pub struct SketchCosts {
     /// returns) beyond the operand and the caller-owned output: the SRHT's padded
     /// work matrix, a pipeline's intermediates.
     pub apply_reserve: u64,
+}
+
+/// The typed refusal of a cost statement that overflows `u64` at its shape.
+pub(crate) const STATEMENT_OVERFLOW: Error = Error::SizeOverflow {
+    quantity: "cost statement",
+};
+
+impl SketchCosts {
+    /// A statement from its [`Checked`] parts, or [`Error::SizeOverflow`] when one
+    /// of them overflowed `u64`.
+    pub(crate) fn checked(
+        generation: Option<KernelCost>,
+        apply: Option<KernelCost>,
+        apply_reserve: Checked,
+    ) -> Result<Self, Error> {
+        let (generation, apply) = generation.zip(apply).ok_or(STATEMENT_OVERFLOW)?;
+        let apply_reserve = apply_reserve.0.ok_or(STATEMENT_OVERFLOW)?;
+        Ok(Self {
+            generation,
+            apply,
+            apply_reserve,
+        })
+    }
+
+    /// Device bytes the built operator and one allocating apply of it hold beyond
+    /// the operand: the stored ingredients (what the generation writes), the
+    /// apply's peak reservation, and the `k x n` result.  [`Error::SizeOverflow`]
+    /// when the sum overflows `u64`.
+    pub fn held_bytes(&self, k: usize, n: usize) -> Result<u64, Error> {
+        let result = Checked::from(k) * Checked::from(n) * 8;
+        (result + self.generation.bytes_written + self.apply_reserve)
+            .0
+            .ok_or(Error::SizeOverflow {
+                quantity: "held bytes",
+            })
+    }
 }
 
 /// Reserve what `costs` states on `device`, run the unrecorded `compute`, then
@@ -49,7 +87,7 @@ pub(crate) fn apply_stated(
 /// A zeroed host buffer of `len` elements, or [`Error::HostAllocationFailed`] when
 /// the host refuses it: the buffers an untrusted shape sizes are reserved with
 /// `try_reserve_exact`, so a refusal is a typed error, not an abort.
-pub(crate) fn try_zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, Error> {
+pub fn try_zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, Error> {
     let mut buf = Vec::new();
     buf.try_reserve_exact(len)
         .map_err(|_| Error::HostAllocationFailed {

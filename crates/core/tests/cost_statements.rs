@@ -7,10 +7,15 @@
 //!
 //! The multi-device executor charges its shards these statements instead of
 //! running their kernels, and the paper-scale projections evaluate them at sizes
-//! nothing could allocate, so this is the check that keeps both honest.
+//! nothing could allocate, so this is the check that keeps both honest.  Admission
+//! states tenant shapes with them, so they are total too: at any shape a statement
+//! is exact or a typed error, never a wrapped count or a panic.
 
 use proptest::prelude::*;
-use sketch_core::{EmbeddingDim, Operand, Pipeline, SketchCosts, SketchOperator, SketchSpec};
+use sketch_core::{
+    CountSketch, EmbeddingDim, Error, GaussianSketch, HashCountSketch, Operand, OperandShape,
+    Pipeline, SketchCosts, SketchOperator, SketchSpec, Srht,
+};
 use sketch_gpu_sim::Device;
 use sketch_la::{Layout, Matrix};
 use sketch_sparse::{CooMatrix, CsrMatrix};
@@ -149,10 +154,96 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every kind and Count→Gauss, at `d`, `k`, `n` and `nnz` drawn from the whole
+    /// `usize` range (each shifted right by a random amount, so every magnitude
+    /// comes up): the statement and the bytes it holds are `Ok`, or a typed
+    /// `Err` — never a panic, which a debug build raises on any overflow.
+    #[test]
+    fn prop_statements_are_total(
+        d in 0usize..usize::MAX,
+        k in 0usize..usize::MAX,
+        k2 in 0usize..usize::MAX,
+        n in 0usize..usize::MAX,
+        nnz in 0usize..usize::MAX,
+        shifts in 0u64..u64::MAX,
+    ) {
+        let shift = |i: u32| (shifts >> (6 * i)) as u32 % 64;
+        let (d, k, k2) = (d >> shift(0), k >> shift(1), k2 >> shift(2));
+        let (n, nnz) = (n >> shift(3), nnz >> shift(4));
+        let shapes = [
+            OperandShape::Dense { rows: d, cols: n, layout: Layout::RowMajor },
+            OperandShape::Dense { rows: d, cols: n, layout: Layout::ColMajor },
+            OperandShape::Csr { rows: d, cols: n, nnz },
+        ];
+        let exact = EmbeddingDim::Exact;
+        let plans = [
+            Pipeline::single(SketchSpec::countsketch(d, exact(k), 1)),
+            Pipeline::single(SketchSpec::hash_countsketch(d, exact(k), 2)),
+            Pipeline::single(SketchSpec::gaussian(d, exact(k), 3)),
+            Pipeline::single(SketchSpec::srht(d, exact(k), 4)),
+            Pipeline::count_gauss(d, exact(k), exact(k2), 5),
+        ];
+        for a in shapes {
+            for plan in &plans {
+                let stated = plan.costs(a);
+                let held = stated.as_ref().map(|costs| costs.held_bytes(k2, n));
+                prop_assert!(
+                    matches!(
+                        stated,
+                        Ok(_) | Err(Error::SizeOverflow { .. } | Error::InvalidParameter { .. })
+                    ),
+                    "{stated:?}"
+                );
+                prop_assert!(
+                    matches!(held, Ok(Ok(_) | Err(Error::SizeOverflow { .. })) | Err(_)),
+                    "{held:?}"
+                );
+            }
+            // The kinds' own statements, which `SketchSpec::costs` guards with
+            // `exact_dims`, at the raw dimensions.
+            for stated in [
+                CountSketch::costs(d, k, a),
+                HashCountSketch::costs(d, k, a),
+                GaussianSketch::costs(d, k, a),
+                Srht::costs(d, k, a),
+            ] {
+                prop_assert!(
+                    matches!(stated, Ok(_) | Err(Error::SizeOverflow { .. })),
+                    "{stated:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn a_spec_that_cannot_build_states_nothing() {
     let unresolved = SketchSpec::gaussian(64, EmbeddingDim::Ratio(2), 1);
     let shape = Operand::Dense(&Matrix::zeros(64, 4)).shape();
     assert!(unresolved.costs(shape).is_err());
     assert!(unresolved.resolve(4).costs(shape).is_ok());
+}
+
+#[test]
+fn a_gaussian_past_u64_flops_states_a_typed_overflow() {
+    // 2·k·d·n = 2^80 flops on an operand of 2^62 bytes, which admission accepts.
+    let shape = OperandShape::Dense {
+        rows: 1 << 29,
+        cols: 1 << 30,
+        layout: Layout::RowMajor,
+    };
+    let plan = Pipeline::single(SketchSpec::gaussian(
+        1 << 29,
+        EmbeddingDim::Exact(1 << 20),
+        1,
+    ));
+    assert_eq!(
+        plan.costs(shape),
+        Err(Error::SizeOverflow {
+            quantity: "cost statement"
+        })
+    );
 }

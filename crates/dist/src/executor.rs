@@ -56,9 +56,9 @@ use sketch_core::{
     SketchSpec,
 };
 use sketch_gpu_sim::{
-    Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
+    Checked, Device, DeviceFailed, DevicePool, Event, KernelCost, StreamKind, StreamSet, Timeline,
 };
-use sketch_la::{Layout, Matrix};
+use sketch_la::Matrix;
 use sketch_obs::{CostBreakdown, Stopwatch, TraceEvent, Track};
 use std::ops::Range;
 
@@ -442,8 +442,10 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 /// On a pool of one ([`DevicePool::single`]) each stage runs as a single
 /// unsharded kernel with zero communication, so the timeline reduces to bare
 /// [`Device`] launches — "serial" is just the degenerate pool — and the device
-/// records exactly what [`Pipeline::compose_for`] plus one
-/// [`apply_into`](SketchOperator::apply_into) record on a bare device.
+/// records and peaks at exactly what [`Pipeline::compose_for`] plus one
+/// [`apply_into`](SketchOperator::apply_into) record and reserve on a bare
+/// device: a non-last stage's `k x n` output stays reserved on every live
+/// device until the next stage has read it.
 ///
 /// With an enabled recorder attached to the pool, each stage also emits one
 /// [`Track::Wall`] event: the measured host time of its one compute, spanning
@@ -495,6 +497,7 @@ pub fn pipelined_sketch<'a, 'p>(
     let mut schedules = Vec::with_capacity(stages.len());
     let mut comms = Vec::with_capacity(stages.len());
     let mut current: Option<Matrix> = None; // None = first stage reads `a`
+    let mut _held = Vec::new(); // `current`, reserved on every live device
 
     for (stage_idx, (spec, op)) in stages.iter().enumerate() {
         let input = match &current {
@@ -509,6 +512,19 @@ pub fn pipelined_sketch<'a, 'p>(
             op.as_operator().generation_cost(),
         );
         let k = op.as_operator().output_dim();
+        // A non-last stage's output ends on every live device (the collective
+        // leaves it there) and stays reserved until the next stage has read it,
+        // as a bare apply holds its intermediate.
+        let mut output = Vec::new();
+        if stage_idx + 1 < stages.len() {
+            let bytes = Checked::from(k) * Checked::from(n) * 8;
+            let bytes = bytes.0.ok_or(Error::SizeOverflow {
+                quantity: "stage output bytes",
+            })?;
+            for &d in &state.alive {
+                output.push(pool.device(d).try_reserve(bytes)?);
+            }
+        }
         let stage = Stage {
             index: stage_idx,
             spec,
@@ -537,6 +553,7 @@ pub fn pipelined_sketch<'a, 'p>(
             ShardAxis::Cols => CommCost::allgather(state.alive.len(), k, n),
         });
         current = Some(out);
+        _held = output;
     }
 
     let result = current.ok_or_else(|| DistError::invalid_param("pipeline has no stages"))?;
@@ -981,12 +998,14 @@ impl Stage<'_> {
             ShardAxis::Cols => (self.spec.clone(), self.input.nrows(), range.len()),
         };
         spec.costs(match (self.input, self.axis()) {
-            (Operand::Dense(m), _) => dense_shape(rows, cols, m.layout()),
-            (Operand::Csr(s), ShardAxis::Rows) => csr_shape(rows, cols, s.slice_rows(range).nnz()),
-            (Operand::CsrRows(v), ShardAxis::Rows) => {
-                csr_shape(rows, cols, v.slice_rows(range).nnz())
+            (Operand::Dense(m), _) => OperandShape::dense(rows, cols, m.layout()),
+            (Operand::Csr(s), ShardAxis::Rows) => {
+                OperandShape::csr(rows, cols, s.slice_rows(range).nnz())
             }
-            (_, ShardAxis::Cols) => csr_shape(rows, cols, panel_nnz[assignment.index]),
+            (Operand::CsrRows(v), ShardAxis::Rows) => {
+                OperandShape::csr(rows, cols, v.slice_rows(range).nnz())
+            }
+            (_, ShardAxis::Cols) => OperandShape::csr(rows, cols, panel_nnz[assignment.index]),
         })
     }
 
@@ -1032,16 +1051,6 @@ impl Stage<'_> {
     }
 }
 
-/// A dense operand's shape.
-fn dense_shape(rows: usize, cols: usize, layout: Layout) -> OperandShape {
-    OperandShape::Dense { rows, cols, layout }
-}
-
-/// A sparse operand's shape.
-fn csr_shape(rows: usize, cols: usize, nnz: usize) -> OperandShape {
-    OperandShape::Csr { rows, cols, nnz }
-}
-
 /// Charge a stage operator's generation `cost` as a replica to every live
 /// device but `builder`, the device the pipeline was built on (and charged its
 /// generation) before the first stage.  A stage's replicas are charged at its
@@ -1058,6 +1067,7 @@ mod tests {
     use super::*;
     use sketch_core::{EmbeddingDim, SketchSpec};
     use sketch_gpu_sim::{Device, FaultPlan, FaultSpec};
+    use sketch_la::Layout;
 
     fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
         if a.nrows() != b.nrows() || a.ncols() != b.ncols() {
@@ -1282,6 +1292,8 @@ mod tests {
                     .unwrap();
                     assert!(bits_equal(&run.result, &single), "{ctx}: bits");
                     assert_eq!(pool.total_cost(), bare.tracker().snapshot(), "{ctx}: cost");
+                    let peak = pool.device(0).memory().peak();
+                    assert_eq!(peak, bare.memory().peak(), "{ctx}: peak reservation");
                     assert_eq!(run.comm_seconds, 0.0, "{ctx}");
                     assert_eq!(run.timeline.entries().len(), prices.len(), "{ctx}");
                     let mut clock = 0.0;
@@ -1292,6 +1304,29 @@ mod tests {
                     assert_eq!(run.pipelined_seconds, clock, "{ctx}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_stage_whose_statement_overflows_is_a_typed_error() {
+        // k·n·8 bytes of output overflow u64: refused by the stage's statement.
+        let a = input(64, 64);
+        let plan = Pipeline::single(SketchSpec::hash_countsketch(
+            64,
+            EmbeddingDim::Exact(1 << 62),
+            1,
+        ));
+        for devices in [1, 3] {
+            let run = pipelined_sketch(
+                &DevicePool::unlimited(devices),
+                &a,
+                &plan,
+                &ExecutorOptions::default(),
+            );
+            assert!(
+                matches!(run, Err(Error::SizeOverflow { .. })),
+                "{devices} devices: {run:?}"
+            );
         }
     }
 

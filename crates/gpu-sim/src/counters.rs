@@ -5,7 +5,7 @@
 //! point operations it performed, and how many kernel launches it needed.  These counts
 //! are the raw material of the paper's Figures 3 and 4 and of the roofline time model.
 
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The cost of one kernel (or one accumulated region of kernels).
@@ -65,7 +65,61 @@ impl KernelCost {
     pub const fn f64_bytes(n: u64) -> u64 {
         n * 8
     }
+
+    /// A cost from [`Checked`] counts, or `None` when one of them overflowed.
+    pub fn checked(read: Checked, written: Checked, flops: Checked, launches: u64) -> Option<Self> {
+        Some(Self::new(read.0?, written.0?, flops.0?, launches))
+    }
+
+    /// `self + rhs`, or `None` when a counter overflows.
+    pub fn checked_add(self, rhs: KernelCost) -> Option<Self> {
+        Some(Self::new(
+            self.bytes_read.checked_add(rhs.bytes_read)?,
+            self.bytes_written.checked_add(rhs.bytes_written)?,
+            self.flops.checked_add(rhs.flops)?,
+            self.launches.checked_add(rhs.launches)?,
+        ))
+    }
 }
+
+/// A count whose `+` and `*` are checked, as [`std::num::Wrapping`]'s wrap: a cost
+/// statement written in `Checked` counts is exact, or `Checked(None)` once any
+/// step overflows `u64`, so a statement evaluated at an untrusted shape is never
+/// a wrapped value and never a panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checked(pub Option<u64>);
+
+impl Checked {
+    /// An exact zero.
+    pub const ZERO: Checked = Checked(Some(0));
+}
+
+impl From<usize> for Checked {
+    fn from(n: usize) -> Self {
+        Checked(u64::try_from(n).ok())
+    }
+}
+
+macro_rules! checked_op {
+    ($op:ident, $method:ident, $checked:ident) => {
+        impl $op for Checked {
+            type Output = Checked;
+            fn $method(self, rhs: Checked) -> Checked {
+                Checked(self.0.zip(rhs.0).and_then(|(a, b)| a.$checked(b)))
+            }
+        }
+
+        impl $op<u64> for Checked {
+            type Output = Checked;
+            fn $method(self, rhs: u64) -> Checked {
+                self.$method(Checked(Some(rhs)))
+            }
+        }
+    };
+}
+
+checked_op!(Add, add, checked_add);
+checked_op!(Mul, mul, checked_mul);
 
 impl Add for KernelCost {
     type Output = KernelCost;
@@ -189,6 +243,23 @@ mod tests {
     #[test]
     fn f64_bytes_helper() {
         assert_eq!(KernelCost::f64_bytes(3), 24);
+    }
+
+    #[test]
+    fn checked_counts_are_exact_or_none() {
+        let big = Checked(Some(u64::MAX / 2));
+        assert_eq!(big * 2, Checked(Some(u64::MAX - 1)));
+        assert_eq!(big * 3, Checked(None));
+        assert_eq!(big * 3 + 1, Checked(None));
+        assert_eq!(Checked::from(7usize) + 1, Checked(Some(8)));
+        assert_eq!(
+            KernelCost::checked(big * 2, Checked::ZERO + 8, big + big, 1),
+            Some(KernelCost::new(u64::MAX - 1, 8, u64::MAX - 1, 1))
+        );
+        assert_eq!(KernelCost::checked(big * 3, Checked::ZERO, big, 1), None);
+        let a = KernelCost::new(1, 2, 3, 1);
+        assert_eq!(a.checked_add(a), Some(a + a));
+        assert_eq!(a.checked_add(KernelCost::new(0, 0, u64::MAX, 0)), None);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod profile;
 pub mod roofline;
 pub mod stream;
 
-pub use counters::{CostTracker, KernelCost};
+pub use counters::{Checked, CostTracker, KernelCost};
 pub use device::{Device, DeviceSpec};
 pub use fault::{DeviceFailed, FaultParseError, FaultPlan, FaultSpec};
 pub use memory::{MemoryError, MemoryTracker, Reservation};

@@ -22,7 +22,7 @@ use crate::error::{dim_err, LaError};
 use crate::gebp::{self, BlockSizes};
 use crate::matrix::{Layout, Matrix, MatrixViewMut, Op};
 use rayon::prelude::*;
-use sketch_gpu_sim::{Device, KernelCost};
+use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_rng::Tier;
 use std::ops::Range;
 
@@ -83,15 +83,18 @@ fn pack_cols(b: &Matrix, op: Op) -> Vec<f64> {
     out
 }
 
-/// Validate GEMM dimensions and return `(m, k, n)`.
+/// Validate GEMM dimensions and return `(m, k, n)` with the product's
+/// [`gemm_cost`] (reading `C` when `beta != 0`); a cost that overflows `u64` is a
+/// dimension error.
 fn gemm_dims(
     op_a: Op,
     a: &Matrix,
     op_b: Op,
     b: &Matrix,
+    beta: f64,
     c: Option<&Matrix>,
     out: &MatrixViewMut<'_>,
-) -> Result<(usize, usize, usize), LaError> {
+) -> Result<(usize, usize, usize, KernelCost), LaError> {
     let m = op_a.rows(a);
     let k = op_a.cols(a);
     let kb = op_b.rows(b);
@@ -120,21 +123,23 @@ fn gemm_dims(
             ),
         ));
     }
-    Ok((m, k, n))
+    let cost = gemm_cost(m, k, n, beta != 0.0 && c.is_some());
+    let overflow = || {
+        dim_err(
+            "gemm",
+            format!("the cost of a {m}x{k}x{n} GEMM overflows u64"),
+        )
+    };
+    Ok((m, k, n, cost.ok_or_else(overflow)?))
 }
 
 /// The modelled cost of an `m x k` times `k x n` GEMM (`2mnk` flops, packed-operand
 /// traffic), reading a `beta`-scaled `C` when `read_c`: what every GEMM entry point
-/// records, stated from the shapes alone.
-pub fn gemm_cost(m: usize, k: usize, n: usize, read_c: bool) -> KernelCost {
-    let (m64, n64, k64) = (m as u64, n as u64, k as u64);
-    let read_c = if read_c { m64 * n64 } else { 0 };
-    KernelCost::new(
-        KernelCost::f64_bytes(m64 * k64 + k64 * n64 + read_c),
-        KernelCost::f64_bytes(m64 * n64),
-        2 * m64 * n64 * k64,
-        1,
-    )
+/// records, stated from the shapes alone.  `None` when a count overflows `u64`.
+pub fn gemm_cost(m: usize, k: usize, n: usize, read_c: bool) -> Option<KernelCost> {
+    let (m, k, n) = (Checked::from(m), Checked::from(k), Checked::from(n));
+    let read_c = if read_c { m * n } else { Checked::ZERO };
+    KernelCost::checked((m * k + k * n + read_c) * 8, m * n * 8, m * n * k * 2, 1)
 }
 
 /// General matrix-matrix product `C <- alpha * op(A) * op(B) + beta * C`.
@@ -219,9 +224,9 @@ pub fn gemm_into_with_blocks(
     out: &mut MatrixViewMut<'_>,
     blocks: BlockSizes,
 ) -> Result<(), LaError> {
-    let (m, k, n) = gemm_dims(op_a, a, op_b, b, c, out)?;
+    let (.., cost) = gemm_dims(op_a, a, op_b, b, beta, c, out)?;
     gemm_compute(alpha, op_a, a, op_b, b, beta, c, out, blocks);
-    device.record(gemm_cost(m, k, n, beta != 0.0 && c.is_some()));
+    device.record(cost);
     Ok(())
 }
 
@@ -238,7 +243,7 @@ pub fn gemm_into_unrecorded(
     c: Option<&Matrix>,
     out: &mut MatrixViewMut<'_>,
 ) -> Result<(), LaError> {
-    gemm_dims(op_a, a, op_b, b, c, out)?;
+    gemm_dims(op_a, a, op_b, b, beta, c, out)?;
     gemm_compute(alpha, op_a, a, op_b, b, beta, c, out, BlockSizes::default());
     Ok(())
 }
@@ -311,7 +316,7 @@ pub fn gemm_naive_into(
     c: Option<&Matrix>,
     out: &mut MatrixViewMut<'_>,
 ) -> Result<(), LaError> {
-    let (m, k, n) = gemm_dims(op_a, a, op_b, b, c, out)?;
+    let (m, k, n, cost) = gemm_dims(op_a, a, op_b, b, beta, c, out)?;
 
     let packed_a = pack_rows(a, op_a);
     let packed_b = pack_cols(b, op_b);
@@ -350,7 +355,7 @@ pub fn gemm_naive_into(
         }
     }
 
-    device.record(gemm_cost(m, k, n, beta != 0.0 && c.is_some()));
+    device.record(cost);
     Ok(())
 }
 

@@ -8,16 +8,19 @@
 //! [`RejectReason`] — never a panic — so the service
 //! turns quota violations into ledger entries.
 //!
-//! The resource models are the job's own declarative estimates
-//! ([`JobSpec::sketch_output_bytes`], [`JobSpec::modelled_flops`]): admission
-//! is decided *before* any operand is materialised.  Ahead of every budget, a
-//! job whose operand or Gaussian operator could not be allocated, or whose
-//! modelled sizes overflow `u64`, is refused with
+//! Admission states each job once, before any operand is materialised: its
+//! pipeline's [`Pipeline::costs`](sketch_core::Pipeline::costs) at the
+//! operand's [`shape`](crate::OperandSpec::shape), the statement the kernels
+//! record.  The flop budget reads its generation plus apply flops, which is
+//! what a pool of one records for a dense job and bounds it for a CSR one; the
+//! byte budget reads the bytes the job holds on its device beyond the operand
+//! ([`SketchCosts::held_bytes`](sketch_core::SketchCosts::held_bytes)).  Ahead
+//! of every budget, whatever the tenant's limits, a job whose operand or held
+//! bytes pass `isize::MAX`, or whose statement overflows `u64`, is refused with
 //! [`RejectReason::SizeOverflow`], and a job the executor's
 //! [`preflight`](sketch_dist::preflight) refuses (an empty operand, an operand
 //! whose rows are not the first stage's input dimension, a pipeline that does
-//! not resolve to buildable stages) with [`RejectReason::InvalidSpec`] —
-//! whatever the tenant's limits.
+//! not resolve to buildable stages) with [`RejectReason::InvalidSpec`].
 
 use crate::error::{RejectReason, ServeError};
 use crate::job::JobSpec;
@@ -29,9 +32,10 @@ use std::collections::BTreeMap;
 pub struct TenantLimits {
     /// Maximum jobs the tenant may have admitted-but-not-completed.
     pub max_in_flight: usize,
-    /// Maximum modelled sketch output bytes per job.
+    /// Maximum bytes a job may hold on its device beyond the operand: its
+    /// stored operators, its apply's peak reservation and its `k x n` result.
     pub max_sketch_bytes: u64,
-    /// Maximum modelled flops per job.
+    /// Maximum flops a job may state: its pipeline's generation plus apply.
     pub max_modelled_flops: u64,
     /// Maximum *retries* after a job's first execution attempt dies with a
     /// device failure: `0` abandons on the first failure, the default
@@ -57,14 +61,14 @@ impl TenantLimits {
         self
     }
 
-    /// Cap modelled sketch bytes per job.
+    /// Cap the bytes a job may hold beyond its operand.
     #[must_use]
     pub fn with_max_sketch_bytes(mut self, max_sketch_bytes: u64) -> Self {
         self.max_sketch_bytes = max_sketch_bytes;
         self
     }
 
-    /// Cap modelled flops per job.
+    /// Cap the flops a job may state.
     #[must_use]
     pub fn with_max_modelled_flops(mut self, max_modelled_flops: u64) -> Self {
         self.max_modelled_flops = max_modelled_flops;
@@ -194,18 +198,16 @@ impl AdmissionController {
                 limit: limits.max_in_flight,
             }));
         }
-        job.check_sizes()?;
-        let modelled_bytes = job.sketch_output_bytes()?;
-        if modelled_bytes > limits.max_sketch_bytes {
+        let stated = job.costs()?;
+        if stated.held_bytes > limits.max_sketch_bytes {
             return Err(reject(RejectReason::SketchBytesExceeded {
-                modelled: modelled_bytes,
+                modelled: stated.held_bytes,
                 limit: limits.max_sketch_bytes,
             }));
         }
-        let modelled_flops = job.modelled_flops()?;
-        if modelled_flops > limits.max_modelled_flops {
+        if stated.flops > limits.max_modelled_flops {
             return Err(reject(RejectReason::FlopsExceeded {
-                modelled: modelled_flops,
+                modelled: stated.flops,
                 limit: limits.max_modelled_flops,
             }));
         }
@@ -253,8 +255,8 @@ mod tests {
     #[test]
     fn byte_and_flop_budgets_reject_typed() {
         let j = job("t");
-        let bytes = j.sketch_output_bytes().unwrap();
-        let flops = j.modelled_flops().unwrap();
+        let stated = j.costs().unwrap();
+        let (bytes, flops) = (stated.held_bytes, stated.flops);
         let ctl = AdmissionController::new().with_tenant(
             "t",
             TenantLimits::unlimited().with_max_sketch_bytes(bytes - 1),
@@ -318,12 +320,9 @@ mod tests {
             }
         );
         assert!(matches!(
-            huge.modelled_flops(),
-            Err(ServeError::Rejected {
-                reason: RejectReason::SizeOverflow {
-                    quantity: "modelled flops"
-                },
-                ..
+            huge.pipeline.costs(huge.operand.shape()),
+            Err(sketch_core::Error::SizeOverflow {
+                quantity: "cost statement"
             })
         ));
 
@@ -341,13 +340,14 @@ mod tests {
         let ctl = AdmissionController::new()
             .with_tenant("t", TenantLimits::unlimited().with_max_modelled_flops(1000));
         assert_eq!(size_reason(ctl.admit(&wraps, 0)).as_str(), "size_overflow");
-        assert!(wraps.modelled_flops().is_err());
-        assert_eq!(wraps.operand.modelled_nnz(), None);
+        assert!(wraps.pipeline.costs(wraps.operand.shape()).is_err());
+        assert_eq!(wraps.operand.modelled_bytes(), None);
     }
 
     #[test]
     fn buffers_past_isize_max_are_refused_before_any_budget() {
-        // d·k·8 = 2^63 fits u64 but no Vec can hold it.
+        // d·k·8 = 2^63 fits u64 but no Vec can hold it, and the GEMM's reads
+        // overflow u64.
         let operator = JobSpec::new(
             "t",
             Pipeline::single(SketchSpec::gaussian(1 << 60, EmbeddingDim::Exact(1), 1)),
@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(
             size_reason(AdmissionController::new().admit(&operator, 0)),
             RejectReason::SizeOverflow {
-                quantity: "gaussian operator bytes"
+                quantity: "cost statement"
             }
         );
         // A sparse operand whose assembly triples overflow.
@@ -398,7 +398,89 @@ mod tests {
             }
         );
         // Ordinary jobs pass the size check untouched.
-        assert!(job("t").check_sizes().is_ok());
+        assert!(job("t").costs().is_ok());
+    }
+
+    #[test]
+    fn held_bytes_past_isize_max_are_refused_whatever_the_kind() {
+        // Each statement fits u64, but the stored k x d Gaussian (2^63 bytes) or
+        // the hash CountSketch's 2^60 x 1 result (2^63 bytes) cannot be held.
+        for pipeline in [
+            Pipeline::single(SketchSpec::gaussian(
+                1 << 20,
+                EmbeddingDim::Exact(1 << 40),
+                1,
+            )),
+            Pipeline::single(SketchSpec::hash_countsketch(
+                1 << 20,
+                EmbeddingDim::Exact(1 << 60),
+                1,
+            )),
+        ] {
+            let operand = OperandSpec::Dense {
+                rows: 1 << 20,
+                cols: 1,
+                seed: 1,
+            };
+            let held = JobSpec::new("t", pipeline, operand);
+            assert!(held.pipeline.costs(held.operand.shape()).is_ok());
+            assert_eq!(
+                size_reason(AdmissionController::new().admit(&held, 0)),
+                RejectReason::SizeOverflow {
+                    quantity: "held bytes"
+                }
+            );
+        }
+    }
+
+    /// Admission prices a job with what the engine records: on each of the five
+    /// plans the `serve_mixed` benchmark cycles through, a dense 2^14 x 8 job
+    /// states exactly the flops its solo run on a pool of one records, and a CSR
+    /// job, stated at its draws, bounds them from above.
+    #[test]
+    fn stated_flops_are_what_a_solo_run_on_a_pool_of_one_records() {
+        use crate::queue::QueuedJob;
+        use crate::scheduler::Scheduler;
+        use sketch_gpu_sim::DevicePool;
+
+        let (d, n) = (1usize << 14, 8usize);
+        let (square, ratio) = (EmbeddingDim::Square(2), EmbeddingDim::Ratio(2));
+        let plans = [
+            Pipeline::single(SketchSpec::countsketch(d, square, 1)),
+            Pipeline::count_gauss(d, square, ratio, 2),
+            Pipeline::single(SketchSpec::gaussian(d, ratio, 3)),
+            Pipeline::single(SketchSpec::srht(d, ratio, 4)),
+            Pipeline::single(SketchSpec::hash_countsketch(d, square, 5)),
+        ];
+        for plan in plans {
+            for csr in [false, true] {
+                let operand = match csr {
+                    false => OperandSpec::Dense {
+                        rows: d,
+                        cols: n,
+                        seed: 6,
+                    },
+                    true => OperandSpec::Csr {
+                        rows: d,
+                        cols: n,
+                        nnz_target: d * n / 16,
+                        seed: 7,
+                    },
+                };
+                let job = JobSpec::new("t", plan.clone(), operand);
+                let stated = job.costs().unwrap().flops;
+                let pool = DevicePool::h100(1);
+                Scheduler::new()
+                    .run(&pool, &[QueuedJob { job, seq: 0 }])
+                    .unwrap();
+                let recorded = pool.total_cost().flops;
+                if csr {
+                    assert!(stated >= recorded, "{plan:?}: {stated} < {recorded}");
+                } else {
+                    assert_eq!(stated, recorded, "{plan:?}");
+                }
+            }
+        }
     }
 
     #[test]

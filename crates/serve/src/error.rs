@@ -21,23 +21,24 @@ pub enum RejectReason {
         /// The tenant's in-flight limit.
         limit: usize,
     },
-    /// The job's modelled sketch output exceeds the tenant's byte budget.
+    /// The bytes the job holds beyond its operand exceed the tenant's byte
+    /// budget.
     SketchBytesExceeded {
-        /// Modelled bytes the job would produce.
+        /// Bytes the job's statement holds.
         modelled: u64,
         /// The tenant's byte limit.
         limit: u64,
     },
-    /// The job's modelled flop count exceeds the tenant's compute budget.
+    /// The flops the job states exceed the tenant's compute budget.
     FlopsExceeded {
-        /// Modelled flops the job would execute.
+        /// Flops the job's statement generates and applies.
         modelled: u64,
         /// The tenant's flop limit.
         limit: u64,
     },
-    /// A size the job implies — its operand, a Gaussian operator, its modelled
-    /// output or flops — overflows `u64` or exceeds `isize::MAX` bytes, so it
-    /// could never be allocated or budgeted.
+    /// A size the job implies — its operand, its cost statement, the bytes it
+    /// holds — overflows `u64` or exceeds `isize::MAX` bytes, so it could never
+    /// be allocated or budgeted.
     SizeOverflow {
         /// Which quantity overflowed (e.g. `"operand bytes"`).
         quantity: &'static str,

@@ -6,12 +6,16 @@
 //! {
 //!   "queue_capacity": 256,
 //!   "default_limits": { "max_in_flight": 8 },
-//!   "tenant_limits": { "batch-lab": { "max_modelled_flops": 100000000 } },
+//!   "tenant_limits": {
+//!     "batch-lab": { "max_modelled_flops": 100000000, "max_sketch_bytes": 4194304 }
+//!   },
 //!   "jobs": [ { "tenant": "...", "pipeline": {...}, "operand": {...} } ]
 //! }
 //! ```
 //!
 //! Every section except `jobs` is optional; omitted limits mean "unlimited".
+//! The budgets read the job's cost statement ([`crate::admission`]); the README
+//! tabulates every key.
 //! Parsing is strict about types (a typed [`ServeError::Spec`] names the bad
 //! field) so a malformed file fails before any job runs.
 

@@ -18,22 +18,16 @@
 //! executor's determinism does the rest.
 
 use crate::error::{RejectReason, ServeError};
-use sketch_core::{JsonValue, Pipeline, SketchKind, SketchSpec};
+use sketch_core::traits::try_zeroed;
+use sketch_core::{Error, JsonValue, OperandShape, Pipeline, SketchSpec};
+use sketch_dist::DistError;
+use sketch_gpu_sim::Checked;
 use sketch_la::{Layout, Matrix};
 use sketch_rng::fill;
 use sketch_sparse::{CooMatrix, CsrMatrix};
-use std::collections::TryReserveError;
 
 /// Largest buffer, in bytes, a job may ask for: `Vec` panics past `isize::MAX`.
 const MAX_ALLOC_BYTES: u64 = isize::MAX as u64;
-
-/// A vector of `len` zeros, or the host's refusal to allocate it.
-fn try_zeroed<T: Clone + Default>(len: usize) -> Result<Vec<T>, TryReserveError> {
-    let mut v = Vec::new();
-    v.try_reserve_exact(len)?;
-    v.resize(len, T::default());
-    Ok(v)
-}
 
 /// 64-bit FNV-1a hash of a tenant id: the tenant's Philox seed-namespace salt.
 ///
@@ -146,13 +140,15 @@ impl OperandSpec {
         }
     }
 
-    /// Modelled stored entries, used by the admission flop model: `rows*cols`
-    /// for dense operands, the draw target for sparse ones.  `None` when the
-    /// count overflows `u64`.
-    pub fn modelled_nnz(&self) -> Option<u64> {
-        match self {
-            OperandSpec::Dense { rows, cols, .. } => (*rows as u64).checked_mul(*cols as u64),
-            OperandSpec::Csr { nnz_target, .. } => Some(*nnz_target as u64),
+    /// The shape admission states the job at: a dense operand's, row-major as it
+    /// is materialised; a CSR operand's with its draws (`nnz_target`, at least
+    /// one) as its non-zeros, which bound the stored ones from above, since
+    /// coincident draws merge.
+    pub fn shape(&self) -> OperandShape {
+        let (rows, cols) = (self.rows(), self.cols());
+        match *self {
+            OperandSpec::Dense { .. } => OperandShape::dense(rows, cols, Layout::RowMajor),
+            OperandSpec::Csr { nnz_target, .. } => OperandShape::csr(rows, cols, nnz_target.max(1)),
         }
     }
 
@@ -161,18 +157,13 @@ impl OperandSpec {
     /// triples (24 bytes per draw) plus the row pointers.  `None` when the
     /// count overflows `u64`.
     pub(crate) fn modelled_bytes(&self) -> Option<u64> {
-        match *self {
-            OperandSpec::Dense { rows, cols, .. } => {
-                (rows as u64).checked_mul(cols as u64)?.checked_mul(8)
+        let bytes = match self.shape() {
+            OperandShape::Dense { rows, cols, .. } => Checked::from(rows) * Checked::from(cols) * 8,
+            OperandShape::Csr { rows, nnz, .. } => {
+                Checked::from(nnz) * 24 + (Checked::from(rows) + 1) * 8
             }
-            OperandSpec::Csr {
-                rows, nnz_target, ..
-            } => {
-                let triples = (nnz_target.max(1) as u64).checked_mul(24)?;
-                let row_ptr = (rows as u64).checked_add(1)?.checked_mul(8)?;
-                triples.checked_add(row_ptr)
-            }
-        }
+        };
+        bytes.0
     }
 
     /// Refuse a CSR operand with no rows or columns, or more than `u32::MAX` of
@@ -223,10 +214,10 @@ impl OperandSpec {
                 quantity: "operand bytes",
             })?;
         self.check_drawable()?;
-        let refused = |_| RejectReason::OperandAllocationFailed { bytes };
+        let refused = RejectReason::OperandAllocationFailed { bytes };
         match *self {
             OperandSpec::Dense { rows, cols, seed } => {
-                let mut data = try_zeroed(rows * cols).map_err(refused)?;
+                let mut data = try_zeroed(rows * cols).map_err(|_| refused.clone())?;
                 fill::gaussian_fill(seed, 0, &mut data);
                 Ok(OperandData::Dense(Matrix::from_vec(
                     rows,
@@ -242,18 +233,19 @@ impl OperandSpec {
                 seed,
             } => {
                 let draws = nnz_target.max(1);
-                let mut rr = try_zeroed(draws).map_err(refused)?;
-                let mut cc = try_zeroed(draws).map_err(refused)?;
-                let mut vv = try_zeroed(draws).map_err(refused)?;
+                let mut rr = try_zeroed(draws).map_err(|_| refused.clone())?;
+                let mut cc = try_zeroed(draws).map_err(|_| refused.clone())?;
+                let mut vv = try_zeroed(draws).map_err(|_| refused.clone())?;
                 fill::uniform_index_fill(seed, 10, rows, &mut rr);
                 fill::uniform_index_fill(seed, 11, cols, &mut cc);
                 fill::gaussian_fill(seed, 12, &mut vv);
-                let mut coo = CooMatrix::try_with_capacity(rows, cols, draws).map_err(refused)?;
+                let mut coo =
+                    CooMatrix::try_with_capacity(rows, cols, draws).map_err(|_| refused.clone())?;
                 for i in 0..draws {
                     coo.push(rr[i], cc[i], vv[i]);
                 }
                 Ok(OperandData::Csr(
-                    CsrMatrix::try_from_coo(&coo).map_err(refused)?,
+                    CsrMatrix::try_from_coo(&coo).map_err(|_| refused.clone())?,
                 ))
             }
         }
@@ -313,6 +305,18 @@ impl OperandSpec {
             "operand must be {\"dense\": {...}} or {\"csr\": {...}}",
         ))
     }
+}
+
+/// What admission checks a job's budgets against ([`JobSpec::costs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JobCosts {
+    /// Generation plus apply flops: what a pool of one records for a dense job,
+    /// and a bound on it for a CSR one.
+    pub(crate) flops: u64,
+    /// Bytes the job holds on its device beyond the operand: stored operators,
+    /// the apply's peak reservation and the result
+    /// ([`SketchCosts::held_bytes`](sketch_core::SketchCosts::held_bytes)).
+    pub(crate) held_bytes: u64,
 }
 
 /// One tenant request: identity, urgency, resources asked for, and the
@@ -396,136 +400,73 @@ impl JobSpec {
         plan
     }
 
+    /// The job's rejection for `reason`.
+    fn reject(&self, reason: RejectReason) -> ServeError {
+        ServeError::Rejected {
+            tenant: self.tenant.clone(),
+            reason,
+        }
+    }
+
     /// The typed admission rejection for a size that overflows `u64` or
     /// exceeds `isize::MAX` bytes.
     fn size_overflow(&self, quantity: &'static str) -> ServeError {
-        ServeError::Rejected {
-            tenant: self.tenant.clone(),
-            reason: RejectReason::SizeOverflow { quantity },
-        }
+        self.reject(RejectReason::SizeOverflow { quantity })
     }
 
-    /// The pipeline resolved against the operand width.  An embedding rule
-    /// (`c·n`, `c·n²`) whose dimension overflows `usize` is a typed
-    /// [`RejectReason::SizeOverflow`]; whatever the executor's own
-    /// [`preflight`](sketch_dist::preflight) refuses (an empty operand, a first
-    /// stage whose input dimension is not the operand's rows, a pipeline that does
-    /// not resolve to buildable stages) is a typed [`RejectReason::InvalidSpec`].
-    fn resolved_stages(&self) -> Result<Vec<SketchSpec>, ServeError> {
-        let (rows, cols) = (self.operand.rows(), self.operand.cols());
-        let overflows = |stage: &SketchSpec| stage.output_dim.checked_resolve(cols).is_none();
-        if self.pipeline.stages.iter().any(overflows) {
+    /// The job stated once, before its operand is materialised: its pipeline's
+    /// [`Pipeline::costs`] at the operand's [`shape`](OperandSpec::shape), which
+    /// both admission budgets read.
+    ///
+    /// Refused ahead of any budget, in this order, as a
+    /// [`RejectReason::SizeOverflow`]: an operand past `isize::MAX` bytes, a
+    /// statement that overflows `u64`, and an embedding rule (`c·n`, `c·n²`)
+    /// whose dimension overflows `usize`; as a [`RejectReason::InvalidSpec`],
+    /// whatever the executor's own [`preflight`](sketch_dist::preflight) refuses
+    /// (an empty operand, a first stage whose input dimension is not the
+    /// operand's rows, a pipeline that does not resolve to buildable stages) and
+    /// a CSR operand whose coordinates cannot be drawn; then, as a
+    /// [`RejectReason::SizeOverflow`], held bytes past `isize::MAX` and flops
+    /// past `u64`.
+    pub(crate) fn costs(&self) -> Result<JobCosts, ServeError> {
+        let fits = |bytes: Option<u64>, quantity| {
+            bytes
+                .filter(|&b| b <= MAX_ALLOC_BYTES)
+                .ok_or_else(|| self.size_overflow(quantity))
+        };
+        fits(self.operand.modelled_bytes(), "operand bytes")?;
+        // Sizes come first whatever operand the plan meets; the statement's other
+        // errors are the fit checks' to name.
+        let stated = self.pipeline.costs(self.operand.shape());
+        if let Err(Error::SizeOverflow { quantity }) = stated {
+            return Err(self.size_overflow(quantity));
+        }
+        let (rows, n) = (self.operand.rows(), self.operand.cols());
+        let resolves = |s: &SketchSpec| s.output_dim.checked_resolve(n).is_some();
+        if !self.pipeline.stages.iter().all(resolves) {
             return Err(self.size_overflow("embedding dimension"));
         }
         let describe = || match self.operand {
-            OperandSpec::Dense { .. } => format!("dense {rows}x{cols}"),
+            OperandSpec::Dense { .. } => format!("dense {rows}x{n}"),
             OperandSpec::Csr { nnz_target, .. } => {
-                format!("CSR {rows}x{cols} nnz_target={nnz_target}")
+                format!("CSR {rows}x{n} nnz_target={nnz_target}")
             }
         };
-        sketch_dist::preflight(&self.pipeline, rows, cols, describe).map_err(|e| {
-            ServeError::Rejected {
-                tenant: self.tenant.clone(),
-                reason: RejectReason::InvalidSpec {
-                    detail: e.to_string(),
-                },
-            }
-        })
-    }
-
-    /// Refuse a job whose buffers could not be allocated: the materialised
-    /// operand (`OperandSpec::modelled_bytes`) and each Gaussian stage's
-    /// dense `d × k` operator must each fit in `isize::MAX` bytes, past which
-    /// `Vec` panics.  Then refuse a job whose pipeline does not fit its operand
-    /// (see `resolved_stages`), and a CSR operand whose coordinates cannot be
-    /// drawn (see `OperandSpec::check_drawable`).  Checked at admission, before
-    /// any budget.
-    pub(crate) fn check_sizes(&self) -> Result<(), ServeError> {
-        let fits = |bytes: Option<u64>| bytes.is_some_and(|b| b <= MAX_ALLOC_BYTES);
-        if !fits(self.operand.modelled_bytes()) {
-            return Err(self.size_overflow("operand bytes"));
-        }
-        // Gaussian operators are sized from the plan alone, whatever operand they
-        // meet; a plan that does not resolve is refused by `resolved_stages`.
-        let cols = self.operand.cols();
-        for stage in self.pipeline.resolve(cols).unwrap_or_default() {
-            let k = stage.output_dim.resolve(cols) as u64;
-            if stage.kind == SketchKind::Gaussian
-                && !fits(
-                    (stage.input_dim as u64)
-                        .checked_mul(k)
-                        .and_then(|dk| dk.checked_mul(8)),
-                )
-            {
-                return Err(self.size_overflow("gaussian operator bytes"));
-            }
-        }
-        self.resolved_stages()?;
+        let invalid = |e: DistError| {
+            self.reject(RejectReason::InvalidSpec {
+                detail: e.to_string(),
+            })
+        };
+        let stages = sketch_dist::preflight(&self.pipeline, rows, n, describe).map_err(invalid)?;
         self.operand
             .check_drawable()
-            .map_err(|reason| ServeError::Rejected {
-                tenant: self.tenant.clone(),
-                reason,
-            })
-    }
-
-    /// Modelled bytes of sketch output the job produces: each resolved stage's
-    /// `k × n` doubles, plus the dense operator storage of Gaussian stages
-    /// (`d × k` doubles) — the admission controller's byte model.  A total that
-    /// overflows `u64` is a typed [`RejectReason::SizeOverflow`] rejection.
-    pub fn sketch_output_bytes(&self) -> Result<u64, ServeError> {
-        let n = self.operand.cols() as u64;
-        let mut bytes = 0u64;
-        for stage in &self.resolved_stages()? {
-            let k = stage.output_dim.resolve(self.operand.cols()) as u64;
-            let mut stage_bytes = k.checked_mul(n).and_then(|kn| kn.checked_mul(8));
-            if stage.kind == SketchKind::Gaussian {
-                stage_bytes = stage_bytes.and_then(|b| {
-                    let operator = k.checked_mul(stage.input_dim as u64)?.checked_mul(8)?;
-                    b.checked_add(operator)
-                });
-            }
-            bytes = stage_bytes
-                .and_then(|b| bytes.checked_add(b))
-                .ok_or_else(|| self.size_overflow("sketch output bytes"))?;
-        }
-        Ok(bytes)
-    }
-
-    /// Modelled flops of the job, per resolved stage: `2·nnz` for the
-    /// CountSketch families (one multiply-add per stored entry), `2·d·k·n` for
-    /// Gaussian GEMMs, `n·d·log2(d)` for the SRHT's FWHT — the admission
-    /// controller's compute model.  The first stage sees the operand's
-    /// (modelled) sparsity; later stages see a dense `k_prev × n`
-    /// intermediate.  A count that overflows `u64` is a typed
-    /// [`RejectReason::SizeOverflow`] rejection.
-    pub fn modelled_flops(&self) -> Result<u64, ServeError> {
-        let n = self.operand.cols() as u64;
-        let overflow = || self.size_overflow("modelled flops");
-        let mut flops = 0u64;
-        let mut stage_nnz = self.operand.modelled_nnz().ok_or_else(overflow)?;
-        for stage in &self.resolved_stages()? {
-            let d = stage.input_dim as u64;
-            let k = stage.output_dim.resolve(self.operand.cols()) as u64;
-            let gemm = || 2u64.checked_mul(d)?.checked_mul(k)?.checked_mul(n);
-            let stage_flops = match stage.kind {
-                SketchKind::CountSketch | SketchKind::HashCountSketch => stage_nnz.checked_mul(2),
-                SketchKind::Gaussian => gemm(),
-                SketchKind::Srht => {
-                    let log_d = (64 - d.max(2).leading_zeros()) as u64;
-                    n.checked_mul(d).and_then(|nd| nd.checked_mul(log_d))
-                }
-                // `SketchKind` is non-exhaustive: bound unknown kinds by the
-                // dense GEMM cost so admission stays conservative, not panicky.
-                _ => gemm(),
-            };
-            flops = stage_flops
-                .and_then(|f| flops.checked_add(f))
-                .ok_or_else(overflow)?;
-            // The intermediate handed to the next stage is dense k × n.
-            stage_nnz = k.checked_mul(n).ok_or_else(overflow)?;
-        }
-        Ok(flops)
+            .map_err(|reason| self.reject(reason))?;
+        let stated = stated?;
+        let k = stages.last().map_or(0, |s| s.output_dim.resolve(n));
+        let held_bytes = fits(stated.held_bytes(k, n).ok(), "held bytes")?;
+        let flops = stated.generation.flops.checked_add(stated.apply.flops);
+        let flops = flops.ok_or_else(|| self.size_overflow("modelled flops"))?;
+        Ok(JobCosts { flops, held_bytes })
     }
 
     /// Serialize to a [`JsonValue`].
@@ -826,7 +767,7 @@ mod tests {
             seed: 42,
         };
         big.pipeline = Pipeline::single(SketchSpec::countsketch(2048, EmbeddingDim::Square(2), 7));
-        assert!(big.modelled_flops().unwrap() > small.modelled_flops().unwrap());
+        assert!(big.costs().unwrap().flops > small.costs().unwrap().flops);
         // Gaussian stages pay for dense operator storage in the byte model.
         let gauss = JobSpec::new(
             "t",
@@ -846,6 +787,6 @@ mod tests {
                 seed: 1,
             },
         );
-        assert!(gauss.sketch_output_bytes().unwrap() > count.sketch_output_bytes().unwrap());
+        assert!(gauss.costs().unwrap().held_bytes > count.costs().unwrap().held_bytes);
     }
 }

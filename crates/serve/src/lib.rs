@@ -7,8 +7,9 @@
 //!    a [`sketch_core::Pipeline`] payload, and an [`OperandSpec`] describing
 //!    the input to materialise.  Specs round-trip through JSON ([`JobFile`]).
 //! 2. **Admit** — the [`AdmissionController`] checks the tenant's declarative
-//!    budgets (in-flight jobs, modelled sketch bytes, modelled flops) and
-//!    answers with a typed [`RejectReason`], never a panic.
+//!    budgets (in-flight jobs, and the bytes and flops the job's pipeline
+//!    states at its operand's shape) and answers with a typed
+//!    [`RejectReason`], never a panic.
 //! 3. **Queue** — the bounded [`JobQueue`] is round-robin fair across tenants
 //!    and deadline/priority aware within one.
 //! 4. **Schedule** — the [`Scheduler`] packs jobs onto disjoint device
