@@ -33,11 +33,16 @@
 //!   branch-free Box–Muller, AVX2 tier where the host has it) vs the textbook
 //!   Box–Muller on the host's libm over the same Philox words, written in this bin, at
 //!   2^20 draws (2^18 smoke).  Its `max_rel_diff` is the two fills' rounding gap.
+//! * **CSR `Aᵀ·B`**: [`sketch_sparse::spmm_transpose`] (streams `A` once, no
+//!   transpose) vs `spmm(&a.transpose(), q)` (counting-sort transpose, then SpMM
+//!   gathering rows of `q` through it) at the rangefinder's power-iteration shape:
+//!   a 2^15x2048 CSR `A` at 1% fill and a column-major 2^15x40 `q`, in smoke mode too.
 //!
-//! **Thread sweep**: six production kernels (dense GEMM, the SYRK-path Gram matrix,
-//! the tiled FWHT, the CountSketch ordered-gather scatter, CSR SpMM, and the
-//! end-to-end `sketch_and_solve` least-squares driver) each run under explicit pools
-//! of 1/2/4 threads (`--smoke`: 1/2), with the modelled H100 time alongside for scale.
+//! **Thread sweep**: seven production kernels (dense GEMM, the SYRK-path Gram matrix,
+//! the tiled FWHT, the CountSketch ordered-gather scatter, CSR SpMM, the
+//! transpose-free CSR `Aᵀ·B`, and the end-to-end `sketch_and_solve` least-squares
+//! solve) each run under explicit pools of 1/2/4 threads (`--smoke`: 1/2), with the
+//! modelled H100 time alongside for scale.
 //!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
 //!
@@ -47,11 +52,12 @@
 //!   largest swept length (d = 2^20 full, 2^18 smoke);
 //! * blocked and naive GEMM and Gram values must agree within `1e-12 * max|C|` on
 //!   every swept shape (the kernels may round differently, but never drift);
-//! * every Householder, GEMV and TRSM row must be **bitwise-equal** to its reference
-//!   (`max_rel_diff == 0`);
+//! * every Householder, GEMV, TRSM and CSR `Aᵀ·B` row must be **bitwise-equal** to
+//!   its reference (`max_rel_diff == 0`);
 //! * the Householder path must be **>= 1.5x** its reference at the largest swept
 //!   shape on one thread;
 //! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread;
+//! * the transpose-free CSR `Aᵀ·B` must be **>= 2x** transpose + SpMM on one thread;
 //! * the Gaussian fill must be within **1e-14** (absolute) of the libm reference at
 //!   every draw and **>= 1.5x** its speed on one thread;
 //! * **sharding**: a Gaussian and an SRHT plan, built once and run through
@@ -95,7 +101,7 @@ use sketch_lsq::{sketch_and_solve, LsqProblem};
 use sketch_obs::{chrome_trace_with_metrics, write_json, MetricsRegistry, RecorderHandle};
 use sketch_rng::fill::{self, BLOCKS_PER_ELEMENT, CHUNK};
 use sketch_rng::StreamFactory;
-use sketch_sparse::spmm_into;
+use sketch_sparse::{spmm, spmm_into, spmm_transpose};
 
 /// The GEMM gate shape (m, k, n): the thread sweep's GEMM shape.
 const GATE_GEMM: (usize, usize, usize) = (512, 512, 128);
@@ -111,6 +117,13 @@ const GEMV_SHAPE: (usize, usize) = (65536, 32);
 
 /// Required lockstep-TRSM speedup over the per-vector reference on one thread.
 const GATE_TRSM_SPEEDUP: f64 = 1.5;
+
+/// The CSR `Aᵀ·B` row's shape `(m, k, n, density)`: the rangefinder workload's
+/// `m x k` operand and its power iteration's `m x n` basis.
+const SPMM_T_SHAPE: (usize, usize, usize, f64) = (1 << 15, 2048, 40, 0.01);
+
+/// Required transpose-free `Aᵀ·B` speedup over transpose + SpMM on one thread.
+const GATE_SPMM_T_SPEEDUP: f64 = 2.0;
 
 /// Required Gaussian-fill speedup over the libm reference on one thread.
 const GATE_GAUSSIAN_SPEEDUP: f64 = 1.5;
@@ -372,6 +385,21 @@ fn bench_trsm_right(m: usize, n: usize, seed: u64) -> KernelRow {
     )
 }
 
+/// `Aᵀq` on a CSR `A` at `density` fill and a column-major `q`, as the rangefinder's
+/// power iteration forms it: the transpose-free kernel against transpose + SpMM.
+fn bench_spmm_transpose((m, k, n, density): (usize, usize, usize, f64), seed: u64) -> KernelRow {
+    let device = Device::unlimited();
+    let a = random_csr(m, k, density, seed);
+    let q = Matrix::random_gaussian(m, n, Layout::ColMajor, seed, 1);
+    bench_exact(
+        "spmm_transpose",
+        format!("{m}x{k} nnz={} x{n}", a.nnz()),
+        k * n,
+        || spmm(&device, &a.transpose(), &q).into_vec(),
+        || spmm_transpose(&device, &a, &q).into_vec(),
+    )
+}
+
 /// The textbook Box–Muller on the host's libm over the Gaussian fill's counter map:
 /// pair `p` of chunk `c` reads block `c·CHUNK·BLOCKS_PER_ELEMENT + p`, and
 /// `ρ·(cos θ, sin θ)` with `ρ = √(−2 ln u1)`, `θ = 2πu2`.
@@ -582,7 +610,7 @@ fn sweep<S>(
         .collect()
 }
 
-/// The thread sweep: six production kernels, each timed on every pool of `on.0`.
+/// The thread sweep: seven production kernels, each timed on every pool of `on.0`.
 fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<ThreadRow> {
     let device = Device::h100();
     let mut rows = Vec::new();
@@ -660,6 +688,19 @@ fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<Thr
         Matrix::zeros_with_layout(k, n, Layout::RowMajor),
         |out| spmm_into(&device, &s, &a, &mut out.view_mut()),
         |out| bits_of(out.as_slice()),
+    ));
+
+    // Transpose-free CSR `Aᵀ·B` at the rangefinder's power-iteration shape.
+    let (m, k, n, density) = SPMM_T_SHAPE;
+    let a = random_csr(m, k, density, 43);
+    let q = Matrix::random_gaussian(m, n, Layout::ColMajor, 44, 0);
+    rows.extend(sweep(
+        ("spmm_transpose", a.nnz()),
+        &device,
+        on,
+        None,
+        |z| *z = Some(spmm_transpose(&device, &a, &q)),
+        |z| bits_of(z.as_ref().expect("the sweep ran").as_slice()),
     ));
 
     // End-to-end sketch-and-solve with the Count-Gauss pipeline.
@@ -740,6 +781,7 @@ fn main() {
     let tall = if smoke { 16384 } else { GEMV_SHAPE.0 };
     rows.push(bench_gram(tall, GEMV_SHAPE.1, 91));
     rows.push(bench_trsm_right(tall, GEMV_SHAPE.1, 92));
+    rows.push(bench_spmm_transpose(SPMM_T_SHAPE, 96));
     let (gaussian_row, gaussian_abs_diff) =
         bench_gaussian_fill(if smoke { 1 << 18 } else { 1 << 20 }, 93);
     rows.push(gaussian_row);
@@ -848,17 +890,21 @@ fn main() {
         format!("FAILED (worst rel diff {worst_diff:.2e} > 1e-12)")
     };
 
-    // Gate 4: the Householder, GEMV and TRSM rows are bitwise-equal to their
-    // references.
+    // Gate 4: the Householder, GEMV, TRSM and CSR `Aᵀ·B` rows are bitwise-equal to
+    // their references.
     let inexact: Vec<String> = rows
         .iter()
         .filter(|r| {
-            matches!(r.kernel, "householder" | "gemv_t" | "trsm_right") && r.max_rel_diff != 0.0
+            matches!(
+                r.kernel,
+                "householder" | "gemv_t" | "trsm_right" | "spmm_transpose"
+            ) && r.max_rel_diff != 0.0
         })
         .map(|r| format!("{} {}", r.kernel, r.shape))
         .collect();
     let bitwise_status = if inexact.is_empty() {
-        "passed (householder, gemv and trsm rows bitwise-equal to their references)".to_string()
+        "passed (householder, gemv, trsm and spmm_transpose rows bitwise-equal to their references)"
+            .to_string()
     } else {
         format!("FAILED (not bitwise-equal: {})", inexact.join(", "))
     };
@@ -876,7 +922,13 @@ fn main() {
         .find(|r| r.kernel == "trsm_right")
         .expect("the TRSM row always runs");
 
-    // Gate 7: the Gaussian fill stays within 1e-14 of libm and >= 1.5x its speed.
+    // Gate 7: the transpose-free CSR `Aᵀ·B` >= 2x transpose + SpMM.
+    let spmm_t_row = rows
+        .iter()
+        .find(|r| r.kernel == "spmm_transpose")
+        .expect("the CSR transpose row always runs");
+
+    // Gate 8: the Gaussian fill stays within 1e-14 of libm and >= 1.5x its speed.
     let gaussian_row = rows
         .iter()
         .find(|r| r.kernel == "gaussian_fill")
@@ -893,7 +945,7 @@ fn main() {
         )
     };
 
-    // Gate 8: a pool of four costs the host at most 1.1x a pool of one.
+    // Gate 9: a pool of four costs the host at most 1.1x a pool of one.
     let worst = ratios.iter().fold(0.0f64, |acc, &r| acc.max(r));
     let sharding_status = if worst <= GATE_SHARDING_RATIO {
         format!("passed (pool of 4 / pool of 1 at most {worst:.2}x <= {GATE_SHARDING_RATIO}x)")
@@ -901,7 +953,7 @@ fn main() {
         format!("FAILED (pool of 4 / pool of 1 up to {worst:.2}x > {GATE_SHARDING_RATIO}x)")
     };
 
-    // Gate 9 (unconditional): every thread-sweep row is bit-for-bit equal to the
+    // Gate 10 (unconditional): every thread-sweep row is bit-for-bit equal to the
     // 1-thread run of its kernel.
     let mismatches: Vec<&ThreadRow> = thread_rows.iter().filter(|r| !r.bitwise_equal).collect();
     for r in &mismatches {
@@ -919,7 +971,7 @@ fn main() {
         )
     };
 
-    // Gate 10 (only meaningful on a multi-core host): some large kernel must show a
+    // Gate 11 (only meaningful on a multi-core host): some large kernel must show a
     // sane multi-thread speedup.  Smoke runs use reduced sizes, so the smoke gate
     // drops the size floor and only rejects pathological slowdowns.
     let threshold = if smoke { 0.5 } else { 1.0 };
@@ -950,6 +1002,10 @@ fn main() {
         (
             "trsm_speedup_gate",
             speedup_gate(trsm_row, GATE_TRSM_SPEEDUP),
+        ),
+        (
+            "spmm_transpose_speedup_gate",
+            speedup_gate(spmm_t_row, GATE_SPMM_T_SPEEDUP),
         ),
         ("gaussian_accuracy_gate", gaussian_accuracy_status),
         (

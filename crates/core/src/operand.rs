@@ -10,7 +10,7 @@
 use crate::error::Error;
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{blas3, Layout, Matrix, Op};
-use sketch_sparse::{spmm, CsrMatrix, CsrRowsView};
+use sketch_sparse::{spmm, spmm_transpose, CsrMatrix, CsrRowsView};
 use std::ops::Range;
 
 /// A borrowed sketching/multiplication operand: dense, CSR, or a zero-copy
@@ -143,9 +143,10 @@ impl<'a> Operand<'a> {
 
     /// Compute `Aᵀ · B` with `B` dense `nrows x p`; the result is `ncols x p`.
     ///
-    /// The CSR path materialises the transpose (counting sort) on every call; callers
-    /// that repeat the product should cache the transpose themselves (as
-    /// `sketch-lowrank`'s `SparseOperand` does).
+    /// Dense operands route through the transposed GEMM.  CSR operands and
+    /// [`CsrRows`](Operand::CsrRows) views (read in place) route through
+    /// [`spmm_transpose`], which streams `A` without building its transpose and
+    /// returns, and records, what SpMM of the counting-sort transpose would.
     pub fn mul_transpose_right(&self, device: &Device, b: &Matrix) -> Result<Matrix, Error> {
         if b.nrows() != self.nrows() {
             return Err(Error::dimension_mismatch(
@@ -174,8 +175,8 @@ impl<'a> Operand<'a> {
                 0.0,
                 None,
             )?),
-            Operand::Csr(a) => Ok(spmm(device, &a.transpose(), b)),
-            Operand::CsrRows(v) => Ok(spmm(device, &v.to_csr().transpose(), b)),
+            Operand::Csr(a) => Ok(spmm_transpose(device, *a, b)),
+            Operand::CsrRows(v) => Ok(spmm_transpose(device, *v, b)),
         }
     }
 
@@ -389,6 +390,36 @@ mod tests {
         let sparse_t = Operand::Csr(&s).mul_transpose_right(&d, &bt).unwrap();
         let dense_t = Operand::Dense(&a).mul_transpose_right(&d, &bt).unwrap();
         assert!(sparse_t.max_abs_diff(&dense_t).unwrap() < 1e-14);
+    }
+
+    /// The CSR arms of `Aᵀ·B` give the bits and record the cost of SpMM of the
+    /// counting-sort transpose, for a whole matrix and for a row window of one.
+    #[test]
+    fn csr_transpose_products_are_spmm_of_the_transpose() {
+        let (rows, cols) = (45, 31);
+        let mut coo = CooMatrix::new(rows, cols);
+        for t in 0..160 {
+            coo.push((t * 7) % rows, (t * t + 3) % cols, (t as f64 - 80.0) / 13.0);
+        }
+        let parent = CsrMatrix::from_coo(&coo);
+        let window = parent.slice_rows(5..40);
+        let cases = [
+            (Operand::Csr(&parent), parent.clone()),
+            (Operand::CsrRows(window), window.to_csr()),
+        ];
+        for (op, owned) in cases {
+            for layout in [Layout::RowMajor, Layout::ColMajor] {
+                let b = Matrix::random_gaussian(op.nrows(), 5, layout, 3, 0);
+                let (d, old) = (device(), device());
+                let got = op.mul_transpose_right(&d, &b).unwrap();
+                let want = spmm(&old, &owned.transpose(), &b);
+                assert_eq!(got.layout(), want.layout());
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{}", op.describe());
+                assert_eq!(d.tracker().snapshot(), old.tracker().snapshot());
+            }
+        }
     }
 
     #[test]

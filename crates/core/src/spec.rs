@@ -759,20 +759,32 @@ impl StageOperator {
         Ok(out)
     }
 
+    /// Device bytes a non-last stage of a chain keeps reserved for its stored
+    /// operator while it runs, as the operator's allocating apply does: a Gaussian's
+    /// explicit matrix, and nothing for the kinds whose allocating apply holds only
+    /// its result.  [`Pipeline::costs`] states it; a bare chain and the multi-device
+    /// executor reserve it.
+    pub fn held_operator_bytes(&self) -> u64 {
+        match self {
+            StageOperator::Gaussian(g) => g.size_bytes(),
+            _ => 0,
+        }
+    }
+
     /// `S a` into a fresh `k x n` matrix through [`apply_into`](SketchOperator::apply_into),
     /// returned with the reservation of that matrix on `device`: a chain's
-    /// intermediate, which its reader holds until the next stage has read it.  A
-    /// Gaussian stage keeps its stored operator reserved while it runs, as its
-    /// allocating apply does.
+    /// intermediate, which its reader holds until the next stage has read it.  The
+    /// stage keeps [`held_operator_bytes`](Self::held_operator_bytes) reserved while
+    /// it runs.
     fn apply_held<'d>(
         &self,
         device: &'d Device,
         a: Operand<'_>,
     ) -> Result<(Matrix, Reservation<'d>), Error> {
         let op = self.as_operator();
-        let _operator = match self {
-            StageOperator::Gaussian(g) => Some(device.try_reserve(g.size_bytes())?),
-            _ => None,
+        let _operator = match self.held_operator_bytes() {
+            0 => None,
+            bytes => Some(device.try_reserve(bytes)?),
         };
         let held =
             device.try_reserve(KernelCost::f64_bytes((op.output_dim() * a.ncols()) as u64))?;

@@ -444,8 +444,10 @@ fn check_rows(input_dim: usize, rows: usize, describe: impl Fn() -> String) -> R
 /// [`Device`] launches — "serial" is just the degenerate pool — and the device
 /// records and peaks at exactly what [`Pipeline::compose_for`] plus one
 /// [`apply_into`](SketchOperator::apply_into) record and reserve on a bare
-/// device: a non-last stage's `k x n` output stays reserved on every live
-/// device until the next stage has read it.
+/// device: a non-last stage holds its stored operator
+/// ([`StageOperator::held_operator_bytes`](sketch_core::StageOperator::held_operator_bytes))
+/// on every live device while it runs, and its `k x n` output stays reserved on
+/// every live device until the next stage has read it.
 ///
 /// With an enabled recorder attached to the pool, each stage also emits one
 /// [`Track::Wall`] event: the measured host time of its one compute, spanning
@@ -512,9 +514,11 @@ pub fn pipelined_sketch<'a, 'p>(
             op.as_operator().generation_cost(),
         );
         let k = op.as_operator().output_dim();
-        // A non-last stage's output ends on every live device (the collective
-        // leaves it there) and stays reserved until the next stage has read it,
-        // as a bare apply holds its intermediate.
+        // A non-last stage holds its stored operator on every live device (the
+        // one that built it and each replica) while it runs, and its output ends
+        // on every live device (the collective leaves it there) and stays
+        // reserved until the next stage has read it, as a bare chain holds them.
+        let mut operator = Vec::new();
         let mut output = Vec::new();
         if stage_idx + 1 < stages.len() {
             let bytes = Checked::from(k) * Checked::from(n) * 8;
@@ -522,7 +526,11 @@ pub fn pipelined_sketch<'a, 'p>(
                 quantity: "stage output bytes",
             })?;
             for &d in &state.alive {
-                output.push(pool.device(d).try_reserve(bytes)?);
+                let device = pool.device(d);
+                if op.held_operator_bytes() > 0 {
+                    operator.push(device.try_reserve(op.held_operator_bytes())?);
+                }
+                output.push(device.try_reserve(bytes)?);
             }
         }
         let stage = Stage {
@@ -554,6 +562,7 @@ pub fn pipelined_sketch<'a, 'p>(
         });
         current = Some(out);
         _held = output;
+        drop(operator);
     }
 
     let result = current.ok_or_else(|| DistError::invalid_param("pipeline has no stages"))?;
@@ -1255,6 +1264,9 @@ mod tests {
             Pipeline::count_gauss(d, EmbeddingDim::Square(2), EmbeddingDim::Ratio(2), 8),
             Pipeline::single(SketchSpec::countsketch(d, EmbeddingDim::Square(2), 9))
                 .then(SketchSpec::srht(0, EmbeddingDim::Ratio(2), 10)),
+            // A Gaussian before the last stage holds its stored operator.
+            Pipeline::single(SketchSpec::gaussian(d, EmbeddingDim::Exact(64), 11))
+                .then(SketchSpec::countsketch(0, EmbeddingDim::Exact(16), 12)),
         ];
         let opts = ExecutorOptions::default();
         for plan in &plans {

@@ -24,9 +24,9 @@
 //! Inputs are anything implementing [`MatVecLike`], which is a thin adapter over the
 //! workspace-wide [`sketch_core::Operand`] view: dense [`sketch_la::Matrix`] and
 //! sparse [`sketch_sparse::CsrMatrix`] share one dense/CSR product implementation
-//! (the sparse path routes through `sketch-sparse::ops::spmm`).  All randomness
-//! comes from explicit Philox seeds/streams, so equal parameters give bit-for-bit
-//! equal factorisations.
+//! (the sparse path routes through `sketch-sparse`'s SpMM, and `Aᵀ·B` through its
+//! transpose-free `spmm_transpose`).  All randomness comes from explicit Philox
+//! seeds/streams, so equal parameters give bit-for-bit equal factorisations.
 //!
 //! ## Error bound
 //!
@@ -69,7 +69,7 @@ pub mod rsvd;
 pub mod streaming;
 
 pub use error::LowRankError;
-pub use matvec::{MatVecLike, SparseOperand};
+pub use matvec::MatVecLike;
 pub use nystrom::{nystrom, NystromResult};
 pub use rangefinder::{estimate_range_error, range_finder, LowRankParams, RangeSketch};
 pub use rsvd::{deterministic_svd, rsvd, SvdResult};

@@ -6,24 +6,22 @@
 //! [`sketch_core::Operand`] view.  `MatVecLike` is therefore a thin adapter: a type
 //! says how to view itself as an `Operand` and inherits the shared dense/CSR
 //! product implementations (dense routes through `sketch-la` GEMM, CSR through
-//! `sketch-sparse` SpMM), instead of each operand re-implementing the split.
-//!
-//! [`SparseOperand`] remains the one override: it caches the CSR transpose so the
-//! repeated `Aᵀ·B` products of power iteration pay the counting sort once.
+//! `sketch-sparse`: SpMM for `A·B`, and for `Aᵀ·B` the transpose-free
+//! `spmm_transpose`, which streams `A` without building `Aᵀ`), instead of each
+//! operand re-implementing the split.  So a CSR operand needs no wrapper: the
+//! repeated `Aᵀ·B` products of power iteration never build a transpose to cache.
 
 use crate::error::LowRankError;
 use sketch_core::Operand;
 use sketch_gpu_sim::Device;
 use sketch_la::Matrix;
-use sketch_sparse::{spmm, CsrMatrix};
-use std::cell::OnceCell;
+use sketch_sparse::CsrMatrix;
 
 /// An operand the low-rank routines can multiply by a thin dense matrix from the
 /// right, both as itself and transposed.
 ///
 /// Implementors only provide [`as_operand`](Self::as_operand); the products come
-/// from the shared [`Operand`] implementation (override them only to add caching,
-/// as [`SparseOperand`] does for the transpose).
+/// from the shared [`Operand`] implementation.
 pub trait MatVecLike {
     /// View this operand as the shared dense/CSR [`Operand`].
     fn as_operand(&self) -> Operand<'_>;
@@ -55,64 +53,9 @@ impl MatVecLike for Matrix {
     }
 }
 
-/// Plain CSR operands recompute the transpose on every `Aᵀ·B` — fine for the
-/// single `AᵀQ` step of the plain RSVD pipeline; power-iteration users should wrap
-/// the matrix in [`SparseOperand`], which caches the transpose across calls.
 impl MatVecLike for CsrMatrix {
     fn as_operand(&self) -> Operand<'_> {
         Operand::Csr(self)
-    }
-}
-
-/// A [`CsrMatrix`] operand that lazily computes and caches its transpose, so the
-/// repeated `Aᵀ·B` products of power iteration pay the CSR→CSR counting sort once
-/// instead of once per iteration.
-#[derive(Debug)]
-pub struct SparseOperand {
-    csr: CsrMatrix,
-    transposed: OnceCell<CsrMatrix>,
-}
-
-impl SparseOperand {
-    /// Wrap a CSR matrix; the transpose is computed on first use.
-    pub fn new(csr: CsrMatrix) -> Self {
-        Self {
-            csr,
-            transposed: OnceCell::new(),
-        }
-    }
-
-    /// The wrapped matrix.
-    pub fn csr(&self) -> &CsrMatrix {
-        &self.csr
-    }
-
-    fn transposed(&self) -> &CsrMatrix {
-        self.transposed.get_or_init(|| self.csr.transpose())
-    }
-}
-
-impl From<CsrMatrix> for SparseOperand {
-    fn from(csr: CsrMatrix) -> Self {
-        Self::new(csr)
-    }
-}
-
-impl MatVecLike for SparseOperand {
-    fn as_operand(&self) -> Operand<'_> {
-        Operand::Csr(&self.csr)
-    }
-
-    fn mul_transpose_right(&self, device: &Device, b: &Matrix) -> Result<Matrix, LowRankError> {
-        if b.nrows() != self.csr.nrows() {
-            return Err(crate::error::dim_err(
-                "spmm_t",
-                self.csr.nrows(),
-                b.nrows(),
-                format!("B dense {}x{}", b.nrows(), b.ncols()),
-            ));
-        }
-        Ok(spmm(device, self.transposed(), b))
     }
 }
 
@@ -168,33 +111,6 @@ mod tests {
         assert!(s.mul_transpose_right(&d, &wrong).is_err());
         let a = Matrix::zeros(4, 3);
         assert!(MatVecLike::mul_right(&a, &d, &wrong).is_err());
-    }
-
-    #[test]
-    fn sparse_operand_matches_plain_csr_and_caches_the_transpose() {
-        let d = device();
-        let s = sample_csr();
-        let wrapped = SparseOperand::from(s.clone());
-        let b = Matrix::random_gaussian(3, 2, Layout::ColMajor, 2, 0);
-        let bt = Matrix::random_gaussian(4, 2, Layout::ColMajor, 2, 1);
-
-        let direct = MatVecLike::mul_right(&s, &d, &b).unwrap();
-        let via_wrap = wrapped.mul_right(&d, &b).unwrap();
-        assert_eq!(direct.as_slice(), via_wrap.as_slice());
-
-        let direct_t = s.mul_transpose_right(&d, &bt).unwrap();
-        let via_wrap_t = wrapped.mul_transpose_right(&d, &bt).unwrap();
-        assert_eq!(direct_t.as_slice(), via_wrap_t.as_slice());
-
-        // Second transposed product reuses the cached transpose (same pointer).
-        let first: *const CsrMatrix = wrapped.transposed();
-        let _ = wrapped.mul_transpose_right(&d, &bt).unwrap();
-        let second: *const CsrMatrix = wrapped.transposed();
-        assert_eq!(first, second);
-        assert_eq!(wrapped.csr(), &s);
-        assert!(wrapped
-            .mul_transpose_right(&d, &Matrix::zeros(5, 1))
-            .is_err());
     }
 
     #[test]

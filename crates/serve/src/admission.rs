@@ -11,9 +11,11 @@
 //! Admission states each job once, before any operand is materialised: its
 //! pipeline's [`Pipeline::costs`](sketch_core::Pipeline::costs) at the
 //! operand's [`shape`](crate::OperandSpec::shape), the statement the kernels
-//! record.  The flop budget reads its generation plus apply flops, which is
-//! what a pool of one records for a dense job and bounds it for a CSR one; the
-//! byte budget reads the bytes the job holds on its device beyond the operand
+//! record.  The flop budget reads its apply flops plus its generation flops
+//! once per device the job asks for (the executor charges every live device
+//! past the first a replica of each stage's operator), which is what a pool
+//! of that many devices records for a dense job and bounds it for a CSR job or
+//! a smaller pool; the byte budget reads the bytes the job holds on its device beyond the operand
 //! ([`SketchCosts::held_bytes`](sketch_core::SketchCosts::held_bytes)).  Ahead
 //! of every budget, whatever the tenant's limits, a job whose operand or held
 //! bytes pass `isize::MAX`, or whose statement overflows `u64`, is refused with
@@ -35,7 +37,8 @@ pub struct TenantLimits {
     /// Maximum bytes a job may hold on its device beyond the operand: its
     /// stored operators, its apply's peak reservation and its `k x n` result.
     pub max_sketch_bytes: u64,
-    /// Maximum flops a job may state: its pipeline's generation plus apply.
+    /// Maximum flops a job may state: its pipeline's apply plus its generation
+    /// once per device the job asks for.
     pub max_modelled_flops: u64,
     /// Maximum *retries* after a job's first execution attempt dies with a
     /// device failure: `0` abandons on the first failure, the default
@@ -435,10 +438,14 @@ mod tests {
 
     /// Admission prices a job with what the engine records: on each of the five
     /// plans the `serve_mixed` benchmark cycles through, a dense 2^14 x 8 job
-    /// states exactly the flops its solo run on a pool of one records, and a CSR
-    /// job, stated at its draws, bounds them from above.
+    /// asking for 1, 2 or 4 devices states exactly the flops its solo run on a
+    /// pool of that many records (each further device a replica of the
+    /// generation), and a CSR job, stated at its draws, bounds them from above
+    /// on a pool of one.  (On more devices a CSR column stage also pays the
+    /// executor's panel cut, one flop per non-zero on every device, which no
+    /// statement holds.)
     #[test]
-    fn stated_flops_are_what_a_solo_run_on_a_pool_of_one_records() {
+    fn stated_flops_are_what_a_solo_run_records_on_pools_of_1_2_and_4() {
         use crate::queue::QueuedJob;
         use crate::scheduler::Scheduler;
         use sketch_gpu_sim::DevicePool;
@@ -467,17 +474,22 @@ mod tests {
                         seed: 7,
                     },
                 };
-                let job = JobSpec::new("t", plan.clone(), operand);
-                let stated = job.costs().unwrap().flops;
-                let pool = DevicePool::h100(1);
-                Scheduler::new()
-                    .run(&pool, &[QueuedJob { job, seq: 0 }])
-                    .unwrap();
-                let recorded = pool.total_cost().flops;
-                if csr {
-                    assert!(stated >= recorded, "{plan:?}: {stated} < {recorded}");
-                } else {
-                    assert_eq!(stated, recorded, "{plan:?}");
+                let pools: &[usize] = if csr { &[1] } else { &[1, 2, 4] };
+                for &devices in pools {
+                    let job =
+                        JobSpec::new("t", plan.clone(), operand.clone()).with_devices(devices);
+                    let stated = job.costs().unwrap().flops;
+                    let pool = DevicePool::h100(devices);
+                    Scheduler::new()
+                        .run(&pool, &[QueuedJob { job, seq: 0 }])
+                        .unwrap();
+                    let recorded = pool.total_cost().flops;
+                    let ctx = format!("{plan:?} on {devices} devices");
+                    if csr {
+                        assert!(stated >= recorded, "{ctx}: {stated} < {recorded}");
+                    } else {
+                        assert_eq!(stated, recorded, "{ctx}");
+                    }
                 }
             }
         }

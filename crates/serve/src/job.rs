@@ -310,8 +310,9 @@ impl OperandSpec {
 /// What admission checks a job's budgets against ([`JobSpec::costs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct JobCosts {
-    /// Generation plus apply flops: what a pool of one records for a dense job,
-    /// and a bound on it for a CSR one.
+    /// Apply flops plus generation flops once per device the job asks for: what
+    /// a pool of that many devices records for a dense job, and a bound on it for
+    /// a CSR job or a pool smaller than the ask.
     pub(crate) flops: u64,
     /// Bytes the job holds on its device beyond the operand: stored operators,
     /// the apply's peak reservation and the result
@@ -464,8 +465,12 @@ impl JobSpec {
         let stated = stated?;
         let k = stages.last().map_or(0, |s| s.output_dim.resolve(n));
         let held_bytes = fits(stated.held_bytes(k, n).ok(), "held bytes")?;
-        let flops = stated.generation.flops.checked_add(stated.apply.flops);
-        let flops = flops.ok_or_else(|| self.size_overflow("modelled flops"))?;
+        // The executor charges each live device past the first a replica of
+        // every stage's generation.
+        let flops = Checked::from(self.devices) * stated.generation.flops + stated.apply.flops;
+        let flops = flops
+            .0
+            .ok_or_else(|| self.size_overflow("modelled flops"))?;
         Ok(JobCosts { flops, held_bytes })
     }
 

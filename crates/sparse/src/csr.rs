@@ -269,6 +269,14 @@ pub struct CsrRowsView<'a> {
     values: &'a [f64],
 }
 
+/// The whole-range view of a matrix, so kernels that read a view in place
+/// ([`spmm_transpose`](crate::spmm_transpose)) take either.
+impl<'a> From<&'a CsrMatrix> for CsrRowsView<'a> {
+    fn from(a: &'a CsrMatrix) -> Self {
+        a.slice_rows(0..a.nrows)
+    }
+}
+
 impl<'a> CsrRowsView<'a> {
     /// Number of rows in the view.
     pub fn nrows(&self) -> usize {

@@ -16,7 +16,10 @@
 //!   side of the executor's `ShardAxis::Rows` contract),
 //! * [`spmv`] / [`spmm`] — row-parallel sparse kernels with device cost accounting,
 //!   including the *gather penalty* that models the uncoalesced row accesses a generic
-//!   SpMM performs when its sparsity pattern is random.
+//!   SpMM performs when its sparsity pattern is random,
+//! * [`spmm_transpose`] — `Aᵀ B` without building `Aᵀ`: it streams `A` once per
+//!   output column panel and scatters each row of `B` into the output rows its
+//!   entries name, bit-for-bit equal to SpMM of the transpose.
 
 pub mod coo;
 pub mod csr;
@@ -24,4 +27,4 @@ pub mod ops;
 
 pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, CsrRowsView};
-pub use ops::{spmm, spmm_cost, spmm_into, spmv, SPMM_GATHER_PENALTY};
+pub use ops::{spmm, spmm_cost, spmm_into, spmm_transpose, spmv, SPMM_GATHER_PENALTY};

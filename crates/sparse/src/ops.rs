@@ -1,4 +1,5 @@
-//! Sparse kernels: SpMV and SpMM with device cost accounting.
+//! Sparse kernels: SpMV, SpMM and the transpose-free `Aᵀ B`, with device cost
+//! accounting.
 //!
 //! The SpMM here is the *baseline* the paper measures against its dedicated CountSketch
 //! kernel.  Its cost model charges the "gather penalty" that a generic row-parallel
@@ -7,10 +8,11 @@
 //! output row touch unrelated rows of `A`, and the achieved bandwidth collapses to the
 //! ~20 % of peak the paper reports in Figure 3.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrRowsView};
 use rayon::prelude::*;
 use sketch_gpu_sim::{Device, KernelCost};
 use sketch_la::{Layout, Matrix, MatrixViewMut};
+use std::ops::Range;
 
 /// Multiplier applied to the dense-operand read traffic of [`spmm`] to model the
 /// uncoalesced (gather) access pattern of a random sparsity structure.
@@ -130,6 +132,78 @@ pub fn spmm_into(device: &Device, s: &CsrMatrix, a: &Matrix, out: &mut MatrixVie
     }
 
     device.record(spmm_cost(k, s.nnz(), n));
+}
+
+/// The most tasks [`spmm_transpose`] splits its output columns into.  Each task
+/// walks every stored entry of `A`, so the split stays small.
+const SPMM_T_TASKS: usize = 2;
+
+/// Transpose-free `Aᵀ B` for a CSR `A` (or a row window of one, read in place) and a
+/// dense `B` of either layout: a dense row-major `a.ncols() x b.ncols()` matrix,
+/// bit-for-bit equal to `spmm(device, &a.transpose(), b)`, recording what that
+/// records ([`spmm_cost`] of `a.ncols()` rows and `a.nnz()` entries).
+///
+/// The kernel walks `A`'s rows in ascending order and adds `v·B[i, :]` into output row
+/// `j` for each stored `(j, v)` of row `i`, in storage order.  Row `j` of the
+/// counting-sort transpose lists exactly those entries in that order, so every output
+/// element is the same chain from `+0.0`, without building `Aᵀ` or gathering rows of
+/// `B` through it.  Tasks own disjoint panels of output columns cut from the shape
+/// alone (at most `SPMM_T_TASKS` of them), so the bits are the same at any thread
+/// count; each reads only its columns of `B`, straight from `B`'s storage.
+///
+/// # Panics
+/// Panics if `b.nrows() != a.nrows()`.
+pub fn spmm_transpose<'a>(device: &Device, a: impl Into<CsrRowsView<'a>>, b: &Matrix) -> Matrix {
+    let a = a.into();
+    let (k, n) = (a.ncols(), b.ncols());
+    assert_eq!(
+        b.nrows(),
+        a.nrows(),
+        "spmm_transpose: B must have {} rows",
+        a.nrows()
+    );
+    let width = n.div_ceil(SPMM_T_TASKS).max(1);
+    let panel_cols = |t: usize| t * width..n.min((t + 1) * width);
+    let mut panels = Vec::new();
+    (0..n.div_ceil(width))
+        .into_par_iter()
+        .map(|t| spmm_transpose_panel(a, b, panel_cols(t)))
+        .collect_into_vec(&mut panels);
+    device.record(spmm_cost(k, a.nnz(), n));
+    let mut out = vec![0.0; k * n];
+    for (t, panel) in panels.iter().enumerate() {
+        let cols = panel_cols(t);
+        for (row, part) in out.chunks_exact_mut(n).zip(panel.chunks_exact(cols.len())) {
+            row[cols.clone()].copy_from_slice(part);
+        }
+    }
+    Matrix::from_vec(k, n, Layout::RowMajor, out)
+}
+
+/// Columns `cols` of `Aᵀ B` as a row-major `a.ncols() x cols.len()` panel: row `i` of
+/// `B`, restricted to `cols`, is read once (gathered from its columns when `B` is
+/// column-major) and scattered into the panel row of every stored entry of row `i`.
+fn spmm_transpose_panel(a: CsrRowsView<'_>, b: &Matrix, cols: Range<usize>) -> Vec<f64> {
+    let w = cols.len();
+    let mut panel = vec![0.0; a.ncols() * w];
+    let mut gathered = vec![0.0; w];
+    for i in 0..a.nrows() {
+        let brow = match b.row(i) {
+            Some(row) => &row[cols.clone()],
+            None => {
+                for (slot, c) in gathered.iter_mut().zip(cols.clone()) {
+                    *slot = b.get(i, c);
+                }
+                &gathered
+            }
+        };
+        for (j, v) in a.row(i) {
+            for (slot, bj) in panel[j * w..j * w + w].iter_mut().zip(brow) {
+                *slot += v * bj;
+            }
+        }
+    }
+    panel
 }
 
 /// The modelled cost of `S A` for a `k`-row `S` with `nnz` stored entries and an

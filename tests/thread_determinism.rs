@@ -18,7 +18,7 @@ use gpu_countsketch::la::{blas3, Layout, Matrix};
 use gpu_countsketch::lowrank::{range_finder, LowRankParams, RangeSketch};
 use gpu_countsketch::lsq::{sketch_and_solve, LsqProblem};
 use gpu_countsketch::sketch::{fwht, EmbeddingDim, Operand, Pipeline, SketchSpec};
-use gpu_countsketch::sparse::{spmm, CooMatrix, CsrMatrix};
+use gpu_countsketch::sparse::{spmm, spmm_transpose, CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 
 /// The ISSUE's thread grid: 1 (serial reference), 2/4 (powers of two), 7
@@ -138,6 +138,18 @@ fn spmm_is_thread_count_invariant() {
         let device = Device::unlimited();
         bits(&spmm(&device, &s, &a))
     });
+}
+
+#[test]
+fn spmm_transpose_is_thread_count_invariant() {
+    let s = odd_csr_operand();
+    for layout in [Layout::RowMajor, Layout::ColMajor] {
+        let b = Matrix::random_gaussian(s.nrows(), 6, layout, 8, 0);
+        assert_identical_across_threads("spmm_transpose", || {
+            let device = Device::unlimited();
+            bits(&spmm_transpose(&device, &s, &b))
+        });
+    }
 }
 
 #[test]
