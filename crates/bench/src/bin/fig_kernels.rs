@@ -12,8 +12,9 @@
 //!   product per output element) across square, rectangular and tall-skinny
 //!   sketch shapes.
 //! * **FWHT**: [`sketch_core::fwht::fwht_tiled_in_place`] (cache-resident final
-//!   stages) vs [`sketch_core::fwht::fwht_in_place`] (one whole-vector pass per
-//!   radix-4 stage) across SRHT power-of-two lengths.
+//!   stages, in the widest instruction-set tier the host has) vs
+//!   [`sketch_core::fwht::fwht_in_place`] (one whole-vector pass per radix-4 stage,
+//!   baseline build) across SRHT power-of-two lengths.
 //! * **Householder**: the orthonormalisation path of the rangefinder on a row-major
 //!   tall input — [`sketch_la::qr::geqrf_owned`] (tile-copy layout conversion,
 //!   column-grouped reflector updates) then [`sketch_la::QrFactors::into_q_thin`]
@@ -23,25 +24,29 @@
 //!   32768x40 and 2048x40 (8192x40 and 2048x40 smoke).
 //! * **GEMV**: [`sketch_la::blas2::gemv`] vs [`sketch_la::blas2::gemv_naive`] for
 //!   `Aᵀx` on a row-major 65536x32 `A` (the normal equations' `Aᵀb`).
-//! * **Gram**: [`sketch_la::blas3::gram_gemm`] (GEBP, one parallel region, AVX2 tier
-//!   where the host has it) vs [`sketch_la::blas3::gemm_naive_into`] for `AᵀA` on a
+//! * **Gram**: [`sketch_la::blas3::gram_gemm`] (GEBP, one parallel region, AVX2 body
+//!   where the host has AVX2) vs [`sketch_la::blas3::gemm_naive_into`] for `AᵀA` on a
 //!   row-major 65536x32 `A` (16384x32 smoke) — the normal equations' Gram.
 //! * **TRSM**: [`sketch_la::blas3::trsm_right`] (eight right-hand sides in lockstep)
 //!   vs [`sketch_la::blas3::trsm_right_naive`] (one at a time) for `A R⁻¹` on the same
 //!   `A` with a 32x32 upper-triangular `R` — rand_cholQR's preconditioning.
 //! * **Gaussian fill**: [`sketch_rng::fill::gaussian_fill`] (batched Philox, libm-free
-//!   branch-free Box–Muller, AVX2 tier where the host has it) vs the textbook
+//!   branch-free Box–Muller, in the widest tier the host has) vs the textbook
 //!   Box–Muller on the host's libm over the same Philox words, written in this bin, at
 //!   2^20 draws (2^18 smoke).  Its `max_rel_diff` is the two fills' rounding gap.
+//! * **Index fill**: [`sketch_rng::fill::uniform_index_fill`] (words from batched
+//!   Philox, in the widest tier) vs the per-word reference,
+//!   [`sketch_rng::UniformIndex::sample`] on a [`sketch_rng::PhiloxRng`] per chunk,
+//!   at 2^20 indices below 1,000,003, in smoke mode too.
 //! * **CSR `Aᵀ·B`**: [`sketch_sparse::spmm_transpose`] (streams `A` once, no
 //!   transpose) vs `spmm(&a.transpose(), q)` (counting-sort transpose, then SpMM
 //!   gathering rows of `q` through it) at the rangefinder's power-iteration shape:
 //!   a 2^15x2048 CSR `A` at 1% fill and a column-major 2^15x40 `q`, in smoke mode too.
 //!
-//! **Thread sweep**: seven production kernels (dense GEMM, the SYRK-path Gram matrix,
+//! **Thread sweep**: eight production kernels (dense GEMM, the SYRK-path Gram matrix,
 //! the tiled FWHT, the CountSketch ordered-gather scatter, CSR SpMM, the
-//! transpose-free CSR `Aᵀ·B`, and the end-to-end `sketch_and_solve` least-squares
-//! solve) each run under explicit pools of 1/2/4 threads (`--smoke`: 1/2), with the
+//! transpose-free CSR `Aᵀ·B`, the index fill, and the end-to-end `sketch_and_solve`
+//! least-squares solve) each run under explicit pools of 1/2/4 threads (`--smoke`: 1/2), with the
 //! modelled H100 time alongside for scale.
 //!
 //! Gates (exit non-zero on failure, so CI pins the speedup):
@@ -52,14 +57,15 @@
 //!   largest swept length (d = 2^20 full, 2^18 smoke);
 //! * blocked and naive GEMM and Gram values must agree within `1e-12 * max|C|` on
 //!   every swept shape (the kernels may round differently, but never drift);
-//! * every Householder, GEMV, TRSM and CSR `Aᵀ·B` row must be **bitwise-equal** to
-//!   its reference (`max_rel_diff == 0`);
+//! * every Householder, GEMV, TRSM, CSR `Aᵀ·B` and index-fill row must be
+//!   **bitwise-equal** to its reference (`max_rel_diff == 0`);
 //! * the Householder path must be **>= 1.5x** its reference at the largest swept
 //!   shape on one thread;
 //! * the lockstep TRSM must be **>= 1.5x** the per-vector reference on one thread;
 //! * the transpose-free CSR `Aᵀ·B` must be **>= 2x** transpose + SpMM on one thread;
 //! * the Gaussian fill must be within **1e-14** (absolute) of the libm reference at
 //!   every draw and **>= 1.5x** its speed on one thread;
+//! * the index fill must be **>= 2x** the per-word reference on one thread;
 //! * **sharding**: a Gaussian and an SRHT plan, built once and run through
 //!   [`sketch_dist::pipelined_sketch`] on a 2^16x16 operand (one thread, samples
 //!   interleaved), must take at most **1.1x** on a pool of four what they take on a
@@ -76,7 +82,8 @@
 //!
 //! `--trace PATH` writes a Perfetto-compatible trace: one wall-track event per timed
 //! thread-sweep sample, plus the metrics summary (host shape and thread-pool
-//! activity).
+//! activity).  The JSON's `host` block names the instruction-set tier
+//! ([`sketch_rng::Tier::detect`]) the tiered kernels ran in.
 //!
 //! Run with: `cargo run --release -p sketch-bench --bin fig_kernels [-- --smoke] [--out PATH] [--trace PATH]`
 
@@ -100,7 +107,7 @@ use sketch_la::{Layout, Matrix, Op};
 use sketch_lsq::{sketch_and_solve, LsqProblem};
 use sketch_obs::{chrome_trace_with_metrics, write_json, MetricsRegistry, RecorderHandle};
 use sketch_rng::fill::{self, BLOCKS_PER_ELEMENT, CHUNK};
-use sketch_rng::StreamFactory;
+use sketch_rng::{StreamFactory, Tier, UniformIndex};
 use sketch_sparse::{spmm, spmm_into, spmm_transpose};
 
 /// The GEMM gate shape (m, k, n): the thread sweep's GEMM shape.
@@ -130,6 +137,12 @@ const GATE_GAUSSIAN_SPEEDUP: f64 = 1.5;
 
 /// Largest absolute difference the Gaussian fill may have from the libm reference.
 const GATE_GAUSSIAN_ABS_DIFF: f64 = 1e-14;
+
+/// The index-fill row's length and bound (not a power of two, so draws can reject).
+const INDEX_FILL: (usize, usize) = (1 << 20, 1_000_003);
+
+/// Required index-fill speedup over the per-word reference on one thread.
+const GATE_INDEX_FILL_SPEEDUP: f64 = 2.0;
 
 /// Most a pool of four may take, in median host time, over a pool of one.
 const GATE_SHARDING_RATIO: f64 = 1.1;
@@ -282,14 +295,35 @@ fn bitwise_rel_diff(got: &[f64], want: &[f64]) -> f64 {
     (diff / scale).max(f64::MIN_POSITIVE)
 }
 
+/// An output an exact row compares bit for bit.
+trait Exact: Sized {
+    /// `0` when `got` and `want` agree in every bit, else their largest relative
+    /// difference.
+    fn rel_diff(got: &[Self], want: &[Self]) -> f64;
+}
+
+impl Exact for f64 {
+    fn rel_diff(got: &[f64], want: &[f64]) -> f64 {
+        bitwise_rel_diff(got, want)
+    }
+}
+
+impl Exact for usize {
+    /// Indices below `2^53`, as every fill's are, convert to doubles exactly.
+    fn rel_diff(got: &[usize], want: &[usize]) -> f64 {
+        let as_f64 = |v: &[usize]| v.iter().map(|&x| x as f64).collect::<Vec<_>>();
+        bitwise_rel_diff(&as_f64(got), &as_f64(want))
+    }
+}
+
 /// Time `fast` against the `reference` it must reproduce, both on one thread, and
 /// compare their outputs bit for bit.
-fn bench_exact(
+fn bench_exact<T: Exact>(
     kernel: &'static str,
     shape: String,
     elems: usize,
-    reference: impl Fn() -> Vec<f64>,
-    fast: impl Fn() -> Vec<f64>,
+    reference: impl Fn() -> Vec<T>,
+    fast: impl Fn() -> Vec<T>,
 ) -> KernelRow {
     let (naive, blocked, max_rel_diff) = with_thread_pool(1, || {
         let naive = time_fn(|| {
@@ -298,7 +332,7 @@ fn bench_exact(
         let blocked = time_fn(|| {
             std::hint::black_box(fast());
         });
-        (naive, blocked, bitwise_rel_diff(&fast(), &reference()))
+        (naive, blocked, T::rel_diff(&fast(), &reference()))
     });
     KernelRow {
         kernel,
@@ -418,6 +452,35 @@ fn libm_gaussian_fill(seed: u64, stream: u64, out: &mut [f64]) {
             }
         }
     }
+}
+
+/// The per-word reference of the index fill: chunk `c` draws its indices with
+/// [`UniformIndex::sample`] from a generator at block `c·CHUNK·BLOCKS_PER_ELEMENT`.
+fn per_word_index_fill(seed: u64, stream: u64, bound: usize, out: &mut [usize]) {
+    let factory = StreamFactory::new(seed);
+    let sampler = UniformIndex::new(bound);
+    for (ci, chunk) in out.chunks_mut(CHUNK).enumerate() {
+        let mut rng = factory.stream_at(stream, ci as u64 * CHUNK as u64 * BLOCKS_PER_ELEMENT);
+        for r in chunk {
+            *r = sampler.sample(&mut rng);
+        }
+    }
+}
+
+/// `len` uniform indices below `bound`: the batched index fill against the per-word
+/// reference, both on one thread.
+fn bench_index_fill((len, bound): (usize, usize), seed: u64) -> KernelRow {
+    bench_exact(
+        "index_fill",
+        format!("2^{} bound={bound}", len.trailing_zeros()),
+        len,
+        || {
+            let mut out = vec![0; len];
+            per_word_index_fill(seed, 0, bound, &mut out);
+            out
+        },
+        || fill::uniform_index_vec(seed, 0, len, bound),
+    )
 }
 
 /// `len` standard normal draws: the Gaussian fill against the libm reference, both on
@@ -610,7 +673,7 @@ fn sweep<S>(
         .collect()
 }
 
-/// The thread sweep: seven production kernels, each timed on every pool of `on.0`.
+/// The thread sweep: eight production kernels, each timed on every pool of `on.0`.
 fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<ThreadRow> {
     let device = Device::h100();
     let mut rows = Vec::new();
@@ -703,6 +766,17 @@ fn thread_sweep(smoke: bool, on: (&[usize], Option<&RecorderHandle>)) -> Vec<Thr
         |z| bits_of(z.as_ref().expect("the sweep ran").as_slice()),
     ));
 
+    // The index fill (the CountSketch row map's draws) into a reused buffer.
+    let (len, bound) = (if smoke { 1 << 20 } else { 1 << 22 }, INDEX_FILL.1);
+    rows.extend(sweep(
+        ("index_fill", len),
+        &device,
+        on,
+        vec![0usize; len],
+        |out| fill::uniform_index_fill(81, 0, bound, out),
+        |out| out.iter().map(|&r| r as u64).collect(),
+    ));
+
     // End-to-end sketch-and-solve with the Count-Gauss pipeline.
     let (d, n) = (if smoke { 1 << 12 } else { 1 << 14 }, 16);
     let pool = DevicePool::h100(1);
@@ -743,7 +817,8 @@ fn main() {
 
     let grid: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let cores = host_cores();
-    println!("host cores: {cores}; thread grid: {grid:?}; smoke: {smoke}");
+    let tier = Tier::detect().as_str();
+    println!("host cores: {cores}; tier: {tier}; thread grid: {grid:?}; smoke: {smoke}");
 
     // GEMM sweep: the gate shape always runs; full mode adds a square shape and
     // the tall-skinny sketch shape (S · A with a short-wide product).
@@ -785,6 +860,7 @@ fn main() {
     let (gaussian_row, gaussian_abs_diff) =
         bench_gaussian_fill(if smoke { 1 << 18 } else { 1 << 20 }, 93);
     rows.push(gaussian_row);
+    rows.push(bench_index_fill(INDEX_FILL, 97));
     let (sharding_rows, ratios): (Vec<JsonValue>, Vec<f64>) = [
         (SketchSpec::gaussian as fn(_, _, _) -> _, 94),
         (SketchSpec::srht, 95),
@@ -890,20 +966,20 @@ fn main() {
         format!("FAILED (worst rel diff {worst_diff:.2e} > 1e-12)")
     };
 
-    // Gate 4: the Householder, GEMV, TRSM and CSR `Aᵀ·B` rows are bitwise-equal to
-    // their references.
+    // Gate 4: the Householder, GEMV, TRSM, CSR `Aᵀ·B` and index-fill rows are
+    // bitwise-equal to their references.
     let inexact: Vec<String> = rows
         .iter()
         .filter(|r| {
             matches!(
                 r.kernel,
-                "householder" | "gemv_t" | "trsm_right" | "spmm_transpose"
+                "householder" | "gemv_t" | "trsm_right" | "spmm_transpose" | "index_fill"
             ) && r.max_rel_diff != 0.0
         })
         .map(|r| format!("{} {}", r.kernel, r.shape))
         .collect();
     let bitwise_status = if inexact.is_empty() {
-        "passed (householder, gemv, trsm and spmm_transpose rows bitwise-equal to their references)"
+        "passed (householder, gemv, trsm, spmm_transpose and index_fill rows bitwise-equal to their references)"
             .to_string()
     } else {
         format!("FAILED (not bitwise-equal: {})", inexact.join(", "))
@@ -945,7 +1021,13 @@ fn main() {
         )
     };
 
-    // Gate 9: a pool of four costs the host at most 1.1x a pool of one.
+    // Gate 9: the index fill >= 2x the per-word reference.
+    let index_row = rows
+        .iter()
+        .find(|r| r.kernel == "index_fill")
+        .expect("the index-fill row always runs");
+
+    // Gate 10: a pool of four costs the host at most 1.1x a pool of one.
     let worst = ratios.iter().fold(0.0f64, |acc, &r| acc.max(r));
     let sharding_status = if worst <= GATE_SHARDING_RATIO {
         format!("passed (pool of 4 / pool of 1 at most {worst:.2}x <= {GATE_SHARDING_RATIO}x)")
@@ -953,7 +1035,7 @@ fn main() {
         format!("FAILED (pool of 4 / pool of 1 up to {worst:.2}x > {GATE_SHARDING_RATIO}x)")
     };
 
-    // Gate 10 (unconditional): every thread-sweep row is bit-for-bit equal to the
+    // Gate 11 (unconditional): every thread-sweep row is bit-for-bit equal to the
     // 1-thread run of its kernel.
     let mismatches: Vec<&ThreadRow> = thread_rows.iter().filter(|r| !r.bitwise_equal).collect();
     for r in &mismatches {
@@ -971,7 +1053,7 @@ fn main() {
         )
     };
 
-    // Gate 11 (only meaningful on a multi-core host): some large kernel must show a
+    // Gate 12 (only meaningful on a multi-core host): some large kernel must show a
     // sane multi-thread speedup.  Smoke runs use reduced sizes, so the smoke gate
     // drops the size floor and only rejects pathological slowdowns.
     let threshold = if smoke { 0.5 } else { 1.0 };
@@ -1012,6 +1094,10 @@ fn main() {
             "gaussian_speedup_gate",
             speedup_gate(gaussian_row, GATE_GAUSSIAN_SPEEDUP),
         ),
+        (
+            "index_fill_speedup_gate",
+            speedup_gate(index_row, GATE_INDEX_FILL_SPEEDUP),
+        ),
         ("sharding_host_gate", sharding_status),
         ("thread_bitwise_gate", thread_bitwise_status),
         ("thread_speedup_gate", thread_speedup_status),
@@ -1030,6 +1116,7 @@ fn main() {
                     JsonValue::Array(grid.iter().map(|&t| JsonValue::UInt(t as u64)).collect()),
                 ),
                 ("rustc".into(), JsonValue::Str(sketch_obs::rustc_version())),
+                ("tier".into(), JsonValue::Str(tier.into())),
             ]),
         ),
         ("smoke".into(), JsonValue::Bool(smoke)),

@@ -13,11 +13,14 @@
 //! one radix-4 stage performs bit-for-bit the adds of its two constituent radix-2 stages
 //! in the same order.  Any radix-2/radix-4 split and any tile size therefore produces
 //! bitwise-identical output — tiling is a scheduling choice, not a numeric one, which is
-//! what keeps the repo's bitwise determinism gates indifferent to FWHT tuning.
+//! what keeps the repo's bitwise determinism gates indifferent to FWHT tuning.  The
+//! tiled transform runs in the widest [`Tier`] the host has; a butterfly only adds and
+//! subtracts, so every tier computes the same bits.
 
 use rayon::prelude::*;
 use sketch_gpu_sim::{Checked, Device, KernelCost};
 use sketch_la::{Layout, Matrix};
+use sketch_rng::Tier;
 
 /// Default modelled "shared memory" tile: 2048 doubles = 16 KiB per column tile.
 pub const DEFAULT_TILE: usize = 2048;
@@ -27,6 +30,7 @@ pub const DEFAULT_TILE: usize = 2048;
 /// Blocks are walked with `chunks_exact_mut` and each half as a zipped iterator pair,
 /// so the inner loop carries no bounds checks and vectorizes; the butterflies and their
 /// order are identical to the indexed formulation.
+#[inline(always)]
 fn radix2_stage(a: &mut [f64], h: usize) {
     for block in a.chunks_exact_mut(2 * h) {
         let (lo, hi) = block.split_at_mut(h);
@@ -42,6 +46,7 @@ fn radix2_stage(a: &mut [f64], h: usize) {
 ///
 /// Same bounds-check-free structure as [`radix2_stage`]: each span splits into its four
 /// quarter lanes and the butterfly runs over the zipped lanes.
+#[inline(always)]
 fn radix4_stage(a: &mut [f64], stride: usize) {
     for block in a.chunks_exact_mut(4 * stride) {
         let (q0, rest) = block.split_at_mut(stride);
@@ -78,6 +83,13 @@ pub fn fwht_in_place(a: &mut [f64]) {
         return;
     }
     assert!(d.is_power_of_two(), "FWHT length must be a power of two");
+    radix4_stages(a);
+}
+
+/// The stages of [`fwht_in_place`] on a power-of-two `a` longer than one.
+#[inline(always)]
+fn radix4_stages(a: &mut [f64]) {
+    let d = a.len();
     let bits = d.trailing_zeros() as usize;
     let pairs = bits / 2;
     let mut stride = d / 4;
@@ -117,25 +129,69 @@ pub fn fwht_radix2_in_place(a: &mut [f64]) {
 /// Bitwise identical to [`fwht_in_place`] for every `tile`: a stage's butterflies are
 /// disjoint, so executing them block-by-block instead of stage-by-stage reorders only
 /// independent operations.  This is the host realisation of the shared-memory schedule
-/// that [`global_passes`] has always charged for.
+/// that [`global_passes`] has always charged for.  It runs in the widest [`Tier`] the
+/// host has ([`fwht_in_place`] stays on the baseline build).
 ///
 /// # Panics
 /// Panics if the length is not a power of two.
 pub fn fwht_tiled_in_place(a: &mut [f64], tile: usize) {
+    fwht_tiled_in(Tier::detect(), a, tile);
+}
+
+/// [`fwht_tiled_in_place`] in `tier`.
+fn fwht_tiled_in(tier: Tier, a: &mut [f64], tile: usize) {
     let d = a.len();
     if d <= 1 {
         return;
     }
     assert!(d.is_power_of_two(), "FWHT length must be a power of two");
+    match tier {
+        Tier::Baseline => tiled_stages(a, tile),
+        // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { tiled_stages_avx2(a, tile) },
+        // SAFETY: `Tier::Avx512` is only constructed after AVX-512F, DQ, VL and BW
+        // were detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { tiled_stages_avx512(a, tile) },
+    }
+}
+
+/// The stages of [`fwht_tiled_in_place`] on a power-of-two `a` longer than one.
+#[inline(always)]
+fn tiled_stages(a: &mut [f64], tile: usize) {
     let tile = tile.max(4);
-    let mut len = d;
+    let mut len = a.len();
     while len > tile {
         radix4_stage(a, len / 4);
         len /= 4;
     }
+    // `len` ends above `tile / 4 >= 1`: every block still has stages to run.
     for chunk in a.chunks_mut(len) {
-        fwht_in_place(chunk);
+        radix4_stages(chunk);
     }
+}
+
+/// [`tiled_stages`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tiled_stages_avx2(a: &mut [f64], tile: usize) {
+    tiled_stages(a, tile);
+}
+
+/// [`tiled_stages`] compiled with AVX-512F, DQ, VL and BW enabled.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, DQ, VL and BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+unsafe fn tiled_stages_avx512(a: &mut [f64], tile: usize) {
+    tiled_stages(a, tile);
 }
 
 /// Number of *global-memory* passes the tiled device implementation needs for a
@@ -194,9 +250,10 @@ pub(crate) fn fwht_columns_unrecorded(a: &mut Matrix, tile: usize) {
     if d > 1 {
         assert!(d.is_power_of_two(), "FWHT length must be a power of two");
     }
+    let tier = Tier::detect();
     a.as_mut_slice()
         .par_chunks_mut(d.max(1))
-        .for_each(|col| fwht_tiled_in_place(col, tile));
+        .for_each(|col| fwht_tiled_in(tier, col, tile));
 }
 
 /// The modelled cost of transforming the `n` length-`d` columns of a matrix with a
@@ -317,6 +374,38 @@ mod tests {
                     .all(|(t, r)| t.to_bits() == r.to_bits()),
                 "d=2^{pow} differs from the radix-2 reference"
             );
+        }
+    }
+
+    #[test]
+    fn every_tier_transforms_to_the_radix2_bits() {
+        // Gaussian entries with exact zeros of both signs and subnormals mixed in.
+        for pow in [1u32, 2, 3, 11, 12, 13, 16] {
+            let d = 1usize << pow;
+            let x: Vec<f64> = sketch_rng::fill::gaussian_vec(3, pow as u64, d)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| match i % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => v * 1e-310,
+                    _ => v,
+                })
+                .collect();
+            let mut reference = x.clone();
+            fwht_radix2_in_place(&mut reference);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for tier in Tier::supported() {
+                for tile in [4, DEFAULT_TILE] {
+                    let mut tiled = x.clone();
+                    fwht_tiled_in(tier, &mut tiled, tile);
+                    assert_eq!(
+                        bits(&tiled),
+                        bits(&reference),
+                        "{tier:?} d=2^{pow} tile={tile}"
+                    );
+                }
+            }
         }
     }
 

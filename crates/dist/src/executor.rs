@@ -933,7 +933,7 @@ impl Stage<'_> {
     ) -> Result<Attempt, DistError> {
         let n = self.input.ncols();
         let kind = self.spec.kind.as_str();
-        let panel_nnz = self.charge_csr_panel_cut(pool, alive, schedule);
+        let panel_nnz = self.charge_csr_panel_cut(pool, alive, schedule)?;
         for assignment in &schedule.assignments {
             let phys = alive[assignment.device];
             let device = pool.device(phys);
@@ -1021,43 +1021,55 @@ impl Stage<'_> {
     /// A column stage of a CSR-like operand cut into more than one panel cuts
     /// them in one CSC-style conversion pass per attempt, charged **once per
     /// live device** (each device converts its replica, mirroring
-    /// [`replicate_generation`]): stream the parent's nonzeros and row pointers
-    /// once, write every panel's entries plus its fresh row-pointer array.  So the
-    /// modelled compute of a sparse column stage does not grow with the shard
-    /// count the way per-shard full-matrix scans would.  A single panel is the
-    /// operand itself, and nothing is cut.  Returns each panel's non-zeros,
-    /// counted over `col_idx` (no panel is built); empty for every other stage.
+    /// [`replicate_generation`]), at [`csr_panel_cut_cost`].  So the modelled
+    /// compute of a sparse column stage does not grow with the shard count the
+    /// way per-shard full-matrix scans would.  A single panel is the operand
+    /// itself, and nothing is cut.  Returns each panel's non-zeros, counted over
+    /// `col_idx` (no panel is built); empty for every other stage.
     fn charge_csr_panel_cut(
         &self,
         pool: &DevicePool,
         alive: &[usize],
         schedule: &Schedule,
-    ) -> Vec<usize> {
+    ) -> Result<Vec<usize>, Error> {
         let col_idx = match (self.axis(), self.input) {
             (ShardAxis::Cols, Operand::Csr(s)) => s.col_idx(),
             (ShardAxis::Cols, Operand::CsrRows(v)) => v.col_idx(),
-            _ => return Vec::new(),
+            _ => return Ok(Vec::new()),
         };
         let mut panel_nnz = vec![0usize; schedule.num_shards()];
         for &c in col_idx {
             panel_nnz[schedule.assignments.partition_point(|a| a.range.end <= c)] += 1;
         }
         if panel_nnz.len() > 1 {
-            let nnz = col_idx.len() as u64;
-            let idx = std::mem::size_of::<usize>() as u64;
-            let rows1 = self.input.nrows() as u64 + 1;
-            let cost = KernelCost::new(
-                KernelCost::f64_bytes(nnz) + idx * (nnz + rows1),
-                KernelCost::f64_bytes(nnz) + idx * (nnz + rows1 * panel_nnz.len() as u64),
-                nnz,
-                1,
-            );
+            let cost = csr_panel_cut_cost(self.input.nrows(), col_idx.len(), panel_nnz.len())
+                .ok_or(Error::SizeOverflow {
+                    quantity: "cost statement",
+                })?;
             for &d in alive {
                 pool.device(d).launch("csc panel cut", cost);
             }
         }
-        panel_nnz
+        Ok(panel_nnz)
     }
+}
+
+/// The CSC-style pass that cuts a CSR operand of `rows` rows and `nnz` non-zeros
+/// into `panels` column panels: it streams the non-zeros and row pointers once and
+/// writes every panel's entries plus its own row-pointer array, one flop per
+/// non-zero.  [`pipelined_sketch`] charges it to every live device, once per
+/// attempt, when it cuts a CSR column stage (Gaussian, SRHT) into more than one
+/// panel; the serve layer's admission adds it to a multi-device CSR job's flops.
+/// `None` when a count overflows `u64`.
+pub fn csr_panel_cut_cost(rows: usize, nnz: usize, panels: usize) -> Option<KernelCost> {
+    let (nnz, rows1) = (Checked::from(nnz), Checked::from(rows) + 1);
+    let idx = std::mem::size_of::<usize>() as u64;
+    KernelCost::checked(
+        nnz * 8 + (nnz + rows1) * idx,
+        nnz * 8 + (nnz + rows1 * Checked::from(panels)) * idx,
+        nnz,
+        1,
+    )
 }
 
 /// Charge a stage operator's generation `cost` as a replica to every live

@@ -87,6 +87,6 @@ pub mod executor;
 pub use comm::{CommCost, CommPattern};
 pub use error::DistError;
 pub use executor::{
-    pipelined_sketch, preflight, DeviceFailure, ExecutorOptions, FaultReport, PipelinedRun, Plan,
-    Schedule, ShardAssignment,
+    csr_panel_cut_cost, pipelined_sketch, preflight, DeviceFailure, ExecutorOptions, FaultReport,
+    PipelinedRun, Plan, Schedule, ShardAssignment,
 };

@@ -13,7 +13,9 @@
 //!   independent dependence chain, so instruction-level parallelism comes from the tile
 //!   width, not from splitting any single sum.  The same body is compiled twice: for
 //!   the baseline target and, inside a `#[target_feature(enable = "avx2")]` wrapper,
-//!   with 256-bit registers; the tier is chosen once per product by runtime detection.
+//!   with 256-bit registers; the tier is chosen once per product by runtime detection,
+//!   and an AVX-512 host runs the AVX2 build (its AVX-512 build was slower at the
+//!   tall-skinny 32768x256x16 GEMM on a 2-vCPU AVX-512 VM).
 //! * **Blocking** — [`blocked_sums`] drives the microkernel over `KC x NC` cache blocks
 //!   ([`BlockSizes`]): a `KC x NC` panel of packed B stays resident in L2 while row
 //!   panels of packed A stream through it, which is what turns the naive kernel's
@@ -34,8 +36,8 @@
 //! * independent of thread count (parallel tasks own disjoint row panels, and how many
 //!   panels a task owns is derived from shape alone),
 //! * independent of instruction set (no FMA anywhere): every product and every sum is
-//!   its own correctly rounded operation in each tier, so the AVX2 tier reproduces the
-//!   baseline's bits.
+//!   its own correctly rounded operation in each tier, so the AVX2 build reproduces
+//!   the baseline's bits.
 //!
 //! This is what keeps every bitwise determinism gate in the workspace (1-vs-N threads,
 //! 1/2/4/7-device sharding, fault recovery, tenant isolation) green on top of a tuned
@@ -344,6 +346,11 @@ impl<'a> Product<'a> {
             // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { self.sweep_avx2(first_row, rows) },
+            // The AVX-512 build of the sweep was slower at the 32768x256x16 GEMM
+            // row (see the module docs), so the widest tier runs the AVX2 body.
+            // SAFETY: `Tier::Avx512` is only constructed after AVX2 was detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { self.sweep_avx2(first_row, rows) },
         }
     }
 }
@@ -468,8 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn avx2_tier_reproduces_the_baseline_bits() {
-        let tier = Tier::detect();
+    fn every_tier_reproduces_the_baseline_bits() {
         for (m, k, n, upper_only) in [
             (13usize, 300usize, 9usize, false),
             (40, 700, 40, true),
@@ -490,13 +496,14 @@ mod tests {
                     BlockSizes::default(),
                     upper_only,
                 );
-                // On a host without AVX2 `tier` is the baseline and this pins the
-                // fallback against itself.
-                assert_eq!(
-                    sweep_bits(&product, tier),
-                    sweep_bits(&product, Tier::Baseline),
-                    "{m}x{k}x{n} {la:?}/{lb:?} upper_only={upper_only}"
-                );
+                let base = sweep_bits(&product, Tier::Baseline);
+                for tier in Tier::supported() {
+                    assert_eq!(
+                        sweep_bits(&product, tier),
+                        base,
+                        "{tier:?} {m}x{k}x{n} {la:?}/{lb:?} upper_only={upper_only}"
+                    );
+                }
             }
         }
     }

@@ -80,10 +80,11 @@ fn small_to_f64(n: u64) -> f64 {
     f64::from_bits(TWO_52_BITS | n) - TWO_52
 }
 
-/// The uniform double [`PhiloxRng::next_f64`] builds from two words: the top 53 bits
-/// of `hi:lo` times `2^-53`.  Both halves and their sum convert exactly.
+/// The uniform double in `[0, 1)` of two words: the top 53 bits of `hi:lo` times
+/// `2^-53`, which [`PhiloxRng::next_f64`], Box–Muller and the uniform fill all read.
+/// Both halves and their sum convert exactly.
 #[inline(always)]
-fn unit_f64(hi: u32, lo: u32) -> f64 {
+pub(crate) fn unit_f64(hi: u32, lo: u32) -> f64 {
     (small_to_f64(hi as u64) * (1u64 << 21) as f64 + small_to_f64((lo >> 11) as u64))
         * (1.0 / (1u64 << 53) as f64)
 }
@@ -252,17 +253,25 @@ impl UniformIndex {
         self.bound as usize
     }
 
-    /// Sample one index.
+    /// Sample one index: [`UniformIndex::accept`] on the generator's next words until
+    /// one is accepted.
     #[inline]
     pub fn sample(&self, rng: &mut PhiloxRng) -> usize {
         loop {
-            let x = rng.next_word();
-            let m = (x as u64).wrapping_mul(self.bound as u64);
-            let lo = m as u32;
-            if lo >= self.threshold {
-                return (m >> 32) as usize;
+            if let Some(index) = self.accept(rng.next_word()) {
+                return index;
             }
         }
+    }
+
+    /// One accept-or-reject step on the word `x`: the index `⌊x · bound / 2^32⌋`, or
+    /// `None` when the low half of `x · bound` falls below the rejection threshold and
+    /// the sampler must read another word.  [`UniformIndex::sample`] and the batched
+    /// index fill both draw through this step.
+    #[inline(always)]
+    pub fn accept(&self, x: u32) -> Option<usize> {
+        let m = (x as u64).wrapping_mul(self.bound as u64);
+        ((m as u32) >= self.threshold).then_some((m >> 32) as usize)
     }
 }
 

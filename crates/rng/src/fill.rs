@@ -6,14 +6,16 @@
 //! from `(seed, counter)`; here every rayon chunk does the same, so the result is
 //! bit-identical regardless of thread count or chunk scheduling.
 //!
-//! The Gaussian fill is the hot one: each chunk generates a batch of Philox blocks at
-//! once ([`Philox4x32::blocks`]) and turns the batch into Box–Muller pairs in one
-//! branch-free, libm-free loop, compiled in every [`Tier`]; the integer fills draw
-//! through [`PhiloxRng`](crate::PhiloxRng) one word at a time.
+//! Every fill runs one chunked loop: each chunk generates the Philox blocks it reads a
+//! batch at a time ([`Philox4x32::blocks`]), compiled in the widest [`Tier`] the host
+//! has.
+//! The Gaussian fill turns each batch into Box–Muller pairs in one branch-free,
+//! libm-free loop.  The index, sign and uniform fills read their batches in
+//! [`PhiloxRng`](crate::PhiloxRng)'s order, block by block and words 0 to 3, so each
+//! value is the one the per-word generator draws from the chunk's first block.
 
-use crate::distributions::{box_muller, Rademacher, UniformIndex};
+use crate::distributions::{box_muller, unit_f64, UniformIndex};
 use crate::philox::Philox4x32;
-use crate::stream::StreamFactory;
 use crate::tier::Tier;
 use rayon::prelude::*;
 use std::collections::TryReserveError;
@@ -31,9 +33,216 @@ pub const CHUNK: usize = 8192;
 /// (A Gaussian pair consumes 4 words = 1 block; a rejection-sampled index may retry.)
 pub const BLOCKS_PER_ELEMENT: u64 = 4;
 
-/// Philox blocks the Gaussian fill generates per batch (`2 · BATCH` draws), sized so
-/// the batch's words and draws stay in L1.
+/// Philox blocks a fill generates per batch (`2 · BATCH` Gaussian draws, `4 · BATCH`
+/// words), sized so the batch's words and draws stay in L1.
 const BATCH: usize = 64;
+
+/// What one fill computes from the Philox blocks of a chunk.
+trait ChunkFill: Sync {
+    /// The element type.
+    type Item: Send;
+
+    /// Fill one chunk, `out`, from the blocks of `philox` from block `first` on.
+    /// Every implementation is `#[inline(always)]`, so each tier's wrapper in
+    /// [`fill_chunk`] compiles its own copy.
+    fn fill(&self, philox: &Philox4x32, first: u64, out: &mut [Self::Item]);
+}
+
+/// Fill `out` chunk by chunk, in parallel: chunk `c` reads the blocks of
+/// `(seed, stream)` from block `c · CHUNK · BLOCKS_PER_ELEMENT` on, in the widest tier
+/// the host has.
+fn fill_chunks<F: ChunkFill>(seed: u64, stream: u64, fill: &F, out: &mut [F::Item]) {
+    let philox = Philox4x32::new_stream(seed, stream);
+    let tier = Tier::detect();
+    out.par_chunks_mut(CHUNK)
+        .enumerate()
+        .for_each(|(ci, chunk)| fill_chunk(tier, fill, &philox, first_block(ci), chunk));
+}
+
+/// The first block chunk `ci` of a fill reads.
+fn first_block(ci: usize) -> u64 {
+    (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT
+}
+
+/// One chunk of `fill` in `tier`.
+fn fill_chunk<F: ChunkFill>(
+    tier: Tier,
+    fill: &F,
+    philox: &Philox4x32,
+    first: u64,
+    out: &mut [F::Item],
+) {
+    match tier {
+        Tier::Baseline => fill.fill(philox, first, out),
+        // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { fill_chunk_avx2(fill, philox, first, out) },
+        // SAFETY: `Tier::Avx512` is only constructed after AVX2 and AVX-512F, DQ, VL
+        // and BW were detected.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { fill_chunk_avx512(fill, philox, first, out) },
+    }
+}
+
+/// [`ChunkFill::fill`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_chunk_avx2<F: ChunkFill>(
+    fill: &F,
+    philox: &Philox4x32,
+    first: u64,
+    out: &mut [F::Item],
+) {
+    fill.fill(philox, first, out);
+}
+
+/// [`ChunkFill::fill`] compiled with AVX-512F, DQ, VL and BW enabled.
+///
+/// # Safety
+///
+/// The host must support AVX-512F, DQ, VL and BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+unsafe fn fill_chunk_avx512<F: ChunkFill>(
+    fill: &F,
+    philox: &Philox4x32,
+    first: u64,
+    out: &mut [F::Item],
+) {
+    fill.fill(philox, first, out);
+}
+
+/// The words of consecutive Philox blocks in [`PhiloxRng`](crate::PhiloxRng)'s order
+/// (block by block, words 0 to 3), generated [`BATCH`] blocks at a time.
+struct Words<'a> {
+    philox: &'a Philox4x32,
+    /// The block the next batch starts at.
+    next: u64,
+    /// The batch's words as [`Philox4x32::blocks`] writes them, word by word.
+    lanes: [[u32; BATCH]; 4],
+    /// The same words in the generator's order.
+    batch: [u32; 4 * BATCH],
+}
+
+impl<'a> Words<'a> {
+    /// The words of `philox` from block `first` on.
+    #[inline(always)]
+    fn new(philox: &'a Philox4x32, first: u64) -> Self {
+        Self {
+            philox,
+            next: first,
+            lanes: [[0; BATCH]; 4],
+            batch: [0; 4 * BATCH],
+        }
+    }
+
+    /// The next `4 · BATCH` words.
+    #[inline(always)]
+    fn next_batch(&mut self) -> &[u32; 4 * BATCH] {
+        self.philox.blocks(self.next, &mut self.lanes);
+        self.next = self.next.wrapping_add(BATCH as u64);
+        for (b, block) in self.batch.chunks_exact_mut(4).enumerate() {
+            for (w, word) in block.iter_mut().enumerate() {
+                *word = self.lanes[w][b];
+            }
+        }
+        &self.batch
+    }
+}
+
+/// Standard normal variates times `scale`: pair `p` of a chunk is the Box–Muller
+/// pair of the chunk's block `p`.
+struct Gaussian {
+    scale: f64,
+}
+
+impl ChunkFill for Gaussian {
+    type Item = f64;
+
+    /// Batches of [`BATCH`] Philox blocks, each transformed in one loop.  A ragged
+    /// last batch generates whole blocks and writes only what fits.
+    #[inline(always)]
+    fn fill(&self, philox: &Philox4x32, first: u64, out: &mut [f64]) {
+        let mut words = [[0u32; BATCH]; 4];
+        let mut pairs = [[0.0f64; 2]; BATCH];
+        for (bi, run) in out.chunks_mut(2 * BATCH).enumerate() {
+            philox.blocks(first + (bi * BATCH) as u64, &mut words);
+            transform_batch(&words, self.scale, &mut pairs);
+            run.copy_from_slice(&pairs.as_flattened()[..run.len()]);
+        }
+    }
+}
+
+/// The Box–Muller pair of every block of a batch, times `scale`.
+#[inline(always)]
+fn transform_batch(words: &[[u32; BATCH]; 4], scale: f64, pairs: &mut [[f64; 2]; BATCH]) {
+    for (p, pair) in pairs.iter_mut().enumerate() {
+        let (z0, z1) = box_muller([words[0][p], words[1][p], words[2][p], words[3][p]]);
+        *pair = [z0 * scale, z1 * scale];
+    }
+}
+
+/// Uniform indices: [`UniformIndex::accept`] on each word until one is accepted.
+struct Indices(UniformIndex);
+
+impl ChunkFill for Indices {
+    type Item = usize;
+
+    #[inline(always)]
+    fn fill(&self, philox: &Philox4x32, first: u64, out: &mut [usize]) {
+        let mut words = Words::new(philox, first);
+        let mut filled = 0;
+        while filled < out.len() {
+            for &x in words.next_batch() {
+                if let Some(index) = self.0.accept(x) {
+                    out[filled] = index;
+                    filled += 1;
+                    if filled == out.len() {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Rademacher signs: the low bit of one word each, `true` for `+1`.
+struct Signs;
+
+impl ChunkFill for Signs {
+    type Item = bool;
+
+    #[inline(always)]
+    fn fill(&self, philox: &Philox4x32, first: u64, out: &mut [bool]) {
+        let mut words = Words::new(philox, first);
+        for run in out.chunks_mut(4 * BATCH) {
+            for (sign, x) in run.iter_mut().zip(words.next_batch()) {
+                *sign = x & 1 == 1;
+            }
+        }
+    }
+}
+
+/// Uniform doubles in `[0, 1)`: the top 53 bits of two words, high word first.
+struct Units;
+
+impl ChunkFill for Units {
+    type Item = f64;
+
+    #[inline(always)]
+    fn fill(&self, philox: &Philox4x32, first: u64, out: &mut [f64]) {
+        let mut words = Words::new(philox, first);
+        for run in out.chunks_mut(2 * BATCH) {
+            for (x, pair) in run.iter_mut().zip(words.next_batch().chunks_exact(2)) {
+                *x = unit_f64(pair[0], pair[1]);
+            }
+        }
+    }
+}
 
 /// Fill a new vector with standard normal variates, in parallel, deterministically.
 pub fn gaussian_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
@@ -51,12 +260,16 @@ pub fn gaussian_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
 /// transforms the batch in one branch-free loop, in the widest [`Tier`] the host has;
 /// every tier computes the same bits.
 pub fn gaussian_fill(seed: u64, stream: u64, out: &mut [f64]) {
-    scaled_gaussian_fill(seed, stream, out, 1.0);
+    fill_chunks(seed, stream, &Gaussian { scale: 1.0 }, out);
 }
 
 /// Fill a new vector with scaled normal variates `N(0, scale^2)`, or return the
 /// host's refusal to allocate it: the buffer is reserved with `try_reserve_exact`,
 /// so a length the host cannot hold is an error value instead of an abort.
+///
+/// Each element is the fill's draw times `scale`, rounded once, multiplied inside
+/// the transform loop: the bits of scaling after the fill, without a second pass
+/// (and `scale = 1` changes no bit).
 pub fn scaled_gaussian_vec(
     seed: u64,
     stream: u64,
@@ -66,65 +279,8 @@ pub fn scaled_gaussian_vec(
     let mut out = Vec::new();
     out.try_reserve_exact(len)?;
     out.resize(len, 0.0);
-    scaled_gaussian_fill(seed, stream, &mut out, scale);
+    fill_chunks(seed, stream, &Gaussian { scale }, &mut out);
     Ok(out)
-}
-
-/// [`gaussian_fill`] times `scale`, multiplied inside the transform loop.  Each
-/// element is the fill's draw times `scale`, rounded once: the bits of scaling after
-/// the fill, without a second pass (and `scale = 1` changes no bit).
-fn scaled_gaussian_fill(seed: u64, stream: u64, out: &mut [f64], scale: f64) {
-    let philox = Philox4x32::new_stream(seed, stream);
-    let tier = Tier::detect();
-    out.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let first = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            gaussian_chunk(tier, &philox, first, scale, chunk);
-        });
-}
-
-/// One chunk of the Gaussian fill, whose first pair reads block `first`.
-fn gaussian_chunk(tier: Tier, philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
-    match tier {
-        Tier::Baseline => gaussian_chunk_body(philox, first, scale, out),
-        // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { gaussian_chunk_avx2(philox, first, scale, out) },
-    }
-}
-
-/// [`gaussian_chunk_body`] compiled with AVX2 enabled.
-///
-/// # Safety
-///
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gaussian_chunk_avx2(philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
-    gaussian_chunk_body(philox, first, scale, out);
-}
-
-/// Batches of [`BATCH`] Philox blocks, each transformed in one loop.  A ragged last
-/// batch generates whole blocks and writes only what fits.
-#[inline(always)]
-fn gaussian_chunk_body(philox: &Philox4x32, first: u64, scale: f64, out: &mut [f64]) {
-    let mut words = [[0u32; BATCH]; 4];
-    let mut pairs = [[0.0f64; 2]; BATCH];
-    for (bi, run) in out.chunks_mut(2 * BATCH).enumerate() {
-        philox.blocks(first + (bi * BATCH) as u64, &mut words);
-        transform_batch(&words, scale, &mut pairs);
-        run.copy_from_slice(&pairs.as_flattened()[..run.len()]);
-    }
-}
-
-/// The Box–Muller pair of every block of a batch, times `scale`.
-#[inline(always)]
-fn transform_batch(words: &[[u32; BATCH]; 4], scale: f64, pairs: &mut [[f64; 2]; BATCH]) {
-    for (p, pair) in pairs.iter_mut().enumerate() {
-        let (z0, z1) = box_muller([words[0][p], words[1][p], words[2][p], words[3][p]]);
-        *pair = [z0 * scale, z1 * scale];
-    }
 }
 
 /// Fill a new vector with Rademacher signs stored as `+1.0` / `-1.0`.
@@ -137,18 +293,12 @@ pub fn rademacher_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
 
 /// Fill a new vector with Rademacher signs stored as booleans (`true` = `+1`),
 /// which is the representation Algorithm 2 consumes.
+///
+/// Element `i` of chunk `c` is [`Rademacher::sample_bool`](crate::Rademacher::sample_bool)'s
+/// `i`-th draw from block `c·CHUNK·BLOCKS_PER_ELEMENT` of the stream.
 pub fn rademacher_bool_vec(seed: u64, stream: u64, len: usize) -> Vec<bool> {
-    let factory = StreamFactory::new(seed);
     let mut out = vec![false; len];
-    out.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            let mut rng = factory.stream_at(stream, block);
-            for b in chunk.iter_mut() {
-                *b = Rademacher::sample_bool(&mut rng);
-            }
-        });
+    fill_chunks(seed, stream, &Signs, &mut out);
     out
 }
 
@@ -163,41 +313,30 @@ pub fn uniform_index_vec(seed: u64, stream: u64, len: usize, bound: usize) -> Ve
 /// Fill an existing slice with uniform indices in `{0, …, bound-1}`: the values of
 /// [`uniform_index_vec`] of the same length.
 ///
+/// Element `i` of chunk `c` is [`UniformIndex::sample`]'s `i`-th draw from block
+/// `c·CHUNK·BLOCKS_PER_ELEMENT` of the stream: every rejection and every index is the
+/// per-word sampler's.
+///
 /// # Panics
 /// Panics if `bound` is 0 or exceeds `u32::MAX` (see [`UniformIndex::new`]).
 pub fn uniform_index_fill(seed: u64, stream: u64, bound: usize, out: &mut [usize]) {
-    let factory = StreamFactory::new(seed);
-    let sampler = UniformIndex::new(bound);
-    out.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            let mut rng = factory.stream_at(stream, block);
-            for r in chunk.iter_mut() {
-                *r = sampler.sample(&mut rng);
-            }
-        });
+    fill_chunks(seed, stream, &Indices(UniformIndex::new(bound)), out);
 }
 
 /// Fill a new vector with uniform doubles in `[0, 1)`.
+///
+/// Element `i` of chunk `c` is [`PhiloxRng::next_f64`](crate::PhiloxRng::next_f64)'s
+/// `i`-th draw from block `c·CHUNK·BLOCKS_PER_ELEMENT` of the stream.
 pub fn uniform_vec(seed: u64, stream: u64, len: usize) -> Vec<f64> {
-    let factory = StreamFactory::new(seed);
     let mut out = vec![0.0; len];
-    out.par_chunks_mut(CHUNK)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            let mut rng = factory.stream_at(stream, block);
-            for x in chunk.iter_mut() {
-                *x = rng.next_f64();
-            }
-        });
+    fill_chunks(seed, stream, &Units, &mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamFactory;
 
     #[test]
     fn gaussian_fill_is_deterministic_across_calls() {
@@ -371,36 +510,72 @@ mod tests {
         unsafe fn transform_avx2(words: &[[u32; BATCH]; 4], pairs: &mut [[f64; 2]; BATCH]) {
             transform_batch(words, 1.0, pairs);
         }
+        /// [`transform_batch`] compiled with AVX-512F, DQ, VL and BW enabled.
+        ///
+        /// # Safety
+        ///
+        /// The host must support AVX-512F, DQ, VL and BW.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512bw")]
+        unsafe fn transform_avx512(words: &[[u32; BATCH]; 4], pairs: &mut [[f64; 2]; BATCH]) {
+            transform_batch(words, 1.0, pairs);
+        }
         let mut pairs = [[0.0; 2]; BATCH];
         match tier {
             Tier::Baseline => transform_batch(words, 1.0, &mut pairs),
             // SAFETY: `Tier::Avx2` is only constructed after AVX2 was detected.
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => unsafe { transform_avx2(words, &mut pairs) },
+            // SAFETY: `Tier::Avx512` is only constructed after AVX-512 was detected.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { transform_avx512(words, &mut pairs) },
         }
         pairs.as_flattened().iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn avx2_gaussian_fill_reproduces_the_baseline_bits() {
-        // On a host without AVX2 `tier` is the baseline and this pins the fallback
-        // against itself.
-        let tier = Tier::detect();
-        let philox = Philox4x32::new_stream(5, 9);
-        let len = 1 << 20;
-        let (mut wide, mut base) = (vec![0.0; len], vec![0.0; len]);
-        for (ci, (w, b)) in wide
-            .chunks_mut(CHUNK)
-            .zip(base.chunks_mut(CHUNK))
-            .enumerate()
-        {
-            let first = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
-            gaussian_chunk(tier, &philox, first, 1.0, w);
-            gaussian_chunk(Tier::Baseline, &philox, first, 1.0, b);
+    /// `fill` of `len` elements of stream `(seed, stream)`, chunk by chunk, in `tier`.
+    fn fill_in<F: ChunkFill>(
+        tier: Tier,
+        fill: &F,
+        (seed, stream): (u64, u64),
+        out: &mut [F::Item],
+    ) {
+        let philox = Philox4x32::new_stream(seed, stream);
+        for (ci, chunk) in out.chunks_mut(CHUNK).enumerate() {
+            fill_chunk(tier, fill, &philox, first_block(ci), chunk);
         }
+    }
+
+    #[test]
+    fn every_tier_fills_the_baseline_bits() {
+        // On a host without the wider tiers this pins the baseline against itself.
+        let len = 1 << 20;
+        let mut base = vec![0.0; len];
+        fill_in(Tier::Baseline, &Gaussian { scale: 1.0 }, (5, 9), &mut base);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&wide), bits(&base));
         assert_eq!(bits(&base), bits(&gaussian_vec(5, 9, len)));
+        let len = 3 * CHUNK + 5;
+        let mut base_units = vec![0.0; len];
+        fill_in(Tier::Baseline, &Units, (6, 1), &mut base_units);
+        let mut base_indices = vec![0; len];
+        let indices = Indices(UniformIndex::new((1 << 31) + 1));
+        fill_in(Tier::Baseline, &indices, (6, 2), &mut base_indices);
+        let mut base_signs = vec![false; len];
+        fill_in(Tier::Baseline, &Signs, (6, 3), &mut base_signs);
+        for tier in Tier::supported() {
+            let mut wide = vec![0.0; 1 << 20];
+            fill_in(tier, &Gaussian { scale: 1.0 }, (5, 9), &mut wide);
+            assert_eq!(bits(&wide), bits(&base), "{tier:?}");
+            let mut units = vec![0.0; len];
+            fill_in(tier, &Units, (6, 1), &mut units);
+            assert_eq!(bits(&units), bits(&base_units), "{tier:?}");
+            let mut wide_indices = vec![0; len];
+            fill_in(tier, &indices, (6, 2), &mut wide_indices);
+            assert_eq!(wide_indices, base_indices, "{tier:?}");
+            let mut signs = vec![false; len];
+            fill_in(tier, &Signs, (6, 3), &mut signs);
+            assert_eq!(signs, base_signs, "{tier:?}");
+        }
     }
 
     #[test]
@@ -431,7 +606,9 @@ mod tests {
             }
         }
         let base = transform_in(Tier::Baseline, &words);
-        assert_eq!(transform_in(Tier::detect(), &words), base);
+        for tier in Tier::supported() {
+            assert_eq!(transform_in(tier, &words), base, "{tier:?}");
+        }
 
         // u1 = 0 and u1 = EPSILON are the same draw.
         let radius = f64::from_bits(base[0]);
@@ -457,6 +634,75 @@ mod tests {
         let (c, s) = pair(5);
         assert_eq!(f64::from_bits(c), 1.0);
         assert!(f64::from_bits(s) < 0.0 && f64::from_bits(s) > -1e-15);
+    }
+
+    /// The per-word reference of a fill: element `i` of chunk `c` is `draw`'s `i`-th
+    /// value from a generator at block `c · CHUNK · BLOCKS_PER_ELEMENT` of the stream.
+    fn per_word<T>(
+        (seed, stream): (u64, u64),
+        len: usize,
+        mut draw: impl FnMut(&mut crate::PhiloxRng) -> T,
+    ) -> Vec<T> {
+        let factory = StreamFactory::new(seed);
+        let mut out = Vec::with_capacity(len);
+        for ci in 0..len.div_ceil(CHUNK) {
+            let block = (ci as u64) * (CHUNK as u64) * BLOCKS_PER_ELEMENT;
+            let mut rng = factory.stream_at(stream, block);
+            let n = CHUNK.min(len - ci * CHUNK);
+            out.extend((0..n).map(|_| draw(&mut rng)));
+        }
+        out
+    }
+
+    /// Bounds of the index fill: the smallest, a power of two, the smallest with a
+    /// rejection, one that rejects almost half of all words, and the largest.
+    const BOUNDS: [usize; 5] = [1, 2, 3, (1 << 31) + 1, u32::MAX as usize];
+
+    /// Fill lengths: empty, one, and around multiples of a 64-block batch (256
+    /// words: 256 signs, about 256 indices, 128 uniforms) and of `CHUNK`.
+    const LENGTHS: [usize; 14] = [
+        0,
+        1,
+        127,
+        128,
+        129,
+        255,
+        256,
+        257,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        2 * CHUNK + 256,
+        3 * CHUNK - 1,
+        3 * CHUNK,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_integer_fills_are_the_per_word_draws(
+            seed in 0u64..u64::MAX,
+            stream in 0u64..u64::MAX,
+            len_at in 0usize..LENGTHS.len(),
+        ) {
+            let (key, len) = ((seed, stream), LENGTHS[len_at]);
+            for bound in BOUNDS {
+                let sampler = UniformIndex::new(bound);
+                let want = per_word(key, len, |rng| sampler.sample(rng));
+                proptest::prop_assert_eq!(
+                    uniform_index_vec(seed, stream, len, bound), want,
+                    "bound {} len {}", bound, len
+                );
+            }
+            let signs = per_word(key, len, crate::Rademacher::sample_bool);
+            proptest::prop_assert_eq!(rademacher_bool_vec(seed, stream, len), signs);
+            let signs = per_word(key, len, crate::Rademacher::sample_f64);
+            proptest::prop_assert_eq!(rademacher_vec(seed, stream, len), signs);
+            let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let units = per_word(key, len, |rng| rng.next_f64());
+            proptest::prop_assert_eq!(bits(uniform_vec(seed, stream, len)), bits(units));
+        }
     }
 
     #[test]

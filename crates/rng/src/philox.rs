@@ -8,6 +8,8 @@
 //! generate any block without coordination — which is exactly the property a GPU (or a
 //! rayon parallel fill) needs.
 
+use crate::distributions::unit_f64;
+
 /// Number of rounds used by the standard Philox4x32-10 variant.
 pub const PHILOX_ROUNDS: usize = 10;
 
@@ -196,14 +198,12 @@ impl PhiloxRng {
         word
     }
 
-    /// Uniform double in `[0, 1)` built from 53 random mantissa bits.
+    /// Uniform double in `[0, 1)` built from 53 random mantissa bits: the top 53 bits
+    /// of the next two words, high word first, times `2^-53`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        let hi = self.next_word() as u64;
-        let lo = self.next_word() as u64;
-        let bits = (hi << 32) | lo;
-        // Keep the top 53 bits: the standard (0,1) double construction.
-        (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        let hi = self.next_word();
+        unit_f64(hi, self.next_word())
     }
 
     /// Uniform double in the interval `(0, 1)`: [`PhiloxRng::next_f64`] with a zero

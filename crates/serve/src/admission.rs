@@ -441,9 +441,8 @@ mod tests {
     /// asking for 1, 2 or 4 devices states exactly the flops its solo run on a
     /// pool of that many records (each further device a replica of the
     /// generation), and a CSR job, stated at its draws, bounds them from above
-    /// on a pool of one.  (On more devices a CSR column stage also pays the
-    /// executor's panel cut, one flop per non-zero on every device, which no
-    /// statement holds.)
+    /// on the same pools (on more than one device a CSR column stage also pays
+    /// the executor's panel cut on every device).
     #[test]
     fn stated_flops_are_what_a_solo_run_records_on_pools_of_1_2_and_4() {
         use crate::queue::QueuedJob;
@@ -474,8 +473,7 @@ mod tests {
                         seed: 7,
                     },
                 };
-                let pools: &[usize] = if csr { &[1] } else { &[1, 2, 4] };
-                for &devices in pools {
+                for devices in [1, 2, 4] {
                     let job =
                         JobSpec::new("t", plan.clone(), operand.clone()).with_devices(devices);
                     let stated = job.costs().unwrap().flops;

@@ -19,8 +19,8 @@
 
 use crate::error::{RejectReason, ServeError};
 use sketch_core::traits::try_zeroed;
-use sketch_core::{Error, JsonValue, OperandShape, Pipeline, SketchSpec};
-use sketch_dist::DistError;
+use sketch_core::{Error, JsonValue, OperandShape, Pipeline, ShardAxis, SketchSpec};
+use sketch_dist::{csr_panel_cut_cost, DistError};
 use sketch_gpu_sim::Checked;
 use sketch_la::{Layout, Matrix};
 use sketch_rng::fill;
@@ -466,8 +466,17 @@ impl JobSpec {
         let k = stages.last().map_or(0, |s| s.output_dim.resolve(n));
         let held_bytes = fits(stated.held_bytes(k, n).ok(), "held bytes")?;
         // The executor charges each live device past the first a replica of
-        // every stage's generation.
-        let flops = Checked::from(self.devices) * stated.generation.flops + stated.apply.flops;
+        // every stage's generation, and each live device the panel cut of a CSR
+        // operand whose column stage (the first) it cuts into panels.
+        let devices = Checked::from(self.devices);
+        let mut flops = devices * stated.generation.flops + stated.apply.flops;
+        if let OperandSpec::Csr { nnz_target, .. } = self.operand {
+            let cut_by_columns = stages.first().map(|s| s.shard_axis()) == Some(ShardAxis::Cols);
+            if self.devices > 1 && cut_by_columns {
+                let cut = csr_panel_cut_cost(rows, nnz_target.max(1), self.devices);
+                flops = flops + devices * Checked(cut.map(|c| c.flops));
+            }
+        }
         let flops = flops
             .0
             .ok_or_else(|| self.size_overflow("modelled flops"))?;

@@ -65,7 +65,7 @@ impl CsrMatrix {
         }
     }
 
-    /// Convert from COO, summing duplicate coordinates.
+    /// Convert from COO, summing duplicate coordinates in the order they were pushed.
     ///
     /// # Panics
     /// Panics if the host refuses an allocation; [`CsrMatrix::try_from_coo`] returns
@@ -76,33 +76,57 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::from_coo`], reserving every buffer with `try_reserve_exact` so an
     /// allocation the host refuses is an error instead of an abort.
+    ///
+    /// A counting sort places the entries by row, in COO order; each row is then
+    /// sorted by column with the COO position breaking ties, so a cell drawn several
+    /// times sums its values in the order they were pushed.  The sorted copy holds
+    /// `(col, position, value)` per entry, the size of the `(row, col, value)`
+    /// triplets themselves.
     pub fn try_from_coo(coo: &CooMatrix) -> Result<Self, TryReserveError> {
         let nrows = coo.nrows();
         let ncols = coo.ncols();
-        // Sort triplets by (row, col); duplicates become adjacent and are merged.
-        let mut entries = reserved(coo.nnz())?;
-        entries.extend_from_slice(coo.entries());
-        entries.sort_unstable_by_key(|&(i, j, _)| (i, j));
-
+        // The sorted copy is reserved before `row_ptr`, which the matrix keeps: in the
+        // other order, nine assemblies of a 2^15 x 2048 operand (671,088 draws) in one
+        // process peaked 5 MB higher under glibc's allocator.
+        let mut sorted = reserved(coo.nnz())?;
+        // Count each row's entries, then turn the counts into row starts.
         let mut row_ptr = reserved(nrows.saturating_add(1))?;
         row_ptr.resize(nrows + 1, 0usize);
-        let mut col_idx = reserved(entries.len())?;
-        let mut values = reserved(entries.len())?;
-        let mut prev: Option<(usize, usize)> = None;
-        for &(i, j, v) in &entries {
-            if prev == Some((i, j)) {
-                *values.last_mut().expect("previous entry exists") += v;
-            } else {
-                col_idx.push(j);
-                values.push(v);
-                row_ptr[i + 1] += 1;
-                prev = Some((i, j));
-            }
+        for &(i, _, _) in coo.entries() {
+            row_ptr[i + 1] += 1;
         }
-        // Prefix-sum the per-row counts into offsets.
         for i in 0..nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
+        // Place each entry at its row's cursor; afterwards `row_ptr[i]` is the end of
+        // row `i`.
+        sorted.resize(coo.nnz(), (0usize, 0usize, 0.0f64));
+        for (position, &(i, j, v)) in coo.entries().iter().enumerate() {
+            sorted[row_ptr[i]] = (j, position, v);
+            row_ptr[i] += 1;
+        }
+
+        let mut col_idx = reserved(sorted.len())?;
+        let mut values = reserved(sorted.len())?;
+        let mut start = 0;
+        for i in 0..nrows {
+            let end = row_ptr[i];
+            row_ptr[i] = col_idx.len();
+            let row = &mut sorted[start..end];
+            row.sort_unstable_by_key(|&(j, position, _)| (j, position));
+            let mut prev = None;
+            for &(j, _, v) in row.iter() {
+                if prev == Some(j) {
+                    *values.last_mut().expect("previous entry exists") += v;
+                } else {
+                    col_idx.push(j);
+                    values.push(v);
+                    prev = Some(j);
+                }
+            }
+            start = end;
+        }
+        row_ptr[nrows] = col_idx.len();
         Ok(Self {
             nrows,
             ncols,
@@ -424,6 +448,50 @@ mod tests {
         let csr = CsrMatrix::from_coo(&coo);
         assert_eq!(csr.nnz(), 2);
         assert_eq!(csr.to_dense()[0][0], 3.5);
+    }
+
+    #[test]
+    fn a_cell_drawn_three_times_sums_in_coo_order() {
+        // Three draws of (7, 3) among 10,000 others.  In COO order their sum is
+        // (1 + 2^60) - 2^60 = 0; summing the last two first gives 1.
+        let (nrows, ncols) = (64, 16);
+        let mut coo = CooMatrix::new(nrows, ncols);
+        let rows = sketch_rng::fill::uniform_index_vec(1, 0, 10_003, nrows);
+        let cols = sketch_rng::fill::uniform_index_vec(1, 1, 10_003, ncols);
+        let big = (1u64 << 60) as f64;
+        for (draw, (&i, &j)) in rows.iter().zip(&cols).enumerate() {
+            match draw {
+                17 => coo.push(7, 3, 1.0),
+                5_000 => coo.push(7, 3, big),
+                10_002 => coo.push(7, 3, -big),
+                _ if (i, j) == (7, 3) => coo.push(7, 4, 0.5),
+                _ => coo.push(i, j, 0.25 + draw as f64),
+            }
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        let (at, _) = csr
+            .row(7)
+            .enumerate()
+            .find(|(_, (j, _))| *j == 3)
+            .expect("the cell is stored");
+        let stored = csr.values()[csr.row_ptr()[7] + at];
+        assert_eq!(stored.to_bits(), ((1.0 + big) - big).to_bits());
+        assert_eq!(stored, 0.0);
+        // Every other cell holds its draws' sum in COO order too.
+        let mut want = vec![vec![0.0f64; ncols]; nrows];
+        let mut seen = vec![vec![false; ncols]; nrows];
+        for &(i, j, v) in coo.entries() {
+            want[i][j] = if seen[i][j] { want[i][j] + v } else { v };
+            seen[i][j] = true;
+        }
+        for i in 0..nrows {
+            let stored: Vec<(usize, f64)> = csr.row(i).collect();
+            let expect: Vec<(usize, f64)> = (0..ncols)
+                .filter(|&j| seen[i][j])
+                .map(|j| (j, want[i][j]))
+                .collect();
+            assert_eq!(stored, expect, "row {i}");
+        }
     }
 
     #[test]
